@@ -88,11 +88,6 @@ class PrimeFactorization:
         return out
 
 
-def divisors(m: int) -> list[int]:
-    out = [d for d in range(1, m + 1) if m % d == 0]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials, as integer coefficient lists (index = degree)
 

@@ -15,12 +15,20 @@ what the nonexistence criteria consume:
 - structure_decompose(D): integer elements E_p with D = sum_p P_p E_p,
   p running over the primes of the c-exponent.
 
-Minimality and sub-sum searches are exact: backtracking with a
-triangle-inequality float prune and a cyclotomic divisibility test at
-the leaves.  The enumerator of all minimal v-sums up to a norm bound
-assembles candidates fiberwise over a coprime splitting C_m = C_q x C_r
-(q the largest prime-power factor), which keeps it exhaustive while
-avoiding a blind walk over all coefficient vectors.
+The minimal parts under D, which c_exponent covers D with, come from one
+of two exact routes.  When m = p^a q^b has at most two prime factors,
+every v-sum is a nonnegative combination of shifted P_p and P_q (de
+Bruijn 1953; Lam and Leung 2000), so the parts are just the prime-order
+cosets g^j P_p that fit under D, listed in O(m) with no zero-test.  With
+three or more primes, and for minimality tests, a sub-sum walk runs:
+backtracking with a triangle-inequality float prune and a cyclotomic
+divisibility test at the leaves.  c_exponent refuses elements above its
+max_norm on both routes.
+
+The enumerator of all minimal v-sums up to a norm bound assembles
+candidates fiberwise over a coprime splitting C_m = C_q x C_r (q the
+largest prime-power factor), which keeps it exhaustive while avoiding a
+blind walk over all coefficient vectors.
 """
 
 from __future__ import annotations
@@ -206,7 +214,31 @@ class MinimalDecomposition:
 
 
 def _minimal_parts_within(elt: CyclicRingElt) -> list[MinimalVsum]:
-    """Every minimal v-sum B <= elt, sorted by coefficient tuple."""
+    """Every minimal v-sum B <= elt, sorted by coefficient tuple.
+
+    For m = p^a q^b the minimal v-sums are exactly the prime-order
+    cosets g^j P_p (see the module docstring), so they are listed
+    directly: a coset fits under elt iff elt is >= 1 on each of its p
+    points, and its reduced exponent is p.  Three or more primes fall
+    back to the sub-sum walk.
+    """
+    m = elt.m
+    primes = factorize(m).primes
+    if len(primes) > 2:
+        return _minimal_parts_by_walk(elt)
+    parts = [
+        MinimalVsum(subgroup_sum(m, p).shift(j), p)
+        for p in primes
+        for j in range(m // p)
+        if all(elt.coeffs[i] >= 1 for i in range(j, m, m // p))
+    ]
+    parts.sort(key=lambda part: part.elt.coeffs)
+    return parts
+
+
+def _minimal_parts_by_walk(elt: CyclicRingElt) -> list[MinimalVsum]:
+    """Every minimal v-sum B <= elt, sorted by coefficient tuple: the
+    vanishing sub-sums of elt that dominate no other one."""
     subs = _vanishing_subsums(elt)
     minimal = []
     for b in subs:
@@ -227,11 +259,17 @@ def c_exponent(elt: CyclicRingElt, max_norm: int = 16) -> tuple[int, MinimalDeco
     """Smallest lcm of reduced exponents over all decompositions of elt
     into minimal v-sums, together with a witnessing decomposition.
 
-    Candidate lcm targets are scanned in increasing order; for each, an
-    exact-cover search runs over the minimal sub-v-sums whose reduced
-    exponent divides the target.  The first target admitting a cover is
-    the answer (any cover then has that exact lcm).  Parts are tried in
-    lexicographic order, so the witness is deterministic.
+    The minimal sub-v-sums of elt are listed first.  For m with at most
+    two prime factors they are the prime-order cosets g^j P_p under elt,
+    since every v-sum there is a nonnegative combination of shifted P_p
+    and P_q (de Bruijn 1953; Lam and Leung 2000); otherwise a sub-sum
+    walk finds them.  Both routes give the same parts in the same order.
+    Candidate lcm targets are then scanned in increasing order; for each,
+    an exact-cover search runs over the parts whose reduced exponent
+    divides the target.  The first target admitting a cover is the
+    answer (any cover then has that exact lcm).  Parts are tried in
+    lexicographic order, so the witness is deterministic.  Elements of
+    norm above max_norm are refused on both routes.
     """
     if not is_vsum(elt):
         raise ValueError("not a v-sum")

@@ -3,13 +3,18 @@
 import random
 from itertools import combinations
 from math import gcd, lcm
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gbfkit import vsum
 from gbfkit.ring import (
     CharacterSpec,
     CyclicRingElt,
     character_value_is_zero,
+    factorize,
     punctured_subgroup_sum,
     subgroup_sum,
 )
@@ -215,6 +220,48 @@ def test_every_vsum_decomposes():
         assert decomp.total() == d
         assert all(is_minimal_vsum(p.elt) for p in decomp.parts)
         assert lcm(*(p.reduced_exponent for p in decomp.parts)) == k
+
+
+# ---------------------------------------------------------------------------
+# c-exponent: prime-coset listing against the sub-sum walk
+
+TWO_PRIME_MODULI = [4, 8, 9, 6, 10, 12, 14, 15, 18, 20, 21]
+
+
+@st.composite
+def two_prime_vsums(draw):
+    """Nonnegative combinations of shifted P_p, P_q with norm <= 16."""
+    m = draw(st.sampled_from(TWO_PRIME_MODULI))
+    primes = factorize(m).primes
+    terms = draw(
+        st.lists(st.tuples(st.sampled_from(primes), st.integers(0, m - 1)), min_size=1, max_size=8)
+    )
+    out = CyclicRingElt.zero(m)
+    for p, j in terms:
+        if out.norm + p <= 16:
+            out = out + subgroup_sum(m, p).shift(j)
+    return out
+
+
+@settings(max_examples=50, deadline=None)
+@given(two_prime_vsums())
+def test_coset_listing_matches_walk(d):
+    parts = vsum._minimal_parts_within(d)
+    assert parts == vsum._minimal_parts_by_walk(d)
+    for part in parts:
+        assert is_vsum(part.elt) and is_minimal_vsum(part.elt)
+    fast = c_exponent(d)
+    with mock.patch.object(vsum, "_minimal_parts_within", vsum._minimal_parts_by_walk):
+        assert c_exponent(d) == fast
+
+
+def test_coset_listing_wide_case():
+    k, decomp = c_exponent(full_sum(12).scale(2), max_norm=32)
+    assert k == 2
+    assert len(decomp.parts) == 12
+    assert decomp.total() == full_sum(12).scale(2)
+    with pytest.raises(ValueError):
+        c_exponent(full_sum(18))
 
 
 # ---------------------------------------------------------------------------
