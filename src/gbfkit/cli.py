@@ -3,7 +3,8 @@
 Subcommands: decide, verify, search, decompose, catalog, table.  Every
 run builds a ResultRecord; with --json the record is printed verbatim,
 and when a results store is configured (--store or GBF_STORE) the
-record is appended there as one JSON line.
+record is appended there as one JSON line, whole even when several
+runs share the store.
 
 Exit codes are a function of the outcome alone: decide maps its verdict
 to 0 (Exists), 1 (Nonexistent), 2 (Unknown); search returns 0 on a
@@ -15,10 +16,13 @@ malformed data 65.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import os
 import sys
 from datetime import datetime, timezone
+
+import numpy as np
 
 from . import __version__
 from .criteria import EXISTS, NONEXISTENT, UNKNOWN, decide
@@ -52,8 +56,24 @@ def _emit(record: dict, args) -> None:
         print(json.dumps(record, sort_keys=True, indent=2))
     store = args.store or os.environ.get("GBF_STORE")
     if store:
-        with open(store, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        _append_line(store, json.dumps(record, sort_keys=True) + "\n")
+
+
+def _append_line(path: str, line: str) -> None:
+    """Append one whole line, safe against other writers of the same file.
+
+    One os.write on an O_APPEND descriptor, under an exclusive flock, so
+    that concurrent gbf runs sharing a store never interleave partial
+    lines.  The loop only repeats if the kernel takes a short write.
+    """
+    data = memoryview(line.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        while data:
+            data = data[os.write(fd, data) :]
+    finally:
+        os.close(fd)
 
 
 def _cmd_decide(args) -> int:
@@ -96,25 +116,25 @@ def _parse_functions(args) -> list[GbfFunction]:
 def _verify_one(fn: GbfFunction) -> dict:
     checked = normalize_modulus(fn)
     table = compute_autocorr(checked)
-    size = 1 << checked.n
-    origin_ok = table[0].coeffs[0] == size and table[0].norm == size
-    symmetric_ok = all(table[x].conj_inverse() == table[x] for x in range(size))
-    even_identity_ok = all(table[x].coeffs[0] % 2 == 0 for x in range(1, size))
+    counts = table.counts
+    size, m = counts.shape
+    origin_ok = counts[0, 0] == size and counts[0].sum() == size
+    symmetric_ok = np.array_equal(counts[:, -np.arange(m) % m], counts)
+    even_identity_ok = not (counts[1:, 0] % 2).any()
     identity_ok = None
-    if checked.m % 2 == 0:
-        data = gf_data(checked)
-        identity_ok = all(
-            data.a[x] == size - 4 * len(data.support) + 8 * data.b[x]
-            for x in range(1, size)
-        )
+    if m % 2 == 0:
+        data = gf_data(table)
+        a = np.fromiter(data.a.values(), dtype=np.int64, count=size - 1)
+        b = np.fromiter(data.b.values(), dtype=np.int64, count=size - 1)
+        identity_ok = bool(np.array_equal(a, size - 4 * len(data.support) + 8 * b))
     return {
         "input": fn.to_json(),
         "normalized": None if checked == fn else checked.to_json(),
-        "is_gbf": is_gbf_exact(checked),
+        "is_gbf": is_gbf_exact(table),
         "invariants": {
-            "origin_mass": origin_ok,
-            "inversion_symmetric": symmetric_ok,
-            "even_identity_coeff": even_identity_ok,
+            "origin_mass": bool(origin_ok),
+            "inversion_symmetric": bool(symmetric_ok),
+            "even_identity_coeff": bool(even_identity_ok),
             "even_m_identity": identity_ok,
         },
     }

@@ -4,10 +4,19 @@ An element is a length-m vector of integer coefficients: coeffs[i] is the
 coefficient of g^i for a fixed generator g.  Multiplication is cyclic
 convolution.  A character chi of order d | m sends g to zeta_d^t with
 gcd(t, d) = 1, and chi(D) = 0 is decided *exactly*: fold the coefficients
-into a polynomial of degree < d via i -> t*i mod d, then test divisibility
-by the d-th cyclotomic polynomial.  No floating point is involved; the
-float character evaluation below exists only for cross-checks and for
-search pruning, never for verdicts.
+into a polynomial of degree < d via i -> t*i mod d, then reduce it modulo
+the d-th cyclotomic polynomial and test the residue for zero.  No floating
+point is involved; the float character evaluation below exists only for
+cross-checks and for search pruning, never for verdicts.
+
+The one reduction primitive is a matrix product.  R_d, the integer matrix
+whose row i holds x^i mod Phi_d, is built on first use and cached per d;
+the residue of a coefficient vector c (length d) is c @ R_d, the unique
+representative of degree < phi(d).  A whole batch of vectors, such as an
+autocorrelation table, reduces in one matmul.  Only squarefree d need a
+matrix, because Phi_d(x) = Phi_r(x^{d/r}) for r the radical of d; this
+keeps the cache at r * phi(r) entries.  The product runs in int64 only
+when no partial sum can reach 2^63, and over Python ints otherwise.
 
 Cyclotomic polynomials are computed by exact division of x^d - 1 by
 Phi_e over the proper divisors e of d, and cached per d.
@@ -20,6 +29,8 @@ import json
 from dataclasses import dataclass
 from functools import cache
 from math import gcd
+
+import numpy as np
 
 # Coefficients are kept inside signed 64-bit range so that misuse (for
 # example repeated squaring of a large element) fails loudly instead of
@@ -123,11 +134,59 @@ def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _divisible_by_cyclotomic(poly: list[int], d: int) -> bool:
-    if all(c == 0 for c in poly):
-        return True
-    _, rem = _poly_divmod(poly, list(cyclotomic_polynomial(d)))
-    return rem == [0]
+@cache
+def reduction_matrix(d: int) -> np.ndarray:
+    """R_d: the read-only (d, phi(d)) int64 matrix whose row i is x^i mod Phi_d."""
+    phi = cyclotomic_polynomial(d)
+    deg = len(phi) - 1
+    rows = []
+    row = [1] + [0] * (deg - 1)
+    for _ in range(d):
+        rows.append(row)
+        # x * row: the x^deg term wraps around as -top * (Phi_d - x^deg)
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            row = [r - top * c for r, c in zip(row, phi[:-1])]
+    red = np.array(rows, dtype=np.int64)
+    red.flags.writeable = False
+    return red
+
+
+@cache
+def _reduction(d: int) -> tuple[int, np.ndarray, int]:
+    """(s, R_r, max|R_r|) for d = r * s with r the radical of d."""
+    r = factorize(d).radical
+    red = reduction_matrix(r)
+    return d // r, red, int(np.abs(red).max())
+
+
+def cyclotomic_residue(coeffs, d: int) -> np.ndarray:
+    """Exact residue modulo Phi_d of coeffs (last axis of length d).
+
+    coeffs is a sequence of Python ints or an integer array of any number
+    of rows; entry i of a result row is the coefficient of x^i.  Since
+    Phi_d(x) = Phi_r(x^s) for r the radical of d and s = d / r, only R_r
+    is stored: coefficient k*s + j is coefficient k of slice j, each slice
+    reduces by one matmul with R_r, and the residue keeps that layout.
+    The product runs in int64 when the coefficient norm times max|R_r|
+    stays below 2^63, so that no partial sum can overflow, and over
+    Python ints (dtype object) otherwise.
+    """
+    s, red, peak = _reduction(d)
+    if isinstance(coeffs, np.ndarray):
+        norm = d * max(int(coeffs.max(initial=0)), -int(coeffs.min(initial=0)))
+    else:
+        norm = sum(map(abs, coeffs))
+    if norm * peak <= INT64_MAX:
+        arr = np.asarray(coeffs, dtype=np.int64)
+    else:
+        arr, red = np.asarray(coeffs, dtype=object), red.astype(object)
+    if s == 1:
+        return arr @ red
+    lead = arr.shape[:-1]
+    slices = np.swapaxes(arr.reshape(lead + (-1, s)), -1, -2)
+    return np.swapaxes(slices @ red, -1, -2).reshape(lead + (-1,))
 
 
 # ---------------------------------------------------------------------------
@@ -309,18 +368,20 @@ def character_value_is_zero(elt: CyclicRingElt, chi: CharacterSpec) -> bool:
     """Exact test chi(elt) == 0.
 
     chi(g^i) = zeta_d^{t*i}, so the value is q(zeta_d) for the folded
-    polynomial q[(t*i) mod d] += coeffs[i], and q(zeta_d) = 0 iff
-    Phi_d | q over Z (q has degree < d and Phi_d is the minimal
-    polynomial of zeta_d).
+    polynomial q[(t*i) mod d] += coeffs[i], and q(zeta_d) = 0 iff the
+    residue of q modulo Phi_d, the minimal polynomial of zeta_d, is zero.
     """
     if chi.m != elt.m:
         raise ValueError(f"character on C_{chi.m} applied to element of C_{elt.m}")
     d = chi.order
-    folded = [0] * d
-    for i, c in enumerate(elt.coeffs):
-        if c:
-            folded[(chi.t * i) % d] += c
-    return _divisible_by_cyclotomic(folded, d)
+    if chi.t == 1 and d == elt.m:
+        folded = elt.coeffs
+    else:
+        folded = [0] * d
+        for i, c in enumerate(elt.coeffs):
+            if c:
+                folded[(chi.t * i) % d] += c
+    return not np.count_nonzero(cyclotomic_residue(folded, d))
 
 
 def character_values_numeric(elt: CyclicRingElt) -> list[complex]:

@@ -21,14 +21,15 @@ every v-sum is a nonnegative combination of shifted P_p and P_q (de
 Bruijn 1953; Lam and Leung 2000), so the parts are just the prime-order
 cosets g^j P_p that fit under D, listed in O(m) with no zero-test.  With
 three or more primes, and for minimality tests, a sub-sum walk runs:
-backtracking with a triangle-inequality float prune and a cyclotomic
-divisibility test at the leaves.  c_exponent refuses elements above its
-max_norm on both routes.
+backtracking with a triangle-inequality float prune and an exact
+zero-test (residue mod Phi_m) at the leaves.  c_exponent refuses
+elements above its max_norm on both routes.
 
 The enumerator of all minimal v-sums up to a norm bound assembles
 candidates fiberwise over a coprime splitting C_m = C_q x C_r (q the
 largest prime-power factor), which keeps it exhaustive while avoiding a
-blind walk over all coefficient vectors.
+blind walk over all coefficient vectors.  The C_r fibers are grouped by
+exact value, their residues mod Phi_r, all reduced in one matmul.
 """
 
 from __future__ import annotations
@@ -39,11 +40,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 
+import numpy as np
+
 from .ring import (
     CharacterSpec,
     CyclicRingElt,
     character_value_is_zero,
     cyclotomic_polynomial,
+    cyclotomic_residue,
     factorize,
     subgroup_sum,
 )
@@ -101,7 +105,7 @@ def _vanishing_subsums(elt: CyclicRingElt, find_proper_only: bool = False):
     and returns a one-element or empty list.  Backtracking over support
     multiplicities; a partial sum whose modulus under some order-m
     character exceeds the remaining mass can never cancel, which is the
-    only pruning; acceptance at a leaf is the exact divisibility test.
+    only pruning; acceptance at a leaf is the exact zero-test.
     """
     m = elt.m
     supp = elt.support()
@@ -407,21 +411,6 @@ def _peel(v: CyclicRingElt) -> dict[int, CyclicRingElt]:
 # exhaustive enumeration of minimal v-sums
 
 
-def _tau_residue(coeffs, r: int) -> tuple[int, ...]:
-    """Canonical exact value of sum coeffs[i] zeta_r^i: residue mod Phi_r."""
-    phi = cyclotomic_polynomial(r)
-    deg = len(phi) - 1
-    rem = list(coeffs)
-    for i in range(len(rem) - 1, deg - 1, -1):
-        c = rem[i]
-        if c:
-            rem[i] = 0
-            for j, b in enumerate(phi[:-1]):
-                rem[i - deg + j] -= c * b
-    rem = rem[:deg]
-    return tuple(rem + [0] * (deg - len(rem)))
-
-
 def _compositions(length: int, budget: int):
     """All nonnegative integer vectors of the given length with sum <= budget."""
     vec = [0] * length
@@ -441,13 +430,15 @@ def _compositions(length: int, budget: int):
 def _grouped_by_value(r: int, budget: int) -> dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]]:
     """Elements of N[C_r] of norm <= budget, grouped by exact character value.
 
-    Values are (norm, coeffs) pairs sorted by norm so that assembly can
-    cut early on the norm budget.
+    The key is the residue mod Phi_r, reduced for all elements in one
+    matmul.  Values are (norm, coeffs) pairs sorted by norm so that
+    assembly can cut early on the norm budget.
     """
+    comps = list(_compositions(r, budget))
+    keys = cyclotomic_residue(np.array(comps, dtype=np.int64), r).tolist()
     groups: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
-    for coeffs in _compositions(r, budget):
-        key = _tau_residue(coeffs, r)
-        groups.setdefault(key, []).append((sum(coeffs), coeffs))
+    for coeffs, key in zip(comps, keys):
+        groups.setdefault(tuple(key), []).append((sum(coeffs), coeffs))
     for lst in groups.values():
         lst.sort()
     return groups
@@ -471,7 +462,7 @@ def _all_vsums(m: int, max_norm: int) -> list[tuple[int, ...]]:
     r = m // q
     classes = q // p
     groups = _grouped_by_value(r, max_norm)
-    zero_key = _tau_residue([0] * r, r)
+    zero_key = (0,) * (len(cyclotomic_polynomial(r)) - 1)
     keys = sorted(groups)
 
     out: list[tuple[int, ...]] = []

@@ -1,9 +1,15 @@
 """CLI tests driven through main(argv) and captured output."""
 
 import json
+import os
+import subprocess
+import sys
+
+from test_gbf import reference_autocorr, reference_pair_counts
 
 from gbfkit.cli import main
 from gbfkit.criteria import decide
+from gbfkit.gbf import GbfFunction, is_gbf_numeric
 from gbfkit.ring import punctured_subgroup_sum, subgroup_sum
 
 
@@ -55,6 +61,86 @@ def test_verify_file(tmp_path, capsys):
     bad.write_text("4 1 0,1\nnot a function\n")
     assert main(["verify", "--file", str(bad)]) == 65
     assert "bad.txt:2" in capsys.readouterr().err
+
+
+# input line -> normalized (m, values), or None when already normalized
+VERIFY_ROWS = {
+    "4 1 0,1": None,
+    "6 4 0,3,0,3,5,5,5,5,2,5,5,2,1,1,4,4": None,
+    "12 3 3,9,7,7,6,0,10,10": (12, [0, 6, 4, 4, 3, 9, 7, 7]),
+    "12 2 3,9,9,9": (2, [0, 1, 1, 1]),
+    "9 2 0,3,6,3": (3, [0, 1, 2, 1]),
+    "15 3 0,1,2,3,4,5,6,7": None,
+    "10 3 0,5,0,5,0,5,5,0": (2, [0, 1, 0, 1, 0, 1, 1, 0]),
+}
+
+
+def expected_invariants(f):
+    """The four verify invariants, from the per-x reference table."""
+    size, m = 1 << f.n, f.m
+    table = reference_autocorr(f)
+    identity = None
+    if m % 2 == 0:
+        support, square = reference_pair_counts(f)
+        psi = [sum(c if k % 2 == 0 else -c for k, c in enumerate(row)) for row in table]
+        identity = all(
+            psi[x] == size - 4 * len(support) + 8 * (square[x] // 2) for x in range(1, size)
+        )
+    return {
+        "origin_mass": table[0][0] == size and sum(table[0]) == size,
+        "inversion_symmetric": all(row[-k % m] == row[k] for row in table for k in range(m)),
+        "even_identity_coeff": all(row[0] % 2 == 0 for row in table[1:]),
+        "even_m_identity": identity,
+    }
+
+
+def test_verify_record_pinned(tmp_path, capsys):
+    path = tmp_path / "fns.txt"
+    path.write_text("".join(line + "\n" for line in VERIFY_ROWS))
+    assert main(["verify", "--file", str(path), "--json"]) == 1
+    reports = json.loads(capsys.readouterr().out)["outcome"]
+    assert len(reports) == len(VERIFY_ROWS)
+    seen_bent = set()
+    for (line, norm), rep in zip(VERIFY_ROWS.items(), reports):
+        given = GbfFunction.from_line(line)
+        assert rep["input"] == {"m": given.m, "n": given.n, "values": list(given.values)}
+        if norm is None:
+            assert rep["normalized"] is None
+            checked = given
+        else:
+            assert rep["normalized"] == {"m": norm[0], "n": given.n, "values": norm[1]}
+            checked = GbfFunction.from_values(given.n, *norm)
+        assert rep["is_gbf"] is is_gbf_numeric(checked)
+        assert rep["invariants"] == expected_invariants(checked)
+        seen_bent.add(rep["is_gbf"])
+    assert seen_bent == {True, False}
+
+
+WRITER = """
+import sys
+from types import SimpleNamespace
+from gbfkit.cli import _emit
+
+tag, count, path = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+args = SimpleNamespace(json=False, store=path)
+for i in range(count):
+    _emit({"writer": tag, "i": i, "pad": tag * 300_000}, args)
+"""
+
+
+def test_store_survives_concurrent_writers(tmp_path):
+    store = tmp_path / "shared.jsonl"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    writers = [
+        subprocess.Popen([sys.executable, "-c", WRITER, tag, "25", str(store)], env=env)
+        for tag in ("a", "b")
+    ]
+    assert [w.wait(timeout=120) for w in writers] == [0, 0]
+    records = [json.loads(line) for line in store.read_text().splitlines()]
+    for tag in ("a", "b"):
+        mine = [r for r in records if r["writer"] == tag]
+        assert [r["i"] for r in mine] == list(range(25))
+        assert all(r["pad"] == tag * 300_000 for r in mine)
 
 
 def test_search_cli(capsys):

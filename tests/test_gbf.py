@@ -4,7 +4,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gbfkit import gbf
 from gbfkit.gbf import (
     GbfFunction,
     compute_autocorr,
@@ -23,6 +26,62 @@ def fn(m, n, values):
 
 def random_fn(rng, m, n):
     return fn(m, n, [rng.randrange(m) for _ in range(1 << n)])
+
+
+def reference_autocorr(f):
+    """E_x by the defining per-x loop, one coefficient list per x."""
+    size = 1 << f.n
+    table = []
+    for x in range(size):
+        coeffs = [0] * f.m
+        for y in range(size):
+            coeffs[(f.values[y ^ x] - f.values[y]) % f.m] += 1
+        table.append(coeffs)
+    return table
+
+
+def reference_pair_counts(f):
+    """#{(u, v) : f(u), f(v) odd, u ^ v = x} for every x."""
+    support = [x for x, v in enumerate(f.values) if v % 2]
+    square = [0] * (1 << f.n)
+    for u in support:
+        for v in support:
+            square[u ^ v] += 1
+    return support, square
+
+
+def mm_function(m, n, perm, g, z_bit=0):
+    """Maiorana-McFarland: (m/2)<x, perm(y)> + g(y), plus (m/4) z for odd n.
+
+    Bent for every g when m is even and n is even, and for odd n when
+    4 | m.  Point bits: x low, y next, z on top.
+    """
+    half = n // 2
+    mask = (1 << half) - 1
+    values = []
+    for p in range(1 << n):
+        x, y, z = p & mask, (p >> half) & mask, p >> (2 * half)
+        dot = bin(x & perm[y]).count("1") % 2
+        values.append(((m // 2) * dot + (m // 4) * z * z_bit + g[y]) % m)
+    return fn(m, n, values)
+
+
+@st.composite
+def random_functions(draw):
+    m = draw(st.integers(1, 30))
+    n = draw(st.integers(1, 6))
+    return fn(m, n, draw(st.lists(st.integers(0, m - 1), min_size=1 << n, max_size=1 << n)))
+
+
+@st.composite
+def mm_functions(draw):
+    n = draw(st.integers(2, 6))
+    step = 4 if n % 2 else 2
+    m = draw(st.sampled_from(range(step, 31, step)))
+    half = n // 2
+    perm = draw(st.permutations(range(1 << half)))
+    g = draw(st.lists(st.integers(0, m - 1), min_size=1 << half, max_size=1 << half))
+    return mm_function(m, n, perm, g, z_bit=n % 2)
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +122,35 @@ def test_autocorr_example_boolean():
     table = compute_autocorr(fn(2, 2, [0, 0, 0, 1]))
     for x in (1, 2, 3):
         assert table[x] == CyclicRingElt.from_coeffs(2, [2, 2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(random_functions(), mm_functions()))
+def test_table_and_exact_test_match_independent_routes(f):
+    table = compute_autocorr(f)
+    assert table.counts.tolist() == reference_autocorr(f)
+    assert is_gbf_exact(f) == is_gbf_exact(table) == is_gbf_numeric(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mm_functions())
+def test_maiorana_mcfarland_functions_are_bent(f):
+    assert is_gbf_exact(f)
+
+
+@pytest.mark.parametrize("cells", [1, 7, 100, 1 << 14])
+def test_block_size_never_changes_table_or_support_data(monkeypatch, cells):
+    # n = 5 and 7 split into several gather blocks, the last one partial
+    monkeypatch.setattr(gbf, "_BLOCK_CELLS", cells)
+    rng = random.Random(cells)
+    for m, n in ((6, 5), (10, 7), (15, 5)):
+        f = random_fn(rng, m, n)
+        assert compute_autocorr(f).counts.tolist() == reference_autocorr(f)
+        if m % 2 == 0:
+            data = gf_data(f)
+            support, square = reference_pair_counts(f)
+            assert list(data.support) == support
+            assert data.b == {x: square[x] // 2 for x in range(1, 1 << n)}
 
 
 def test_autocorr_invariants_hold_for_arbitrary_f():

@@ -4,7 +4,10 @@ import cmath
 import random
 from math import gcd
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gbfkit.ring import (
     CharacterSpec,
@@ -12,9 +15,11 @@ from gbfkit.ring import (
     character_value_is_zero,
     character_values_numeric,
     cyclotomic_polynomial,
+    cyclotomic_residue,
     factorize,
     is_prime,
     punctured_subgroup_sum,
+    reduction_matrix,
     subgroup_sum,
 )
 
@@ -156,6 +161,111 @@ def test_natural_projection_is_ring_hom():
         for d in (2, 3, 5, 6, 10, 15, 30):
             assert (a * b).natural_projection(d) == a.natural_projection(d) * b.natural_projection(d)
             assert (a + b).natural_projection(d) == a.natural_projection(d) + b.natural_projection(d)
+
+
+# ---------------------------------------------------------------------------
+# reduction modulo Phi_d
+
+
+def long_division_residue(coeffs, d):
+    """Remainder of sum coeffs[i] x^i by Phi_d, by schoolbook division."""
+    phi = cyclotomic_polynomial(d)
+    deg = len(phi) - 1
+    rem = list(coeffs) + [0] * max(0, deg - len(coeffs))
+    for top in range(len(rem) - 1, deg - 1, -1):
+        c = rem[top]
+        for j, b in enumerate(phi):
+            rem[top - deg + j] -= c * b
+    return rem[:deg]
+
+
+def at_primitive_roots(coeffs, d):
+    """sum coeffs[i] z^i at every primitive d-th root of unity z."""
+    ks = [k for k in range(1, d + 1) if gcd(k, d) == 1]
+    powers = np.exp(2j * np.pi * np.outer(ks, np.arange(len(coeffs))) / d)
+    return powers @ np.asarray(coeffs, dtype=np.float64)
+
+
+def test_reduction_matrix_rows_are_powers_of_x():
+    for d in (1, 2, 12, 30, 105):
+        red = reduction_matrix(d)
+        assert red.shape == (d, len(cyclotomic_polynomial(d)) - 1)
+        assert not red.flags.writeable
+        for i in range(d):
+            assert red[i].tolist() == long_division_residue([0] * i + [1], d)
+    assert reduction_matrix(1).tolist() == [[1]]
+
+
+@st.composite
+def orders_and_coeffs(draw):
+    d = draw(st.integers(1, 210))
+    return d, draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d))
+
+
+@settings(max_examples=100, deadline=None)
+@given(orders_and_coeffs())
+@example((105, [1] * 105))
+@example((105, [0] * 7 + [1] + [0] * 97))
+def test_residue_agrees_with_numeric_evaluation(case):
+    d, coeffs = case
+    rem = cyclotomic_residue(coeffs, d).tolist()
+    assert len(rem) == len(cyclotomic_polynomial(d)) - 1
+    # coeffs - rem vanishes at every primitive d-th root, so Phi_d divides it
+    scale = 1 + sum(map(abs, coeffs)) + sum(map(abs, rem))
+    gap = at_primitive_roots(coeffs, d) - at_primitive_roots(rem, d)
+    assert np.abs(gap).max() < 1e-9 * scale
+
+
+@st.composite
+def vanishing_or_perturbed(draw):
+    """Integer combinations of shifted prime subgroup sums (which vanish
+    under an order-d character), optionally plus one monomial."""
+    d = draw(st.integers(2, 210))
+    coeffs = [0] * d
+    for p in factorize(d).primes:
+        for _ in range(draw(st.integers(0, 3))):
+            shift, c = draw(st.integers(0, d - 1)), draw(st.integers(-3, 3))
+            for k in range(p):
+                coeffs[(shift + k * (d // p)) % d] += c
+    if draw(st.booleans()):
+        coeffs[draw(st.integers(0, d - 1))] += draw(st.sampled_from([-1, 1]))
+    return CyclicRingElt.from_coeffs(d, coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(vanishing_or_perturbed())
+@example(subgroup_sum(105, 3) + subgroup_sum(105, 5).shift(1) - subgroup_sum(105, 7).shift(2))
+def test_zero_test_agrees_with_numeric_evaluation(a):
+    zero = np.abs(at_primitive_roots(a.coeffs, a.m)).max() < 1e-8 * (1 + a.norm)
+    assert character_value_is_zero(a, CharacterSpec(a.m, a.m)) == zero
+
+
+@pytest.mark.parametrize("d", [30, 12, 72])
+def test_residue_batch_matches_rows(d):
+    rng = random.Random(d)
+    rows = np.array([[rng.randint(-9, 9) for _ in range(d)] for _ in range(20)])
+    batch = cyclotomic_residue(rows, d)
+    assert batch.dtype == np.int64
+    for row, rem in zip(rows.tolist(), batch.tolist()):
+        assert rem == long_division_residue(row, d)
+    stacked = cyclotomic_residue(rows.reshape(4, 5, d), d)
+    assert stacked.tolist() == batch.reshape(4, 5, -1).tolist()
+
+
+def test_residue_switches_to_python_ints_near_int64_limit():
+    big = 2**62 + 12345
+    vanishing = subgroup_sum(105, 3).scale(big) + subgroup_sum(105, 5).shift(1).scale(big - 1)
+    assert character_value_is_zero(vanishing, CharacterSpec(105, 105))
+    assert not character_value_is_zero(vanishing + CyclicRingElt.monomial(105, 7), CharacterSpec(105, 105))
+    coeffs = list((vanishing + CyclicRingElt.monomial(105, 7)).coeffs)
+    rem = cyclotomic_residue(coeffs, 105)
+    assert rem.dtype == object
+    assert rem.tolist() == long_division_residue(coeffs, 105)
+    # an int64 array of large entries takes the same exact route
+    rows = np.array([coeffs, [0] * 105], dtype=np.int64)
+    rem = cyclotomic_residue(rows, 105)
+    assert rem.dtype == object
+    assert rem.tolist() == [long_division_residue(coeffs, 105), [0] * 48]
 
 
 def test_psi_projection_examples():
