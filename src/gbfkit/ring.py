@@ -139,16 +139,15 @@ def reduction_matrix(d: int) -> np.ndarray:
     """R_d: the read-only (d, phi(d)) int64 matrix whose row i is x^i mod Phi_d."""
     phi = cyclotomic_polynomial(d)
     deg = len(phi) - 1
-    rows = []
+    red = np.empty((d, deg), dtype=np.int64)
     row = [1] + [0] * (deg - 1)
-    for _ in range(d):
-        rows.append(row)
+    for i in range(d):
+        red[i] = row  # Python ints: an entry past int64 raises OverflowError
         # x * row: the x^deg term wraps around as -top * (Phi_d - x^deg)
         top = row[-1]
         row = [0] + row[:-1]
         if top:
             row = [r - top * c for r, c in zip(row, phi[:-1])]
-    red = np.array(rows, dtype=np.int64)
     red.flags.writeable = False
     return red
 
