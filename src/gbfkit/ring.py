@@ -14,9 +14,10 @@ whose row i holds x^i mod Phi_d, is built on first use and cached per d;
 the residue of a coefficient vector c (length d) is c @ R_d, the unique
 representative of degree < phi(d).  A whole batch of vectors, such as an
 autocorrelation table, reduces in one matmul.  Only squarefree d need a
-matrix, because Phi_d(x) = Phi_r(x^{d/r}) for r the radical of d; this
-keeps the cache at r * phi(r) entries.  The product runs in int64 only
-when no partial sum can reach 2^63, and over Python ints otherwise.
+matrix, because Phi_d(x) = Phi_r(x^{d/r}) for r the radical of d, and
+only its rows past phi(r) are stored, since the ones before are the
+identity.  The product runs in int64 only when no partial sum can reach
+2^63, and over Python ints otherwise.
 
 Cyclotomic polynomials are computed by exact division of x^d - 1 by
 Phi_e over the proper divisors e of d, and cached per d.
@@ -136,28 +137,33 @@ def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
 
 @cache
 def reduction_matrix(d: int) -> np.ndarray:
-    """R_d: the read-only (d, phi(d)) int64 matrix whose row i is x^i mod Phi_d."""
+    """The rows of R_d that are not the identity, read-only int64.
+
+    R_d has row i = x^i mod Phi_d for i < d.  Its first phi(d) rows are
+    the unit vectors, so only the d - phi(d) rows i >= phi(d) are stored:
+    a prime d needs one row, not d.
+    """
     phi = cyclotomic_polynomial(d)
     deg = len(phi) - 1
-    red = np.empty((d, deg), dtype=np.int64)
-    row = [1] + [0] * (deg - 1)
-    for i in range(d):
-        red[i] = row  # Python ints: an entry past int64 raises OverflowError
+    tail = np.empty((d - deg, deg), dtype=np.int64)
+    row = [-c for c in phi[:-1]]  # x^deg = x^deg - Phi_d
+    for i in range(d - deg):
+        tail[i] = row  # Python ints: an entry past int64 raises OverflowError
         # x * row: the x^deg term wraps around as -top * (Phi_d - x^deg)
         top = row[-1]
         row = [0] + row[:-1]
         if top:
             row = [r - top * c for r, c in zip(row, phi[:-1])]
-    red.flags.writeable = False
-    return red
+    tail.flags.writeable = False
+    return tail
 
 
 @cache
-def _reduction(d: int) -> tuple[int, np.ndarray, int]:
-    """(s, R_r, max|R_r|) for d = r * s with r the radical of d."""
+def _reduction(d: int) -> tuple[int, int, np.ndarray, int]:
+    """(s, phi(r), tail of R_r, max|R_r|) for d = r * s, r the radical of d."""
     r = factorize(d).radical
-    red = reduction_matrix(r)
-    return d // r, red, int(np.abs(red).max())
+    tail = reduction_matrix(r)
+    return d // r, tail.shape[1], tail, int(np.abs(tail).max(initial=1))
 
 
 def cyclotomic_residue(coeffs, d: int) -> np.ndarray:
@@ -166,13 +172,13 @@ def cyclotomic_residue(coeffs, d: int) -> np.ndarray:
     coeffs is a sequence of Python ints or an integer array of any number
     of rows; entry i of a result row is the coefficient of x^i.  Since
     Phi_d(x) = Phi_r(x^s) for r the radical of d and s = d / r, only R_r
-    is stored: coefficient k*s + j is coefficient k of slice j, each slice
+    is used: coefficient k*s + j is coefficient k of slice j, each slice
     reduces by one matmul with R_r, and the residue keeps that layout.
     The product runs in int64 when the coefficient norm times max|R_r|
     stays below 2^63, so that no partial sum can overflow, and over
     Python ints (dtype object) otherwise.
     """
-    s, red, peak = _reduction(d)
+    s, deg, tail, peak = _reduction(d)
     if isinstance(coeffs, np.ndarray):
         norm = d * max(int(coeffs.max(initial=0)), -int(coeffs.min(initial=0)))
     else:
@@ -180,12 +186,15 @@ def cyclotomic_residue(coeffs, d: int) -> np.ndarray:
     if norm * peak <= INT64_MAX:
         arr = np.asarray(coeffs, dtype=np.int64)
     else:
-        arr, red = np.asarray(coeffs, dtype=object), red.astype(object)
-    if s == 1:
-        return arr @ red
+        arr, tail = np.asarray(coeffs, dtype=object), tail.astype(object)
     lead = arr.shape[:-1]
-    slices = np.swapaxes(arr.reshape(lead + (-1, s)), -1, -2)
-    return np.swapaxes(slices @ red, -1, -2).reshape(lead + (-1,))
+    if s > 1:
+        arr = np.swapaxes(arr.reshape(lead + (-1, s)), -1, -2)
+    # coeffs @ R_r, with the identity rows of R_r taken as they are
+    out = arr[..., :deg] + arr[..., deg:] @ tail
+    if s > 1:
+        out = np.swapaxes(out, -1, -2).reshape(lead + (-1,))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -187,13 +187,14 @@ def at_primitive_roots(coeffs, d):
 
 
 def test_reduction_matrix_rows_are_powers_of_x():
-    for d in (1, 2, 12, 30, 105):
-        red = reduction_matrix(d)
-        assert red.shape == (d, len(cyclotomic_polynomial(d)) - 1)
-        assert not red.flags.writeable
-        for i in range(d):
-            assert red[i].tolist() == long_division_residue([0] * i + [1], d)
-    assert reduction_matrix(1).tolist() == [[1]]
+    for d in (1, 2, 7, 12, 30, 105):
+        deg = len(cyclotomic_polynomial(d)) - 1
+        tail = reduction_matrix(d)
+        assert tail.shape == (d - deg, deg)
+        assert not tail.flags.writeable
+        for i in range(deg, d):
+            assert tail[i - deg].tolist() == long_division_residue([0] * i + [1], d)
+    assert reduction_matrix(7).tolist() == [[-1] * 6]
 
 
 @st.composite
