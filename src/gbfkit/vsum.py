@@ -38,6 +38,7 @@ import cmath
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import gcd, lcm
 
 import numpy as np
@@ -434,11 +435,13 @@ def _grouped_by_value(r: int, budget: int) -> dict[tuple[int, ...], list[tuple[i
     matmul.  Values are (norm, coeffs) pairs sorted by norm so that
     assembly can cut early on the norm budget.
     """
-    comps = list(_compositions(r, budget))
-    keys = cyclotomic_residue(np.array(comps, dtype=np.int64), r).tolist()
     groups: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
-    for coeffs, key in zip(comps, keys):
-        groups.setdefault(tuple(key), []).append((sum(coeffs), coeffs))
+    comps = _compositions(r, budget)
+    # reduced in chunks, so the scratch arrays stay small next to groups
+    while chunk := list(islice(comps, 1024)):
+        keys = cyclotomic_residue(np.array(chunk, dtype=np.int64), r).tolist()
+        for coeffs, key in zip(chunk, keys):
+            groups.setdefault(tuple(key), []).append((sum(coeffs), coeffs))
     for lst in groups.values():
         lst.sort()
     return groups
