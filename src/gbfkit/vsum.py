@@ -438,7 +438,7 @@ def _grouped_by_value(r: int, budget: int) -> dict[tuple[int, ...], list[tuple[i
     groups: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
     comps = _compositions(r, budget)
     # reduced in chunks, so the scratch arrays stay small next to groups
-    while chunk := list(islice(comps, 1024)):
+    while chunk := list(islice(comps, 256)):
         keys = cyclotomic_residue(np.array(chunk, dtype=np.int64), r).tolist()
         for coeffs, key in zip(chunk, keys):
             groups.setdefault(tuple(key), []).append((sum(coeffs), coeffs))
