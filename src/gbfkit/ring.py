@@ -146,7 +146,7 @@ def reduction_matrix(d: int) -> np.ndarray:
     phi = cyclotomic_polynomial(d)
     deg = len(phi) - 1
     tail = np.empty((d - deg, deg), dtype=np.int64)
-    row = [-c for c in phi[:-1]]  # x^deg = x^deg - Phi_d
+    row = [-c for c in phi[:-1]]  # x^deg == x^deg - Phi_d  (mod Phi_d)
     for i in range(d - deg):
         tail[i] = row  # Python ints: an entry past int64 raises OverflowError
         # x * row: the x^deg term wraps around as -top * (Phi_d - x^deg)

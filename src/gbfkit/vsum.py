@@ -29,7 +29,7 @@ The enumerator of all minimal v-sums up to a norm bound assembles
 candidates fiberwise over a coprime splitting C_m = C_q x C_r (q the
 largest prime-power factor), which keeps it exhaustive while avoiding a
 blind walk over all coefficient vectors.  The C_r fibers are grouped by
-exact value, their residues mod Phi_r, all reduced in one matmul.
+exact value, their residues mod Phi_r, which a matmul reduces in chunks.
 """
 
 from __future__ import annotations
@@ -431,8 +431,8 @@ def _compositions(length: int, budget: int):
 def _grouped_by_value(r: int, budget: int) -> dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]]:
     """Elements of N[C_r] of norm <= budget, grouped by exact character value.
 
-    The key is the residue mod Phi_r, reduced for all elements in one
-    matmul.  Values are (norm, coeffs) pairs sorted by norm so that
+    The key is the residue mod Phi_r, reduced by one matmul per chunk of
+    elements.  Values are (norm, coeffs) pairs sorted by norm so that
     assembly can cut early on the norm budget.
     """
     groups: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
