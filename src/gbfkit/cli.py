@@ -33,7 +33,7 @@ from .gbf import (
     is_gbf_exact,
     normalize_modulus,
 )
-from .ring import CyclicRingElt
+from .ring import CyclicRingElt, reduction_radical
 from .search import DEFAULT_BUDGET, BudgetExceededError, brute_force, n3_catalog_check
 from .vsum import c_exponent, is_minimal_vsum, reduced_exponent, structure_decompose
 
@@ -113,8 +113,7 @@ def _parse_functions(args) -> list[GbfFunction]:
     return [GbfFunction.from_line(" ".join(args.function))]
 
 
-def _verify_one(fn: GbfFunction) -> dict:
-    checked = normalize_modulus(fn)
+def _verify_one(fn: GbfFunction, checked: GbfFunction) -> dict:
     table = compute_autocorr(checked)
     counts = table.counts
     size, m = counts.shape
@@ -143,10 +142,13 @@ def _verify_one(fn: GbfFunction) -> dict:
 def _cmd_verify(args) -> int:
     try:
         fns = _parse_functions(args)
+        checked = [normalize_modulus(fn) for fn in fns]
+        for m in {fn.m for fn in checked}:
+            reduction_radical(m)  # refuse oversized orders before any table
     except (ValueError, OSError) as exc:
         print(f"gbf verify: {exc}", file=sys.stderr)
         return EX_DATA
-    reports = [_verify_one(fn) for fn in fns]
+    reports = [_verify_one(fn, norm) for fn, norm in zip(fns, checked)]
     record = _record("verify", {"count": len(fns)}, reports)
     if not args.json:
         for i, rep in enumerate(reports):
@@ -171,12 +173,7 @@ def _cmd_search(args) -> int:
 
     try:
         outcome = brute_force(
-            args.m,
-            args.n,
-            budget=args.budget,
-            prune=not args.no_prune,
-            workers=args.threads,
-            progress=progress,
+            args.m, args.n, budget=args.budget, workers=args.threads, progress=progress
         )
     except BudgetExceededError as exc:
         print(f"gbf search: {exc}", file=sys.stderr)
@@ -185,7 +182,7 @@ def _cmd_search(args) -> int:
         print(f"gbf search: {exc}", file=sys.stderr)
         return EX_USAGE
     payload = outcome.certificate()
-    payload["pruned"] = outcome.pruned
+    payload["pruned"] = 0  # kept so that existing readers keep working
     payload["status"] = outcome.status
     payload["wall_time"] = outcome.wall_time
     record = _record("search", {"m": args.m, "n": args.n, "budget": args.budget}, payload)
@@ -197,7 +194,7 @@ def _cmd_search(args) -> int:
         else:
             print(
                 f"ExhaustedNone ({args.m}, {args.n}): examined {outcome.examined}"
-                f" of {outcome.normalized_space} (pruned {outcome.pruned})"
+                f" of {outcome.normalized_space}"
             )
         print(f"  wall time: {outcome.wall_time:.2f}s")
     _emit(record, args)
@@ -316,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--no-prune", action="store_true")
     p.add_argument("--progress", action="store_true", help="JSON progress events on stderr")
     common(p)
     p.set_defaults(run=_cmd_search)

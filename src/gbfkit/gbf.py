@@ -118,11 +118,11 @@ def _table(arg: GbfFunction | AutocorrTable) -> AutocorrTable:
 def is_gbf_exact(fn: GbfFunction | AutocorrTable) -> bool:
     """Exact bent test: an order-m character kills E_x for all x != 0.
 
-    Takes the function or a table already built for it.  Callers
-    comparing different moduli should normalize_modulus first so that m
-    matches the order actually generated by the values.
+    Takes the function or a table already built for it.  A function is
+    normalized first, which leaves |F(y)| unchanged, so the test runs at
+    the order its values generate; a table is tested at its own m.
     """
-    table = _table(fn)
+    table = fn if isinstance(fn, AutocorrTable) else compute_autocorr(normalize_modulus(fn))
     return not cyclotomic_residue(table.counts[1:], table.fn.m).any()
 
 

@@ -2,12 +2,12 @@
 
 An element is a length-m vector of integer coefficients: coeffs[i] is the
 coefficient of g^i for a fixed generator g.  Multiplication is cyclic
-convolution.  A character chi of order d | m sends g to zeta_d^t with
-gcd(t, d) = 1, and chi(D) = 0 is decided *exactly*: fold the coefficients
-into a polynomial of degree < d via i -> t*i mod d, then reduce it modulo
-the d-th cyclotomic polynomial and test the residue for zero.  No floating
-point is involved; the float character evaluation below exists only for
-cross-checks and for search pruning, never for verdicts.
+convolution.  A character chi of order d | m sends g to zeta_d (its Galois
+conjugates kill the same elements), and chi(D) = 0 is decided *exactly*:
+fold the coefficients into a polynomial of degree < d via i -> i mod d,
+then reduce it modulo the d-th cyclotomic polynomial and test the residue
+for zero.  No floating point is involved; the float character evaluation
+below exists only for cross-checks, never for verdicts.
 
 The one reduction primitive is a matrix product.  R_d, the integer matrix
 whose row i holds x^i mod Phi_d, is built on first use and cached per d;
@@ -17,7 +17,8 @@ autocorrelation table, reduces in one matmul.  Only squarefree d need a
 matrix, because Phi_d(x) = Phi_r(x^{d/r}) for r the radical of d, and
 only its rows past phi(r) are stored, since the ones before are the
 identity.  The product runs in int64 only when no partial sum can reach
-2^63, and over Python ints otherwise.
+2^63, and over Python ints otherwise.  Orders whose stored rows would
+exceed MAX_REDUCTION_ENTRIES are refused before anything is built.
 
 Cyclotomic polynomials are computed by exact division of x^d - 1 by
 Phi_e over the proper divisors e of d, and cached per d.
@@ -29,7 +30,7 @@ import cmath
 import json
 from dataclasses import dataclass
 from functools import cache
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -37,6 +38,10 @@ import numpy as np
 # example repeated squaring of a large element) fails loudly instead of
 # silently leaving the intended domain.
 INT64_MAX = 2**63 - 1
+
+# Entries of R_r past its identity rows, (r - phi(r)) * phi(r): 2^22 int64
+# are 32 MB, built in under a second, and admit every squarefree r < 4106
+MAX_REDUCTION_ENTRIES = 1 << 22
 
 
 def factorize(m: int) -> "PrimeFactorization":
@@ -158,10 +163,23 @@ def reduction_matrix(d: int) -> np.ndarray:
     return tail
 
 
+def reduction_radical(d: int) -> int:
+    """The radical r of d, whose R_r reduces modulo Phi_d.  Only
+    factorizes d; ValueError if R_r would exceed MAX_REDUCTION_ENTRIES."""
+    fact = factorize(d)
+    r, phi = fact.radical, prod(p - 1 for p in fact.primes)
+    if (r - phi) * phi > MAX_REDUCTION_ENTRIES:
+        raise ValueError(
+            f"order {d}: R_{r} needs {(r - phi) * phi} entries, over the cap of "
+            f"{MAX_REDUCTION_ENTRIES}"
+        )
+    return r
+
+
 @cache
 def _reduction(d: int) -> tuple[int, int, np.ndarray, int]:
     """(s, phi(r), tail of R_r, max|R_r|) for d = r * s, r the radical of d."""
-    r = factorize(d).radical
+    r = reduction_radical(d)
     tail = reduction_matrix(r)
     return d // r, tail.shape[1], tail, int(np.abs(tail).max(initial=1))
 
@@ -203,24 +221,21 @@ def cyclotomic_residue(coeffs, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CharacterSpec:
-    """Character of C_m of order d | m, sending g to zeta_d^t, gcd(t, d) = 1.
+    """Character of C_m of order d | m, sending g to zeta_d.
 
-    The zero-test below is Galois-invariant, so t never changes a verdict;
-    it is kept because conjugate characters are occasionally convenient in
-    cross-checks.
+    Its Galois conjugates g -> zeta_d^t, gcd(t, d) = 1, kill exactly the
+    same elements, so the zero-test needs no t; CyclicRingElt.galois_twist
+    realizes them where a cross-check wants one.
     """
 
     m: int
     order: int
-    t: int = 1
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"modulus must be positive, got {self.m}")
         if self.order < 1 or self.m % self.order != 0:
             raise ValueError(f"character order {self.order} must divide m={self.m}")
-        if gcd(self.t, self.order) != 1:
-            raise ValueError(f"index t={self.t} not coprime to order {self.order}")
 
 
 @dataclass(frozen=True)
@@ -375,20 +390,20 @@ def punctured_subgroup_sum(m: int, s: int) -> CyclicRingElt:
 def character_value_is_zero(elt: CyclicRingElt, chi: CharacterSpec) -> bool:
     """Exact test chi(elt) == 0.
 
-    chi(g^i) = zeta_d^{t*i}, so the value is q(zeta_d) for the folded
-    polynomial q[(t*i) mod d] += coeffs[i], and q(zeta_d) = 0 iff the
+    chi(g^i) = zeta_d^i, so the value is q(zeta_d) for the folded
+    polynomial q[i mod d] += coeffs[i], and q(zeta_d) = 0 iff the
     residue of q modulo Phi_d, the minimal polynomial of zeta_d, is zero.
     """
     if chi.m != elt.m:
         raise ValueError(f"character on C_{chi.m} applied to element of C_{elt.m}")
     d = chi.order
-    if chi.t == 1 and d == elt.m:
+    if d == elt.m:
         folded = elt.coeffs
     else:
         folded = [0] * d
         for i, c in enumerate(elt.coeffs):
             if c:
-                folded[(chi.t * i) % d] += c
+                folded[i % d] += c
     return not np.count_nonzero(cyclotomic_residue(folded, d))
 
 

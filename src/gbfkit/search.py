@@ -2,12 +2,23 @@
 the dimension-3 autocorrelation catalog experiment.
 
 brute_force covers the normalized space (f(0) = 0, all other values
-free) with a depth-first search whose deepest levels are evaluated as
-vectorized numpy batches.  Screening is numeric with a one-sided
-tolerance far above attainable float error, so a true witness can never
-be screened out; every surviving candidate is confirmed exactly before
-it is reported.  Exhaustion therefore certifies nonexistence over the
-whole normalized space.
+free) in blocks fixed by the first one or two free values.  A block
+walks the next positions (the mid levels) in lexicographic order and
+screens all assignments of the last positions (the tail, as many as fit
+in _TAIL_CELLS complex cells) as one numpy batch.  Screening is numeric
+with a one-sided tolerance far above attainable float error, so a true
+witness can never be screened out; every survivor is confirmed exactly
+before it is reported.  Exhaustion examines every assignment
+(examined == normalized_space) and certifies nonexistence.
+
+A magnitude prune of a mid position pos could act only when
+2(pos + 1) > 2^{n/2} + 2^n with pos < 2^n - tail.  Under the default
+_TAIL_CELLS = 2^19 that needs n = 3 with m >= 41 (tail <= 2), n = 4
+with m >= 6 (tail <= 5), n = 2 with m > 2^17, or n >= 5 with a space of
+at least 3^31.  The smallest such space, 41^7 ~ 1.9e11, is over 1000
+times the default budget 15^7.  Below it no such prune ever acted, and
+above it one could only skip subtrees without a witness, so there is
+none; progress events keep "pruned": 0.
 
 The catalog half enumerates every element of N[C_30] satisfying the
 five arithmetic constraints an autocorrelation coefficient of a bent
@@ -22,6 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, lru_cache
+from itertools import product
 from math import gcd
 
 import numpy as np
@@ -41,7 +53,6 @@ DEFAULT_BUDGET = 15**7
 # sums of at most 32 unit vectors seen here, so 1e-6 cannot lose a
 # witness; survivors are confirmed exactly
 _TOL = 1e-6
-_PRUNE_SLACK = 1e-9
 
 # largest batch, in complex cells (tail assignments x characters)
 _TAIL_CELLS = 1 << 19
@@ -64,7 +75,6 @@ class SearchOutcome:
     n: int
     witness: GbfFunction | None
     examined: int
-    pruned: int
     wall_time: float = field(compare=False, default=0.0)
 
     @property
@@ -112,69 +122,42 @@ def _tail_tables(m: int, n: int, tail: int) -> tuple[np.ndarray, np.ndarray]:
     return digits, np.ascontiguousarray(total.T)
 
 
-def _run_prefix(
-    m: int, n: int, prefix: tuple[int, ...], prune: bool, tail_cells: int
-) -> tuple[tuple[int, ...] | None, int, int]:
-    """Search every completion of (0, *prefix, free...).  Returns the
-    lexicographically least witness of this block (or None), plus
-    examined and pruned completion counts."""
+def _run_prefix(m: int, n: int, prefix: tuple[int, ...]) -> tuple[tuple[int, ...] | None, int]:
+    """Search every completion of (0, *prefix, mid..., tail...), walking
+    the mid assignments in lexicographic order and screening each one's
+    tail as one batch.  Returns the lexicographically least witness of
+    this block (or None) and the count of completions examined."""
     size = 1 << n
     chi = _char_table(n)
     zeta = np.exp(2j * np.pi * np.arange(m) / m)
     free = size - 1 - len(prefix)
     tail = 0
-    while tail < free and (m ** (tail + 1)) * size <= tail_cells:
+    while tail < free and (m ** (tail + 1)) * size <= _TAIL_CELLS:
         tail += 1
     digits, columns = _tail_tables(m, n, tail)
-    batch = digits.shape[0]
-    leaf_pos = size - tail
 
     spectrum = chi[0].astype(np.complex128)
     for j, v in enumerate(prefix):
         spectrum = spectrum + zeta[v] * chi[j + 1]
 
-    # |partial F(y)| can still move by 1 per unassigned point, so a
-    # prefix only dies when it provably overshoots 2^{n/2}
-    bound_sq = [(np.sqrt(size) + rem + _PRUNE_SLACK) ** 2 for rem in range(size)]
-
-    mid: list[int] = []
-    counters = {"examined": 0, "pruned": 0}
-
-    def leaf(spec: np.ndarray) -> tuple[int, ...] | None:
-        counters["examined"] += batch
+    examined = 0
+    for mid in product(range(m), repeat=free - tail):
+        spec = spectrum
+        for pos, v in enumerate(mid, start=len(prefix) + 1):
+            spec = spec + zeta[v] * chi[pos]
+        examined += digits.shape[0]
         z = spec[0] + columns[0]
         sel = np.flatnonzero(np.abs(z.real * z.real + z.imag * z.imag - size) <= _TOL)
         for y in range(1, size):
             if sel.size == 0:
-                return None
+                break
             z = spec[y] + columns[y][sel]
             sel = sel[np.abs(z.real * z.real + z.imag * z.imag - size) <= _TOL]
         for i in sel:
             values = (0, *prefix, *mid, *(int(d) for d in digits[i]))
             if is_gbf_exact(GbfFunction(n, m, values)):
-                return values
-        return None
-
-    def dfs(pos: int, spec: np.ndarray) -> tuple[int, ...] | None:
-        if pos == leaf_pos:
-            return leaf(spec)
-        rem = size - 1 - pos
-        for v in range(m):
-            nxt = spec + zeta[v] * chi[pos]
-            if prune:
-                mags = nxt.real * nxt.real + nxt.imag * nxt.imag
-                if mags.max() > bound_sq[rem]:
-                    counters["pruned"] += m**rem
-                    continue
-            mid.append(v)
-            hit = dfs(pos + 1, nxt)
-            mid.pop()
-            if hit is not None:
-                return hit
-        return None
-
-    witness = dfs(len(prefix) + 1, spectrum)
-    return witness, counters["examined"], counters["pruned"]
+                return values, examined
+    return None, examined
 
 
 def brute_force(
@@ -182,10 +165,8 @@ def brute_force(
     n: int,
     budget: int = DEFAULT_BUDGET,
     *,
-    prune: bool = True,
     workers: int = 1,
     progress=None,
-    tail_cells: int = _TAIL_CELLS,
 ) -> SearchOutcome:
     """Exhaustive search of the normalized space for an (m, n) witness.
 
@@ -210,30 +191,27 @@ def brute_force(
         prefixes = [(v, w) for v in range(m) for w in range(m)]
 
     witness_values = None
-    examined = pruned = 0
+    examined = 0
 
     def consume(prefix, result):
-        nonlocal witness_values, examined, pruned
-        values, ex, pr = result
+        nonlocal witness_values, examined
+        values, ex = result
         examined += ex
-        pruned += pr
         if progress is not None:
-            progress({"prefix": list(prefix), "examined": ex, "pruned": pr})
+            # "pruned" stays in the event so that existing readers keep working
+            progress({"prefix": list(prefix), "examined": ex, "pruned": 0})
         if values is not None:
             witness_values = values
         return values is not None
 
     if workers <= 1:
         for prefix in prefixes:
-            if consume(prefix, _run_prefix(m, n, prefix, prune, tail_cells)):
+            if consume(prefix, _run_prefix(m, n, prefix)):
                 break
     else:
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
-            futures = [
-                pool.submit(_run_prefix, m, n, prefix, prune, tail_cells)
-                for prefix in prefixes
-            ]
+            futures = [pool.submit(_run_prefix, m, n, prefix) for prefix in prefixes]
             for prefix, fut in zip(prefixes, futures):
                 if consume(prefix, fut.result()):
                     break
@@ -244,7 +222,7 @@ def brute_force(
     if witness_values is not None:
         witness = GbfFunction(n, m, witness_values)
         assert is_gbf_exact(witness)
-    return SearchOutcome(m, n, witness, examined, pruned, time.perf_counter() - start)
+    return SearchOutcome(m, n, witness, examined, time.perf_counter() - start)
 
 
 # -- dimension-3 autocorrelation catalog -------------------------------------

@@ -4,9 +4,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 from test_gbf import reference_autocorr, reference_pair_counts
 
+from gbfkit import cli
 from gbfkit.cli import main
 from gbfkit.criteria import decide
 from gbfkit.gbf import GbfFunction, is_gbf_numeric
@@ -61,6 +63,34 @@ def test_verify_file(tmp_path, capsys):
     bad.write_text("4 1 0,1\nnot a function\n")
     assert main(["verify", "--file", str(bad)]) == 65
     assert "bad.txt:2" in capsys.readouterr().err
+
+
+def test_oversized_reduction_orders_refused(tmp_path, capsys, monkeypatch):
+    # R_30026 would hold 15014 * 15012 int64 entries (1.8 GB)
+    def no_table(fn):
+        raise AssertionError("a table was built for a refused order")
+
+    monkeypatch.setattr(cli, "compute_autocorr", no_table)
+    path = tmp_path / "fns.txt"
+    path.write_text("4 1 0,1\n30026 1 0,1\n")
+    for argv in (
+        ["verify", "30026", "1", "0,1"],
+        ["verify", "60052", "1", "0,2"],  # normalizes to 30026
+        ["verify", "--file", str(path)],
+    ):
+        start = time.monotonic()
+        assert main(argv) == 65, argv
+        assert time.monotonic() - start < 1.0, argv
+        err = capsys.readouterr().err
+        assert "over the cap" in err and "Traceback" not in err, argv
+
+    coeffs = [0] * 30026
+    coeffs[0] = coeffs[15013] = 1
+    start = time.monotonic()
+    assert main(["decompose", json.dumps({"m": 30026, "coeffs": coeffs}), "--minimal"]) == 65
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert "over the cap" in err and "Traceback" not in err
 
 
 # input line -> normalized (m, values), or None when already normalized
@@ -154,7 +184,7 @@ def test_search_cli(capsys):
     assert main(["search", "3", "5"]) == 3
     assert "exceeds budget" in capsys.readouterr().err
 
-    assert main(["search", "5", "2", "--no-prune", "--threads", "2"]) == 1
+    assert main(["search", "5", "2", "--threads", "2"]) == 1
     capsys.readouterr()
 
 
@@ -171,7 +201,7 @@ def test_search_json_certificate(capsys):
     record = json.loads(capsys.readouterr().out)
     out = record["outcome"]
     assert out["normalized_space"] == 27
-    assert out["examined"] + out["pruned"] == 27
+    assert out["examined"] == 27 and out["pruned"] == 0
     assert out["witness"] is None
     assert out["status"] == "ExhaustedNone"
 

@@ -176,6 +176,8 @@ def test_exact_examples():
     assert is_gbf_exact(fn(4, 1, [0, 1]))
     assert is_gbf_exact(fn(2, 2, [0, 0, 0, 1]))
     assert not is_gbf_exact(fn(3, 3, [0] * 8))
+    # tested at the order the values generate: R_4106 is over the cap
+    assert is_gbf_exact(fn(8212, 1, [0, 2053]))
 
 
 def test_exact_agrees_with_numeric_spot():

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from gbfkit import search
 from gbfkit.gbf import GbfFunction, compute_autocorr, is_gbf_exact
 from gbfkit.ring import CharacterSpec, CyclicRingElt, character_value_is_zero, subgroup_sum
 from gbfkit.search import (
@@ -44,14 +45,14 @@ def test_exhausted_examples():
     out = brute_force(3, 2)
     assert out.status == "ExhaustedNone"
     assert out.witness is None
-    assert out.examined == 27 and out.pruned == 0
+    assert out.examined == out.normalized_space == 27
 
     assert brute_force(2, 1).status == "ExhaustedNone"
     assert brute_force(2, 3).examined == 128
 
     out = brute_force(6, 3)
     assert out.status == "ExhaustedNone"
-    assert out.examined + out.pruned == out.normalized_space == 6**7
+    assert out.examined == out.normalized_space == 6**7
 
 
 def test_witness_is_lex_min():
@@ -81,25 +82,32 @@ def test_budget():
     assert brute_force(3, 2, budget=27).examined == 27
 
 
-def test_prune_soundness():
-    # tiny batch ceiling forces the tree deep enough for pruning to act
-    for m, n in [(3, 2), (4, 2), (5, 2)]:
-        size = 1 << n
-        pruned = brute_force(m, n, prune=True, tail_cells=size)
-        plain = brute_force(m, n, prune=False, tail_cells=size)
+def test_deepest_mid_walk_matches_default(monkeypatch):
+    # a batch ceiling of 2^n cells leaves no tail, so every position past
+    # the prefix is walked as a mid level, one assignment at a time
+    for m, n in [(3, 2), (4, 2), (5, 2), (4, 3), (6, 3)]:
         flat = brute_force(m, n)
-        assert pruned.witness == plain.witness == flat.witness
-        assert pruned.status == plain.status == flat.status
-        if pruned.witness is None:
-            assert pruned.examined + pruned.pruned == m ** (size - 1)
-            assert plain.examined == m ** (size - 1) and plain.pruned == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_TAIL_CELLS", 1 << n)
+            deep = brute_force(m, n)
+        assert deep.status == flat.status, (m, n)
+        assert deep.witness == flat.witness, (m, n)
+        if flat.witness is None:
+            assert deep.examined == flat.examined == flat.normalized_space, (m, n)
+        else:
+            # walked in lexicographic order, the deep search stops right
+            # at the witness: its rank in the normalized space, plus one
+            rank = 0
+            for v in flat.witness.values[1:]:
+                rank = rank * m + v
+            assert deep.examined == rank + 1 <= flat.examined, (m, n)
 
 
 def test_workers_match_serial():
     serial = brute_force(5, 3)
     parallel = brute_force(5, 3, workers=3)
     assert serial.status == parallel.status == "ExhaustedNone"
-    assert (serial.examined, serial.pruned) == (parallel.examined, parallel.pruned)
+    assert serial.examined == parallel.examined == serial.normalized_space
 
     w = brute_force(4, 3, workers=3)
     assert w.witness.values == (0, 0, 0, 2, 1, 1, 1, 3)
@@ -110,7 +118,8 @@ def test_progress_events():
     out = brute_force(3, 2, progress=events.append)
     assert len(events) == 9
     assert all(set(e) == {"prefix", "examined", "pruned"} for e in events)
-    assert sum(e["examined"] + e["pruned"] for e in events) == out.examined + out.pruned == 27
+    assert all(e["pruned"] == 0 for e in events)
+    assert sum(e["examined"] for e in events) == out.examined == 27
 
 
 def test_certificate():
