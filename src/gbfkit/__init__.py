@@ -13,7 +13,7 @@ The package splits into layers that mirror the arithmetic:
 - ``cli``      command-line front end.
 
 Everything verdict-relevant is integer-exact; floating point appears only in
-search pruning and numeric cross-checks.
+the search's numeric screen and in numeric cross-checks.
 """
 
 __version__ = "0.1.0"

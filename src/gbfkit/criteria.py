@@ -54,7 +54,7 @@ class CriterionStep:
             raise ValueError(f"unknown criterion id {self.id!r}")
 
     def to_json(self) -> dict:
-        return {"id": self.id, "cite": self.cite}
+        return {"id": self.id, "cite": self.cite, "params": dict(self.params)}
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,13 @@ identity.  The product runs in int64 only when no partial sum can reach
 2^63, and over Python ints otherwise.  Orders whose stored rows would
 exceed MAX_REDUCTION_ENTRIES are refused before anything is built.
 
-Cyclotomic polynomials are computed by exact division of x^d - 1 by
-Phi_e over the proper divisors e of d, and cached per d.
+Cyclotomic polynomials are computed from the binomials x^e - 1, e | d,
+by Moebius inversion (multiplications, then exact divisions), and
+cached per d.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 from dataclasses import dataclass
 from functools import cache
@@ -109,34 +109,33 @@ class PrimeFactorization:
 # cyclotomic polynomials, as integer coefficient lists (index = degree)
 
 
-def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Long division of integer polynomials; den must be monic."""
-    assert den[-1] == 1, "divisor must be monic"
-    rem = list(num)
-    quo = [0] * max(len(num) - len(den) + 1, 1)
-    for k in range(len(num) - len(den), -1, -1):
-        c = rem[k + len(den) - 1]
-        if c:
-            quo[k] = c
-            for j, b in enumerate(den):
-                rem[k + j] -= c * b
-    while len(rem) > 1 and rem[-1] == 0:
-        rem.pop()
-    return quo, rem
-
-
 @cache
 def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
-    """Coefficients of Phi_d, low degree first.  Phi_1 = x - 1."""
+    """Coefficients of Phi_d, low degree first.  Phi_1 = x - 1.
+
+    Phi_d is the product of (x^{d/s} - 1)^{mu(s)} over the squarefree
+    divisors s of d.  The binomials with mu(s) = 1 are multiplied in
+    first, so that each division by one with mu(s) = -1 is exact.
+    """
     if d < 1:
         raise ValueError(f"order must be positive, got {d}")
-    poly = [0] * (d + 1)
-    poly[0], poly[d] = -1, 1  # x^d - 1
-    for e in range(1, d):
-        if d % e == 0:
-            quo, rem = _poly_divmod(poly, list(cyclotomic_polynomial(e)))
-            assert rem == [0], f"x^{d}-1 not divisible by Phi_{e}"
-            poly = quo
+    terms = [(1, 1)]  # (s, mu(s))
+    for p in factorize(d).primes:
+        terms += [(s * p, -mu) for s, mu in terms]
+    poly = [1]
+    for s, mu in sorted(terms, key=lambda t: -t[1]):
+        e = d // s
+        if mu == 1:
+            # poly * (x^e - 1)
+            out = [-c for c in poly] + [0] * e
+            for i, c in enumerate(poly):
+                out[i + e] += c
+        else:
+            # poly / (x^e - 1): poly[i] = out[i - e] - out[i]
+            out = [0] * (len(poly) - e)
+            for i in range(len(out)):
+                out[i] = (out[i - e] if i >= e else 0) - poly[i]
+        poly = out
     return tuple(poly)
 
 
@@ -413,5 +412,5 @@ def character_values_numeric(elt: CyclicRingElt) -> list[complex]:
     Floating point; for cross-checks only.
     """
     m = elt.m
-    root = [cmath.exp(2j * cmath.pi * k / m) for k in range(m)]
+    root = np.exp(2j * np.pi * np.arange(m) / m).tolist()
     return [sum(c * root[(i * j) % m] for i, c in enumerate(elt.coeffs)) for j in range(m)]

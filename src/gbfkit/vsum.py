@@ -15,30 +15,25 @@ what the nonexistence criteria consume:
 - structure_decompose(D): integer elements E_p with D = sum_p P_p E_p,
   p running over the primes of the c-exponent.
 
-The minimal parts under D, which c_exponent covers D with, come from one
-of two exact routes.  When m = p^a q^b has at most two prime factors,
-every v-sum is a nonnegative combination of shifted P_p and P_q (de
-Bruijn 1953; Lam and Leung 2000), so the parts are just the prime-order
-cosets g^j P_p that fit under D, listed in O(m) with no zero-test.  With
-three or more primes, and for minimality tests, a sub-sum walk runs:
-backtracking with a triangle-inequality float prune and an exact
-zero-test (residue mod Phi_m) at the leaves.  c_exponent refuses
-elements above its max_norm on both routes.
-
-The enumerator of all minimal v-sums up to a norm bound assembles
-candidates fiberwise over a coprime splitting C_m = C_q x C_r (q the
-largest prime-power factor), which keeps it exhaustive while avoiding a
-blind walk over all coefficient vectors.  The C_r fibers are grouped by
-exact value, their residues mod Phi_r, which a matmul reduces in chunks.
+All three jobs that need sub-sums (the minimal parts under D that
+c_exponent covers D with, the minimality test, and the census of minimal
+v-sums up to a norm bound) run on one exact enumerator, _vsums_under: it
+yields every nonzero v-sum below a box of coefficient bounds and within
+a norm budget, exactly once.  It works fiberwise over a coprime
+splitting C_m = C_q x C_r, with q = p^a the power of the largest prime
+p of m.  Each C_r fiber's sub-elements under its slice of the box are
+grouped by exact value, their residues mod Phi_r, which a matmul
+reduces in chunks; fibers are then chosen class by class from one
+common group.  _minimal_among keeps the v-sums above no minimal v-sum
+of smaller norm.  No float enters, and c_exponent refuses elements
+above its max_norm.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice
 from math import gcd, lcm
 
 import numpy as np
@@ -47,13 +42,22 @@ from .ring import (
     CharacterSpec,
     CyclicRingElt,
     character_value_is_zero,
-    cyclotomic_polynomial,
     cyclotomic_residue,
     factorize,
     subgroup_sum,
 )
 
-_EPS = 1e-9
+# enumerate_minimal_vsums guards.  At the (60, 8) corner the census
+# finds 362 minimal v-sums among 65147 v-sums in about 1.8 s, with a
+# 98 MB peak RSS (Python 3.11, one core of a 2-core Xeon).
+MAX_ENUM_MODULUS = 60
+MAX_ENUM_NORM = 8
+
+# Sub-elements of one C_r fiber under its slice of a box, all held at
+# once while they are grouped: about 70 MB at the cap for r = 17.  The
+# (60, 8) census needs 125970.  Past the cap, as for every fiber of
+# ones with r > 17 (P_210 has 2^30), the input is refused up front.
+MAX_FIBER_ELEMENTS = 1 << 17
 
 
 def is_vsum(elt: CyclicRingElt) -> bool:
@@ -89,76 +93,18 @@ def _reduced_exponent_anchor(elt: CyclicRingElt) -> tuple[int, int]:
     return best, anchor
 
 
-@lru_cache(maxsize=None)
-def _prune_roots(m: int) -> tuple[tuple[int, ...], tuple[tuple[complex, ...], ...]]:
-    """Rows zeta_m^{t*i} for units t up to m/2 (conjugates add nothing)."""
-    ts = tuple(t for t in range(1, m // 2 + 1) if gcd(t, m) == 1) or ((1,) if m == 1 else ())
-    rows = tuple(
-        tuple(cmath.exp(2j * cmath.pi * t * i / m) for i in range(m)) for t in ts
-    )
-    return ts, rows
-
-
-def _vanishing_subsums(elt: CyclicRingElt, find_proper_only: bool = False):
-    """All nonzero B <= elt with tau(B) = 0, as coefficient tuples.
-
-    With find_proper_only the walk stops at the first proper one (B != elt)
-    and returns a one-element or empty list.  Backtracking over support
-    multiplicities; a partial sum whose modulus under some order-m
-    character exceeds the remaining mass can never cancel, which is the
-    only pruning; acceptance at a leaf is the exact zero-test.
-    """
-    m = elt.m
-    supp = elt.support()
-    mults = [elt.coeffs[i] for i in supp]
-    _, rows = _prune_roots(m)
-    tail = [0] * (len(supp) + 1)
-    for idx in range(len(supp) - 1, -1, -1):
-        tail[idx] = tail[idx + 1] + mults[idx]
-    found: list[tuple[int, ...]] = []
-    chosen = [0] * len(supp)
-
-    def leaf_ok() -> tuple[int, ...] | None:
-        if not any(chosen):
-            return None
-        coeffs = [0] * m
-        for pos, b in zip(supp, chosen):
-            coeffs[pos] = b
-        cand = CyclicRingElt(m, tuple(coeffs))
-        if find_proper_only and cand == elt:
-            return None
-        if character_value_is_zero(cand, CharacterSpec(m, m)):
-            return cand.coeffs
-        return None
-
-    def walk(idx: int, vals: list[complex]) -> bool:
-        if idx == len(supp):
-            got = leaf_ok()
-            if got is not None:
-                found.append(got)
-                return find_proper_only
-            return False
-        rem = tail[idx + 1]
-        for b in range(mults[idx] + 1):
-            chosen[idx] = b
-            nxt = [v + b * row[supp[idx]] for v, row in zip(vals, rows)]
-            if all(abs(v) <= rem + _EPS for v in nxt):
-                if walk(idx + 1, nxt):
-                    return True
-        chosen[idx] = 0
-        return False
-
-    walk(0, [0j] * len(rows))
-    return found
-
-
 def is_minimal_vsum(elt: CyclicRingElt) -> bool:
-    """No nonzero proper sub-element of elt is itself a v-sum."""
+    """No nonzero proper sub-element of elt is itself a v-sum.
+
+    ValueError when a fiber of elt has more than MAX_FIBER_ELEMENTS
+    sub-elements (see _vsums_under).
+    """
     if not is_vsum(elt):
         raise ValueError("not a v-sum")
     if not elt:
         raise ValueError("the zero element is not decomposed")
-    return not _vanishing_subsums(elt, find_proper_only=True)
+    # elt is a v-sum under itself; any other one is proper
+    return all(b == elt.coeffs for b in _vsums_under(elt.coeffs, elt.norm))
 
 
 def minimal_norm_lower_bound(k: int) -> int:
@@ -219,62 +165,24 @@ class MinimalDecomposition:
 
 
 def _minimal_parts_within(elt: CyclicRingElt) -> list[MinimalVsum]:
-    """Every minimal v-sum B <= elt, sorted by coefficient tuple.
-
-    For m = p^a q^b the minimal v-sums are exactly the prime-order
-    cosets g^j P_p (see the module docstring), so they are listed
-    directly: a coset fits under elt iff elt is >= 1 on each of its p
-    points, and its reduced exponent is p.  Three or more primes fall
-    back to the sub-sum walk.
-    """
-    m = elt.m
-    primes = factorize(m).primes
-    if len(primes) > 2:
-        return _minimal_parts_by_walk(elt)
-    parts = [
-        MinimalVsum(subgroup_sum(m, p).shift(j), p)
-        for p in primes
-        for j in range(m // p)
-        if all(elt.coeffs[i] >= 1 for i in range(j, m, m // p))
-    ]
-    parts.sort(key=lambda part: part.elt.coeffs)
-    return parts
-
-
-def _minimal_parts_by_walk(elt: CyclicRingElt) -> list[MinimalVsum]:
-    """Every minimal v-sum B <= elt, sorted by coefficient tuple: the
-    vanishing sub-sums of elt that dominate no other one."""
-    subs = _vanishing_subsums(elt)
-    minimal = []
-    for b in subs:
-        dominated = any(
-            c != b and all(x <= y for x, y in zip(c, b)) for c in subs
-        )
-        if not dominated:
-            minimal.append(b)
-    minimal.sort()
-    m = elt.m
-    return [
-        MinimalVsum(CyclicRingElt(m, b), reduced_exponent(CyclicRingElt(m, b)))
-        for b in minimal
-    ]
+    """Every minimal v-sum B <= elt, sorted by coefficient tuple."""
+    found = _minimal_among(list(_vsums_under(elt.coeffs, elt.norm)))
+    elts = [CyclicRingElt(elt.m, c) for c in found]
+    return [MinimalVsum(b, reduced_exponent(b)) for b in elts]
 
 
 def c_exponent(elt: CyclicRingElt, max_norm: int = 16) -> tuple[int, MinimalDecomposition]:
     """Smallest lcm of reduced exponents over all decompositions of elt
     into minimal v-sums, together with a witnessing decomposition.
 
-    The minimal sub-v-sums of elt are listed first.  For m with at most
-    two prime factors they are the prime-order cosets g^j P_p under elt,
-    since every v-sum there is a nonnegative combination of shifted P_p
-    and P_q (de Bruijn 1953; Lam and Leung 2000); otherwise a sub-sum
-    walk finds them.  Both routes give the same parts in the same order.
-    Candidate lcm targets are then scanned in increasing order; for each,
-    an exact-cover search runs over the parts whose reduced exponent
-    divides the target.  The first target admitting a cover is the
-    answer (any cover then has that exact lcm).  Parts are tried in
-    lexicographic order, so the witness is deterministic.  Elements of
-    norm above max_norm are refused on both routes.
+    The minimal sub-v-sums of elt are listed first, by one exact route
+    for any number of primes in m: _vsums_under yields every v-sum below
+    elt and _minimal_among keeps the minimal ones.  Candidate lcm targets
+    are then scanned in increasing order; for each, an exact-cover search
+    runs over the parts whose reduced exponent divides the target.  The
+    first target admitting a cover is the answer (any cover then has that
+    exact lcm).  Parts are tried in lexicographic order, so the witness
+    is deterministic.  Elements of norm above max_norm are refused.
     """
     if not is_vsum(elt):
         raise ValueError("not a v-sum")
@@ -409,37 +317,48 @@ def _peel(v: CyclicRingElt) -> dict[int, CyclicRingElt]:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive enumeration of minimal v-sums
+# v-sums under a box, and the minimal ones among them
 
 
-def _compositions(length: int, budget: int):
-    """All nonnegative integer vectors of the given length with sum <= budget."""
-    vec = [0] * length
-
-    def walk(idx: int, left: int):
-        if idx == length:
-            yield tuple(vec)
-            return
-        for c in range(left + 1):
-            vec[idx] = c
-            yield from walk(idx + 1, left - c)
-        vec[idx] = 0
-
-    yield from walk(0, budget)
-
-
-def _grouped_by_value(r: int, budget: int) -> dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]]:
-    """Elements of N[C_r] of norm <= budget, grouped by exact character value.
+def _grouped_by_value(
+    bound: tuple[int, ...], budget: int
+) -> dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]]:
+    """Elements of N[C_r], r = len(bound), below bound and of norm <=
+    budget, grouped by exact character value.  ValueError when there
+    are more than MAX_FIBER_ELEMENTS.
 
     The key is the residue mod Phi_r, reduced by one matmul per chunk of
     elements.  Values are (norm, coeffs) pairs sorted by norm so that
     assembly can cut early on the norm budget.
     """
+    # count them first (ways[s]: how many have norm s).  Norms up to the
+    # cap suffice: when sum(bound) passes the cap, every norm up to the
+    # cap is taken by some element, so the count passes it too.
+    top = min(budget, sum(bound), MAX_FIBER_ELEMENTS)
+    ways = [1] + [0] * top
+    for b in bound:
+        acc = list(accumulate(ways, initial=0))
+        ways = [acc[s + 1] - acc[max(0, s - b)] for s in range(top + 1)]
+    if sum(ways) > MAX_FIBER_ELEMENTS:
+        raise ValueError(
+            f"a C_{len(bound)} fiber has over {MAX_FIBER_ELEMENTS} sub-elements; refused"
+        )
+    vec = [0] * len(bound)
+
+    def walk(i: int, left: int):
+        if i == len(bound):
+            yield tuple(vec)
+            return
+        for x in range(min(bound[i], left) + 1):
+            vec[i] = x
+            yield from walk(i + 1, left - x)
+        vec[i] = 0
+
     groups: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
-    comps = _compositions(r, budget)
+    comps = walk(0, budget)
     # reduced in chunks, so the scratch arrays stay small next to groups
     while chunk := list(islice(comps, 256)):
-        keys = cyclotomic_residue(np.array(chunk, dtype=np.int64), r).tolist()
+        keys = cyclotomic_residue(np.array(chunk, dtype=np.int64), len(bound)).tolist()
         for coeffs, key in zip(chunk, keys):
             groups.setdefault(tuple(key), []).append((sum(coeffs), coeffs))
     for lst in groups.values():
@@ -447,83 +366,112 @@ def _grouped_by_value(r: int, budget: int) -> dict[tuple[int, ...], list[tuple[i
     return groups
 
 
-def _all_vsums(m: int, max_norm: int) -> list[tuple[int, ...]]:
-    """Every nonzero v-sum in N[C_m] with norm <= max_norm, exactly once.
+def _vsums_under(box: tuple[int, ...], budget: int):
+    """Every nonzero v-sum B in N[C_m], m = len(box), with B <= box
+    componentwise and norm <= budget, each exactly once, as coefficient
+    tuples.
 
-    Split m = q * r with q the largest prime-power factor, q = p^a.  Under
-    the CRT indexing j = r*alpha + q*beta the value of D factors through
-    the q fibers D_alpha in N[C_r], and an order-m character kills D
-    exactly when the fiber values agree along alpha mod p^{a-1} classes.
-    So: group the C_r elements by exact value and assemble one value
-    choice plus p fibers per class under the norm budget.  The fiber
-    tuple determines D uniquely, hence no duplicates.
+    Split m = q * r with q = p^a the power of the largest prime p of m.
+    Under the CRT indexing j = r*alpha + q*beta the value of B factors
+    through the q fibers B_alpha in N[C_r], and an order-m character
+    kills B exactly when the fiber values agree on each class of alpha
+    mod q/p.  So each fiber's sub-elements under its slice of the box are
+    grouped by exact value; a class may take a value only when every
+    fiber in it has that value, at a norm of at least the sum of the
+    fibers' cheapest norms for it (0 for the zero value).  The fiber
+    tuple determines B, hence no duplicates.
     """
+    m = len(box)
     if m == 1:
-        return []
+        return  # N[C_1] = N holds no nonzero v-sum
     p, a = factorize(m).factors[-1]
     q = p**a
-    r = m // q
-    classes = q // p
-    groups = _grouped_by_value(r, max_norm)
-    zero_key = (0,) * (len(cyclotomic_polynomial(r)) - 1)
-    keys = sorted(groups)
+    r, classes = m // q, q // p
+    slots = [[(r * alpha + q * beta) % m for beta in range(r)] for alpha in range(q)]
+    by_bound: dict[tuple[int, ...], dict] = {}
+    groups = []
+    for idx in slots:
+        bound = tuple(box[j] for j in idx)
+        if bound not in by_bound:
+            by_bound[bound] = _grouped_by_value(bound, budget)
+        groups.append(by_bound[bound])
+    # per class, the (norm floor, value) pairs every fiber of it can take
+    options = []
+    for cls in range(classes):
+        fibers = [groups[cls + i * classes] for i in range(p)]
+        shared = set(fibers[0]).intersection(*fibers[1:])
+        options.append(sorted((sum(f[key][0][0] for f in fibers), key) for key in shared))
+    chosen: list[tuple[int, ...]] = [()] * q
 
-    out: list[tuple[int, ...]] = []
-    fiber_choice: list[tuple[int, ...] | None] = [None] * q
-
-    def assemble():
-        coeffs = [0] * m
-        for alpha in range(q):
-            fib = fiber_choice[alpha]
-            for beta, c in enumerate(fib):
-                if c:
-                    coeffs[(r * alpha + q * beta) % m] = c
-        if any(coeffs):
-            out.append(tuple(coeffs))
-
-    def fill_class(cls: int, fiber_in_class: int, budget: int, key):
-        """Choose the p fibers alpha = cls, cls + classes, ... for one class."""
-        if fiber_in_class == p:
-            next_class(cls + 1, budget)
+    def fill(cls: int, i: int, slack: int, key):
+        """Choose fiber i of the class; slack is the budget left over the
+        cheapest completion of the class."""
+        if i == p:
+            yield from next_class(cls + 1, slack)
             return
-        alpha = cls + fiber_in_class * classes
-        for norm, coeffs in groups.get(key, ()):
-            if norm > budget:
+        alpha = cls + i * classes
+        lst = groups[alpha][key]
+        cheapest = lst[0][0]
+        for norm, coeffs in lst:
+            if norm - cheapest > slack:
                 break
-            fiber_choice[alpha] = coeffs
-            fill_class(cls, fiber_in_class + 1, budget - norm, key)
-        fiber_choice[alpha] = None
+            chosen[alpha] = coeffs
+            yield from fill(cls, i + 1, slack - (norm - cheapest), key)
 
-    def next_class(cls: int, budget: int):
+    def next_class(cls: int, left: int):
         if cls == classes:
-            assemble()
+            coeffs = [0] * m
+            for idx, fib in zip(slots, chosen):
+                for j, c in zip(idx, fib):
+                    coeffs[j] = c
+            if any(coeffs):
+                yield tuple(coeffs)
             return
-        for key in keys:
-            # nonzero values force p nonzero fibers in this class; the
-            # cheapest completion weighs at least p * min norm
-            lst = groups[key]
-            floor = 0 if key == zero_key else p * lst[0][0]
-            if floor > budget:
-                continue
-            fill_class(cls, 0, budget, key)
+        for floor, key in options[cls]:
+            if floor > left:
+                break
+            yield from fill(cls, 0, left - floor, key)
 
-    next_class(0, max_norm)
-    return out
+    yield from next_class(0, budget)
 
 
-def enumerate_minimal_vsums(
-    m: int, max_norm: int, *, m_limit: int = 60, norm_limit: int = 8
-) -> list[MinimalVsum]:
+def _minimal_among(vsums: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The minimal v-sums in vsums, sorted.
+
+    vsums must hold, with each member, every nonzero v-sum below it.
+    Every v-sum lies above a minimal one, and two different v-sums of
+    equal norm never lie one below the other.  So, taking norms in
+    increasing order, a member is minimal exactly when no minimal member
+    of smaller norm lies below it.
+    """
+    levels: dict[int, list[tuple[int, ...]]] = {}
+    for b in vsums:
+        levels.setdefault(sum(b), []).append(b)
+    minimal: list[tuple[int, ...]] = []
+    below: list[np.ndarray] = []
+    for norm in sorted(levels):
+        level, fresh = levels[norm], []
+        # in chunks, so the scratch arrays stay small next to vsums
+        for start in range(0, len(level), 1024):
+            rows = np.array(level[start : start + 1024], dtype=np.int64)
+            for c in below:
+                rows = rows[~(rows >= c).all(axis=1)]
+            fresh.append(rows)
+        for rows in fresh:
+            below += list(rows)
+            minimal += map(tuple, rows.tolist())
+    minimal.sort()
+    return minimal
+
+
+def enumerate_minimal_vsums(m: int, max_norm: int) -> list[MinimalVsum]:
     """All minimal v-sums in N[C_m] of norm <= max_norm, in lexicographic
-    coefficient order.  Guarded to desk scale by default."""
-    if m < 1 or m > m_limit:
-        raise ValueError(f"modulus {m} outside the supported range 1..{m_limit}")
-    if max_norm < 0 or max_norm > norm_limit:
-        raise ValueError(f"norm bound {max_norm} outside the supported range 0..{norm_limit}")
-    found = []
-    for coeffs in _all_vsums(m, max_norm):
-        cand = CyclicRingElt(m, coeffs)
-        if not _vanishing_subsums(cand, find_proper_only=True):
-            found.append(cand)
-    found.sort(key=lambda e: e.coeffs)
-    return [MinimalVsum(e, reduced_exponent(e)) for e in found]
+    coefficient order.  Guarded to desk scale: m <= MAX_ENUM_MODULUS and
+    max_norm <= MAX_ENUM_NORM."""
+    if m < 1 or m > MAX_ENUM_MODULUS:
+        raise ValueError(f"modulus {m} outside the supported range 1..{MAX_ENUM_MODULUS}")
+    if max_norm < 0 or max_norm > MAX_ENUM_NORM:
+        raise ValueError(f"norm bound {max_norm} outside the supported range 0..{MAX_ENUM_NORM}")
+    found = _minimal_among(list(_vsums_under((max_norm,) * m, max_norm)))
+    elts = [CyclicRingElt(m, c) for c in found]
+    return [MinimalVsum(b, reduced_exponent(b)) for b in elts]

@@ -169,7 +169,8 @@ def test_verdict_json():
     assert blob["outcome"] == "Nonexistent"
     assert [s["id"] for s in blob["trace"]] == ["strip-odd", "nonexist-s1-odd"]
     assert blob["residual"] is None
-    assert all(set(s) == {"id", "cite"} for s in blob["trace"])
+    assert all(set(s) == {"id", "cite", "params"} for s in blob["trace"])
+    assert [s["params"] for s in blob["trace"]] == [{"stripped": [31], "kept_m": 3}, {}]
 
     blob = json.loads(decide(1905, 7).to_json_str())
     assert blob["residual"] == {"m": 15, "n": 7}

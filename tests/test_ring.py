@@ -70,7 +70,7 @@ def test_cyclotomic_small_orders():
 
 
 def test_cyclotomic_product_recovers_xd_minus_1():
-    for d in (12, 30, 42, 60):
+    for d in range(1, 121):
         prod = [1]
         for e in range(1, d + 1):
             if d % e == 0:

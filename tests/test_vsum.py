@@ -1,7 +1,7 @@
 """Vanishing-sum analysis: minimality, exponents, decompositions."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm
 from unittest import mock
 
@@ -20,6 +20,7 @@ from gbfkit.ring import (
 )
 from gbfkit.vsum import (
     MinimalDecomposition,
+    MinimalVsum,
     c_exponent,
     enumerate_minimal_vsums,
     exponent,
@@ -223,36 +224,125 @@ def test_every_vsum_decomposes():
 
 
 # ---------------------------------------------------------------------------
-# c-exponent: prime-coset listing against the sub-sum walk
+# minimal parts under an element, against test-local oracles
 
 TWO_PRIME_MODULI = [4, 8, 9, 6, 10, 12, 14, 15, 18, 20, 21]
+THREE_PRIME_MODULI = [30, 42, 70, 105]
+
+
+def _parts(m, coeff_tuples):
+    return [MinimalVsum(CyclicRingElt(m, c), reduced_exponent(CyclicRingElt(m, c)))
+            for c in sorted(coeff_tuples)]
+
+
+def coset_parts(d):
+    """For m = p^a q^b every v-sum is a nonnegative combination of
+    shifted P_p and P_q (de Bruijn 1953; Lam and Leung 2000), so the
+    minimal ones under d are the prime-order cosets that fit under d."""
+    m = d.m
+    return _parts(m, {
+        subgroup_sum(m, p).shift(j).coeffs
+        for p in factorize(m).primes
+        for j in range(m // p)
+        if all(d.coeffs[i] >= 1 for i in range(j, m, m // p))
+    })
+
+
+def box_scan_vsums(d):
+    """Every nonzero v-sum B <= d, by a zero-test of each B."""
+    spec = CharacterSpec(d.m, d.m)
+    return [
+        b for b in product(*(range(c + 1) for c in d.coeffs))
+        if any(b) and character_value_is_zero(CyclicRingElt(d.m, b), spec)
+    ]
+
+
+def box_scan_parts(d):
+    """The v-sums B <= d that lie above no other one."""
+    vanishing = box_scan_vsums(d)
+    return _parts(d.m, [
+        b for b in vanishing
+        if not any(c != b and all(x <= y for x, y in zip(c, b)) for c in vanishing)
+    ])
 
 
 @st.composite
-def two_prime_vsums(draw):
-    """Nonnegative combinations of shifted P_p, P_q with norm <= 16."""
-    m = draw(st.sampled_from(TWO_PRIME_MODULI))
+def coset_sums(draw, moduli, max_norm, composites=False):
+    """Nonnegative combinations of shifted prime-order cosets (and, with
+    composites, shifted P_p1^* P_p2^* + P_p3^*), with norm <= max_norm."""
+    m = draw(st.sampled_from(moduli))
     primes = factorize(m).primes
+    pieces = [subgroup_sum(m, p) for p in primes]
+    if composites:
+        p1, p2, p3 = primes
+        pieces.append(punctured_subgroup_sum(m, p1) * punctured_subgroup_sum(m, p2)
+                      + punctured_subgroup_sum(m, p3))
     terms = draw(
-        st.lists(st.tuples(st.sampled_from(primes), st.integers(0, m - 1)), min_size=1, max_size=8)
+        st.lists(st.tuples(st.sampled_from(pieces), st.integers(0, m - 1)), min_size=1, max_size=8)
     )
     out = CyclicRingElt.zero(m)
-    for p, j in terms:
-        if out.norm + p <= 16:
-            out = out + subgroup_sum(m, p).shift(j)
+    for piece, j in terms:
+        if out.norm + piece.norm <= max_norm:
+            out = out + piece.shift(j)
     return out
 
 
-@settings(max_examples=50, deadline=None)
-@given(two_prime_vsums())
-def test_coset_listing_matches_walk(d):
+def check_against(oracle, d):
     parts = vsum._minimal_parts_within(d)
-    assert parts == vsum._minimal_parts_by_walk(d)
+    assert parts == oracle(d)
     for part in parts:
         assert is_vsum(part.elt) and is_minimal_vsum(part.elt)
-    fast = c_exponent(d)
-    with mock.patch.object(vsum, "_minimal_parts_within", vsum._minimal_parts_by_walk):
-        assert c_exponent(d) == fast
+    if d:
+        got = c_exponent(d)
+        with mock.patch.object(vsum, "_minimal_parts_within", oracle):
+            assert c_exponent(d) == got
+
+
+@settings(max_examples=50, deadline=None)
+@given(coset_sums(TWO_PRIME_MODULI, 16))
+def test_parts_match_coset_listing(d):
+    check_against(coset_parts, d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    coset_sums(THREE_PRIME_MODULI, 12, composites=True),
+    st.lists(st.integers(0, 104), max_size=3),
+)
+def test_parts_match_box_scan(d, extra):
+    # extra monomials make boxes that are not v-sums themselves
+    coeffs = list(d.coeffs)
+    for i in extra:
+        if sum(coeffs) < 12:
+            coeffs[i % d.m] += 1
+    box = CyclicRingElt(d.m, tuple(coeffs))
+    vanishing = box_scan_vsums(box)
+    for budget in (8, box.norm):
+        got = list(vsum._vsums_under(box.coeffs, budget))
+        assert sorted(got) == sorted(b for b in vanishing if sum(b) <= budget)
+    assert vsum._minimal_parts_within(box) == box_scan_parts(box)
+    check_against(box_scan_parts, d)
+
+
+def test_c_exponent_full_sum_c30():
+    # 2^30 sub-elements under P_30, 146854 of them v-sums
+    k, decomp = c_exponent(full_sum(30), max_norm=30)
+    assert k == 2
+    assert len(decomp.parts) == 15
+    assert {p.elt.coeffs for p in decomp.parts} == coset_shifts(30, 2)
+
+
+def test_full_sums_of_three_primes_are_not_minimal():
+    assert not is_minimal_vsum(full_sum(70))
+    assert not is_minimal_vsum(full_sum(105))
+
+
+def test_oversized_fibers_refused():
+    # P_210 splits into C_7 x C_30 fibers with 2^30 sub-elements each
+    with pytest.raises(ValueError, match="sub-elements"):
+        is_minimal_vsum(full_sum(210))
+    # the largest census the guards admit stays under the cap
+    assert len(enumerate_minimal_vsums(vsum.MAX_ENUM_MODULUS, vsum.MAX_ENUM_NORM)) == 362
 
 
 def test_coset_listing_wide_case():
@@ -353,12 +443,13 @@ def test_enumerate_sorted_and_unique():
     assert len(keys) == len(set(keys))
 
 
-def test_enumerate_guards():
+def test_enumerate_guards(monkeypatch):
     with pytest.raises(ValueError):
         enumerate_minimal_vsums(61, 4)
     with pytest.raises(ValueError):
         enumerate_minimal_vsums(30, 9)
-    assert enumerate_minimal_vsums(61, 4, m_limit=61) is not None
+    monkeypatch.setattr(vsum, "MAX_ENUM_MODULUS", 61)
+    assert enumerate_minimal_vsums(61, 4) is not None
 
 
 def test_enumerate_norm_bounds_hold():
