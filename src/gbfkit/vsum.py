@@ -19,21 +19,24 @@ All three jobs that need sub-sums (the minimal parts under D that
 c_exponent covers D with, the minimality test, and the census of minimal
 v-sums up to a norm bound) run on one exact enumerator, _vsums_under: it
 yields every nonzero v-sum below a box of coefficient bounds and within
-a norm budget, exactly once.  It works fiberwise over a coprime
-splitting C_m = C_q x C_r, with q = p^a the power of the largest prime
-p of m.  Each C_r fiber's sub-elements under its slice of the box are
-grouped by exact value, their residues mod Phi_r, which a matmul
-reduces in chunks; fibers are then chosen class by class from one
-common group.  _minimal_among keeps the v-sums above no minimal v-sum
-of smaller norm.  No float enters, and c_exponent refuses elements
-above its max_norm.
+a norm budget, exactly once.  It first moves to the smallest subgroup
+coset that holds the support of the box, then works fiberwise over a
+coprime splitting C_m = C_q x C_r, with q = p^a the power of the
+largest prime p of m.  Each C_r fiber's sub-elements under its slice
+of the box are held sparse and grouped by exact value, their residues
+mod Phi_r, which a matmul reduces in chunks; fibers are then chosen
+class by class from one common group, by an explicit-stack walk.
+_minimal_among keeps the v-sums above no minimal v-sum of smaller
+norm.  No float enters and nothing recurses with the size of m;
+c_exponent refuses elements above its max_norm, and every caller
+refuses inputs whose grouped fibers would pass MAX_FIBER_WORDS.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import islice
 from math import gcd, lcm
 
 import numpy as np
@@ -53,11 +56,14 @@ from .ring import (
 MAX_ENUM_MODULUS = 60
 MAX_ENUM_NORM = 8
 
-# Sub-elements of one C_r fiber under its slice of a box, all held at
-# once while they are grouped: about 70 MB at the cap for r = 17.  The
-# (60, 8) census needs 125970.  Past the cap, as for every fiber of
-# ones with r > 17 (P_210 has 2^30), the input is refused up front.
-MAX_FIBER_ELEMENTS = 1 << 17
+# Memory held by the grouped fibers of one _vsums_under call, in 8-byte
+# words: a sub-element held over s support cells counts 20 + s, and each
+# distinct value key 24 + phi(r).  tracemalloc finds 6.3-7.7 bytes held
+# per counted word (25 MB for the 125970 sub-elements of the (60, 8)
+# census, 41 MB for the 2^16 of a C_1024 fiber with 16 ones), so the cap
+# holds about 64 MB at most.  The (60, 8) census counts 4.3M; past the
+# cap, as for the C_30 fibers of P_210, the input is refused.
+MAX_FIBER_WORDS = 1 << 23
 
 
 def is_vsum(elt: CyclicRingElt) -> bool:
@@ -96,8 +102,8 @@ def _reduced_exponent_anchor(elt: CyclicRingElt) -> tuple[int, int]:
 def is_minimal_vsum(elt: CyclicRingElt) -> bool:
     """No nonzero proper sub-element of elt is itself a v-sum.
 
-    ValueError when a fiber of elt has more than MAX_FIBER_ELEMENTS
-    sub-elements (see _vsums_under).
+    ValueError when the sub-elements of elt's fibers need more than
+    MAX_FIBER_WORDS (see _vsums_under).
     """
     if not is_vsum(elt):
         raise ValueError("not a v-sum")
@@ -166,8 +172,14 @@ class MinimalDecomposition:
 
 def _minimal_parts_within(elt: CyclicRingElt) -> list[MinimalVsum]:
     """Every minimal v-sum B <= elt, sorted by coefficient tuple."""
-    found = _minimal_among(list(_vsums_under(elt.coeffs, elt.norm)))
-    elts = [CyclicRingElt(elt.m, c) for c in found]
+    return _minimal_parts(elt.coeffs, elt.norm)
+
+
+def _minimal_parts(box: tuple[int, ...], budget: int) -> list[MinimalVsum]:
+    """The minimal v-sums B <= box of norm <= budget, sorted by
+    coefficient tuple."""
+    found = _minimal_among(list(_vsums_under(box, budget)))
+    elts = [CyclicRingElt(len(box), c) for c in found]
     return [MinimalVsum(b, reduced_exponent(b)) for b in elts]
 
 
@@ -320,50 +332,53 @@ def _peel(v: CyclicRingElt) -> dict[int, CyclicRingElt]:
 # v-sums under a box, and the minimal ones among them
 
 
-def _grouped_by_value(
-    bound: tuple[int, ...], budget: int
-) -> dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]]:
-    """Elements of N[C_r], r = len(bound), below bound and of norm <=
-    budget, grouped by exact character value.  ValueError when there
-    are more than MAX_FIBER_ELEMENTS.
-
-    The key is the residue mod Phi_r, reduced by one matmul per chunk of
-    elements.  Values are (norm, coeffs) pairs sorted by norm so that
-    assembly can cut early on the norm budget.
-    """
-    # count them first (ways[s]: how many have norm s).  Norms up to the
-    # cap suffice: when sum(bound) passes the cap, every norm up to the
-    # cap is taken by some element, so the count passes it too.
-    top = min(budget, sum(bound), MAX_FIBER_ELEMENTS)
-    ways = [1] + [0] * top
-    for b in bound:
-        acc = list(accumulate(ways, initial=0))
-        ways = [acc[s + 1] - acc[max(0, s - b)] for s in range(top + 1)]
-    if sum(ways) > MAX_FIBER_ELEMENTS:
-        raise ValueError(
-            f"a C_{len(bound)} fiber has over {MAX_FIBER_ELEMENTS} sub-elements; refused"
-        )
-    vec = [0] * len(bound)
-
-    def walk(i: int, left: int):
-        if i == len(bound):
-            yield tuple(vec)
+def _sub_elements(bound: tuple[int, ...], budget: int):
+    """Every v with 0 <= v <= bound componentwise and sum(v) <= budget,
+    as tuples in lexicographic order (an odometer, so no recursion)."""
+    v, left = [0] * len(bound), budget
+    while True:
+        yield tuple(v)
+        i = len(v) - 1
+        while i >= 0 and (v[i] == bound[i] or not left):
+            left += v[i]
+            v[i] = 0
+            i -= 1
+        if i < 0:
             return
-        for x in range(min(bound[i], left) + 1):
-            vec[i] = x
-            yield from walk(i + 1, left - x)
-        vec[i] = 0
+        v[i] += 1
+        left -= 1
 
+
+def _grouped_by_value(
+    r: int, betas: tuple[int, ...], bound: tuple[int, ...], budget: int, room: int
+) -> tuple[dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]], int]:
+    """Elements of N[C_r] supported on betas, below bound there and of
+    norm <= budget, grouped by exact character value, and the words
+    they take (see MAX_FIBER_WORDS).  ValueError past room words.
+
+    Elements are held sparse, as their coefficients on betas.  The key
+    is the residue mod Phi_r, reduced by one matmul per chunk of 256
+    elements spread out to length r.  Values are (norm, coeffs) pairs
+    sorted by norm so that assembly can cut early on the norm budget.
+    """
     groups: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
-    comps = walk(0, budget)
-    # reduced in chunks, so the scratch arrays stay small next to groups
-    while chunk := list(islice(comps, 256)):
-        keys = cyclotomic_residue(np.array(chunk, dtype=np.int64), len(bound)).tolist()
-        for coeffs, key in zip(chunk, keys):
+    count = used = 0
+    elements = _sub_elements(bound, budget)
+    while chunk := list(islice(elements, 256)):
+        rows = np.zeros((len(chunk), r), dtype=np.int64)
+        rows[:, list(betas)] = chunk
+        keys = cyclotomic_residue(rows, r)
+        for coeffs, key in zip(chunk, keys.tolist()):
             groups.setdefault(tuple(key), []).append((sum(coeffs), coeffs))
+        count += len(chunk)
+        used = count * (20 + len(betas)) + len(groups) * (24 + keys.shape[1])
+        if used > room:
+            raise ValueError(
+                f"the sub-elements of a C_{r} fiber need over {room} words; refused"
+            )
     for lst in groups.values():
         lst.sort()
-    return groups
+    return groups, used
 
 
 def _vsums_under(box: tuple[int, ...], budget: int):
@@ -371,68 +386,96 @@ def _vsums_under(box: tuple[int, ...], budget: int):
     componentwise and norm <= budget, each exactly once, as coefficient
     tuples.
 
-    Split m = q * r with q = p^a the power of the largest prime p of m.
-    Under the CRT indexing j = r*alpha + q*beta the value of B factors
-    through the q fibers B_alpha in N[C_r], and an order-m character
-    kills B exactly when the fiber values agree on each class of alpha
-    mod q/p.  So each fiber's sub-elements under its slice of the box are
-    grouped by exact value; a class may take a value only when every
-    fiber in it has that value, at a norm of at least the sum of the
-    fibers' cheapest norms for it (0 for the zero value).  The fiber
-    tuple determines B, hence no duplicates.
+    When the support of box lies in one coset of the subgroup of order
+    m/d, B lives there too, and an order-m character kills B exactly
+    when an order-m/d one kills it read in that subgroup; so the walk
+    runs in C_{m/d}.  Then split m = q * r with q = p^a the power of the
+    largest prime p of m.  Under the CRT indexing j = r*alpha + q*beta
+    the value of B factors through the q fibers B_alpha in N[C_r], and
+    an order-m character kills B exactly when the fiber values agree on
+    each class of alpha mod q/p.  So each fiber's sub-elements under its
+    slice of the box are grouped by exact value; a class may take a
+    value only when every fiber in it has that value, at a norm of at
+    least the sum of the fibers' cheapest norms for it (0 for the zero
+    value).  The fiber tuple determines B, hence no duplicates.
+    ValueError when the grouped fibers need more than MAX_FIBER_WORDS.
     """
     m = len(box)
+    supp = [j for j, b in enumerate(box) if b]
+    if not supp:
+        return
+    d = gcd(m, *(j - supp[0] for j in supp))
+    if d > 1:
+        j0 = supp[0] % d
+        for sub in _vsums_under(box[j0::d], budget):
+            coeffs = [0] * m
+            coeffs[j0::d] = sub
+            yield tuple(coeffs)
+        return
     if m == 1:
         return  # N[C_1] = N holds no nonzero v-sum
     p, a = factorize(m).factors[-1]
     q = p**a
     r, classes = m // q, q // p
-    slots = [[(r * alpha + q * beta) % m for beta in range(r)] for alpha in range(q)]
-    by_bound: dict[tuple[int, ...], dict] = {}
-    groups = []
-    for idx in slots:
-        bound = tuple(box[j] for j in idx)
-        if bound not in by_bound:
-            by_bound[bound] = _grouped_by_value(bound, budget)
-        groups.append(by_bound[bound])
+    # per fiber: the indices j of its support, and its grouped sub-elements
+    slots, groups = [], []
+    by_shape: dict[tuple, dict] = {}
+    room = MAX_FIBER_WORDS
+    for alpha in range(q):
+        cells = [(beta, (r * alpha + q * beta) % m) for beta in range(r)]
+        cells = [(beta, j) for beta, j in cells if box[j]]
+        shape = (tuple(beta for beta, _ in cells), tuple(box[j] for _, j in cells))
+        if shape not in by_shape:
+            by_shape[shape], used = _grouped_by_value(r, *shape, budget, room)
+            room -= used
+        slots.append([j for _, j in cells])
+        groups.append(by_shape[shape])
     # per class, the (norm floor, value) pairs every fiber of it can take
     options = []
     for cls in range(classes):
         fibers = [groups[cls + i * classes] for i in range(p)]
         shared = set(fibers[0]).intersection(*fibers[1:])
         options.append(sorted((sum(f[key][0][0] for f in fibers), key) for key in shared))
+    # Depth-first over the levels class 0's value, its p fibers, class
+    # 1's value, ...; each level yields the slack it leaves, the budget
+    # left over the cheapest completion of the classes chosen so far.  An
+    # explicit stack of level generators, so q may pass the recursion limit.
+    values: list[tuple[int, ...]] = [()] * classes
     chosen: list[tuple[int, ...]] = [()] * q
 
-    def fill(cls: int, i: int, slack: int, key):
-        """Choose fiber i of the class; slack is the budget left over the
-        cheapest completion of the class."""
-        if i == p:
-            yield from next_class(cls + 1, slack)
+    def level(k: int, slack: int):
+        cls, i = divmod(k, p + 1)
+        if i == 0:
+            for floor, key in options[cls]:
+                if floor > slack:
+                    return
+                values[cls] = key
+                yield slack - floor
             return
-        alpha = cls + i * classes
-        lst = groups[alpha][key]
+        alpha = cls + (i - 1) * classes
+        lst = groups[alpha][values[cls]]
         cheapest = lst[0][0]
         for norm, coeffs in lst:
             if norm - cheapest > slack:
-                break
+                return
             chosen[alpha] = coeffs
-            yield from fill(cls, i + 1, slack - (norm - cheapest), key)
+            yield slack - (norm - cheapest)
 
-    def next_class(cls: int, left: int):
-        if cls == classes:
+    depth = classes * (p + 1)
+    stack = [level(0, budget)]
+    while stack:
+        slack = next(stack[-1], None)
+        if slack is None:
+            stack.pop()
+        elif len(stack) < depth:
+            stack.append(level(len(stack), slack))
+        else:
             coeffs = [0] * m
             for idx, fib in zip(slots, chosen):
                 for j, c in zip(idx, fib):
                     coeffs[j] = c
             if any(coeffs):
                 yield tuple(coeffs)
-            return
-        for floor, key in options[cls]:
-            if floor > left:
-                break
-            yield from fill(cls, 0, left - floor, key)
-
-    yield from next_class(0, budget)
 
 
 def _minimal_among(vsums: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -451,9 +494,11 @@ def _minimal_among(vsums: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     below: list[np.ndarray] = []
     for norm in sorted(levels):
         level, fresh = levels[norm], []
-        # in chunks, so the scratch arrays stay small next to vsums
-        for start in range(0, len(level), 1024):
-            rows = np.array(level[start : start + 1024], dtype=np.int64)
+        # in chunks of about 2^16 entries, so the scratch arrays stay
+        # small next to vsums
+        step = max(1, (1 << 16) // len(level[0]))
+        for start in range(0, len(level), step):
+            rows = np.array(level[start : start + step], dtype=np.int64)
             for c in below:
                 rows = rows[~(rows >= c).all(axis=1)]
             fresh.append(rows)
@@ -472,6 +517,4 @@ def enumerate_minimal_vsums(m: int, max_norm: int) -> list[MinimalVsum]:
         raise ValueError(f"modulus {m} outside the supported range 1..{MAX_ENUM_MODULUS}")
     if max_norm < 0 or max_norm > MAX_ENUM_NORM:
         raise ValueError(f"norm bound {max_norm} outside the supported range 0..{MAX_ENUM_NORM}")
-    found = _minimal_among(list(_vsums_under((max_norm,) * m, max_norm)))
-    elts = [CyclicRingElt(m, c) for c in found]
-    return [MinimalVsum(b, reduced_exponent(b)) for b in elts]
+    return _minimal_parts((max_norm,) * m, max_norm)

@@ -345,6 +345,23 @@ def test_oversized_fibers_refused():
     assert len(enumerate_minimal_vsums(vsum.MAX_ENUM_MODULUS, vsum.MAX_ENUM_NORM)) == 362
 
 
+@pytest.mark.parametrize(
+    "d",
+    [
+        subgroup_sum(3072, 2).shift(5),
+        subgroup_sum(3072, 16).shift(7),
+        (subgroup_sum(3072, 4) + subgroup_sum(3072, 2).shift(3)).shift(1),
+    ],
+    ids=["P_2", "P_16", "in_C_1024"],
+)
+def test_wide_moduli_match_coset_listing(d):
+    # m = 3 * 2^10 with small supports: the walk runs in the smallest
+    # subgroup coset holding the support, of order 2, 16 and 1024
+    check_against(coset_parts, d)
+    assert is_minimal_vsum(d) == (d.norm == 2)
+    assert [p for p, _ in structure_decompose(d)] == [2]
+
+
 def test_coset_listing_wide_case():
     k, decomp = c_exponent(full_sum(12).scale(2), max_norm=32)
     assert k == 2
