@@ -51,8 +51,8 @@ from .ring import (
 )
 
 # enumerate_minimal_vsums guards.  At the (60, 8) corner the census
-# finds 362 minimal v-sums among 65147 v-sums in about 1.8 s, with a
-# 98 MB peak RSS (Python 3.11, one core of a 2-core Xeon).
+# finds 362 minimal v-sums among 65147 v-sums in about 1.5 s, with a
+# 93 MB peak RSS (Python 3.11, one core of a 2-core Xeon).
 MAX_ENUM_MODULUS = 60
 MAX_ENUM_NORM = 8
 
