@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import gcd
 
-from .gbf import AutocorrTable
 from .ring import factorize, is_prime
-from .vsum import c_exponent
+# re-exported: perfbench/spans.py traces c_exponent under this name too
+from .vsum import c_exponent  # noqa: F401
 
 CRITERION_IDS = frozenset(
     {
@@ -231,22 +230,3 @@ def _decide_twice_odd(m: int, n: int, trace: list[CriterionStep]) -> Verdict:
             return Verdict(m, n, NONEXISTENT, tuple(trace))
     return Verdict(m, n, UNKNOWN, tuple(trace), residual=(2 * reduced_half, n))
 
-
-def i_set_reduction(table: AutocorrTable, max_norm: int = 16) -> tuple[list[int], int]:
-    """Diagnostic on a bent function's autocorrelation: primes of m that
-    divide no c-exponent of any E_x (x != 0), and the modulus left after
-    removing them.  Requires every off-origin E_x to be a v-sum, i.e. a
-    bent input."""
-    fn = table.fn
-    exps = []
-    for x in range(1, 1 << fn.n):
-        k, _ = c_exponent(table[x], max_norm=max_norm)
-        exps.append(k)
-    removable = []
-    reduced = fn.m
-    for p in factorize(fn.m).primes:
-        if all(k % p for k in exps):
-            removable.append(p)
-            while reduced % p == 0:
-                reduced //= p
-    return removable, reduced

@@ -65,14 +65,7 @@ def factorize(m: int) -> "PrimeFactorization":
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    q = 2
-    while q * q <= p:
-        if p % q == 0:
-            return False
-        q += 1 if q == 2 else 2
-    return True
+    return p >= 2 and factorize(p).factors == ((p, 1),)
 
 
 @dataclass(frozen=True)
@@ -92,10 +85,6 @@ class PrimeFactorization:
     @property
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
-
-    @property
-    def num_primes(self) -> int:
-        return len(self.factors)
 
     @property
     def radical(self) -> int:
@@ -280,11 +269,6 @@ class CyclicRingElt:
     def norm(self) -> int:
         """Sum of absolute values of coefficients."""
         return sum(abs(c) for c in self.coeffs)
-
-    @property
-    def mass(self) -> int:
-        """Plain coefficient sum (the image under the trivial character)."""
-        return sum(self.coeffs)
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.coeffs) if c != 0)

@@ -20,10 +20,12 @@ times the default budget 15^7.  Below it no such prune ever acted, and
 above it one could only skip subtrees without a witness, so there is
 none; progress events keep "pruned": 0.
 
-The catalog half enumerates every element of N[C_30] satisfying the
-five arithmetic constraints an autocorrelation coefficient of a bent
+The catalog half lists every element of N[C_30] satisfying the five
+arithmetic constraints an autocorrelation coefficient of a bent
 function must satisfy at n = 3, and classifies each against the known
-shape catalog.
+shape catalog.  The candidates are the v-sums of norm 8 that the one
+exact enumerator, vsum._vsums_under, yields, filtered by the other four
+constraints; no per-candidate zero-test is needed.
 """
 
 from __future__ import annotations
@@ -34,11 +36,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, lru_cache
 from itertools import product
-from math import gcd
 
 import numpy as np
 
-from .gbf import AutocorrTable, GbfFunction, is_gbf_exact
+from .gbf import GbfFunction, is_gbf_exact
 from .ring import (
     CharacterSpec,
     CyclicRingElt,
@@ -46,6 +47,7 @@ from .ring import (
     punctured_subgroup_sum,
     subgroup_sum,
 )
+from .vsum import _vsums_under
 
 DEFAULT_BUDGET = 15**7
 
@@ -282,37 +284,29 @@ def match_n3_form(elt: CyclicRingElt) -> FormTag | None:
     return None
 
 
+def _n3_candidate(c: tuple[int, ...]) -> bool:
+    """The constraints on a v-sum c, beyond norm at most 8, that a
+    dimension-3 autocorrelation coefficient must meet: norm exactly 8,
+    invariance under inversion, even g^0-coefficient, and alternating
+    projection divisible by 4."""
+    return (
+        sum(c) == 8
+        and c[1:] == c[:0:-1]
+        and c[0] % 2 == 0
+        and (sum(c[0::2]) - sum(c[1::2])) % 4 == 0
+    )
+
+
 def enumerate_autocorr_candidates():
     """Every D in N[C_30] with norm exactly 8 that passes the five
     arithmetic constraints a dimension-3 autocorrelation coefficient
     must satisfy: invariance under inversion, even g^0-coefficient,
     order-30 character vanishing, and alternating projection divisible
-    by 4.  Yields in depth-first order over inversion orbits."""
-    m, target = 30, 8
-    orbits = [(0,), (m // 2,)] + [(i, m - i) for i in range(1, m // 2)]
-    coeffs = [0] * m
-
-    def assign(idx: int, left: int):
-        if idx == len(orbits):
-            if left:
-                return
-            cand = CyclicRingElt(m, tuple(coeffs))
-            if not character_value_is_zero(cand, CharacterSpec(m, m)):
-                return
-            if cand.psi_projection() % 4 != 0:
-                return
-            yield cand
-            return
-        orbit = orbits[idx]
-        step = 2 if idx == 0 else 1  # g^0 coefficient stays even
-        for mult in range(0, left // len(orbit) + 1, step):
-            for i in orbit:
-                coeffs[i] = mult
-            yield from assign(idx + 1, left - mult * len(orbit))
-        for i in orbit:
-            coeffs[i] = 0
-
-    yield from assign(0, target)
+    by 4.  The v-sums under the box (8,) * 30 that pass _n3_candidate,
+    in the enumerator's order."""
+    for c in _vsums_under((8,) * 30, 8):
+        if _n3_candidate(c):
+            yield CyclicRingElt(30, c)
 
 
 def n3_catalog_check() -> dict:
@@ -352,18 +346,3 @@ def n3_catalog_check() -> dict:
         "form7_psi": seven_psi,
     }
 
-
-def mixed_order_support(table: AutocorrTable, p: int, q: int) -> bool:
-    """True when some off-origin autocorrelation coefficient has a
-    support element whose order is divisible by p*q.  For a bent
-    function whose values generate the full cyclic group this holds for
-    every pair of distinct primes dividing m."""
-    m = table.fn.m
-    if p == q or m % p or m % q:
-        raise ValueError(f"need distinct primes dividing {m}, got {p}, {q}")
-    pq = p * q
-    for x in range(1, 1 << table.fn.n):
-        for i in table[x].support():
-            if (m // gcd(i, m)) % pq == 0:
-                return True
-    return False

@@ -15,9 +15,10 @@ what the nonexistence criteria consume:
 - structure_decompose(D): integer elements E_p with D = sum_p P_p E_p,
   p running over the primes of the c-exponent.
 
-All three jobs that need sub-sums (the minimal parts under D that
-c_exponent covers D with, the minimality test, and the census of minimal
-v-sums up to a norm bound) run on one exact enumerator, _vsums_under: it
+All four jobs that need sub-sums (the minimal parts under D that
+c_exponent covers D with, the minimality test, the census of minimal
+v-sums up to a norm bound, and the candidates of the n = 3 catalog in
+gbfkit.search) run on one exact enumerator, _vsums_under: it
 yields every nonzero v-sum below a box of coefficient bounds and within
 a norm budget, exactly once.  It first moves to the smallest subgroup
 coset that holds the support of the box, then works fiberwise over a
@@ -221,29 +222,32 @@ def c_exponent(elt: CyclicRingElt, max_norm: int = 16) -> tuple[int, MinimalDeco
 def _exact_cover(
     total: tuple[int, ...], parts: list[MinimalVsum]
 ) -> list[MinimalVsum] | None:
-    """First non-decreasing multiset of parts summing to total, or None."""
+    """First non-decreasing multiset of parts summing to total, or None.
+
+    Depth-first with an explicit stack of [residual, start, next index]
+    frames, so covers of many parts do not reach the recursion limit;
+    frame k + 1 was entered through part next index - 1 of frame k.  A
+    (residual, start) pair found to have no cover is remembered in dead.
+    """
     vecs = [p.elt.coeffs for p in parts]
     dead: set[tuple[tuple[int, ...], int]] = set()
-
-    def walk(residual: tuple[int, ...], start: int) -> list[int] | None:
+    stack = [[total, 0, 0]]
+    while stack:
+        frame = stack[-1]
+        residual, start, idx = frame
         if not any(residual):
-            return []
-        key = (residual, start)
-        if key in dead:
-            return None
-        for idx in range(start, len(vecs)):
-            v = vecs[idx]
-            if all(x <= r for x, r in zip(v, residual)):
-                rest = walk(tuple(r - x for r, x in zip(residual, v)), idx)
-                if rest is not None:
-                    return [idx] + rest
-        dead.add(key)
-        return None
-
-    picked = walk(total, 0)
-    if picked is None:
-        return None
-    return [parts[i] for i in picked]
+            return [parts[f[2] - 1] for f in stack[:-1]]
+        while idx < len(vecs) and not all(x <= r for x, r in zip(vecs[idx], residual)):
+            idx += 1
+        if idx == len(vecs):
+            dead.add((residual, start))
+            stack.pop()
+            continue
+        frame[2] = idx + 1
+        rest = tuple(r - x for r, x in zip(residual, vecs[idx]))
+        if (rest, idx) not in dead:
+            stack.append([rest, idx, idx])
+    return None
 
 
 # ---------------------------------------------------------------------------

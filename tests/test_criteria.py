@@ -14,11 +14,9 @@ from gbfkit.criteria import (
     CriterionStep,
     Verdict,
     decide,
-    i_set_reduction,
     is_mersenne_for,
     strip_primes,
 )
-from gbfkit.gbf import GbfFunction, compute_autocorr
 
 
 def ids(verdict: Verdict) -> list[str]:
@@ -209,18 +207,3 @@ def test_small_dimensions_settle(m):
         else:
             assert v.outcome == NONEXISTENT
 
-
-# -- autocorrelation diagnostic ---------------------------------------------
-
-
-def test_i_set_reduction():
-    # values {0, 3} in Z_12 only ever use the order-4 part
-    fn = GbfFunction.from_values(1, 12, [0, 3])
-    removable, reduced = i_set_reduction(compute_autocorr(fn))
-    assert removable == [3]
-    assert reduced == 4
-
-    fn = GbfFunction.from_values(1, 4, [0, 1])
-    removable, reduced = i_set_reduction(compute_autocorr(fn))
-    assert removable == []
-    assert reduced == 4

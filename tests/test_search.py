@@ -4,8 +4,8 @@ from itertools import product
 
 import pytest
 
-from gbfkit import search
-from gbfkit.gbf import GbfFunction, compute_autocorr, is_gbf_exact
+from gbfkit import search, vsum
+from gbfkit.gbf import GbfFunction, is_gbf_exact
 from gbfkit.ring import CharacterSpec, CyclicRingElt, character_value_is_zero, subgroup_sum
 from gbfkit.search import (
     BudgetExceededError,
@@ -14,7 +14,6 @@ from gbfkit.search import (
     brute_force,
     enumerate_autocorr_candidates,
     match_n3_form,
-    mixed_order_support,
     n3_catalog_check,
 )
 
@@ -195,6 +194,19 @@ def test_enumeration_constraints():
     assert odd_id.coeffs not in coeff_set
 
 
+def test_form7_shapes_are_the_c42_candidates():
+    # the catalog counts Form7 from the reference shapes; here the same
+    # constraints, filtered over the v-sums of C_42, find exactly them
+    cands = [
+        CyclicRingElt(42, c) for c in vsum._vsums_under((8,) * 42, 8) if search._n3_candidate(c)
+    ]
+    assert len(cands) == 68
+    tags = [match_n3_form(c) for c in cands]
+    assert None not in tags
+    assert tags.count(FormTag.FORM_A) == 66
+    assert {c.coeffs for c, t in zip(cands, tags) if t is FormTag.FORM_7} == search._form_7_refs()
+
+
 def test_catalog_report():
     report = n3_catalog_check()
     assert report["candidates"] == 42
@@ -203,18 +215,3 @@ def test_catalog_report():
     assert report["form7_vanish_order_42"] is True
     assert report["form7_psi"] == [4, -4]
 
-
-# -- support-order diagnostic -------------------------------------------------
-
-
-def test_mixed_order_support():
-    table = compute_autocorr(GbfFunction.from_values(2, 15, [0, 0, 0, 1]))
-    assert mixed_order_support(table, 3, 5)
-
-    table = compute_autocorr(GbfFunction.from_values(2, 15, [0, 0, 0, 5]))
-    assert not mixed_order_support(table, 3, 5)
-
-    with pytest.raises(ValueError):
-        mixed_order_support(table, 3, 3)
-    with pytest.raises(ValueError):
-        mixed_order_support(table, 3, 7)

@@ -203,6 +203,15 @@ def test_c_exponent_errors():
         c_exponent(full_sum(30), max_norm=16)
 
 
+def test_c_exponent_cover_of_many_parts():
+    # 1000 copies of P_2: the cover search keeps one frame per part
+    # without recursing, so this passes the recursion limit
+    k, decomp = c_exponent(CyclicRingElt(2, (1000, 1000)), max_norm=2000)
+    assert k == 2
+    assert len(decomp.parts) == 1000
+    assert decomp.total() == CyclicRingElt(2, (1000, 1000))
+
+
 def test_c_exponent_deterministic_and_json_roundtrip():
     k1, d1 = c_exponent(full_sum(10))
     k2, d2 = c_exponent(full_sum(10))
