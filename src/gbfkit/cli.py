@@ -248,6 +248,8 @@ def _cmd_catalog(args) -> int:
         print(f"candidates: {report['candidates']}")
         for tag, count in sorted(report["counts"].items()):
             print(f"  {tag}: {count}")
+        rejected = ", ".join(f"{name} {count}" for name, count in report["rejected"].items())
+        print(f"rejected: {rejected}")
         print(f"mismatches: {len(report['mismatches'])}")
         for blob in report["mismatches"]:
             print(f"  {json.dumps(blob, sort_keys=True)}")

@@ -11,6 +11,14 @@ witness can never be screened out; every survivor is confirmed exactly
 before it is reported.  Exhaustion examines every assignment
 (examined == normalized_space) and certifies nonexistence.
 
+The character at y = 0 is trivial, so a tail's contribution there,
+sum_j zeta^{d_j}, is one exact number for every permutation of its
+digits.  The y = 0 screen therefore runs once per digit multiset of the
+tail (3060 multisets for 50625 tails at (15, 3)), and only the members
+of the passing multisets go on, in lexicographic order, to the screens
+at y != 0.  A witness has |F(0)|^2 = 2^n exactly, so its multiset always
+passes.
+
 A magnitude prune of a mid position pos could act only when
 2(pos + 1) > 2^{n/2} + 2^n with pos < 2^n - tail.  Under the default
 _TAIL_CELLS = 2^19 that needs n = 3 with m >= 41 (tail <= 2), n = 4
@@ -36,6 +44,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, lru_cache
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +58,8 @@ from .ring import (
 )
 from .vsum import _vsums_under
 
+# brute_force(15, 3) exhausts this budget at about 7.9e8 assignments/s on
+# one core of a 2-core Xeon VM (0.22 s, tail-table build included)
 DEFAULT_BUDGET = 15**7
 
 # numeric screen: float error on |F(y)|^2 stays below ~1e-12 for the
@@ -107,28 +118,75 @@ def _char_table(n: int) -> np.ndarray:
     return table
 
 
+class _TailTables(NamedTuple):
+    """Every assignment of the last tail positions, in lexicographic
+    order, and the same assignments grouped by digit multiset.
+
+    digits[i] is the i-th assignment and columns[y][i] its contribution
+    to the spectrum at y.  members lists the indices group by group,
+    ascending within a group; group g owns members[starts[g]:starts[g] +
+    counts[g]], and values[g] is its shared contribution at y = 0."""
+
+    digits: np.ndarray
+    columns: np.ndarray
+    values: np.ndarray
+    members: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+
+
 @lru_cache(maxsize=8)
-def _tail_tables(m: int, n: int, tail: int) -> tuple[np.ndarray, np.ndarray]:
-    """(digits, columns) for all m^tail assignments of the last tail
-    positions: digits[i] is the i-th assignment in lexicographic order
-    and columns[y][i] its contribution to the spectrum at y."""
+def _tail_tables(m: int, n: int, tail: int) -> _TailTables:
+    """The tail tables for all m^tail assignments of the last tail
+    positions.  chi[x, 0] = 1, so an assignment's y = 0 contribution
+    sum_j zeta^{d_j} is one exact number across all permutations of its
+    digits; the groups are keyed by the sorted digits read in base m."""
     size = 1 << n
     if tail == 0:
-        return np.zeros((1, 0), dtype=np.int16), np.zeros((size, 1), dtype=np.complex128)
-    chi = _char_table(n)
-    zeta = np.exp(2j * np.pi * np.arange(m) / m)
-    digits = np.indices((m,) * tail).reshape(tail, -1).T.astype(np.int16)
-    total = np.zeros((digits.shape[0], size), dtype=np.complex128)
-    for j in range(tail):
-        total += zeta[digits[:, j].astype(np.int64)][:, None] * chi[size - tail + j][None, :]
-    return digits, np.ascontiguousarray(total.T)
+        digits = np.zeros((1, 0), dtype=np.int16)
+        columns = np.zeros((size, 1), dtype=np.complex128)
+    else:
+        chi = _char_table(n)
+        zeta = np.exp(2j * np.pi * np.arange(m) / m)
+        digits = np.indices((m,) * tail).reshape(tail, -1).T.astype(np.int16)
+        total = np.zeros((digits.shape[0], size), dtype=np.complex128)
+        for j in range(tail):
+            total += zeta[digits[:, j].astype(np.int64)][:, None] * chi[size - tail + j][None, :]
+        columns = np.ascontiguousarray(total.T)
+        del total  # so that the grouping below stays under the build's peak
+    key = np.sort(digits, axis=1).astype(np.int64) @ (m ** np.arange(tail, dtype=np.int64))
+    members = np.argsort(key, kind="stable").astype(np.int32)
+    counts = np.unique(key, return_counts=True)[1]
+    starts = np.cumsum(counts) - counts
+    return _TailTables(digits, columns, columns[0][members[starts]], members, starts, counts)
 
 
-def _run_prefix(m: int, n: int, prefix: tuple[int, ...]) -> tuple[tuple[int, ...] | None, int]:
+def _group_members(tables: _TailTables, groups: np.ndarray) -> np.ndarray:
+    """The members of the given groups, in ascending index order."""
+    counts = tables.counts[groups]
+    # the k-th expanded slot of group g maps to members[starts[g] + k]
+    offsets = np.cumsum(counts) - counts
+    slots = np.repeat(tables.starts[groups] - offsets, counts) + np.arange(counts.sum())
+    return np.sort(tables.members[slots])
+
+
+def _run_prefix(
+    m: int, n: int, prefix: tuple[int, ...]
+) -> tuple[tuple[int, ...] | None, int, int]:
     """Search every completion of (0, *prefix, mid..., tail...), walking
     the mid assignments in lexicographic order and screening each one's
-    tail as one batch.  Returns the lexicographically least witness of
-    this block (or None) and the count of completions examined."""
+    tail as one batch.
+
+    The y = 0 screen runs once per digit multiset of the tail, since all
+    permutations of a multiset share one exact y = 0 value: a witness has
+    |F(0)|^2 = 2^n exactly, so its group passes, and the few ulps between
+    members' float values are far below the tolerance.  The members of
+    the passing groups, in ascending index order, go through the screens
+    at y = 1 .. 2^n - 1, and the survivors through the exact test.
+
+    Returns the lexicographically least witness of this block (or None),
+    the count of completions examined and the count of screen survivors
+    sent to the exact test."""
     size = 1 << n
     chi = _char_table(n)
     zeta = np.exp(2j * np.pi * np.arange(m) / m)
@@ -136,30 +194,35 @@ def _run_prefix(m: int, n: int, prefix: tuple[int, ...]) -> tuple[tuple[int, ...
     tail = 0
     while tail < free and (m ** (tail + 1)) * size <= _TAIL_CELLS:
         tail += 1
-    digits, columns = _tail_tables(m, n, tail)
+    tables = _tail_tables(m, n, tail)
+    digits, columns = tables.digits, tables.columns
 
     spectrum = chi[0].astype(np.complex128)
     for j, v in enumerate(prefix):
         spectrum = spectrum + zeta[v] * chi[j + 1]
 
-    examined = 0
+    examined = survivors = 0
     for mid in product(range(m), repeat=free - tail):
         spec = spectrum
         for pos, v in enumerate(mid, start=len(prefix) + 1):
             spec = spec + zeta[v] * chi[pos]
         examined += digits.shape[0]
-        z = spec[0] + columns[0]
-        sel = np.flatnonzero(np.abs(z.real * z.real + z.imag * z.imag - size) <= _TOL)
+        z = spec[0] + tables.values
+        groups = np.flatnonzero(np.abs(z.real * z.real + z.imag * z.imag - size) <= _TOL)
+        if groups.size == 0:
+            continue
+        sel = _group_members(tables, groups)
         for y in range(1, size):
             if sel.size == 0:
                 break
             z = spec[y] + columns[y][sel]
             sel = sel[np.abs(z.real * z.real + z.imag * z.imag - size) <= _TOL]
         for i in sel:
+            survivors += 1
             values = (0, *prefix, *mid, *(int(d) for d in digits[i]))
             if is_gbf_exact(GbfFunction(n, m, values)):
-                return values, examined
-    return None, examined
+                return values, examined, survivors
+    return None, examined, survivors
 
 
 def brute_force(
@@ -197,11 +260,13 @@ def brute_force(
 
     def consume(prefix, result):
         nonlocal witness_values, examined
-        values, ex = result
+        values, ex, survivors = result
         examined += ex
         if progress is not None:
             # "pruned" stays in the event so that existing readers keep working
-            progress({"prefix": list(prefix), "examined": ex, "pruned": 0})
+            progress(
+                {"prefix": list(prefix), "examined": ex, "pruned": 0, "survivors": survivors}
+            )
         if values is not None:
             witness_values = values
         return values is not None
@@ -284,17 +349,24 @@ def match_n3_form(elt: CyclicRingElt) -> FormTag | None:
     return None
 
 
-def _n3_candidate(c: tuple[int, ...]) -> bool:
-    """The constraints on a v-sum c, beyond norm at most 8, that a
-    dimension-3 autocorrelation coefficient must meet: norm exactly 8,
-    invariance under inversion, even g^0-coefficient, and alternating
-    projection divisible by 4."""
-    return (
-        sum(c) == 8
-        and c[1:] == c[:0:-1]
-        and c[0] % 2 == 0
-        and (sum(c[0::2]) - sum(c[1::2])) % 4 == 0
-    )
+# the constraints _n3_rejection checks, in its order
+_N3_CONSTRAINTS = ("norm", "inversion", "even_identity", "alternating_projection")
+
+
+def _n3_rejection(c: tuple[int, ...]) -> str | None:
+    """The first constraint, beyond norm at most 8, that the v-sum c
+    fails as a dimension-3 autocorrelation coefficient, or None: norm
+    exactly 8, invariance under inversion, even g^0-coefficient, and
+    alternating projection divisible by 4."""
+    if sum(c) != 8:
+        return "norm"
+    if c[1:] != c[:0:-1]:
+        return "inversion"
+    if c[0] % 2:
+        return "even_identity"
+    if (sum(c[0::2]) - sum(c[1::2])) % 4:
+        return "alternating_projection"
+    return None
 
 
 def enumerate_autocorr_candidates():
@@ -302,22 +374,30 @@ def enumerate_autocorr_candidates():
     arithmetic constraints a dimension-3 autocorrelation coefficient
     must satisfy: invariance under inversion, even g^0-coefficient,
     order-30 character vanishing, and alternating projection divisible
-    by 4.  The v-sums under the box (8,) * 30 that pass _n3_candidate,
+    by 4.  The v-sums under the box (8,) * 30 that _n3_rejection passes,
     in the enumerator's order."""
     for c in _vsums_under((8,) * 30, 8):
-        if _n3_candidate(c):
+        if _n3_rejection(c) is None:
             yield CyclicRingElt(30, c)
 
 
 def n3_catalog_check() -> dict:
     """Run the catalog experiment: classify every enumerated candidate,
     then validate the two order-42 punctured shapes separately.  Any
-    candidate matching no form lands in "mismatches" verbatim."""
+    candidate matching no form lands in "mismatches" verbatim; every
+    other v-sum is counted in "rejected" under the first constraint it
+    fails."""
     counts = {tag.value: 0 for tag in FormTag}
+    rejected = dict.fromkeys(_N3_CONSTRAINTS, 0)
     mismatches = []
     total = 0
-    for cand in enumerate_autocorr_candidates():
+    for c in _vsums_under((8,) * 30, 8):
+        failed = _n3_rejection(c)
+        if failed is not None:
+            rejected[failed] += 1
+            continue
         total += 1
+        cand = CyclicRingElt(30, c)
         tag = match_n3_form(cand)
         if tag is None:
             mismatches.append(cand)
@@ -340,6 +420,7 @@ def n3_catalog_check() -> dict:
         "modulus": 30,
         "norm": 8,
         "candidates": total,
+        "rejected": rejected,
         "counts": counts,
         "mismatches": [e.to_json() for e in mismatches],
         "form7_vanish_order_42": seven_ok,

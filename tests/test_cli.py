@@ -193,7 +193,7 @@ def test_search_progress_events(capsys):
     err = capsys.readouterr().err
     events = [json.loads(line) for line in err.strip().splitlines()]
     assert len(events) == 9
-    assert all(set(e) == {"prefix", "examined", "pruned"} for e in events)
+    assert all(set(e) == {"prefix", "examined", "pruned", "survivors"} for e in events)
 
 
 def test_search_json_certificate(capsys):
@@ -236,6 +236,7 @@ def test_catalog_cli(capsys):
     assert main(["catalog"]) == 0
     out = capsys.readouterr().out
     assert "FormA: 36" in out and "mismatches: 0" in out
+    assert "rejected: norm 2411, inversion 4300, even_identity 8, alternating_projection 0" in out
 
     assert main(["catalog", "--json"]) == 0
     record = json.loads(capsys.readouterr().out)

@@ -1,7 +1,9 @@
 """Tests for the exhaustive search and the dimension-3 catalog."""
 
 from itertools import product
+from math import comb
 
+import numpy as np
 import pytest
 
 from gbfkit import search, vsum
@@ -112,13 +114,108 @@ def test_workers_match_serial():
     assert w.witness.values == (0, 0, 0, 2, 1, 1, 1, 3)
 
 
+def _per_tail_run_prefix(m, n, prefix):
+    # the block search as it was before the multiset screen: y = 0 is
+    # screened once per tail assignment, not once per digit multiset
+    size = 1 << n
+    chi = search._char_table(n)
+    zeta = np.exp(2j * np.pi * np.arange(m) / m)
+    free = size - 1 - len(prefix)
+    tail = 0
+    while tail < free and (m ** (tail + 1)) * size <= search._TAIL_CELLS:
+        tail += 1
+    tables = search._tail_tables(m, n, tail)
+    digits, columns = tables.digits, tables.columns
+
+    spectrum = chi[0].astype(np.complex128)
+    for j, v in enumerate(prefix):
+        spectrum = spectrum + zeta[v] * chi[j + 1]
+
+    examined = 0
+    for mid in product(range(m), repeat=free - tail):
+        spec = spectrum
+        for pos, v in enumerate(mid, start=len(prefix) + 1):
+            spec = spec + zeta[v] * chi[pos]
+        examined += digits.shape[0]
+        z = spec[0] + columns[0]
+        sel = np.flatnonzero(np.abs(z.real * z.real + z.imag * z.imag - size) <= search._TOL)
+        for y in range(1, size):
+            if sel.size == 0:
+                break
+            z = spec[y] + columns[y][sel]
+            sel = sel[np.abs(z.real * z.real + z.imag * z.imag - size) <= search._TOL]
+        for i in sel:
+            values = (0, *prefix, *mid, *(int(d) for d in digits[i]))
+            if search.is_gbf_exact(GbfFunction(n, m, values)):
+                return values, examined
+    return None, examined
+
+
+def test_multiset_screen_matches_per_tail_screen(monkeypatch):
+    # (m, n, tail ceiling): None keeps the default _TAIL_CELLS, k caps the
+    # tail at k positions, so k = 0 walks every position as a mid level
+    cases = [(m, n, None) for m, n in [(4, 3), (6, 3), (8, 3), (3, 4), (3, 2), (2, 1)]]
+    cases += [(4, 3, 0), (3, 2, 0), (2, 1, 0), (5, 2, 0), (6, 3, 2), (3, 4, 7)]
+    confirmed = []
+    sent_total = 0
+    exact = search.is_gbf_exact
+
+    def recording(fn):
+        confirmed.append(fn.values)
+        return exact(fn)
+
+    monkeypatch.setattr(search, "is_gbf_exact", recording)
+    for m, n, k in cases:
+        size = 1 << n
+        cells = search._TAIL_CELLS if k is None else m**k * size
+        prefixes = product(range(m), repeat=min(2, size - 1))
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_TAIL_CELLS", cells)
+            for prefix in prefixes:
+                del confirmed[:]
+                values, examined, survivors = search._run_prefix(m, n, prefix)
+                sent = list(confirmed)
+                del confirmed[:]
+                assert (values, examined) == _per_tail_run_prefix(m, n, prefix), (m, n, k, prefix)
+                # the same survivors reach the exact test, in the same order
+                assert sent == confirmed and survivors == len(sent), (m, n, k, prefix)
+                sent_total += len(sent)
+    assert sent_total > 0
+
+
+def test_tail_groups_are_digit_multisets():
+    for m, n in [(4, 3), (6, 3), (8, 3), (3, 4), (3, 2), (2, 1), (5, 2)]:
+        free = (1 << n) - 1 - min(2, (1 << n) - 1)
+        for tail in range(free + 1):
+            if m**tail << n > search._TAIL_CELLS:
+                break
+            t = search._tail_tables(m, n, tail)
+            # the groups partition range(m^tail) into contiguous runs of members
+            assert np.array_equal(np.sort(t.members), np.arange(m**tail)), (m, n, tail)
+            assert (t.counts > 0).all() and t.starts.tolist() == [0, *np.cumsum(t.counts)[:-1]]
+            # one group per digit multiset
+            assert len(t.counts) == comb(m + tail - 1, tail), (m, n, tail)
+            multisets = np.sort(t.digits, axis=1)[t.members]
+            group = np.repeat(np.arange(len(t.counts)), t.counts)
+            assert (multisets == multisets[t.starts][group]).all(), (m, n, tail)
+            # every member's y = 0 contribution is its group's value
+            gap = np.abs(t.columns[0][t.members] - t.values[group])
+            assert gap.max() <= 1e-12, (m, n, tail)
+
+
 def test_progress_events():
     events = []
     out = brute_force(3, 2, progress=events.append)
     assert len(events) == 9
-    assert all(set(e) == {"prefix", "examined", "pruned"} for e in events)
+    assert all(set(e) == {"prefix", "examined", "pruned", "survivors"} for e in events)
     assert all(e["pruned"] == 0 for e in events)
     assert sum(e["examined"] for e in events) == out.examined == 27
+    assert sum(e["survivors"] for e in events) == 0
+
+    # (4, 3): the witness of block (0, 0) is the only screen survivor there
+    events = []
+    brute_force(4, 3, progress=events.append)
+    assert [(e["prefix"], e["survivors"]) for e in events] == [([0, 0], 1)]
 
 
 def test_certificate():
@@ -197,10 +294,21 @@ def test_enumeration_constraints():
 def test_form7_shapes_are_the_c42_candidates():
     # the catalog counts Form7 from the reference shapes; here the same
     # constraints, filtered over the v-sums of C_42, find exactly them
-    cands = [
-        CyclicRingElt(42, c) for c in vsum._vsums_under((8,) * 42, 8) if search._n3_candidate(c)
-    ]
+    cands = []
+    rejected = dict.fromkeys(search._N3_CONSTRAINTS, 0)
+    for c in vsum._vsums_under((8,) * 42, 8):
+        failed = search._n3_rejection(c)
+        if failed is None:
+            cands.append(CyclicRingElt(42, c))
+        else:
+            rejected[failed] += 1
     assert len(cands) == 68
+    assert rejected == {
+        "norm": 5669,
+        "inversion": 12650,
+        "even_identity": 8,
+        "alternating_projection": 0,
+    }
     tags = [match_n3_form(c) for c in cands]
     assert None not in tags
     assert tags.count(FormTag.FORM_A) == 66
@@ -210,6 +318,17 @@ def test_form7_shapes_are_the_c42_candidates():
 def test_catalog_report():
     report = n3_catalog_check()
     assert report["candidates"] == 42
+    # every other v-sum of norm at most 8 under its first failed constraint;
+    # the alternating projection rejects none that the others keep
+    assert list(report["rejected"].items()) == [
+        ("norm", 2411),
+        ("inversion", 4300),
+        ("even_identity", 8),
+        ("alternating_projection", 0),
+    ]
+    assert report["candidates"] + sum(report["rejected"].values()) == sum(
+        1 for _ in vsum._vsums_under((8,) * 30, 8)
+    )
     assert report["counts"] == {"FormA": 36, "FormB": 2, "FormC": 4, "Form7": 2}
     assert report["mismatches"] == []
     assert report["form7_vanish_order_42"] is True
