@@ -19,31 +19,25 @@ of the passing multisets go on, in lexicographic order, to the screens
 at y != 0.  A witness has |F(0)|^2 = 2^n exactly, so its multiset always
 passes.
 
-A magnitude prune of a mid position pos could act only when
-2(pos + 1) > 2^{n/2} + 2^n with pos < 2^n - tail.  Under the default
-_TAIL_CELLS = 2^19 that needs n = 3 with m >= 41 (tail <= 2), n = 4
-with m >= 6 (tail <= 5), n = 2 with m > 2^17, or n >= 5 with a space of
-at least 3^31.  The smallest such space, 41^7 ~ 1.9e11, is over 1000
-times the default budget 15^7.  Below it no such prune ever acted, and
-above it one could only skip subtrees without a witness, so there is
-none; progress events keep "pruned": 0.
-
 The catalog half lists every element of N[C_30] satisfying the five
 arithmetic constraints an autocorrelation coefficient of a bent
 function must satisfy at n = 3, and classifies each against the known
 shape catalog.  The candidates are the v-sums of norm 8 that the one
-exact enumerator, vsum._vsums_under, yields, filtered by the other four
-constraints; no per-candidate zero-test is needed.
+exact enumerator, vsum._vsums_under, yields, filtered by inversion
+invariance and an even g^0-coefficient; no per-candidate zero-test is
+needed, and the alternating projection follows from the others.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from itertools import product
+from math import ceil
 from typing import NamedTuple
 
 import numpy as np
@@ -236,11 +230,13 @@ def brute_force(
     """Exhaustive search of the normalized space for an (m, n) witness.
 
     The space m^(2^n - 1) is rejected up front when it exceeds budget.
-    Work splits into blocks by the first one or two free values; blocks
-    run in order (or on worker processes) and the first block reporting
-    a witness wins, which makes the returned witness the overall
-    lexicographic minimum.  progress, when given, receives one event
-    dict per finished block.
+    Work splits into blocks by the first one or two free values.  One
+    loop takes the block results in order, computed in process or, for
+    workers > 1, on at most that many worker processes (no more than
+    the blocks or the CPUs), a few chunks of blocks per worker.  The
+    first block reporting a witness wins, which makes the returned
+    witness the overall lexicographic minimum.  progress, when given,
+    receives one event dict per finished block.
     """
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got ({m}, {n})")
@@ -255,40 +251,34 @@ def brute_force(
     if depth == 2:
         prefixes = [(v, w) for v in range(m) for w in range(m)]
 
-    witness_values = None
-    examined = 0
-
-    def consume(prefix, result):
-        nonlocal witness_values, examined
-        values, ex, survivors = result
-        examined += ex
-        if progress is not None:
-            # "pruned" stays in the event so that existing readers keep working
-            progress(
-                {"prefix": list(prefix), "examined": ex, "pruned": 0, "survivors": survivors}
-            )
-        if values is not None:
-            witness_values = values
-        return values is not None
-
-    if workers <= 1:
-        for prefix in prefixes:
-            if consume(prefix, _run_prefix(m, n, prefix)):
-                break
-    else:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            futures = [pool.submit(_run_prefix, m, n, prefix) for prefix in prefixes]
-            for prefix, fut in zip(prefixes, futures):
-                if consume(prefix, fut.result()):
-                    break
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-
+    # fork starts every worker on the first submit, so ask for no more
+    # than there are blocks and CPUs
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, len(prefixes), cpus or 1)
+    run = partial(_run_prefix, m, n)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     witness = None
-    if witness_values is not None:
-        witness = GbfFunction(n, m, witness_values)
-        assert is_gbf_exact(witness)
+    examined = 0
+    try:
+        if pool is None:
+            results = map(run, prefixes)
+        else:
+            # a few chunks per worker: per-block futures cost more than a block
+            results = pool.map(run, prefixes, chunksize=ceil(len(prefixes) / (4 * workers)))
+        for prefix, (values, ex, survivors) in zip(prefixes, results):
+            examined += ex
+            if progress is not None:
+                # "pruned" stays in the event so that existing readers keep working
+                progress(
+                    {"prefix": list(prefix), "examined": ex, "pruned": 0, "survivors": survivors}
+                )
+            if values is not None:
+                witness = GbfFunction(n, m, values)
+                assert is_gbf_exact(witness)
+                break
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
     return SearchOutcome(m, n, witness, examined, time.perf_counter() - start)
 
 
@@ -350,22 +340,28 @@ def match_n3_form(elt: CyclicRingElt) -> FormTag | None:
 
 
 # the constraints _n3_rejection checks, in its order
-_N3_CONSTRAINTS = ("norm", "inversion", "even_identity", "alternating_projection")
+_N3_CONSTRAINTS = ("norm", "inversion", "even_identity")
 
 
 def _n3_rejection(c: tuple[int, ...]) -> str | None:
     """The first constraint, beyond norm at most 8, that the v-sum c
     fails as a dimension-3 autocorrelation coefficient, or None: norm
-    exactly 8, invariance under inversion, even g^0-coefficient, and
-    alternating projection divisible by 4."""
+    exactly 8, invariance under inversion, and even g^0-coefficient.
+
+    The fourth, alternating projection psi(D) = sum_i (-1)^i c_i
+    divisible by 4, follows from these three for every even modulus m,
+    so it is not checked.  Let h = m/2.  Inversion pairs c_i with
+    c_{m-i}, both of index odd when i is, and fixes c_0 and c_h, so
+    N - psi(D) = 2 sum_{i odd} c_i = c_h (1 - (-1)^h) + 4 sum_{0<i<h,
+    i odd} c_i.  The norm N = 8 = c_0 + c_h + 2 sum_{0<i<h} c_i with
+    c_0 even makes c_h even, so c_h (1 - (-1)^h) is 0 mod 4, and so is
+    psi(D)."""
     if sum(c) != 8:
         return "norm"
     if c[1:] != c[:0:-1]:
         return "inversion"
     if c[0] % 2:
         return "even_identity"
-    if (sum(c[0::2]) - sum(c[1::2])) % 4:
-        return "alternating_projection"
     return None
 
 
@@ -374,8 +370,9 @@ def enumerate_autocorr_candidates():
     arithmetic constraints a dimension-3 autocorrelation coefficient
     must satisfy: invariance under inversion, even g^0-coefficient,
     order-30 character vanishing, and alternating projection divisible
-    by 4.  The v-sums under the box (8,) * 30 that _n3_rejection passes,
-    in the enumerator's order."""
+    by 4 (which the first three imply; see _n3_rejection).  The v-sums
+    under the box (8,) * 30 that _n3_rejection passes, in the
+    enumerator's order."""
     for c in _vsums_under((8,) * 30, 8):
         if _n3_rejection(c) is None:
             yield CyclicRingElt(30, c)

@@ -164,12 +164,6 @@ class MinimalDecomposition:
         obj = json.loads(text) if isinstance(text, str) else text
         return cls(tuple(MinimalVsum.from_json(p) for p in obj["parts"]), int(obj["lcm"]))
 
-    def total(self) -> CyclicRingElt:
-        out = CyclicRingElt.zero(self.parts[0].elt.m)
-        for p in self.parts:
-            out = out + p.elt
-        return out
-
 
 def _minimal_parts_within(elt: CyclicRingElt) -> list[MinimalVsum]:
     """Every minimal v-sum B <= elt, sorted by coefficient tuple."""

@@ -236,7 +236,7 @@ def test_catalog_cli(capsys):
     assert main(["catalog"]) == 0
     out = capsys.readouterr().out
     assert "FormA: 36" in out and "mismatches: 0" in out
-    assert "rejected: norm 2411, inversion 4300, even_identity 8, alternating_projection 0" in out
+    assert "rejected: norm 2411, inversion 4300, even_identity 8\n" in out
 
     assert main(["catalog", "--json"]) == 0
     record = json.loads(capsys.readouterr().out)

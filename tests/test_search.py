@@ -1,5 +1,6 @@
 """Tests for the exhaustive search and the dimension-3 catalog."""
 
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from math import comb
 
@@ -104,14 +105,49 @@ def test_deepest_mid_walk_matches_default(monkeypatch):
             assert deep.examined == rank + 1 <= flat.examined, (m, n)
 
 
-def test_workers_match_serial():
-    serial = brute_force(5, 3)
-    parallel = brute_force(5, 3, workers=3)
-    assert serial.status == parallel.status == "ExhaustedNone"
-    assert serial.examined == parallel.examined == serial.normalized_space
+def test_pooled_search_matches_serial(monkeypatch):
+    # report three CPUs, so that workers=3 runs three processes anywhere;
+    # (20, 1) maps its 20 blocks in chunks of 3 at two workers, and its
+    # witness sits in block 5, past the first chunk
+    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    for m, n in [(20, 1), (8, 1), (4, 3), (6, 3)]:
+        runs = []
+        for workers in (1, 2, 3):
+            events = []
+            out = brute_force(m, n, workers=workers, progress=events.append)
+            runs.append((out.certificate(), events))
+        assert runs[1] == runs[0] and runs[2] == runs[0], (m, n)
+        if (m, n) == (20, 1):
+            assert runs[0][0]["witness"] == [0, 5]
+            assert [e["prefix"] for e in runs[0][1]] == [[v] for v in range(6)]
+    assert brute_force(4, 3, workers=3).witness.values == (0, 0, 0, 2, 1, 1, 1, 3)
+    out = brute_force(5, 3, workers=3)
+    assert out.status == "ExhaustedNone"
+    assert out.examined == out.normalized_space
 
-    w = brute_force(4, 3, workers=3)
-    assert w.witness.values == (0, 0, 0, 2, 1, 1, 1, 3)
+
+def test_pool_size_is_bounded(monkeypatch):
+    # a stand-in pool on threads records the size asked for; no process
+    # pool is started here
+    asked = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    out = brute_force(3, 2, workers=10**6)
+    assert asked == [9]
+    assert out.status == "ExhaustedNone" and out.examined == 27
+
+    # no more workers than CPUs either, and none at all on one CPU
+    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert brute_force(3, 2, workers=10**6).examined == 27
+    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert brute_force(3, 2, workers=10**6).examined == 27
+    assert asked == [9, 2]
 
 
 def _per_tail_run_prefix(m, n, prefix):
@@ -275,6 +311,7 @@ def test_enumeration_constraints():
         assert c.conj_inverse() == c
         assert c.coeffs[0] % 2 == 0
         assert character_value_is_zero(c, chi)
+        # not filtered for: the three constraints above imply it
         assert c.psi_projection() % 4 == 0
 
     coeff_set = {c.coeffs for c in cands}
@@ -303,12 +340,7 @@ def test_form7_shapes_are_the_c42_candidates():
         else:
             rejected[failed] += 1
     assert len(cands) == 68
-    assert rejected == {
-        "norm": 5669,
-        "inversion": 12650,
-        "even_identity": 8,
-        "alternating_projection": 0,
-    }
+    assert rejected == {"norm": 5669, "inversion": 12650, "even_identity": 8}
     tags = [match_n3_form(c) for c in cands]
     assert None not in tags
     assert tags.count(FormTag.FORM_A) == 66
@@ -318,13 +350,11 @@ def test_form7_shapes_are_the_c42_candidates():
 def test_catalog_report():
     report = n3_catalog_check()
     assert report["candidates"] == 42
-    # every other v-sum of norm at most 8 under its first failed constraint;
-    # the alternating projection rejects none that the others keep
+    # every other v-sum of norm at most 8 under its first failed constraint
     assert list(report["rejected"].items()) == [
         ("norm", 2411),
         ("inversion", 4300),
         ("even_identity", 8),
-        ("alternating_projection", 0),
     ]
     assert report["candidates"] + sum(report["rejected"].values()) == sum(
         1 for _ in vsum._vsums_under((8,) * 30, 8)
