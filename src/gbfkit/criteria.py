@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import prod
 
 from .ring import factorize, is_prime
 # re-exported: perfbench/spans.py traces c_exponent under this name too
@@ -151,9 +152,7 @@ def _decide_odd(m: int, n: int, trace: list[CriterionStep]) -> Verdict:
     kept, stripped = strip_primes(list(fact.primes), n, even_part=False)
     reduced = m
     if stripped:
-        for q in stripped:
-            while reduced % q == 0:
-                reduced //= q
+        reduced = prod(p**a for p, a in fact.factors if p in kept)
         trace.append(
             CriterionStep(
                 "strip-odd",
@@ -187,16 +186,14 @@ def _decide_twice_odd(m: int, n: int, trace: list[CriterionStep]) -> Verdict:
     half = m // 2
     fact = factorize(half)
     kept, stripped = strip_primes(list(fact.primes), n, even_part=True)
-    reduced_half = half
+    reduced = m
     if stripped:
-        for q in stripped:
-            while reduced_half % q == 0:
-                reduced_half //= q
+        reduced = 2 * prod(p**a for p, a in fact.factors if p in kept)
         trace.append(
             CriterionStep(
                 "strip-even",
-                f"odd primes {stripped} satisfy p_1 + p > 2^n + 2; reduced to m = {2 * reduced_half}",
-                {"stripped": stripped, "kept_m": 2 * reduced_half},
+                f"odd primes {stripped} satisfy p_1 + p > 2^n + 2; reduced to m = {reduced}",
+                {"stripped": stripped, "kept_m": reduced},
             )
         )
     if len(kept) == 1:
@@ -228,5 +225,5 @@ def _decide_twice_odd(m: int, n: int, trace: list[CriterionStep]) -> Verdict:
                 )
             )
             return Verdict(m, n, NONEXISTENT, tuple(trace))
-    return Verdict(m, n, UNKNOWN, tuple(trace), residual=(2 * reduced_half, n))
+    return Verdict(m, n, UNKNOWN, tuple(trace), residual=(reduced, n))
 

@@ -111,10 +111,6 @@ def compute_autocorr(fn: GbfFunction) -> AutocorrTable:
     return AutocorrTable(fn, counts)
 
 
-def _table(arg: GbfFunction | AutocorrTable) -> AutocorrTable:
-    return arg if isinstance(arg, AutocorrTable) else compute_autocorr(arg)
-
-
 def is_gbf_exact(fn: GbfFunction | AutocorrTable) -> bool:
     """Exact bent test: an order-m character kills E_x for all x != 0.
 
@@ -175,7 +171,7 @@ class GfData:
 
 def gf_data(fn: GbfFunction | AutocorrTable) -> GfData:
     """G_f, b and a for even m; takes the function or its table."""
-    table = _table(fn)
+    table = fn if isinstance(fn, AutocorrTable) else compute_autocorr(fn)
     fn = table.fn
     if fn.m % 2 != 0:
         raise ValueError(f"odd-support data needs even m, got {fn.m}")

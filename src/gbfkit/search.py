@@ -13,11 +13,11 @@ before it is reported.  Exhaustion examines every assignment
 
 The character at y = 0 is trivial, so a tail's contribution there,
 sum_j zeta^{d_j}, is one exact number for every permutation of its
-digits.  The y = 0 screen therefore runs once per digit multiset of the
-tail (3060 multisets for 50625 tails at (15, 3)), and only the members
-of the passing multisets go on, in lexicographic order, to the screens
-at y != 0.  A witness has |F(0)|^2 = 2^n exactly, so its multiset always
-passes.
+digits.  The tail table keeps each digit multiset as one run of rows, so
+the y = 0 screen runs once per multiset (3060 for 50625 tails at
+(15, 3)); a witness has |F(0)|^2 = 2^n exactly, so its multiset passes.
+The few rows that pass every screen go to the exact test in
+lexicographic order, so that the witness reported is the least.
 
 The catalog half lists every element of N[C_30] satisfying the five
 arithmetic constraints an autocorrelation coefficient of a bent
@@ -52,8 +52,10 @@ from .ring import (
 )
 from .vsum import _vsums_under
 
-# brute_force(15, 3) exhausts this budget at about 7.9e8 assignments/s on
-# one core of a 2-core Xeon VM (0.22 s, tail-table build included)
+# brute_force(15, 3) exhausts this budget in 0.22 s, 7.9e8 assignments/s
+# with the tail-table build, on one core of a 2-core Xeon VM.  That holds
+# for n >= 3 only: n = 1 runs at about 8e4 one-assignment blocks/s and
+# n = 2 at 2e7 to 3e7 assignments/s, so 15^7 at n = 1 takes half an hour
 DEFAULT_BUDGET = 15**7
 
 # numeric screen: float error on |F(y)|^2 stays below ~1e-12 for the
@@ -112,19 +114,25 @@ def _char_table(n: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=16)
+def _roots(m: int) -> np.ndarray:
+    """zeta^v = exp(2 pi i v / m) for v in range(m), read-only."""
+    zeta = np.exp(2j * np.pi * np.arange(m) / m)
+    zeta.flags.writeable = False
+    return zeta
+
+
 class _TailTables(NamedTuple):
-    """Every assignment of the last tail positions, in lexicographic
-    order, and the same assignments grouped by digit multiset.
+    """Every assignment of the last tail positions, by digit multiset.
 
     digits[i] is the i-th assignment and columns[y][i] its contribution
-    to the spectrum at y.  members lists the indices group by group,
-    ascending within a group; group g owns members[starts[g]:starts[g] +
-    counts[g]], and values[g] is its shared contribution at y = 0."""
+    to the spectrum at y.  Group g is the row range starts[g]:starts[g] +
+    counts[g], its rows in lexicographic order; values[g] is its shared
+    contribution at y = 0."""
 
     digits: np.ndarray
     columns: np.ndarray
     values: np.ndarray
-    members: np.ndarray
     starts: np.ndarray
     counts: np.ndarray
 
@@ -134,34 +142,22 @@ def _tail_tables(m: int, n: int, tail: int) -> _TailTables:
     """The tail tables for all m^tail assignments of the last tail
     positions.  chi[x, 0] = 1, so an assignment's y = 0 contribution
     sum_j zeta^{d_j} is one exact number across all permutations of its
-    digits; the groups are keyed by the sorted digits read in base m."""
+    digits.  The rows are sorted, stably, by their sorted digits read in
+    base m; the columns are then built one spectrum row at a time."""
     size = 1 << n
-    if tail == 0:
-        digits = np.zeros((1, 0), dtype=np.int16)
-        columns = np.zeros((size, 1), dtype=np.complex128)
-    else:
-        chi = _char_table(n)
-        zeta = np.exp(2j * np.pi * np.arange(m) / m)
-        digits = np.indices((m,) * tail).reshape(tail, -1).T.astype(np.int16)
-        total = np.zeros((digits.shape[0], size), dtype=np.complex128)
-        for j in range(tail):
-            total += zeta[digits[:, j].astype(np.int64)][:, None] * chi[size - tail + j][None, :]
-        columns = np.ascontiguousarray(total.T)
-        del total  # so that the grouping below stays under the build's peak
+    chi, zeta = _char_table(n), _roots(m)
+    digits = np.indices((m,) * tail).reshape(tail, m**tail).T.astype(np.int16)
     key = np.sort(digits, axis=1).astype(np.int64) @ (m ** np.arange(tail, dtype=np.int64))
-    members = np.argsort(key, kind="stable").astype(np.int32)
     counts = np.unique(key, return_counts=True)[1]
+    digits = digits[np.argsort(key, kind="stable")]
+    del key  # freed before the column build, which sets the peak
+    columns = np.zeros((size, digits.shape[0]), dtype=np.complex128)
+    for j in range(tail):
+        root = zeta[digits[:, j]]
+        for y in range(size):
+            columns[y] += chi[size - tail + j, y] * root
     starts = np.cumsum(counts) - counts
-    return _TailTables(digits, columns, columns[0][members[starts]], members, starts, counts)
-
-
-def _group_members(tables: _TailTables, groups: np.ndarray) -> np.ndarray:
-    """The members of the given groups, in ascending index order."""
-    counts = tables.counts[groups]
-    # the k-th expanded slot of group g maps to members[starts[g] + k]
-    offsets = np.cumsum(counts) - counts
-    slots = np.repeat(tables.starts[groups] - offsets, counts) + np.arange(counts.sum())
-    return np.sort(tables.members[slots])
+    return _TailTables(digits, columns, columns[0][starts], starts, counts)
 
 
 def _run_prefix(
@@ -174,22 +170,22 @@ def _run_prefix(
     The y = 0 screen runs once per digit multiset of the tail, since all
     permutations of a multiset share one exact y = 0 value: a witness has
     |F(0)|^2 = 2^n exactly, so its group passes, and the few ulps between
-    members' float values are far below the tolerance.  The members of
-    the passing groups, in ascending index order, go through the screens
-    at y = 1 .. 2^n - 1, and the survivors through the exact test.
+    members' float values are far below the tolerance.  The rows of the
+    passing groups go through the screens at y = 1 .. 2^n - 1, and the
+    survivors, put from group order into lexicographic order so that the
+    first one confirmed is the least, through the exact test.
 
     Returns the lexicographically least witness of this block (or None),
     the count of completions examined and the count of screen survivors
     sent to the exact test."""
     size = 1 << n
     chi = _char_table(n)
-    zeta = np.exp(2j * np.pi * np.arange(m) / m)
+    zeta = _roots(m)
     free = size - 1 - len(prefix)
     tail = 0
     while tail < free and (m ** (tail + 1)) * size <= _TAIL_CELLS:
         tail += 1
-    tables = _tail_tables(m, n, tail)
-    digits, columns = tables.digits, tables.columns
+    digits, columns, group_values, starts, counts = _tail_tables(m, n, tail)
 
     spectrum = chi[0].astype(np.complex128)
     for j, v in enumerate(prefix):
@@ -201,19 +197,22 @@ def _run_prefix(
         for pos, v in enumerate(mid, start=len(prefix) + 1):
             spec = spec + zeta[v] * chi[pos]
         examined += digits.shape[0]
-        z = spec[0] + tables.values
+        z = spec[0] + group_values
         groups = np.flatnonzero(np.abs(z.real * z.real + z.imag * z.imag - size) <= _TOL)
         if groups.size == 0:
             continue
-        sel = _group_members(tables, groups)
+        lengths = counts[groups]
+        # the rows of the passing groups: slot k of group g is row starts[g] + k
+        sel = np.repeat(starts[groups] - np.cumsum(lengths) + lengths, lengths)
+        sel += np.arange(sel.size)
         for y in range(1, size):
             if sel.size == 0:
                 break
             z = spec[y] + columns[y][sel]
             sel = sel[np.abs(z.real * z.real + z.imag * z.imag - size) <= _TOL]
-        for i in sel:
+        for tail_values in sorted(digits[sel].tolist()):
             survivors += 1
-            values = (0, *prefix, *mid, *(int(d) for d in digits[i]))
+            values = (0, *prefix, *mid, *tail_values)
             if is_gbf_exact(GbfFunction(n, m, values)):
                 return values, examined, survivors
     return None, examined, survivors

@@ -165,11 +165,6 @@ class MinimalDecomposition:
         return cls(tuple(MinimalVsum.from_json(p) for p in obj["parts"]), int(obj["lcm"]))
 
 
-def _minimal_parts_within(elt: CyclicRingElt) -> list[MinimalVsum]:
-    """Every minimal v-sum B <= elt, sorted by coefficient tuple."""
-    return _minimal_parts(elt.coeffs, elt.norm)
-
-
 def _minimal_parts(box: tuple[int, ...], budget: int) -> list[MinimalVsum]:
     """The minimal v-sums B <= box of norm <= budget, sorted by
     coefficient tuple."""
@@ -198,7 +193,7 @@ def c_exponent(elt: CyclicRingElt, max_norm: int = 16) -> tuple[int, MinimalDeco
     if elt.norm > max_norm:
         raise ValueError(f"norm {elt.norm} exceeds the configured bound {max_norm}")
 
-    parts = _minimal_parts_within(elt)
+    parts = _minimal_parts(elt.coeffs, elt.norm)
     exps = sorted({p.reduced_exponent for p in parts})
     targets = {1}
     for k in exps:

@@ -1,6 +1,7 @@
 """Tests for the exhaustive search and the dimension-3 catalog."""
 
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 from itertools import product
 from math import comb
 
@@ -84,6 +85,15 @@ def test_budget():
     assert brute_force(3, 2, budget=27).examined == 27
 
 
+def test_roots_are_built_once_per_modulus():
+    # 4001 blocks at n = 1 share one table of roots of unity; building it
+    # per block made the search quadratic in m
+    search._roots.cache_clear()
+    out = brute_force(4001, 1)
+    assert out.status == "ExhaustedNone" and out.examined == 4001
+    assert search._roots.cache_info().misses == 1
+
+
 def test_deepest_mid_walk_matches_default(monkeypatch):
     # a batch ceiling of 2^n cells leaves no tail, so every position past
     # the prefix is walked as a mid level, one assignment at a time
@@ -150,18 +160,36 @@ def test_pool_size_is_bounded(monkeypatch):
     assert asked == [9, 2]
 
 
+def _characters(n):
+    size = 1 << n
+    return np.array([[(-1) ** bin(x & y).count("1") for y in range(size)] for x in range(size)])
+
+
+@lru_cache(maxsize=None)
+def _lex_tail_table(m, n, tail):
+    # every tail assignment in lexicographic order and its contribution to
+    # the spectrum, built apart from search's own tables and roots
+    size = 1 << n
+    chi = _characters(n)
+    zeta = np.exp(2j * np.pi * np.arange(m) / m)
+    digits = np.array(list(product(range(m), repeat=tail)), dtype=np.int64).reshape(m**tail, tail)
+    columns = np.zeros((size, m**tail), dtype=np.complex128)
+    for j in range(tail):
+        columns += chi[size - tail + j][:, None] * zeta[digits[:, j]][None, :]
+    return digits, columns
+
+
 def _per_tail_run_prefix(m, n, prefix):
     # the block search as it was before the multiset screen: y = 0 is
     # screened once per tail assignment, not once per digit multiset
     size = 1 << n
-    chi = search._char_table(n)
+    chi = _characters(n)
     zeta = np.exp(2j * np.pi * np.arange(m) / m)
     free = size - 1 - len(prefix)
     tail = 0
     while tail < free and (m ** (tail + 1)) * size <= search._TAIL_CELLS:
         tail += 1
-    tables = search._tail_tables(m, n, tail)
-    digits, columns = tables.digits, tables.columns
+    digits, columns = _lex_tail_table(m, n, tail)
 
     spectrum = chi[0].astype(np.complex128)
     for j, v in enumerate(prefix):
@@ -226,16 +254,22 @@ def test_tail_groups_are_digit_multisets():
             if m**tail << n > search._TAIL_CELLS:
                 break
             t = search._tail_tables(m, n, tail)
-            # the groups partition range(m^tail) into contiguous runs of members
-            assert np.array_equal(np.sort(t.members), np.arange(m**tail)), (m, n, tail)
-            assert (t.counts > 0).all() and t.starts.tolist() == [0, *np.cumsum(t.counts)[:-1]]
-            # one group per digit multiset
+            # each row's rank in lexicographic order: the rows are every
+            # assignment exactly once
+            rank = t.digits.astype(np.int64) @ (m ** np.arange(tail - 1, -1, -1))
+            assert np.array_equal(np.sort(rank), np.arange(m**tail)), (m, n, tail)
+            # the groups are contiguous nonempty row ranges, one per multiset
+            assert (t.counts > 0).all() and t.counts.sum() == m**tail, (m, n, tail)
+            assert t.starts.tolist() == [0, *np.cumsum(t.counts)[:-1]], (m, n, tail)
             assert len(t.counts) == comb(m + tail - 1, tail), (m, n, tail)
-            multisets = np.sort(t.digits, axis=1)[t.members]
+            multisets = np.sort(t.digits, axis=1)
             group = np.repeat(np.arange(len(t.counts)), t.counts)
             assert (multisets == multisets[t.starts][group]).all(), (m, n, tail)
-            # every member's y = 0 contribution is its group's value
-            gap = np.abs(t.columns[0][t.members] - t.values[group])
+            # within a group, the rows are in lexicographic order
+            rises = np.diff(rank) > 0
+            assert (rises | (np.diff(group) > 0)).all(), (m, n, tail)
+            # every row's y = 0 contribution is its group's value
+            gap = np.abs(t.columns[0] - t.values[group])
             assert gap.max() <= 1e-12, (m, n, tail)
 
 

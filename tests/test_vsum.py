@@ -302,13 +302,16 @@ def coset_sums(draw, moduli, max_norm, composites=False):
 
 
 def check_against(oracle, d):
-    parts = vsum._minimal_parts_within(d)
+    parts = vsum._minimal_parts(d.coeffs, d.norm)
     assert parts == oracle(d)
     for part in parts:
         assert is_vsum(part.elt) and is_minimal_vsum(part.elt)
     if d:
         got = c_exponent(d)
-        with mock.patch.object(vsum, "_minimal_parts_within", oracle):
+        # c_exponent asks for the parts within d itself: box d, budget its norm
+        with mock.patch.object(
+            vsum, "_minimal_parts", lambda box, budget: oracle(CyclicRingElt(len(box), box))
+        ):
             assert c_exponent(d) == got
 
 
@@ -334,7 +337,7 @@ def test_parts_match_box_scan(d, extra):
     for budget in (8, box.norm):
         got = list(vsum._vsums_under(box.coeffs, budget))
         assert sorted(got) == sorted(b for b in vanishing if sum(b) <= budget)
-    assert vsum._minimal_parts_within(box) == box_scan_parts(box)
+    assert vsum._minimal_parts(box.coeffs, box.norm) == box_scan_parts(box)
     check_against(box_scan_parts, d)
 
 
