@@ -15,22 +15,25 @@ what the nonexistence criteria consume:
 - structure_decompose(D): integer elements E_p with D = sum_p P_p E_p,
   p running over the primes of the c-exponent.
 
-All four jobs that need sub-sums (the minimal parts under D that
-c_exponent covers D with, the minimality test, the census of minimal
-v-sums up to a norm bound, and the candidates of the n = 3 catalog in
-gbfkit.search) run on one exact enumerator, _vsums_under: it
-yields every nonzero v-sum below a box of coefficient bounds and within
-a norm budget, exactly once.  It first moves to the smallest subgroup
-coset that holds the support of the box, then works fiberwise over a
-coprime splitting C_m = C_q x C_r, with q = p^a the power of the
-largest prime p of m.  Each C_r fiber's sub-elements under its slice
-of the box are held sparse and grouped by exact value, their residues
-mod Phi_r, which a matmul reduces in chunks; fibers are then chosen
-class by class from one common group, by an explicit-stack walk.
-_minimal_among keeps the v-sums above no minimal v-sum of smaller
-norm.  No float enters and nothing recurses with the size of m;
-c_exponent refuses elements above its max_norm, and every caller
-refuses inputs whose grouped fibers would pass MAX_FIBER_WORDS.
+c_exponent needs no list of sub-sums: the least t | m for which an
+order-m character kills D on every coset of the order-t subgroup is
+the answer, one matmul per t, and the witness is peeled coset by coset.
+The jobs that do need sub-sums (a proper sub-v-sum for the peel and the
+minimality test, the census of minimal v-sums up to a norm bound, and
+the candidates of the n = 3 catalog in gbfkit.search) run on one exact
+enumerator, _vsums_under: it yields every nonzero v-sum below a box of
+coefficient bounds and within a norm budget, exactly once.  It first
+moves to the smallest subgroup coset that holds the support of the box,
+then works fiberwise over a coprime splitting C_m = C_q x C_r, with
+q = p^a the power of the largest prime p of m.  Each C_r fiber's
+sub-elements under its slice of the box are held sparse and grouped by
+exact value, their residues mod Phi_r, which a matmul reduces in
+chunks; fibers are then chosen class by class from one common group,
+by an explicit-stack walk.  _minimal_among keeps the v-sums above no
+minimal v-sum of smaller norm.  No float enters and nothing recurses
+with the size of m; c_exponent refuses elements above its max_norm,
+and every caller refuses inputs whose grouped fibers would pass
+MAX_FIBER_WORDS.
 """
 
 from __future__ import annotations
@@ -103,15 +106,16 @@ def _reduced_exponent_anchor(elt: CyclicRingElt) -> tuple[int, int]:
 def is_minimal_vsum(elt: CyclicRingElt) -> bool:
     """No nonzero proper sub-element of elt is itself a v-sum.
 
-    ValueError when the sub-elements of elt's fibers need more than
-    MAX_FIBER_WORDS (see _vsums_under).
+    A proper sub-element has a smaller norm, so the first v-sum under
+    elt within norm - 1, if any, decides.  ValueError when the
+    sub-elements of elt's fibers need more than MAX_FIBER_WORDS (see
+    _vsums_under).
     """
     if not is_vsum(elt):
         raise ValueError("not a v-sum")
     if not elt:
         raise ValueError("the zero element is not decomposed")
-    # elt is a v-sum under itself; any other one is proper
-    return all(b == elt.coeffs for b in _vsums_under(elt.coeffs, elt.norm))
+    return next(_vsums_under(elt.coeffs, elt.norm - 1), None) is None
 
 
 def minimal_norm_lower_bound(k: int) -> int:
@@ -165,26 +169,30 @@ class MinimalDecomposition:
         return cls(tuple(MinimalVsum.from_json(p) for p in obj["parts"]), int(obj["lcm"]))
 
 
-def _minimal_parts(box: tuple[int, ...], budget: int) -> list[MinimalVsum]:
-    """The minimal v-sums B <= box of norm <= budget, sorted by
-    coefficient tuple."""
-    found = _minimal_among(list(_vsums_under(box, budget)))
-    elts = [CyclicRingElt(len(box), c) for c in found]
-    return [MinimalVsum(b, reduced_exponent(b)) for b in elts]
-
-
 def c_exponent(elt: CyclicRingElt, max_norm: int = 16) -> tuple[int, MinimalDecomposition]:
     """Smallest lcm of reduced exponents over all decompositions of elt
     into minimal v-sums, together with a witnessing decomposition.
 
-    The minimal sub-v-sums of elt are listed first, by one exact route
-    for any number of primes in m: _vsums_under yields every v-sum below
-    elt and _minimal_among keeps the minimal ones.  Candidate lcm targets
-    are then scanned in increasing order; for each, an exact-cover search
-    runs over the parts whose reduced exponent divides the target.  The
-    first target admitting a cover is the answer (any cover then has that
-    exact lcm).  Parts are tried in lexicographic order, so the witness
-    is deterministic.  Elements of norm above max_norm are refused.
+    Let H_t be the subgroup of order t | m.  The answer is the least t
+    such that an order-m character kills the restriction of elt to every
+    coset of H_t; each restriction is one row of the (m/t, t) array
+    coeffs.reshape(t, m/t).T, read in C_t, so one cyclotomic_residue
+    matmul tests a t.  Proof: a minimal part of reduced exponent k,
+    anchored at j, has its support in j + (m/k)Z, one coset of H_k.  So
+    a decomposition whose lcm divides t splits elt coset by coset of
+    H_t into sums of v-sums, and t passes.  Conversely, when t passes,
+    each restriction is a v-sum inside one coset of H_t, and its minimal
+    parts there have reduced exponents dividing t.  Hence the least
+    passing t is the least lcm over all decompositions, and any
+    decomposition made coset by coset has lcm exactly t.
+
+    The witness is made so: in each occupied coset, descend from the
+    residual to its first proper sub-v-sum (_vsums_under under a budget
+    one below its norm) until there is none, which leaves a minimal
+    part; subtract that part as often as it fits, and repeat.  Parts are
+    listed in coefficient order.  Elements of norm above max_norm are
+    refused, and so are cosets whose fibers pass MAX_FIBER_WORDS.  No
+    R_t used here is larger than the R_m that is_vsum builds.
     """
     if not is_vsum(elt):
         raise ValueError("not a v-sum")
@@ -193,59 +201,32 @@ def c_exponent(elt: CyclicRingElt, max_norm: int = 16) -> tuple[int, MinimalDeco
     if elt.norm > max_norm:
         raise ValueError(f"norm {elt.norm} exceeds the configured bound {max_norm}")
 
-    parts = _minimal_parts(elt.coeffs, elt.norm)
-    exps = sorted({p.reduced_exponent for p in parts})
-    targets = {1}
-    for k in exps:
-        targets |= {lcm(k, t) for t in targets}
-    for target in sorted(targets):
-        usable = [p for p in parts if target % p.reduced_exponent == 0]
-        if not usable:
-            continue
-        cover = _exact_cover(elt.coeffs, usable)
-        if cover is not None:
-            return target, MinimalDecomposition(tuple(cover), target)
-    raise AssertionError("a v-sum always decomposes into minimal v-sums")
-
-
-def _exact_cover(
-    total: tuple[int, ...], parts: list[MinimalVsum]
-) -> list[MinimalVsum] | None:
-    """First non-decreasing multiset of parts summing to total, or None.
-
-    Depth-first with an explicit stack of [residual, start, next index]
-    frames, so covers of many parts do not reach the recursion limit;
-    frame k + 1 was entered through part next index - 1 of frame k.  A
-    (residual, start) pair found to have no cover is remembered in dead.
-    """
-    vecs = [p.elt.coeffs for p in parts]
-    dead: set[tuple[tuple[int, ...], int]] = set()
-    stack = [[total, 0, 0]]
-    while stack:
-        frame = stack[-1]
-        residual, start, idx = frame
-        if not any(residual):
-            return [parts[f[2] - 1] for f in stack[:-1]]
-        while idx < len(vecs) and not all(x <= r for x, r in zip(vecs[idx], residual)):
-            idx += 1
-        if idx == len(vecs):
-            dead.add((residual, start))
-            stack.pop()
-            continue
-        frame[2] = idx + 1
-        rest = tuple(r - x for r, x in zip(residual, vecs[idx]))
-        if (rest, idx) not in dead:
-            stack.append([rest, idx, idx])
-    return None
+    m, coeffs = elt.m, np.asarray(elt.coeffs)
+    k = next(
+        t for t in range(1, m + 1)
+        if m % t == 0 and not np.count_nonzero(cyclotomic_residue(coeffs.reshape(t, m // t).T, t))
+    )
+    step, found = m // k, []
+    for j in range(step):
+        rest = elt.coeffs[j::step]
+        while any(rest):
+            part = rest
+            while (sub := next(_vsums_under(part, sum(part) - 1), None)) is not None:
+                part = sub
+            times = min(r // c for r, c in zip(rest, part) if c)
+            rest = tuple(r - times * c for r, c in zip(rest, part))
+            lifted = [0] * m
+            lifted[j::step] = part
+            found += [tuple(lifted)] * times
+    parts = [CyclicRingElt(m, c) for c in sorted(found)]
+    return k, MinimalDecomposition(tuple(MinimalVsum(b, reduced_exponent(b)) for b in parts), k)
 
 
 # ---------------------------------------------------------------------------
 # peeling D = sum_p P_p E_p with integer E_p
 
 
-def structure_decompose(
-    elt: CyclicRingElt, max_norm: int = 16
-) -> list[tuple[int, CyclicRingElt]]:
+def structure_decompose(elt: CyclicRingElt) -> list[tuple[int, CyclicRingElt]]:
     """Integer elements E_p with elt = sum P_p E_p, primes p from the
     c-exponent.
 
@@ -254,9 +235,10 @@ def structure_decompose(
     prime at a time: splitting C_k = P_p x C_r groups the coefficients
     into p fibers over C_r, an order-k character forces the fiber values
     to agree, so the common fiber feeds P_p and the fiber differences
-    are v-sums over C_r handled recursively.
+    are v-sums over C_r handled recursively.  Elements of norm above
+    c_exponent's default bound are refused.
     """
-    k, decomp = c_exponent(elt, max_norm)
+    _, decomp = c_exponent(elt)
     m = elt.m
     acc: dict[int, CyclicRingElt] = {}
     for part in decomp.parts:
@@ -510,4 +492,5 @@ def enumerate_minimal_vsums(m: int, max_norm: int) -> list[MinimalVsum]:
         raise ValueError(f"modulus {m} outside the supported range 1..{MAX_ENUM_MODULUS}")
     if max_norm < 0 or max_norm > MAX_ENUM_NORM:
         raise ValueError(f"norm bound {max_norm} outside the supported range 0..{MAX_ENUM_NORM}")
-    return _minimal_parts((max_norm,) * m, max_norm)
+    found = _minimal_among(list(_vsums_under((max_norm,) * m, max_norm)))
+    return [MinimalVsum(b, reduced_exponent(b)) for b in (CyclicRingElt(m, c) for c in found)]

@@ -2,8 +2,7 @@
 
 import random
 from itertools import combinations, product
-from math import gcd, lcm
-from unittest import mock
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -209,8 +208,8 @@ def test_c_exponent_errors():
 
 
 def test_c_exponent_cover_of_many_parts():
-    # 1000 copies of P_2: the cover search keeps one frame per part
-    # without recursing, so this passes the recursion limit
+    # 1000 copies of P_2: the peel finds the one minimal part and
+    # subtracts it 1000 times
     k, decomp = c_exponent(CyclicRingElt(2, (1000, 1000)), max_norm=2000)
     assert k == 2
     assert len(decomp.parts) == 1000
@@ -224,6 +223,20 @@ def test_c_exponent_deterministic_and_json_roundtrip():
     assert MinimalDecomposition.from_json(d1.to_json()) == d1
 
 
+def check_witness(d, k, decomp):
+    """The witness sums to d, in minimal parts listed in coefficient
+    order, each inside one coset of the order-k subgroup, with lcm k."""
+    assert total(decomp) == d
+    assert decomp.lcm_exponent == k
+    assert lcm(*(p.reduced_exponent for p in decomp.parts)) == k
+    keys = [p.elt.coeffs for p in decomp.parts]
+    assert keys == sorted(keys)
+    for p in decomp.parts:
+        assert is_minimal_vsum(p.elt)
+        supp = p.elt.support()
+        assert all((i - supp[0]) % (d.m // k) == 0 for i in supp)
+
+
 def test_every_vsum_decomposes():
     rng = random.Random(9)
     for _ in range(25):
@@ -232,9 +245,7 @@ def test_every_vsum_decomposes():
         if d.norm > 16:
             continue
         k, decomp = c_exponent(d)
-        assert total(decomp) == d
-        assert all(is_minimal_vsum(p.elt) for p in decomp.parts)
-        assert lcm(*(p.reduced_exponent for p in decomp.parts)) == k
+        check_witness(d, k, decomp)
 
 
 # ---------------------------------------------------------------------------
@@ -244,17 +255,12 @@ TWO_PRIME_MODULI = [4, 8, 9, 6, 10, 12, 14, 15, 18, 20, 21]
 THREE_PRIME_MODULI = [30, 42, 70, 105]
 
 
-def _parts(m, coeff_tuples):
-    return [MinimalVsum(CyclicRingElt(m, c), reduced_exponent(CyclicRingElt(m, c)))
-            for c in sorted(coeff_tuples)]
-
-
 def coset_parts(d):
     """For m = p^a q^b every v-sum is a nonnegative combination of
     shifted P_p and P_q (de Bruijn 1953; Lam and Leung 2000), so the
     minimal ones under d are the prime-order cosets that fit under d."""
     m = d.m
-    return _parts(m, {
+    return sorted({
         subgroup_sum(m, p).shift(j).coeffs
         for p in factorize(m).primes
         for j in range(m // p)
@@ -274,10 +280,10 @@ def box_scan_vsums(d):
 def box_scan_parts(d):
     """The v-sums B <= d that lie above no other one."""
     vanishing = box_scan_vsums(d)
-    return _parts(d.m, [
+    return sorted(
         b for b in vanishing
         if not any(c != b and all(x <= y for x, y in zip(c, b)) for c in vanishing)
-    ])
+    )
 
 
 @st.composite
@@ -301,18 +307,65 @@ def coset_sums(draw, moduli, max_norm, composites=False):
     return out
 
 
+def minimal_under(box):
+    """The minimal v-sums below box, by the package's enumerator."""
+    return vsum._minimal_among(list(vsum._vsums_under(box.coeffs, box.norm)))
+
+
+def exact_cover(total, parts):
+    """First non-decreasing multiset of parts summing to total, or None.
+
+    Depth-first with an explicit stack of [residual, start, next index]
+    frames; frame k + 1 was entered through part next index - 1 of frame
+    k.  A (residual, start) pair found to have no cover is remembered.
+    """
+    vecs = [p.elt.coeffs for p in parts]
+    dead = set()
+    stack = [[total, 0, 0]]
+    while stack:
+        frame = stack[-1]
+        residual, start, idx = frame
+        if not any(residual):
+            return [parts[f[2] - 1] for f in stack[:-1]]
+        while idx < len(vecs) and not all(x <= r for x, r in zip(vecs[idx], residual)):
+            idx += 1
+        if idx == len(vecs):
+            dead.add((residual, start))
+            stack.pop()
+            continue
+        frame[2] = idx + 1
+        rest = tuple(r - x for r, x in zip(residual, vecs[idx]))
+        if (rest, idx) not in dead:
+            stack.append([rest, idx, idx])
+    return None
+
+
+def cover_c_exponent(d, minimal):
+    """The c-exponent of d by exact cover: the least lcm of reduced
+    exponents of the minimal v-sums below d for which the parts of
+    reduced exponent dividing it cover d exactly."""
+    parts = [MinimalVsum(CyclicRingElt(d.m, c), reduced_exponent(CyclicRingElt(d.m, c)))
+             for c in minimal]
+    targets = {1}
+    for k in sorted({p.reduced_exponent for p in parts}):
+        targets |= {lcm(k, t) for t in targets}
+    for target in sorted(targets):
+        usable = [p for p in parts if target % p.reduced_exponent == 0]
+        if usable and exact_cover(d.coeffs, usable) is not None:
+            return target
+    raise AssertionError("no cover")
+
+
 def check_against(oracle, d):
-    parts = vsum._minimal_parts(d.coeffs, d.norm)
-    assert parts == oracle(d)
-    for part in parts:
-        assert is_vsum(part.elt) and is_minimal_vsum(part.elt)
+    minimal = oracle(d)
+    assert minimal_under(d) == minimal
+    for b in minimal:
+        part = CyclicRingElt(d.m, b)
+        assert is_vsum(part) and is_minimal_vsum(part)
     if d:
-        got = c_exponent(d)
-        # c_exponent asks for the parts within d itself: box d, budget its norm
-        with mock.patch.object(
-            vsum, "_minimal_parts", lambda box, budget: oracle(CyclicRingElt(len(box), box))
-        ):
-            assert c_exponent(d) == got
+        k, decomp = c_exponent(d)
+        assert k == cover_c_exponent(d, minimal)
+        check_witness(d, k, decomp)
 
 
 @settings(max_examples=50, deadline=None)
@@ -337,16 +390,27 @@ def test_parts_match_box_scan(d, extra):
     for budget in (8, box.norm):
         got = list(vsum._vsums_under(box.coeffs, budget))
         assert sorted(got) == sorted(b for b in vanishing if sum(b) <= budget)
-    assert vsum._minimal_parts(box.coeffs, box.norm) == box_scan_parts(box)
+    assert minimal_under(box) == box_scan_parts(box)
     check_against(box_scan_parts, d)
 
 
 def test_c_exponent_full_sum_c30():
-    # 2^30 sub-elements under P_30, 146854 of them v-sums
+    # every order-2 coset of P_30 vanishes, so the 146854 v-sums under
+    # P_30 are never listed
     k, decomp = c_exponent(full_sum(30), max_norm=30)
     assert k == 2
     assert len(decomp.parts) == 15
     assert {p.elt.coeffs for p in decomp.parts} == coset_shifts(30, 2)
+
+
+def test_c_exponent_full_sum_c210():
+    # the fibers of P_210 are refused by is_minimal_vsum, but its order-2
+    # cosets are peeled one at a time
+    d = full_sum(210)
+    k, decomp = c_exponent(d, max_norm=210)
+    assert k == 2
+    assert len(decomp.parts) == 105
+    check_witness(d, k, decomp)
 
 
 def test_full_sums_of_three_primes_are_not_minimal():
