@@ -15,6 +15,7 @@ as 8p > 2^n so small n needs no fractions.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import prod
 
@@ -96,12 +97,14 @@ def strip_primes(odd_primes: list[int], n: int, even_part: bool) -> tuple[list[i
     decomposition can then involve q, so nonexistence for the kept part
     transfers to m.  The smallest prime is always kept; stripping
     everything would only weaken the later criteria.
+
+    The primes come in ascending order, so p_1 + p <= threshold holds on
+    a prefix of them: kept is that prefix, never shorter than p_1
+    alone, and stripped is the rest.
     """
     threshold = (1 << n) + (2 if even_part else 0)
-    p1 = odd_primes[0]
-    kept = [p for p in odd_primes if p == p1 or p1 + p <= threshold]
-    stripped = [p for p in odd_primes if p not in kept]
-    return kept, stripped
+    cut = bisect_right(odd_primes, threshold - odd_primes[0], lo=1)
+    return odd_primes[:cut], odd_primes[cut:]
 
 
 def decide(m: int, n: int) -> Verdict:
@@ -152,7 +155,7 @@ def _decide_odd(m: int, n: int, trace: list[CriterionStep]) -> Verdict:
     kept, stripped = strip_primes(list(fact.primes), n, even_part=False)
     reduced = m
     if stripped:
-        reduced = prod(p**a for p, a in fact.factors if p in kept)
+        reduced = prod(p**a for p, a in fact.factors[: len(kept)])
         trace.append(
             CriterionStep(
                 "strip-odd",
@@ -188,7 +191,7 @@ def _decide_twice_odd(m: int, n: int, trace: list[CriterionStep]) -> Verdict:
     kept, stripped = strip_primes(list(fact.primes), n, even_part=True)
     reduced = m
     if stripped:
-        reduced = 2 * prod(p**a for p, a in fact.factors if p in kept)
+        reduced = 2 * prod(p**a for p, a in fact.factors[: len(kept)])
         trace.append(
             CriterionStep(
                 "strip-even",

@@ -23,13 +23,18 @@ exceed MAX_REDUCTION_ENTRIES are refused before anything is built.
 Cyclotomic polynomials are computed from the binomials x^e - 1, e | d,
 by Moebius inversion (multiplications, then exact divisions), and
 cached per d.
+
+factorize keeps its last 64 results in an LRU cache, and each
+PrimeFactorization computes its primes once.  The results are frozen, so
+callers share them safely.  `gbf table` decides n = 1, 2, ... for one m
+before the next, so each row of the table factors its m once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property, lru_cache
 from math import gcd, prod
 
 import numpy as np
@@ -44,8 +49,9 @@ INT64_MAX = 2**63 - 1
 MAX_REDUCTION_ENTRIES = 1 << 22
 
 
+@lru_cache(maxsize=64)
 def factorize(m: int) -> "PrimeFactorization":
-    """Prime factorization by trial division; fine for m up to ~10^12."""
+    """Prime factorization by trial division, cached; fine for m up to ~10^12."""
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
     factors = []
@@ -76,22 +82,16 @@ class PrimeFactorization:
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        prod = 1
-        for p, a in self.factors:
-            prod *= p**a
-        if prod != self.m:
+        if prod(p**a for p, a in self.factors) != self.m:
             raise ValueError(f"factors {self.factors} do not multiply to {self.m}")
 
-    @property
+    @cached_property
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
     @property
     def radical(self) -> int:
-        out = 1
-        for p in self.primes:
-            out *= p
-        return out
+        return prod(self.primes)
 
 
 # ---------------------------------------------------------------------------

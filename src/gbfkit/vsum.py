@@ -18,14 +18,16 @@ what the nonexistence criteria consume:
 c_exponent needs no list of sub-sums: the least t | m for which an
 order-m character kills D on every coset of the order-t subgroup is
 the answer, one matmul per t, and the witness is peeled coset by coset.
-The jobs that do need sub-sums (a proper sub-v-sum for the peel and the
-minimality test, the census of minimal v-sums up to a norm bound, and
-the candidates of the n = 3 catalog in gbfkit.search) run on one exact
-enumerator, _vsums_under: it yields every nonzero v-sum below a box of
-coefficient bounds and within a norm budget, exactly once.  It first
-moves to the smallest subgroup coset that holds the support of the box,
-then works fiberwise over a coprime splitting C_m = C_q x C_r, with
-q = p^a the power of the largest prime p of m.  Each C_r fiber's
+is_minimal_vsum runs the same scan first: an element that occupies two
+or more cosets there is not minimal.  The jobs that do need sub-sums (a
+proper sub-v-sum for the peel, the minimality test past the scan, the
+census of minimal v-sums up to a norm bound, and the candidates of the
+n = 3 catalog in gbfkit.search) run on one exact enumerator,
+_vsums_under: it yields every nonzero v-sum below a box of coefficient
+bounds and within a norm budget, exactly once.  It first moves to the
+smallest subgroup coset that holds the support of the box, then works
+fiberwise over a coprime splitting C_m = C_q x C_r, with q = p^a the
+power of the largest prime p of m.  Each C_r fiber's
 sub-elements under its slice of the box are held sparse and grouped by
 exact value, their residues mod Phi_r, which a matmul reduces in
 chunks; fibers are then chosen class by class from one common group,
@@ -106,15 +108,21 @@ def _reduced_exponent_anchor(elt: CyclicRingElt) -> tuple[int, int]:
 def is_minimal_vsum(elt: CyclicRingElt) -> bool:
     """No nonzero proper sub-element of elt is itself a v-sum.
 
-    A proper sub-element has a smaller norm, so the first v-sum under
-    elt within norm - 1, if any, decides.  ValueError when the
-    sub-elements of elt's fibers need more than MAX_FIBER_WORDS (see
-    _vsums_under).
+    The coset scan of c_exponent answers first: when elt occupies two
+    or more cosets of H_t for the least passing t, its restriction to
+    any one of them is a nonzero proper sub-v-sum.  Otherwise a proper
+    sub-element has a smaller norm, so the first v-sum under elt within
+    norm - 1, if any, decides.  ValueError when the sub-elements of
+    elt's fibers need more than MAX_FIBER_WORDS (see _vsums_under).
     """
     if not is_vsum(elt):
         raise ValueError("not a v-sum")
     if not elt:
         raise ValueError("the zero element is not decomposed")
+    t = _least_passing_order(elt)
+    cosets = np.asarray(elt.coeffs).reshape(t, elt.m // t).any(axis=0)
+    if np.count_nonzero(cosets) > 1:
+        return False
     return next(_vsums_under(elt.coeffs, elt.norm - 1), None) is None
 
 
@@ -175,12 +183,11 @@ def c_exponent(elt: CyclicRingElt, max_norm: int = 16) -> tuple[int, MinimalDeco
 
     Let H_t be the subgroup of order t | m.  The answer is the least t
     such that an order-m character kills the restriction of elt to every
-    coset of H_t; each restriction is one row of the (m/t, t) array
-    coeffs.reshape(t, m/t).T, read in C_t, so one cyclotomic_residue
-    matmul tests a t.  Proof: a minimal part of reduced exponent k,
-    anchored at j, has its support in j + (m/k)Z, one coset of H_k.  So
-    a decomposition whose lcm divides t splits elt coset by coset of
-    H_t into sums of v-sums, and t passes.  Conversely, when t passes,
+    coset of H_t, which _least_passing_order finds, one matmul per t.
+    Proof: a minimal part of reduced exponent k, anchored at j, has its
+    support in j + (m/k)Z, one coset of H_k.  So a decomposition whose
+    lcm divides t splits elt coset by coset of H_t into sums of v-sums,
+    and t passes.  Conversely, when t passes,
     each restriction is a v-sum inside one coset of H_t, and its minimal
     parts there have reduced exponents dividing t.  Hence the least
     passing t is the least lcm over all decompositions, and any
@@ -201,11 +208,7 @@ def c_exponent(elt: CyclicRingElt, max_norm: int = 16) -> tuple[int, MinimalDeco
     if elt.norm > max_norm:
         raise ValueError(f"norm {elt.norm} exceeds the configured bound {max_norm}")
 
-    m, coeffs = elt.m, np.asarray(elt.coeffs)
-    k = next(
-        t for t in range(1, m + 1)
-        if m % t == 0 and not np.count_nonzero(cyclotomic_residue(coeffs.reshape(t, m // t).T, t))
-    )
+    m, k = elt.m, _least_passing_order(elt)
     step, found = m // k, []
     for j in range(step):
         rest = elt.coeffs[j::step]
@@ -220,6 +223,18 @@ def c_exponent(elt: CyclicRingElt, max_norm: int = 16) -> tuple[int, MinimalDeco
             found += [tuple(lifted)] * times
     parts = [CyclicRingElt(m, c) for c in sorted(found)]
     return k, MinimalDecomposition(tuple(MinimalVsum(b, reduced_exponent(b)) for b in parts), k)
+
+
+def _least_passing_order(elt: CyclicRingElt) -> int:
+    """The least t | m such that an order-m character kills the
+    restriction of elt to every coset of H_t, the subgroup of order t.
+    Coset j is column j of coeffs.reshape(t, m/t), read in C_t, so one
+    cyclotomic_residue matmul tests a t."""
+    m, coeffs = elt.m, np.asarray(elt.coeffs)
+    return next(
+        t for t in range(1, m + 1)
+        if m % t == 0 and not np.count_nonzero(cyclotomic_residue(coeffs.reshape(t, m // t).T, t))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI tests driven through main(argv) and captured output."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from gbfkit import cli
 from gbfkit.cli import main
 from gbfkit.criteria import decide
 from gbfkit.gbf import GbfFunction, is_gbf_numeric
-from gbfkit.ring import punctured_subgroup_sum, subgroup_sum
+from gbfkit.ring import factorize, punctured_subgroup_sum, subgroup_sum
 
 
 def test_decide_exit_codes(capsys):
@@ -265,6 +266,25 @@ def test_table_cli(capsys):
     by_key = {(c["m"], c["n"]): c["outcome"] for c in cells}
     assert by_key[(10, 5)] == "Nonexistent"
     assert by_key[(14, 5)] == "Unknown"
+
+
+def test_table_csv_pinned(capsys):
+    # golden digest, computed before factorize was cached: any moved
+    # outcome changes it
+    assert main(["table", "--m-max", "1000", "--n-max", "9"]) == 0
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "266e96633f028459b3864f025d361f74be8c88e7051a8b4bb688b946d4820562"
+
+
+def test_table_factors_each_row_once(capsys):
+    # the table decides n = 1..9 for one m before the next, so each row
+    # misses the factorize cache once; is_prime adds a few more misses
+    factorize.cache_clear()
+    assert main(["table", "--m-max", "1000", "--n-max", "9"]) == 0
+    rows = len(capsys.readouterr().out.splitlines()) - 1
+    assert rows == 749
+    assert factorize.cache_info().misses <= rows + 20
 
 
 def test_store_roundtrip(tmp_path, capsys, monkeypatch):

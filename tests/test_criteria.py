@@ -1,9 +1,10 @@
 """Tests for the (m, n) decision pipeline."""
 
 import json
+from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gbfkit.criteria import (
@@ -146,6 +147,47 @@ def test_strip_primes_direct():
     # the smallest prime never strips itself
     kept, stripped = strip_primes([5], 1, even_part=False)
     assert (kept, stripped) == ([5], [])
+
+
+def _strip_primes_by_membership(odd_primes, n, even_part):
+    """The two-comprehension definition strip_primes replaced."""
+    threshold = (1 << n) + (2 if even_part else 0)
+    p1 = odd_primes[0]
+    kept = [p for p in odd_primes if p == p1 or p1 + p <= threshold]
+    stripped = [p for p in odd_primes if p not in kept]
+    return kept, stripped
+
+
+_ODD_PRIMES = [p for p in range(3, 1 << 13, 2) if all(p % q for q in range(3, isqrt(p) + 1, 2))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(_ODD_PRIMES), min_size=1, max_size=8, unique=True).map(sorted),
+    st.integers(1, 24),
+    st.booleans(),
+)
+# p_1 + p on the threshold, for each parity
+@example([3, 29, 31], 5, False)
+@example([3, 31, 37], 5, True)
+def test_strip_primes_is_the_membership_split(odd_primes, n, even_part):
+    got = strip_primes(odd_primes, n, even_part)
+    assert got == _strip_primes_by_membership(odd_primes, n, even_part)
+    assert all(type(part) is list for part in got)
+
+
+def test_strip_verdicts_pinned():
+    # two primes stripped past a squared kept prime, for each parity of m
+    assert decide(9 * 5 * 131 * 137, 7).to_json_str() == (
+        '{"m": 807615, "n": 7, "outcome": "Unknown", "residual": {"m": 45, "n": 7}, '
+        '"trace": [{"cite": "odd primes [131, 137] satisfy p_1 + p > 2^n; reduced to m = 45", '
+        '"id": "strip-odd", "params": {"kept_m": 45, "stripped": [131, 137]}}]}'
+    )
+    assert decide(2 * 9 * 7 * 37 * 41, 5).to_json_str() == (
+        '{"m": 191142, "n": 5, "outcome": "Unknown", "residual": {"m": 126, "n": 5}, '
+        '"trace": [{"cite": "odd primes [37, 41] satisfy p_1 + p > 2^n + 2; reduced to m = 126", '
+        '"id": "strip-even", "params": {"kept_m": 126, "stripped": [37, 41]}}]}'
+    )
 
 
 # -- bad inputs and serialization -------------------------------------------

@@ -1,6 +1,7 @@
 """Vanishing-sum analysis: minimality, exponents, decompositions."""
 
 import random
+import time
 from itertools import combinations, product
 from math import lcm
 
@@ -404,7 +405,7 @@ def test_c_exponent_full_sum_c30():
 
 
 def test_c_exponent_full_sum_c210():
-    # the fibers of P_210 are refused by is_minimal_vsum, but its order-2
+    # the fibers of P_210 are refused by _vsums_under, but its order-2
     # cosets are peeled one at a time
     d = full_sum(210)
     k, decomp = c_exponent(d, max_norm=210)
@@ -416,12 +417,28 @@ def test_c_exponent_full_sum_c210():
 def test_full_sums_of_three_primes_are_not_minimal():
     assert not is_minimal_vsum(full_sum(70))
     assert not is_minimal_vsum(full_sum(105))
+    # the coset scan answers P_210 without listing its fibers
+    start = time.perf_counter()
+    assert is_minimal_vsum(full_sum(210)) is False
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("m", [30, 42, 60, 70])
+def test_coset_scan_agrees_with_enumerator(m):
+    # the scan may only answer False where the enumerator finds a proper
+    # sub-v-sum; minimal pieces and their sums both occur here
+    rng = random.Random(m)
+    cases = [random_vsum(rng, m) for _ in range(40)]
+    cases += [composite_mini_30()] if m == 30 else []
+    for d in cases:
+        by_enumerator = next(vsum._vsums_under(d.coeffs, d.norm - 1), None) is None
+        assert is_minimal_vsum(d) == by_enumerator, d
 
 
 def test_oversized_fibers_refused():
     # P_210 splits into C_7 x C_30 fibers with 2^30 sub-elements each
     with pytest.raises(ValueError, match="sub-elements"):
-        is_minimal_vsum(full_sum(210))
+        next(vsum._vsums_under(full_sum(210).coeffs, 209))
     # the largest census the guards admit stays under the cap
     assert len(enumerate_minimal_vsums(vsum.MAX_ENUM_MODULUS, vsum.MAX_ENUM_NORM)) == 362
 
