@@ -3,21 +3,25 @@ the dimension-3 autocorrelation catalog experiment.
 
 brute_force covers the normalized space (f(0) = 0, all other values
 free) in blocks fixed by the first one or two free values.  A block
-walks the next positions (the mid levels) in lexicographic order and
-screens all assignments of the last positions (the tail, as many as fit
-in _TAIL_CELLS complex cells) as one numpy batch.  Screening is numeric
-with a one-sided tolerance far above attainable float error, so a true
-witness can never be screened out; every survivor is confirmed exactly
-before it is reported.  Exhaustion examines every assignment
-(examined == normalized_space) and certifies nonexistence.
+takes the next positions (the mid levels) in lexicographic chunks and
+screens every assignment of the last positions (the tail, as many as fit
+in _TAIL_CELLS complex cells) after each mid of a chunk in a few numpy
+batches.  Screening is numeric with a one-sided tolerance far above
+attainable float error, so a true witness can never be screened out;
+every survivor is confirmed exactly before it is reported.  Exhaustion
+examines every assignment (examined == normalized_space) and certifies
+nonexistence.
 
-The character at y = 0 is trivial, so a tail's contribution there,
-sum_j zeta^{d_j}, is one exact number for every permutation of its
-digits.  The tail table keeps each digit multiset as one run of rows, so
-the y = 0 screen runs once per multiset (3060 for 50625 tails at
-(15, 3)); a witness has |F(0)|^2 = 2^n exactly, so its multiset passes.
-The few rows that pass every screen go to the exact test in
-lexicographic order, so that the witness reported is the least.
+The character at y = 0 is trivial, so an assignment's value there,
+1 + sum_j zeta^{d_j}, depends only on the digit multisets of its head
+(prefix and mid) and of its tail.  The tail table keeps each tail
+multiset as one run of rows, and the tail groups that pass after a head
+are cached per head multiset, so the y = 0 screen runs once per pair of
+multisets: at (15, 3), 3060 tail groups against at most 680 head
+multisets for 3375 heads.  A witness has |F(0)|^2 = 2^n exactly, so its
+groups pass.  The rows of a chunk's passing groups are screened at the
+other characters together, and the few survivors go to the exact test
+in lexicographic order, so that the witness reported is the least.
 
 The catalog half lists every element of N[C_30] satisfying the five
 arithmetic constraints an autocorrelation coefficient of a bent
@@ -36,7 +40,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, lru_cache, partial
-from itertools import product
+from itertools import islice, product
 from math import ceil
 from typing import NamedTuple
 
@@ -52,11 +56,17 @@ from .ring import (
 )
 from .vsum import _vsums_under
 
-# brute_force(15, 3) exhausts this budget in 0.22 s, 7.9e8 assignments/s
-# with the tail-table build, on one core of a 2-core Xeon VM.  That holds
-# for n >= 3 only: n = 1 runs at about 8e4 one-assignment blocks/s and
-# n = 2 at 2e7 to 3e7 assignments/s, so 15^7 at n = 1 takes half an hour
+# brute_force(15, 3) exhausts this budget in 0.05 to 0.07 s, 2.4e9 to
+# 3.6e9 assignments/s with the tail-table build, on one core of a 2-core
+# Xeon VM.  That holds for n >= 3 only: n = 2 runs at about 2e7
+# assignments/s, and n = 1 at about 5e4 one-assignment blocks/s
 DEFAULT_BUDGET = 15**7
+
+# a block costs 10 to 30 microseconds however few assignments it holds,
+# so at n = 1 the budget alone does not bound the time; 2^19 blocks take
+# about 11 s on the same VM.  Every n >= 2 space inside DEFAULT_BUDGET
+# has at most 554^2 blocks
+MAX_BLOCKS = 1 << 19
 
 # numeric screen: float error on |F(y)|^2 stays below ~1e-12 for the
 # sums of at most 32 unit vectors seen here, so 1e-6 cannot lose a
@@ -71,11 +81,16 @@ STATUS_EXHAUSTED = "ExhaustedNone"
 
 
 class BudgetExceededError(Exception):
-    def __init__(self, m: int, n: int, space: int, budget: int):
-        self.m, self.n, self.space, self.budget = m, n, space, budget
-        super().__init__(
-            f"normalized space {m}^{(1 << n) - 1} = {space} exceeds budget {budget}"
-        )
+    """The space exceeds the budget or, when blocks is given, it splits
+    into more than MAX_BLOCKS blocks."""
+
+    def __init__(self, m: int, n: int, space: int, budget: int, blocks: int | None = None):
+        self.m, self.n, self.space, self.budget, self.blocks = m, n, space, budget, blocks
+        what = f"normalized space {m}^{(1 << n) - 1} = {space}"
+        if blocks is None:
+            super().__init__(f"{what} exceeds budget {budget}")
+        else:
+            super().__init__(f"{what} splits into {blocks} blocks, over the cap {MAX_BLOCKS}")
 
 
 @dataclass(frozen=True)
@@ -143,11 +158,23 @@ def _tail_tables(m: int, n: int, tail: int) -> _TailTables:
     positions.  chi[x, 0] = 1, so an assignment's y = 0 contribution
     sum_j zeta^{d_j} is one exact number across all permutations of its
     digits.  The rows are sorted, stably, by their sorted digits read in
-    base m; the columns are then built one spectrum row at a time."""
+    base m; the columns are then built one spectrum row at a time.
+
+    The digits are sorted column-wise by an odd-even transposition
+    network of np.minimum / np.maximum, which sorts any tail columns in
+    tail rounds and costs a fraction of a row-wise np.sort."""
     size = 1 << n
     chi, zeta = _char_table(n), _roots(m)
-    digits = np.indices((m,) * tail).reshape(tail, m**tail).T.astype(np.int16)
-    key = np.sort(digits, axis=1).astype(np.int64) @ (m ** np.arange(tail, dtype=np.int64))
+    cols = np.indices((m,) * tail, dtype=np.int16).reshape(tail, m**tail)
+    digits = cols.T.copy()
+    cols = list(cols)
+    for r in range(tail):
+        for j in range(r % 2, tail - 1, 2):
+            cols[j], cols[j + 1] = np.minimum(cols[j], cols[j + 1]), np.maximum(cols[j], cols[j + 1])
+    key = np.zeros(m**tail, dtype=np.int64)
+    for j, col in enumerate(cols):
+        key += col * np.int64(m**j)  # an int64 factor: the key outgrows int16
+    del cols
     counts = np.unique(key, return_counts=True)[1]
     digits = digits[np.argsort(key, kind="stable")]
     del key  # freed before the column build, which sets the peak
@@ -160,24 +187,43 @@ def _tail_tables(m: int, n: int, tail: int) -> _TailTables:
     return _TailTables(digits, columns, columns[0][starts], starts, counts)
 
 
+# holds every head multiset of a search: C(17, 3) = 680 at (15, 3)
+@lru_cache(maxsize=1024)
+def _head_groups(m: int, n: int, tail: int, head: tuple[int, ...]) -> np.ndarray:
+    """The tail groups that pass the y = 0 screen after the head
+    (0, *head), head's digits sorted.  The head's y = 0 contribution
+    1 + sum_j zeta^{h_j} depends on its digit multiset alone, so every
+    ordering of one multiset shares this read-only index array."""
+    zeta = _roots(m)
+    s = 1.0
+    for h in head:
+        s += zeta[h]
+    z = s + _tail_tables(m, n, tail).values
+    groups = (np.abs(z.real * z.real + z.imag * z.imag - (1 << n)) <= _TOL).nonzero()[0]
+    groups.flags.writeable = False
+    return groups
+
+
 def _run_prefix(
     m: int, n: int, prefix: tuple[int, ...]
 ) -> tuple[tuple[int, ...] | None, int, int]:
-    """Search every completion of (0, *prefix, mid..., tail...), walking
-    the mid assignments in lexicographic order and screening each one's
-    tail as one batch.
+    """Search every completion of (0, *prefix, mid..., tail...), taking
+    the mid assignments in lexicographic chunks of at most _TAIL_CELLS /
+    2^n and screening each chunk's tails as a few numpy batches.
 
-    The y = 0 screen runs once per digit multiset of the tail, since all
-    permutations of a multiset share one exact y = 0 value: a witness has
-    |F(0)|^2 = 2^n exactly, so its group passes, and the few ulps between
-    members' float values are far below the tolerance.  The rows of the
-    passing groups go through the screens at y = 1 .. 2^n - 1, and the
-    survivors, put from group order into lexicographic order so that the
-    first one confirmed is the least, through the exact test.
+    The y = 0 screen runs once per digit multiset of the tail and, by
+    _head_groups, once per digit multiset of the head (prefix and mid),
+    since all permutations share one exact y = 0 value: a witness has
+    |F(0)|^2 = 2^n exactly, so its groups pass, and the few ulps between
+    the float values of one multiset are far below the tolerance.  The
+    rows of every passing (mid, group) pair of the chunk go through the
+    screens at y = 1 .. 2^n - 1 together, at most _TAIL_CELLS rows at a
+    time.  The survivors, sorted by mid and then by tail digits so that
+    the first one confirmed is the least, go through the exact test.
 
     Returns the lexicographically least witness of this block (or None),
-    the count of completions examined and the count of screen survivors
-    sent to the exact test."""
+    the count of completions examined (every tail of each mid up to the
+    witness's) and the count of screen survivors sent to the exact test."""
     size = 1 << n
     chi = _char_table(n)
     zeta = _roots(m)
@@ -185,37 +231,46 @@ def _run_prefix(
     tail = 0
     while tail < free and (m ** (tail + 1)) * size <= _TAIL_CELLS:
         tail += 1
-    digits, columns, group_values, starts, counts = _tail_tables(m, n, tail)
+    digits, columns, _, starts, counts = _tail_tables(m, n, tail)
+    rows = digits.shape[0]
 
-    spectrum = chi[0].astype(np.complex128)
-    for j, v in enumerate(prefix):
-        spectrum = spectrum + zeta[v] * chi[j + 1]
-
-    examined = survivors = 0
-    for mid in product(range(m), repeat=free - tail):
-        spec = spectrum
-        for pos, v in enumerate(mid, start=len(prefix) + 1):
-            spec = spec + zeta[v] * chi[pos]
-        examined += digits.shape[0]
-        z = spec[0] + group_values
-        groups = np.flatnonzero(np.abs(z.real * z.real + z.imag * z.imag - size) <= _TOL)
-        if groups.size == 0:
-            continue
-        lengths = counts[groups]
-        # the rows of the passing groups: slot k of group g is row starts[g] + k
-        sel = np.repeat(starts[groups] - np.cumsum(lengths) + lengths, lengths)
-        sel += np.arange(sel.size)
-        for y in range(1, size):
-            if sel.size == 0:
-                break
-            z = spec[y] + columns[y][sel]
-            sel = sel[np.abs(z.real * z.real + z.imag * z.imag - size) <= _TOL]
-        for tail_values in sorted(digits[sel].tolist()):
-            survivors += 1
-            values = (0, *prefix, *mid, *tail_values)
-            if is_gbf_exact(GbfFunction(n, m, values)):
-                return values, examined, survivors
-    return None, examined, survivors
+    mids = product(range(m), repeat=free - tail)
+    chunk = max(1, _TAIL_CELLS // size)
+    done = survivors = 0
+    while batch := list(islice(mids, chunk)):
+        heads = [prefix + mid for mid in batch]
+        groups = [_head_groups(m, n, tail, tuple(sorted(head))) for head in heads]
+        sizes = [g.size for g in groups]
+        if any(sizes):
+            # the chunk's spectra, one row per head: f(0) = 0 adds chi[0],
+            # all ones, and each head position v its character times zeta^v
+            spec = np.ones((len(heads), size), dtype=np.complex128)
+            for pos, col in enumerate(np.array(heads, dtype=np.intp).T, start=1):
+                spec += zeta[col, None] * chi[pos]
+            passing = np.concatenate(groups)
+            lengths = counts[passing]
+            # the rows of the passing groups, and the mid each belongs to:
+            # slot k of group g is row starts[g] + k
+            owner = np.repeat(np.repeat(np.arange(len(batch)), sizes), lengths)
+            sel = np.repeat(starts[passing] - np.cumsum(lengths) + lengths, lengths)
+            sel += np.arange(sel.size)
+            hits = []
+            for lo in range(0, sel.size, _TAIL_CELLS):
+                who, row = owner[lo : lo + _TAIL_CELLS], sel[lo : lo + _TAIL_CELLS]
+                for y in range(1, size):
+                    if row.size == 0:
+                        break
+                    z = spec[who, y] + columns[y][row]
+                    keep = np.abs(z.real * z.real + z.imag * z.imag - size) <= _TOL
+                    who, row = who[keep], row[keep]
+                hits += zip(who.tolist(), digits[row].tolist())
+            for i, tail_values in sorted(hits):
+                survivors += 1
+                values = (0, *heads[i], *tail_values)
+                if is_gbf_exact(GbfFunction(n, m, values)):
+                    return values, (done + i + 1) * rows, survivors
+        done += len(batch)
+    return None, done * rows, survivors
 
 
 def brute_force(
@@ -228,14 +283,15 @@ def brute_force(
 ) -> SearchOutcome:
     """Exhaustive search of the normalized space for an (m, n) witness.
 
-    The space m^(2^n - 1) is rejected up front when it exceeds budget.
-    Work splits into blocks by the first one or two free values.  One
-    loop takes the block results in order, computed in process or, for
-    workers > 1, on at most that many worker processes (no more than
-    the blocks or the CPUs), a few chunks of blocks per worker.  The
-    first block reporting a witness wins, which makes the returned
-    witness the overall lexicographic minimum.  progress, when given,
-    receives one event dict per finished block.
+    The space m^(2^n - 1) is rejected up front when it exceeds budget,
+    and so is a space that would split into more than MAX_BLOCKS
+    blocks.  Work splits into blocks by the first one or two free
+    values.  One loop takes the block results in order, computed in
+    process or, for workers > 1, on at most that many worker processes
+    (no more than the blocks or the CPUs), a few chunks of blocks per
+    worker.  The first block reporting a witness wins, which makes the
+    returned witness the overall lexicographic minimum.  progress, when
+    given, receives one event dict per finished block.
     """
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got ({m}, {n})")
@@ -243,9 +299,11 @@ def brute_force(
     space = m ** (size - 1)
     if space > budget:
         raise BudgetExceededError(m, n, space, budget)
+    depth = min(2, size - 1)
+    if m**depth > MAX_BLOCKS:
+        raise BudgetExceededError(m, n, space, budget, blocks=m**depth)
 
     start = time.perf_counter()
-    depth = min(2, size - 1)
     prefixes = [(v,) for v in range(m)]
     if depth == 2:
         prefixes = [(v, w) for v in range(m) for w in range(m)]

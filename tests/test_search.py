@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gbfkit import search, vsum
+from gbfkit.cli import main
 from gbfkit.gbf import GbfFunction, is_gbf_exact
 from gbfkit.ring import CharacterSpec, CyclicRingElt, character_value_is_zero, subgroup_sum
 from gbfkit.search import (
@@ -83,6 +84,27 @@ def test_budget():
     with pytest.raises(BudgetExceededError):
         brute_force(3, 2, budget=26)
     assert brute_force(3, 2, budget=27).examined == 27
+
+
+def test_block_cap_refuses_before_any_block(monkeypatch, capsys):
+    # n = 1 has one block per value of m, each a single assignment; past
+    # MAX_BLOCKS blocks the search is refused before any block runs
+    def no_block(*args):
+        raise AssertionError("a block was started")
+
+    monkeypatch.setattr(search, "_run_prefix", no_block)
+    blocks = search.MAX_BLOCKS + 1
+    with pytest.raises(BudgetExceededError) as info:
+        brute_force(blocks, 1)
+    assert info.value.blocks == blocks and str(blocks) in str(info.value)
+    assert main(["search", str(blocks), "1"]) == 3
+    assert f"{blocks} blocks" in capsys.readouterr().err
+
+    # MAX_BLOCKS itself is admitted: every block runs
+    monkeypatch.setattr(search, "_run_prefix", lambda m, n, prefix: (None, 1, 0))
+    assert brute_force(search.MAX_BLOCKS, 1).examined == search.MAX_BLOCKS
+    # and so is the n = 2 space with the most blocks inside the budget
+    assert brute_force(554, 2).examined == 554**2
 
 
 def test_roots_are_built_once_per_modulus():
@@ -220,6 +242,11 @@ def test_multiset_screen_matches_per_tail_screen(monkeypatch):
     # tail at k positions, so k = 0 walks every position as a mid level
     cases = [(m, n, None) for m, n in [(4, 3), (6, 3), (8, 3), (3, 4), (3, 2), (2, 1)]]
     cases += [(4, 3, 0), (3, 2, 0), (2, 1, 0), (5, 2, 0), (6, 3, 2), (3, 4, 7)]
+    # (4, 3, 1) takes its mids four to a chunk, and the witness's mid
+    # (2, 1, 1, 1) has rank 149, past the first chunk; at (3, 4, 5) and
+    # (3, 4, 7) the passing rows of a chunk outnumber _TAIL_CELLS, so they
+    # are screened in pieces
+    cases += [(4, 3, 1), (3, 4, 5)]
     confirmed = []
     sent_total = 0
     exact = search.is_gbf_exact
@@ -245,6 +272,38 @@ def test_multiset_screen_matches_per_tail_screen(monkeypatch):
                 assert sent == confirmed and survivors == len(sent), (m, n, k, prefix)
                 sent_total += len(sent)
     assert sent_total > 0
+
+
+def test_every_row_passing_the_screens_is_confirmed(monkeypatch):
+    # with no tolerance limit every completion passes the screens, so each
+    # reaches the exact test once and in lexicographic order, also where a
+    # chunk's rows outnumber _TAIL_CELLS and are screened in pieces
+    sent = []
+
+    def never_bent(fn):
+        sent.append(fn.values)
+        return False
+
+    monkeypatch.setattr(search, "is_gbf_exact", never_bent)
+    monkeypatch.setattr(search, "_TOL", float("inf"))
+    search._head_groups.cache_clear()
+    try:
+        for m, k in [(3, 2), (3, 3), (4, 2)]:
+            monkeypatch.setattr(search, "_TAIL_CELLS", m**k << 3)
+            del sent[:]
+            assert search._run_prefix(m, 3, (1, 0)) == (None, m**5, m**5), (m, k)
+            assert sent == [(0, 1, 0, *rest) for rest in product(range(m), repeat=5)], (m, k)
+    finally:
+        search._head_groups.cache_clear()
+
+
+def test_y0_screen_runs_once_per_head_multiset():
+    # at (15, 3) a head is the prefix and one mid level: 15^3 = 3375
+    # ordered heads, but C(17, 3) = 680 digit multisets
+    search._head_groups.cache_clear()
+    out = brute_force(15, 3)
+    assert out.status == "ExhaustedNone" and out.examined == out.normalized_space
+    assert search._head_groups.cache_info().misses <= comb(17, 3)
 
 
 def test_tail_groups_are_digit_multisets():
