@@ -291,10 +291,12 @@ def brute_force(
     (no more than the blocks or the CPUs), a few chunks of blocks per
     worker.  The first block reporting a witness wins, which makes the
     returned witness the overall lexicographic minimum.  progress, when
-    given, receives one event dict per finished block.
+    given, receives one event dict per finished block.  m < 2 is
+    refused, as decide refuses it: m = 1 has a space of 1 at every n,
+    so the budget would not stop the 4^n-cell character table.
     """
-    if m < 1 or n < 1:
-        raise ValueError(f"need m >= 1 and n >= 1, got ({m}, {n})")
+    if m < 2 or n < 1:
+        raise ValueError(f"need m >= 2 and n >= 1, got ({m}, {n})")
     size = 1 << n
     space = m ** (size - 1)
     if space > budget:

@@ -31,19 +31,20 @@ power of the largest prime p of m.  Each C_r fiber's
 sub-elements under its slice of the box are held sparse and grouped by
 exact value, their residues mod Phi_r, which a matmul reduces in
 chunks; fibers are then chosen class by class from one common group,
-by an explicit-stack walk.  _minimal_among keeps the v-sums above no
-minimal v-sum of smaller norm.  No float enters and nothing recurses
-with the size of m; c_exponent refuses elements above its max_norm,
-and every caller refuses inputs whose grouped fibers would pass
-MAX_FIBER_WORDS.
+by an explicit-stack walk, and each v-sum is one gather from the
+chosen fibers.  _minimal_among keeps the v-sums above no minimal v-sum
+of smaller norm.  No float enters and nothing recurses with the size
+of m; c_exponent refuses elements above its max_norm, and every caller
+refuses inputs whose grouped fibers would pass MAX_FIBER_WORDS.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from math import gcd, lcm
+from operator import itemgetter
 
 import numpy as np
 
@@ -57,8 +58,10 @@ from .ring import (
 )
 
 # enumerate_minimal_vsums guards.  At the (60, 8) corner the census
-# finds 362 minimal v-sums among 65147 v-sums in about 1.5 s, with a
-# 93 MB peak RSS (Python 3.11, one core of a 2-core Xeon).
+# finds 362 minimal v-sums among 65147 v-sums in 0.7 s, and the process
+# peaks at 91 MB (VmHWM in /proc/self/status; Python 3.11, one core of
+# a 2-core Xeon VM).  The 65147 tuples held for _minimal_among make most
+# of that peak.
 MAX_ENUM_MODULUS = 60
 MAX_ENUM_NORM = 8
 
@@ -388,7 +391,14 @@ def _vsums_under(box: tuple[int, ...], budget: int):
     value only when every fiber in it has that value, at a norm of at
     least the sum of the fibers' cheapest norms for it (0 for the zero
     value).  The fiber tuple determines B, hence no duplicates.
-    ValueError when the grouped fibers need more than MAX_FIBER_WORDS.
+
+    The fibers are chosen in alpha order, so B is one itemgetter gather
+    from their coefficients laid end to end, with a trailing 0 for the
+    cells outside the box.  The last level, fiber q - 1, is the tail of
+    that input: its choices run in a plain loop under the head the
+    other fibers make, with the same norm cut, and each yields one
+    gather.  ValueError when the grouped fibers need more than
+    MAX_FIBER_WORDS.
     """
     m = len(box)
     supp = [j for j, b in enumerate(box) if b]
@@ -420,6 +430,8 @@ def _vsums_under(box: tuple[int, ...], budget: int):
             room -= used
         slots.append([j for _, j in cells])
         groups.append(by_shape[shape])
+    at = dict(zip(chain.from_iterable(slots), range(m)))
+    place = itemgetter(*(at.get(j, len(at)) for j in range(m)))
     # per class, the (norm floor, value) pairs every fiber of it can take
     options = []
     for cls in range(classes):
@@ -429,9 +441,10 @@ def _vsums_under(box: tuple[int, ...], budget: int):
     # Depth-first over the levels class 0's value, its p fibers, class
     # 1's value, ...; each level yields the slack it leaves, the budget
     # left over the cheapest completion of the classes chosen so far.  An
-    # explicit stack of level generators, so q may pass the recursion limit.
+    # explicit stack of level generators, so q may pass the recursion
+    # limit.  The last level, fiber q - 1, runs inline (see the docstring).
     values: list[tuple[int, ...]] = [()] * classes
-    chosen: list[tuple[int, ...]] = [()] * q
+    chosen: list[tuple[int, ...]] = [()] * (q - 1)
 
     def level(k: int, slack: int):
         cls, i = divmod(k, p + 1)
@@ -457,15 +470,18 @@ def _vsums_under(box: tuple[int, ...], budget: int):
         slack = next(stack[-1], None)
         if slack is None:
             stack.pop()
-        elif len(stack) < depth:
+        elif len(stack) < depth - 1:
             stack.append(level(len(stack), slack))
         else:
-            coeffs = [0] * m
-            for idx, fib in zip(slots, chosen):
-                for j, c in zip(idx, fib):
-                    coeffs[j] = c
-            if any(coeffs):
-                yield tuple(coeffs)
+            head = [*chain.from_iterable(chosen)]
+            lst = groups[q - 1][values[-1]]
+            cheapest = lst[0][0]
+            for norm, coeffs in lst:
+                if norm - cheapest > slack:
+                    break
+                b = place([*head, *coeffs, 0])
+                if any(b):
+                    yield b
 
 
 def _minimal_among(vsums: list[tuple[int, ...]]) -> list[tuple[int, ...]]:

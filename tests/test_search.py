@@ -107,6 +107,19 @@ def test_block_cap_refuses_before_any_block(monkeypatch, capsys):
     assert brute_force(554, 2).examined == 554**2
 
 
+def test_modulus_one_refused_before_any_table(monkeypatch, capsys):
+    # m = 1 has a space of 1 at every n, so the budget passes it; its
+    # 4^n-cell character table (2 GB at n = 14) must never be built
+    def no_table(n):
+        raise AssertionError("a character table was built")
+
+    monkeypatch.setattr(search, "_char_table", no_table)
+    with pytest.raises(ValueError, match="need m >= 2"):
+        brute_force(1, 14)
+    assert main(["search", "1", "14"]) == 64
+    assert "need m >= 2" in capsys.readouterr().err
+
+
 def test_roots_are_built_once_per_modulus():
     # 4001 blocks at n = 1 share one table of roots of unity; building it
     # per block made the search quadratic in m

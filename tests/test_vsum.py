@@ -1,5 +1,6 @@
 """Vanishing-sum analysis: minimality, exponents, decompositions."""
 
+import hashlib
 import random
 import time
 from itertools import combinations, product
@@ -393,6 +394,58 @@ def test_parts_match_box_scan(d, extra):
         assert sorted(got) == sorted(b for b in vanishing if sum(b) <= budget)
     assert minimal_under(box) == box_scan_parts(box)
     check_against(box_scan_parts, d)
+
+
+def sequence_digest(seq):
+    return hashlib.sha256(repr(seq).encode()).hexdigest()
+
+
+# the fibers of C_30 = C_5 x C_6 are the residues of j mod 5
+HOLED_30 = tuple(0 if j % 5 == 4 else 2 for j in range(30))
+ODD_60 = tuple(3 if j % 2 else 0 for j in range(60))
+SPARSE_30 = tuple(1 if j % 5 in (0, 3, 4) and j < 27 else 0 for j in range(30))
+
+# (box, budget, yields, sha256 of the repr of the yield list), recorded
+# from the explicit-stack walk that filled each v-sum cell by cell
+PINNED_SEQUENCES = [
+    ((8,) * 30, 8, 6761, "8dee1fe8a10b4dffd7efd8a6aa95738a629681b3a6d656829d654212f85a47a5"),
+    ((5,) * 60, 5, 1127, "f8b8e455d1569e03bf0ab8fc8ad2d1b239a2324834a289528f3d79bc1f01862f"),
+    ((6,) * 42, 6, 2429, "2a113f3f8646cca29bf696eff594b82d1e7b2151d0d1e1327df6d560412163a8"),
+    ((7,) * 30, 7, 2411, "70b83cc2ea91f32c1096b8e1e6de35989ced4b4fb8e1b0a267d6ddf313ee28b7"),
+    ((7,) * 30, 6, 1061, "1fcf597850cf0a452e2886d369fac95e5021184ec00e47c8bc9e4234d283f325"),
+    # a whole fiber outside the box
+    (HOLED_30, 8, 2759, "2dcf3c3a0201385c7c3d2705fd8110a9223fe8fe3f7fe75d2f2c4530d1fc2909"),
+    # support in the coset 1 + 2Z, so the walk runs in C_30
+    (ODD_60, 6, 1061, "aed697b1fb61140c0a725aaa830757c5c9ef3223b5529b92144e7d5f897f5b46"),
+    (SPARSE_30, 7, 122, "9a9f6af8746d7f2bb5d2ef6f786b974a2c75cee85752ad80ee187b1afe372ab2"),
+    (SPARSE_30, 6, 90, "897a7aeeea8071a757ca3085c83505cd4b103861f7970645f865c6c4afd0a5d6"),
+]
+
+
+@pytest.mark.parametrize(
+    "box, budget, count, digest",
+    PINNED_SEQUENCES,
+    ids=["c30_8", "c60_5", "c42_6", "c30_7", "c30_7_at_6", "holed_30", "odd_60",
+         "sparse_30", "sparse_30_at_6"],
+)
+def test_yield_order_is_pinned(box, budget, count, digest):
+    # the census, the peel and the minimality test take the first v-sums
+    # the walk yields, so the order is part of the contract
+    seq = list(vsum._vsums_under(box, budget))
+    assert len(seq) == count
+    assert sequence_digest(seq) == digest
+
+
+def test_last_level_keeps_the_norm_cut():
+    # the last fiber's list runs past the slack at these budgets, 34 and
+    # 32 times under SPARSE_30 and over 600 times under (7,) * 30
+    vanishing = box_scan_vsums(CyclicRingElt(30, SPARSE_30))
+    for budget in (7, 6):
+        got = list(vsum._vsums_under(SPARSE_30, budget))
+        assert sorted(got) == sorted(b for b in vanishing if sum(b) <= budget)
+    # lowering the budget only drops the v-sums past it, in order
+    wide = list(vsum._vsums_under((7,) * 30, 7))
+    assert list(vsum._vsums_under((7,) * 30, 6)) == [b for b in wide if sum(b) <= 6]
 
 
 def test_c_exponent_full_sum_c30():
