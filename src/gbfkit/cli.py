@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .criteria import EXISTS, NONEXISTENT, UNKNOWN, decide
+from .criteria import EXISTS, NONEXISTENT, UNKNOWN, apply_criteria, decide
 from .gbf import (
     GbfFunction,
     compute_autocorr,
@@ -269,7 +269,7 @@ def _cmd_table(args) -> int:
     for m in range(2, args.m_max + 1):
         if m % 4 == 0:
             continue
-        rows.append((m, [decide(m, n).outcome for n in range(1, args.n_max + 1)]))
+        rows.append((m, [apply_criteria(m, n)[0] for n in range(1, args.n_max + 1)]))
     cells = [
         {"m": m, "n": n + 1, "outcome": outcome}
         for m, outcomes in rows

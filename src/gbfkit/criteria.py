@@ -4,9 +4,15 @@ Verdicts are three-valued.  Exists fires on the classical constructions
 (4 | m, or m and n both even, or m = 2 with n even); Nonexistent fires on
 integer-arithmetic criteria about the prime factorization of m versus
 2^n; everything else is Unknown, reported together with the fully
-stripped residual parameters.  Each applied criterion is recorded as a
-trace step with a stable id from a closed catalog, so downstream tools
-can rely on the spelling.
+stripped residual parameters.
+
+One core, apply_criteria, runs the criteria and returns the outcome, the
+applied steps as (id, params) pairs, and the residual.  decide wraps it
+into a Verdict, rendering each step's cite from CITES, so a cite is fixed
+by the step's id, its params and n.  The ids are the keys of CITES, a
+closed catalog, so downstream tools can rely on the spelling.  Callers
+that need only the outcome, such as `gbf table`, call the core and
+render nothing.
 
 All comparisons are integer-exact; thresholds like p > 2^{n-3} are coded
 as 8p > 2^n so small n needs no fractions.
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import prod
 
@@ -23,28 +30,47 @@ from .ring import factorize, is_prime
 # re-exported: perfbench/spans.py traces c_exponent under this name too
 from .vsum import c_exponent  # noqa: F401
 
-CRITERION_IDS = frozenset(
-    {
-        "exists-4-divides",
-        "exists-both-even",
-        "exists-boolean-even-n",
-        "nonexist-n3",
-        "nonexist-s1-odd",
-        "nonexist-3p1p2",
-        "strip-odd",
-        "strip-even",
-        "nonexist-2p-alpha-large",
-        "nonexist-2p-alpha-non-mersenne",
-        "nonexist-2p-alpha-mod8",
-    }
-)
+# Input caps, from worst cases measured on one core of a 2-core Xeon VM.
+# factorize is trial division: m = 99999999999973, the largest prime
+# below 10^14, takes 0.65 s, and the time grows tenfold per hundredfold
+# of m.  Each 2^n costs time and memory linear in n: at n = 10^8 a
+# verdict takes 0.04 s, and 2^n is a 12.5 MB integer.
+MAX_M = 10**14
+MAX_N = 10**8
+
+# id -> cite of a step.  A step with params names them in its cite, so
+# its entry renders the cite from n and the params; the others are fixed.
+CITES = {
+    "exists-4-divides": "4 | m: standard constructions exist for every n",
+    "exists-both-even": "m and n both even: constructions exist",
+    "exists-boolean-even-n": "m = 2: boolean bent functions exist iff n is even",
+    "nonexist-n3": "n = 3 with m odd or m = 2 mod 4: excluded by the autocorrelation catalog",
+    "nonexist-s1-odd": "odd m with a single prime factor admits no generalized bent function",
+    "nonexist-3p1p2": lambda n, p: (
+        f"odd m with s >= 2 prime factors and 3*{p['p1']} + {p['p2']} > 2^{n}"
+    ),
+    "strip-odd": lambda n, p: (
+        f"odd primes {p['stripped']} satisfy p_1 + p > 2^n; reduced to m = {p['kept_m']}"
+    ),
+    "strip-even": lambda n, p: (
+        f"odd primes {p['stripped']} satisfy p_1 + p > 2^n + 2; reduced to m = {p['kept_m']}"
+    ),
+    "nonexist-2p-alpha-large": lambda n, p: f"m = 2 p^a with p = {p['p']} > 2^(n-2)",
+    "nonexist-2p-alpha-non-mersenne": lambda n, p: (
+        f"m = 2 p^a with p = {p['p']} > 2^(n-3) and p != 2^(n-2) - 1"
+    ),
+    "nonexist-2p-alpha-mod8": lambda n, p: (
+        f"m = 2 p^a with p = {p['p']} = 3 or 5 mod 8 (externally sourced result)"
+    ),
+}
+CRITERION_IDS = frozenset(CITES)
 
 EXISTS = "Exists"
 NONEXISTENT = "Nonexistent"
 UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CriterionStep:
     id: str
     cite: str
@@ -58,7 +84,7 @@ class CriterionStep:
         return {"id": self.id, "cite": self.cite, "params": dict(self.params)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     m: int
     n: int
@@ -89,7 +115,9 @@ def is_mersenne_for(n: int, p: int) -> bool:
     return p == (1 << (n - 2)) - 1 and is_prime(p)
 
 
-def strip_primes(odd_primes: list[int], n: int, even_part: bool) -> tuple[list[int], list[int]]:
+def strip_primes(
+    odd_primes: Sequence[int], n: int, even_part: bool
+) -> tuple[Sequence[int], Sequence[int]]:
     """Split the odd primes of m into (kept, stripped).
 
     A prime q is strippable when p_1 + q exceeds 2^n (odd m) or 2^n + 2
@@ -100,133 +128,80 @@ def strip_primes(odd_primes: list[int], n: int, even_part: bool) -> tuple[list[i
 
     The primes come in ascending order, so p_1 + p <= threshold holds on
     a prefix of them: kept is that prefix, never shorter than p_1
-    alone, and stripped is the rest.
+    alone, and stripped is the rest, both slices of odd_primes.
     """
     threshold = (1 << n) + (2 if even_part else 0)
-    cut = bisect_right(odd_primes, threshold - odd_primes[0], lo=1)
+    cut = bisect_right(odd_primes, threshold - odd_primes[0], 1)
     return odd_primes[:cut], odd_primes[cut:]
 
 
-def decide(m: int, n: int) -> Verdict:
-    """Run the criteria pipeline on (m, n).  Every input gets a verdict."""
+def _refuse(m: int, n: int) -> ValueError:
     if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
+        return ValueError(f"need m >= 2, got {m}")
     if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+        return ValueError(f"need n >= 1, got {n}")
+    if m > MAX_M:
+        return ValueError(f"need m <= {MAX_M}, got {m}: trial division of m takes too long")
+    return ValueError(f"need n <= {MAX_N}, got {n}: 2^n takes too much memory")
 
-    trace: list[CriterionStep] = []
 
-    if m % 4 == 0:
-        trace.append(
-            CriterionStep("exists-4-divides", "4 | m: standard constructions exist for every n")
-        )
-        return Verdict(m, n, EXISTS, tuple(trace))
-    if m % 2 == 0 and n % 2 == 0:
-        trace.append(
-            CriterionStep("exists-both-even", "m and n both even: constructions exist")
-        )
-        return Verdict(m, n, EXISTS, tuple(trace))
-    if m == 2:
-        # boolean case: bent functions exist exactly for even n, and even
-        # n was already caught above, so only the negative side fires here
-        trace.append(
-            CriterionStep(
-                "exists-boolean-even-n",
-                "m = 2: boolean bent functions exist iff n is even",
-            )
-        )
-        return Verdict(m, n, NONEXISTENT, tuple(trace))
+def apply_criteria(
+    m: int, n: int
+) -> tuple[str, tuple[tuple[str, dict], ...], tuple[int, int] | None]:
+    """Run the criteria on (m, n): (outcome, steps, residual).
+
+    Each step is an (id, params) pair, in the order applied.  residual is
+    the reduced (m, n) when the outcome is Unknown, else None.  Inputs
+    outside 2 <= m <= MAX_M, 1 <= n <= MAX_N raise ValueError before any
+    arithmetic.
+    """
+    if not (2 <= m <= MAX_M and 1 <= n <= MAX_N):
+        raise _refuse(m, n)
+    even = m % 2 == 0
+    if even:
+        if m % 4 == 0:
+            return EXISTS, (("exists-4-divides", {}),), None
+        if n % 2 == 0:
+            return EXISTS, (("exists-both-even", {}),), None
+        if m == 2:
+            # boolean case: bent functions exist exactly for even n, and even
+            # n was already caught above, so only the negative side fires here
+            return NONEXISTENT, (("exists-boolean-even-n", {}),), None
     if n == 3:
-        trace.append(
-            CriterionStep(
-                "nonexist-n3",
-                "n = 3 with m odd or m = 2 mod 4: excluded by the autocorrelation catalog",
-            )
-        )
-        return Verdict(m, n, NONEXISTENT, tuple(trace))
+        return NONEXISTENT, (("nonexist-n3", {}),), None
 
-    if m % 2 == 1:
-        return _decide_odd(m, n, trace)
-    return _decide_twice_odd(m, n, trace)
-
-
-def _decide_odd(m: int, n: int, trace: list[CriterionStep]) -> Verdict:
-    fact = factorize(m)
-    kept, stripped = strip_primes(list(fact.primes), n, even_part=False)
+    # m is odd, or m = 2 mod 4 with m > 2 and n odd: strip the odd part
+    fact = factorize(m // 2 if even else m)
+    kept, stripped = strip_primes(fact.primes, n, even)
+    steps = ()
     reduced = m
     if stripped:
-        reduced = prod(p**a for p, a in fact.factors[: len(kept)])
-        trace.append(
-            CriterionStep(
-                "strip-odd",
-                f"odd primes {stripped} satisfy p_1 + p > 2^n; reduced to m = {reduced}",
-                {"stripped": stripped, "kept_m": reduced},
-            )
-        )
-    if len(kept) == 1:
-        trace.append(
-            CriterionStep(
-                "nonexist-s1-odd",
-                "odd m with a single prime factor admits no generalized bent function",
-            )
-        )
-        return Verdict(m, n, NONEXISTENT, tuple(trace))
-    p1, p2 = kept[0], kept[1]
-    if 3 * p1 + p2 > (1 << n):
-        trace.append(
-            CriterionStep(
-                "nonexist-3p1p2",
-                f"odd m with s >= 2 prime factors and 3*{p1} + {p2} > 2^{n}",
-                {"p1": p1, "p2": p2},
-            )
-        )
-        return Verdict(m, n, NONEXISTENT, tuple(trace))
-    return Verdict(m, n, UNKNOWN, tuple(trace), residual=(reduced, n))
-
-
-def _decide_twice_odd(m: int, n: int, trace: list[CriterionStep]) -> Verdict:
-    # here m = 2 mod 4, m > 2, and n is odd
-    half = m // 2
-    fact = factorize(half)
-    kept, stripped = strip_primes(list(fact.primes), n, even_part=True)
-    reduced = m
-    if stripped:
-        reduced = 2 * prod(p**a for p, a in fact.factors[: len(kept)])
-        trace.append(
-            CriterionStep(
-                "strip-even",
-                f"odd primes {stripped} satisfy p_1 + p > 2^n + 2; reduced to m = {reduced}",
-                {"stripped": stripped, "kept_m": reduced},
-            )
-        )
-    if len(kept) == 1:
-        p = kept[0]
-        if 4 * p > (1 << n):
-            trace.append(
-                CriterionStep(
-                    "nonexist-2p-alpha-large",
-                    f"m = 2 p^a with p = {p} > 2^(n-2)",
-                    {"p": p},
-                )
-            )
-            return Verdict(m, n, NONEXISTENT, tuple(trace))
-        if 8 * p > (1 << n) and not is_mersenne_for(n, p):
-            trace.append(
-                CriterionStep(
-                    "nonexist-2p-alpha-non-mersenne",
-                    f"m = 2 p^a with p = {p} > 2^(n-3) and p != 2^(n-2) - 1",
-                    {"p": p},
-                )
-            )
-            return Verdict(m, n, NONEXISTENT, tuple(trace))
+        reduced = prod(p**a for p, a in fact.factors[: len(kept)]) * (2 if even else 1)
+        params = {"stripped": list(stripped), "kept_m": reduced}
+        steps = (("strip-even" if even else "strip-odd", params),)
+    two_n = 1 << n
+    p = kept[0]
+    if not even:
+        if len(kept) == 1:
+            return NONEXISTENT, steps + (("nonexist-s1-odd", {}),), None
+        if 3 * p + kept[1] > two_n:
+            return NONEXISTENT, steps + (("nonexist-3p1p2", {"p1": p, "p2": kept[1]}),), None
+    elif len(kept) == 1:
+        if 4 * p > two_n:
+            return NONEXISTENT, steps + (("nonexist-2p-alpha-large", {"p": p}),), None
+        if 8 * p > two_n and not is_mersenne_for(n, p):
+            return NONEXISTENT, steps + (("nonexist-2p-alpha-non-mersenne", {"p": p}),), None
         if p % 8 in (3, 5):
-            trace.append(
-                CriterionStep(
-                    "nonexist-2p-alpha-mod8",
-                    f"m = 2 p^a with p = {p} = 3 or 5 mod 8 (externally sourced result)",
-                    {"p": p},
-                )
-            )
-            return Verdict(m, n, NONEXISTENT, tuple(trace))
-    return Verdict(m, n, UNKNOWN, tuple(trace), residual=(reduced, n))
+            return NONEXISTENT, steps + (("nonexist-2p-alpha-mod8", {"p": p}),), None
+    return UNKNOWN, steps, (reduced, n)
 
+
+def decide(m: int, n: int) -> Verdict:
+    """Run the criteria pipeline on (m, n).  Every input within the caps
+    gets a verdict; see apply_criteria for the refusals."""
+    outcome, steps, residual = apply_criteria(m, n)
+    trace = ()
+    for sid, params in steps:
+        cite = CITES[sid]
+        trace += (CriterionStep(sid, cite(n, params) if params else cite, params),)
+    return Verdict(m, n, outcome, trace, residual)

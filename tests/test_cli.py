@@ -268,13 +268,24 @@ def test_table_cli(capsys):
     assert by_key[(14, 5)] == "Unknown"
 
 
-def test_table_csv_pinned(capsys):
-    # golden digest, computed before factorize was cached: any moved
-    # outcome changes it
-    assert main(["table", "--m-max", "1000", "--n-max", "9"]) == 0
-    out = capsys.readouterr().out
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "266e96633f028459b3864f025d361f74be8c88e7051a8b4bb688b946d4820562"
+def test_table_csv_pinned(tmp_path, capsys):
+    # golden digests: the 1000 x 9 CSV from before factorize was cached,
+    # the CSV at the range caps and the store record's outcome from
+    # before the table read apply_criteria; any moved outcome changes them
+    for m_max, n_max, digest in [
+        (1000, 9, "266e96633f028459b3864f025d361f74be8c88e7051a8b4bb688b946d4820562"),
+        (10000, 16, "f8cf25b0a1c9d7a19fad2af2fac7bd87583a1a06c8c1034da42b1e0613d18fcf"),
+    ]:
+        assert main(["table", "--m-max", str(m_max), "--n-max", str(n_max)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    store = tmp_path / "table.jsonl"
+    assert main(["table", "--m-max", "1000", "--n-max", "9", "--store", str(store)]) == 0
+    capsys.readouterr()
+    outcome = json.dumps(json.loads(store.read_text())["outcome"], sort_keys=True)
+    digest = hashlib.sha256(outcome.encode()).hexdigest()
+    assert digest == "d6fd2a987f1fe5729aaec302dc6427c15e73b58cf17dd130dc1ad0392452e907"
 
 
 def test_table_factors_each_row_once(capsys):

@@ -1,5 +1,6 @@
 """Tests for the (m, n) decision pipeline."""
 
+import hashlib
 import json
 from math import isqrt
 
@@ -7,13 +8,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gbfkit import criteria
+from gbfkit.cli import main
 from gbfkit.criteria import (
     CRITERION_IDS,
     EXISTS,
+    MAX_M,
+    MAX_N,
     NONEXISTENT,
     UNKNOWN,
     CriterionStep,
     Verdict,
+    apply_criteria,
     decide,
     is_mersenne_for,
     strip_primes,
@@ -202,6 +208,23 @@ def test_bad_inputs():
         CriterionStep("bogus-id", "nope")
 
 
+def test_oversized_inputs_refused_before_factorize(monkeypatch, capsys):
+    def no_factorize(m):
+        raise AssertionError(f"factorize({m}) ran")
+
+    monkeypatch.setattr(criteria, "factorize", no_factorize)
+    for m, n in [(MAX_M + 1, 5), (2 * MAX_M + 2, 5), (15, MAX_N + 1), (MAX_M + 2, MAX_N + 2)]:
+        with pytest.raises(ValueError, match="need"):
+            decide(m, n)
+        with pytest.raises(ValueError):
+            apply_criteria(m, n)
+        assert main(["decide", str(m), str(n)]) == 64
+    assert "gbf decide: need m <= " in capsys.readouterr().err
+    # the caps themselves are admitted: 4 | 10^14, and (6, 10^8) is both even
+    assert decide(MAX_M, 5).outcome == EXISTS
+    assert decide(6, MAX_N).outcome == EXISTS
+
+
 def test_verdict_json():
     v = decide(93, 5)
     blob = json.loads(v.to_json_str())
@@ -214,6 +237,16 @@ def test_verdict_json():
 
     blob = json.loads(decide(1905, 7).to_json_str())
     assert blob["residual"] == {"m": 15, "n": 7}
+
+
+def test_verdicts_pinned():
+    # golden digest of every verdict with m <= 2000 and n <= 16, cite
+    # prose included, computed before decide rendered from apply_criteria
+    digest = hashlib.sha256()
+    for m in range(2, 2001):
+        for n in range(1, 17):
+            digest.update((decide(m, n).to_json_str() + "\n").encode())
+    assert digest.hexdigest() == "8090a5653d520905397665fc3a3ef5497ad2a00ee596fd9fed490a400bb3e178"
 
 
 # -- pipeline invariants ----------------------------------------------------
