@@ -4,7 +4,8 @@ Subcommands: decide, verify, search, decompose, catalog, table.  Every
 run builds a ResultRecord; with --json the record is printed verbatim,
 and when a results store is configured (--store or GBF_STORE) the
 record is appended there as one JSON line, whole even when several
-runs share the store.
+runs share the store.  `gbf table` renders its record only when one of
+the two asks for it, straight to the JSON line (see _table_line).
 
 Exit codes are a function of the outcome alone: decide maps its verdict
 to 0 (Exists), 1 (Nonexistent), 2 (Unknown); search returns 0 on a
@@ -51,10 +52,14 @@ def _record(command: str, params: dict, outcome) -> dict:
     }
 
 
+def _store(args) -> str | None:
+    return args.store or os.environ.get("GBF_STORE")
+
+
 def _emit(record: dict, args) -> None:
     if args.json:
         print(json.dumps(record, sort_keys=True, indent=2))
-    store = args.store or os.environ.get("GBF_STORE")
+    store = _store(args)
     if store:
         _append_line(store, json.dumps(record, sort_keys=True) + "\n")
 
@@ -258,6 +263,27 @@ def _cmd_catalog(args) -> int:
     return 0 if not report["mismatches"] else 1
 
 
+def _table_line(args, rows) -> str:
+    """The table's record as one JSON line, exactly json.dumps(record,
+    sort_keys=True) of a record whose outcome lists every cell as
+    {"m": m, "n": n, "outcome": o}.
+
+    The cells are not built as dicts: the record is dumped with an empty
+    cell list, and the cells are spliced in from one prefix per n.  Their
+    keys are already in sorted order, and every outcome is one of three
+    fixed ASCII words, so nothing needs escaping.
+    """
+    record = _record("table", {"m_max": args.m_max, "n_max": args.n_max}, {"cells": []})
+    head, tail = json.dumps(record, sort_keys=True).split('"cells": []')
+    prefixes = [f', "n": {n}, "outcome": "' for n in range(1, args.n_max + 1)]
+    cells = ", ".join(
+        f'{{"m": {m}{prefix}{outcome}"}}'
+        for m, outcomes in rows
+        for prefix, outcome in zip(prefixes, outcomes)
+    )
+    return f'{head}"cells": [{cells}]{tail}'
+
+
 def _cmd_table(args) -> int:
     if args.m_max > 10000 or args.n_max > 16:
         print("gbf table: range too large (m-max <= 10000, n-max <= 16)", file=sys.stderr)
@@ -270,19 +296,17 @@ def _cmd_table(args) -> int:
         if m % 4 == 0:
             continue
         rows.append((m, [apply_criteria(m, n)[0] for n in range(1, args.n_max + 1)]))
-    cells = [
-        {"m": m, "n": n + 1, "outcome": outcome}
-        for m, outcomes in rows
-        for n, outcome in enumerate(outcomes)
-    ]
-    record = _record(
-        "table", {"m_max": args.m_max, "n_max": args.n_max}, {"cells": cells}
-    )
     if not args.json:
-        print("m," + ",".join(f"n={n}" for n in range(1, args.n_max + 1)))
-        for m, outcomes in rows:
-            print(f"{m}," + ",".join(outcomes))
-    _emit(record, args)
+        lines = ["m," + ",".join(f"n={n}" for n in range(1, args.n_max + 1))]
+        lines += [f"{m}," + ",".join(outcomes) for m, outcomes in rows]
+        sys.stdout.write("\n".join(lines) + "\n")
+    store = _store(args)
+    if args.json or store:
+        line = _table_line(args, rows)
+        if args.json:
+            print(json.dumps(json.loads(line), sort_keys=True, indent=2))
+        if store:
+            _append_line(store, line + "\n")
     return 0
 
 

@@ -24,7 +24,6 @@ import json
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from math import prod
 
 from .ring import factorize, is_prime
 # re-exported: perfbench/spans.py traces c_exponent under this name too
@@ -176,7 +175,7 @@ def apply_criteria(
     steps = ()
     reduced = m
     if stripped:
-        reduced = prod(p**a for p, a in fact.factors[: len(kept)]) * (2 if even else 1)
+        reduced = fact.prefix_products[len(kept)] * (2 if even else 1)
         params = {"stripped": list(stripped), "kept_m": reduced}
         steps = (("strip-even" if even else "strip-odd", params),)
     two_n = 1 << n

@@ -25,7 +25,8 @@ by Moebius inversion (multiplications, then exact divisions), and
 cached per d.
 
 factorize keeps its last 64 results in an LRU cache, and each
-PrimeFactorization computes its primes once.  The results are frozen, so
+PrimeFactorization computes its primes and the prefix products of its
+prime powers once.  The results are frozen, so
 callers share them safely.  `gbf table` decides n = 1, 2, ... for one m
 before the next, so each row of the table factors its m once.
 """
@@ -35,7 +36,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
+from itertools import accumulate
 from math import gcd, prod
+from operator import mul
 
 import numpy as np
 
@@ -83,12 +86,18 @@ class PrimeFactorization:
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if prod(p**a for p, a in self.factors) != self.m:
+        if self.prefix_products[-1] != self.m:
             raise ValueError(f"factors {self.factors} do not multiply to {self.m}")
 
     @cached_property
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
+
+    @cached_property
+    def prefix_products(self) -> tuple[int, ...]:
+        """prefix_products[k] is the product of the first k prime powers
+        p_i^{a_i}: 1 first, m last."""
+        return tuple(accumulate((p**a for p, a in self.factors), mul, initial=1))
 
     @property
     def radical(self) -> int:

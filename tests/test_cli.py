@@ -11,7 +11,7 @@ from test_gbf import reference_autocorr, reference_pair_counts
 
 from gbfkit import cli
 from gbfkit.cli import main
-from gbfkit.criteria import decide
+from gbfkit.criteria import apply_criteria, decide
 from gbfkit.gbf import GbfFunction, is_gbf_numeric
 from gbfkit.ring import factorize, punctured_subgroup_sum, subgroup_sum
 
@@ -286,6 +286,54 @@ def test_table_csv_pinned(tmp_path, capsys):
     outcome = json.dumps(json.loads(store.read_text())["outcome"], sort_keys=True)
     digest = hashlib.sha256(outcome.encode()).hexdigest()
     assert digest == "d6fd2a987f1fe5729aaec302dc6427c15e73b58cf17dd130dc1ad0392452e907"
+
+
+def dict_built_record(m_max, n_max, timestamp):
+    """The table record as cell dicts, rendered by `gbf table` before it
+    spliced the cells into the JSON line; the oracle for that line."""
+    cells = [
+        {"m": m, "n": n, "outcome": apply_criteria(m, n)[0]}
+        for m in range(2, m_max + 1)
+        if m % 4
+        for n in range(1, n_max + 1)
+    ]
+    record = cli._record("table", {"m_max": m_max, "n_max": n_max}, {"cells": cells})
+    record["timestamp"] = timestamp
+    return record
+
+
+def test_table_store_line_matches_dict_oracle(tmp_path, capsys, monkeypatch):
+    # byte for byte, so a change of separators or key order shows; each
+    # range is written once through --store and once through GBF_STORE
+    for m_max, n_max in [(16, 3), (1000, 9), (10000, 16)]:
+        argv = ["table", "--m-max", str(m_max), "--n-max", str(n_max)]
+        flag, env = tmp_path / f"flag-{m_max}.jsonl", tmp_path / f"env-{m_max}.jsonl"
+        assert main(argv + ["--store", str(flag)]) == 0
+        monkeypatch.setenv("GBF_STORE", str(env))
+        assert main(argv) == 0
+        monkeypatch.delenv("GBF_STORE")
+        capsys.readouterr()
+        oracle = dict_built_record(m_max, n_max, None)
+        for line in (flag.read_text(), env.read_text()):
+            oracle["timestamp"] = json.loads(line)["timestamp"]
+            assert line == json.dumps(oracle, sort_keys=True) + "\n", (m_max, n_max)
+
+
+def test_table_json_matches_dict_oracle(capsys):
+    assert main(["table", "--m-max", "14", "--n-max", "5", "--json"]) == 0
+    out = capsys.readouterr().out
+    oracle = dict_built_record(14, 5, json.loads(out)["timestamp"])
+    assert out == json.dumps(oracle, sort_keys=True, indent=2) + "\n"
+
+
+def test_table_csv_renders_no_record(capsys, monkeypatch):
+    def no_record(*args):
+        raise AssertionError("a record was rendered with neither --json nor a store")
+
+    monkeypatch.setattr(cli, "_record", no_record)
+    monkeypatch.delenv("GBF_STORE", raising=False)
+    assert main(["table", "--m-max", "100", "--n-max", "9"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 75
 
 
 def test_table_factors_each_row_once(capsys):
