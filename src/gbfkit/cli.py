@@ -26,7 +26,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .criteria import EXISTS, NONEXISTENT, UNKNOWN, apply_criteria, decide
+from .criteria import EXISTS, NONEXISTENT, UNKNOWN, decide, outcome_row
 from .gbf import (
     GbfFunction,
     compute_autocorr,
@@ -269,18 +269,21 @@ def _table_line(args, rows) -> str:
     {"m": m, "n": n, "outcome": o}.
 
     The cells are not built as dicts: the record is dumped with an empty
-    cell list, and the cells are spliced in from one prefix per n.  Their
-    keys are already in sorted order, and every outcome is one of three
-    fixed ASCII words, so nothing needs escaping.
+    cell list, and each row's cells are spliced in as str(m).join(parts),
+    where parts is its outcome row's cell template split at m, rendered
+    once per distinct row.  The keys are already in sorted order, and
+    every outcome is one of three fixed ASCII words, so nothing needs
+    escaping.
     """
     record = _record("table", {"m_max": args.m_max, "n_max": args.n_max}, {"cells": []})
     head, tail = json.dumps(record, sort_keys=True).split('"cells": []')
-    prefixes = [f', "n": {n}, "outcome": "' for n in range(1, args.n_max + 1)]
-    cells = ", ".join(
-        f'{{"m": {m}{prefix}{outcome}"}}'
-        for m, outcomes in rows
-        for prefix, outcome in zip(prefixes, outcomes)
-    )
+    parts = {
+        row: ", ".join(
+            f'{{"m": \0, "n": {n}, "outcome": "{outcome}"}}' for n, outcome in enumerate(row, 1)
+        ).split("\0")
+        for row in {row for _, row in rows}
+    }
+    cells = ", ".join([str(m).join(parts[row]) for m, row in rows])
     return f'{head}"cells": [{cells}]{tail}'
 
 
@@ -291,14 +294,13 @@ def _cmd_table(args) -> int:
     if args.m_max < 2 or args.n_max < 1:
         print("gbf table: need m-max >= 2 and n-max >= 1", file=sys.stderr)
         return EX_USAGE
-    rows = []
-    for m in range(2, args.m_max + 1):
-        if m % 4 == 0:
-            continue
-        rows.append((m, [apply_criteria(m, n)[0] for n in range(1, args.n_max + 1)]))
+    # few distinct outcome rows (17 of the 7499 at the caps): each is
+    # rendered once, and every m reuses its row's text
+    rows = [(m, outcome_row(m, args.n_max)) for m in range(2, args.m_max + 1) if m % 4]
     if not args.json:
+        texts = {row: "," + ",".join(row) for row in {row for _, row in rows}}
         lines = ["m," + ",".join(f"n={n}" for n in range(1, args.n_max + 1))]
-        lines += [f"{m}," + ",".join(outcomes) for m, outcomes in rows]
+        lines += [str(m) + texts[row] for m, row in rows]
         sys.stdout.write("\n".join(lines) + "\n")
     store = _store(args)
     if args.json or store:

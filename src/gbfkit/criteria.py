@@ -10,9 +10,19 @@ One core, apply_criteria, runs the criteria and returns the outcome, the
 applied steps as (id, params) pairs, and the residual.  decide wraps it
 into a Verdict, rendering each step's cite from CITES, so a cite is fixed
 by the step's id, its params and n.  The ids are the keys of CITES, a
-closed catalog, so downstream tools can rely on the spelling.  Callers
-that need only the outcome, such as `gbf table`, call the core and
-render nothing.
+closed catalog, so downstream tools can rely on the spelling.
+
+Every criterion reads m only through m mod 4, whether m = 2, and the
+two smallest odd primes p < q of m, which it compares with 2^n.  The
+strip keeps q exactly when p + q is within its bound, and a strip that
+removes q removes every larger prime too, so the stripped m is read
+through p and q as well.  Hence the outcome of (m, n) depends on m only
+through those four facts.  Two private functions state each criterion
+once: _class_step for the steps that m mod 4, m = 2 and n decide alone,
+and _rule for the rest, from (m even, p, q, n).  apply_criteria calls
+both and adds the params, strip steps and residual; outcome_row, for
+callers that need only outcomes, such as `gbf table`, factors m once
+and calls them for n = 1..n_max.
 
 All comparisons are integer-exact; thresholds like p > 2^{n-3} are coded
 as 8p > 2^n so small n needs no fractions.
@@ -119,19 +129,76 @@ def strip_primes(
 ) -> tuple[Sequence[int], Sequence[int]]:
     """Split the odd primes of m into (kept, stripped).
 
-    A prime q is strippable when p_1 + q exceeds 2^n (odd m) or 2^n + 2
-    (m = 2 * odd): no reduced exponent of an autocorrelation
-    decomposition can then involve q, so nonexistence for the kept part
-    transfers to m.  The smallest prime is always kept; stripping
-    everything would only weaken the later criteria.
+    A prime q is strippable when p_1 + q exceeds _strip_bound(n,
+    even_part), 2^n for odd m and 2^n + 2 for m = 2 * odd: no reduced
+    exponent of an autocorrelation decomposition can then involve q, so
+    nonexistence for the kept part transfers to m.  The smallest prime is
+    always kept; stripping everything would only weaken the later
+    criteria.
 
     The primes come in ascending order, so p_1 + p <= threshold holds on
     a prefix of them: kept is that prefix, never shorter than p_1
     alone, and stripped is the rest, both slices of odd_primes.
     """
-    threshold = (1 << n) + (2 if even_part else 0)
+    threshold = _strip_bound(n, even_part)
     cut = bisect_right(odd_primes, threshold - odd_primes[0], 1)
     return odd_primes[:cut], odd_primes[cut:]
+
+
+def _strip_bound(n: int, even: bool) -> int:
+    return (1 << n) + (2 if even else 0)
+
+
+def _class_step(m: int, n: int) -> str | None:
+    """The id of the step that m mod 4, m == 2 and n decide alone, or
+    None when the primes of m's odd part decide (see _rule)."""
+    if m % 2 == 0:
+        if m % 4 == 0:
+            return "exists-4-divides"
+        if n % 2 == 0:
+            return "exists-both-even"
+        if m == 2:
+            # boolean case: bent functions exist exactly for even n, and even
+            # n was already caught above, so only the negative side fires here
+            return "exists-boolean-even-n"
+    if n == 3:
+        return "nonexist-n3"
+    return None
+
+
+def _rule(even: bool, p: int, q: int | None, n: int) -> str | None:
+    """The id of the Nonexistent step that decides (m, n), or None for
+    Unknown, where _class_step left the cell open.
+
+    m is odd (even False) or m = 2 * odd; p < q are the two smallest
+    primes of its odd part, q None when there is one.  q survives the
+    strip iff p + q <= _strip_bound(n, even), and when it does not,
+    neither does any larger prime, so the kept part is a power of p.
+    """
+    if q is not None and p + q > _strip_bound(n, even):
+        q = None
+    two_n = 1 << n
+    if not even:
+        if q is None:
+            return "nonexist-s1-odd"
+        return "nonexist-3p1p2" if 3 * p + q > two_n else None
+    if q is not None:
+        return None
+    if 4 * p > two_n:
+        return "nonexist-2p-alpha-large"
+    if 8 * p > two_n and not is_mersenne_for(n, p):
+        return "nonexist-2p-alpha-non-mersenne"
+    if p % 8 in (3, 5):
+        return "nonexist-2p-alpha-mod8"
+    return None
+
+
+# the outcome a deciding step gives its cell; no step (None) is Unknown
+_OUTCOME = dict.fromkeys(CITES, NONEXISTENT) | {
+    "exists-4-divides": EXISTS,
+    "exists-both-even": EXISTS,
+    None: UNKNOWN,
+}
 
 
 def _refuse(m: int, n: int) -> ValueError:
@@ -142,6 +209,10 @@ def _refuse(m: int, n: int) -> ValueError:
     if m > MAX_M:
         return ValueError(f"need m <= {MAX_M}, got {m}: trial division of m takes too long")
     return ValueError(f"need n <= {MAX_N}, got {n}: 2^n takes too much memory")
+
+
+def _two_smallest(primes: Sequence[int]) -> tuple[int, int | None]:
+    return primes[0], primes[1] if len(primes) > 1 else None
 
 
 def apply_criteria(
@@ -156,20 +227,12 @@ def apply_criteria(
     """
     if not (2 <= m <= MAX_M and 1 <= n <= MAX_N):
         raise _refuse(m, n)
-    even = m % 2 == 0
-    if even:
-        if m % 4 == 0:
-            return EXISTS, (("exists-4-divides", {}),), None
-        if n % 2 == 0:
-            return EXISTS, (("exists-both-even", {}),), None
-        if m == 2:
-            # boolean case: bent functions exist exactly for even n, and even
-            # n was already caught above, so only the negative side fires here
-            return NONEXISTENT, (("exists-boolean-even-n", {}),), None
-    if n == 3:
-        return NONEXISTENT, (("nonexist-n3", {}),), None
+    sid = _class_step(m, n)
+    if sid is not None:
+        return _OUTCOME[sid], ((sid, {}),), None
 
     # m is odd, or m = 2 mod 4 with m > 2 and n odd: strip the odd part
+    even = m % 2 == 0
     fact = factorize(m // 2 if even else m)
     kept, stripped = strip_primes(fact.primes, n, even)
     steps = ()
@@ -178,21 +241,35 @@ def apply_criteria(
         reduced = fact.prefix_products[len(kept)] * (2 if even else 1)
         params = {"stripped": list(stripped), "kept_m": reduced}
         steps = (("strip-even" if even else "strip-odd", params),)
-    two_n = 1 << n
-    p = kept[0]
-    if not even:
-        if len(kept) == 1:
-            return NONEXISTENT, steps + (("nonexist-s1-odd", {}),), None
-        if 3 * p + kept[1] > two_n:
-            return NONEXISTENT, steps + (("nonexist-3p1p2", {"p1": p, "p2": kept[1]}),), None
-    elif len(kept) == 1:
-        if 4 * p > two_n:
-            return NONEXISTENT, steps + (("nonexist-2p-alpha-large", {"p": p}),), None
-        if 8 * p > two_n and not is_mersenne_for(n, p):
-            return NONEXISTENT, steps + (("nonexist-2p-alpha-non-mersenne", {"p": p}),), None
-        if p % 8 in (3, 5):
-            return NONEXISTENT, steps + (("nonexist-2p-alpha-mod8", {"p": p}),), None
-    return UNKNOWN, steps, (reduced, n)
+    p, q = _two_smallest(kept)
+    sid = _rule(even, p, q, n)
+    if sid is None:
+        return UNKNOWN, steps, (reduced, n)
+    if sid == "nonexist-s1-odd":
+        params = {}
+    elif sid == "nonexist-3p1p2":
+        params = {"p1": p, "p2": q}
+    else:
+        params = {"p": p}
+    return NONEXISTENT, steps + ((sid, params),), None
+
+
+def outcome_row(m: int, n_max: int) -> tuple[str, ...]:
+    """The outcomes of apply_criteria(m, n) for n = 1..n_max, from one
+    factorization of m.
+
+    By _rule, the outcome depends on m only through m mod 4, m == 2 and
+    the two smallest primes of its odd part, so those are read once.
+    Refuses what apply_criteria(m, n_max) refuses, before any arithmetic.
+    """
+    if not (2 <= m <= MAX_M and 1 <= n_max <= MAX_N):
+        raise _refuse(m, n_max)
+    steps = [_class_step(m, n) for n in range(1, n_max + 1)]
+    if None in steps:
+        even = m % 2 == 0
+        p, q = _two_smallest(factorize(m // 2 if even else m).primes)
+        steps = [sid or _rule(even, p, q, n) for n, sid in enumerate(steps, 1)]
+    return tuple([_OUTCOME[sid] for sid in steps])
 
 
 def decide(m: int, n: int) -> Verdict:

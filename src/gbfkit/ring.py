@@ -24,18 +24,19 @@ Cyclotomic polynomials are computed from the binomials x^e - 1, e | d,
 by Moebius inversion (multiplications, then exact divisions), and
 cached per d.
 
-factorize keeps its last 64 results in an LRU cache, and each
-PrimeFactorization computes its primes and the prefix products of its
-prime powers once.  The results are frozen, so
-callers share them safely.  `gbf table` decides n = 1, 2, ... for one m
-before the next, so each row of the table factors its m once.
+factorize keeps its last 64 results in an LRU cache, and fills in each
+PrimeFactorization's primes and the prefix products of its prime powers
+as it builds it, so reading them costs nothing more.  The results are
+frozen, so callers share them safely.  `gbf table` reads one outcome row
+per m from criteria.outcome_row, which calls factorize once for the
+row.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 from itertools import accumulate
 from math import gcd, prod
 from operator import mul
@@ -71,33 +72,35 @@ def factorize(m: int) -> "PrimeFactorization":
         p += 1 if p == 2 else 2
     if rest > 1:
         factors.append((rest, 1))
-    return PrimeFactorization(m, tuple(factors))
+    return PrimeFactorization(
+        m,
+        tuple(factors),
+        tuple(p for p, _ in factors),
+        tuple(accumulate((p**a for p, a in factors), mul, initial=1)),
+    )
 
 
 def is_prime(p: int) -> bool:
     return p >= 2 and factorize(p).factors == ((p, 1),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrimeFactorization:
-    """m = prod p_i^{a_i} with p_1 < p_2 < ... ."""
+    """m = prod p_i^{a_i} with p_1 < p_2 < ... .
+
+    primes lists the p_i, and prefix_products[k] is the product of the
+    first k prime powers p_i^{a_i}: 1 first, m last.  factorize fills both
+    in, so reading them costs no further work.
+    """
 
     m: int
     factors: tuple[tuple[int, int], ...]
+    primes: tuple[int, ...]
+    prefix_products: tuple[int, ...]
 
     def __post_init__(self):
         if self.prefix_products[-1] != self.m:
             raise ValueError(f"factors {self.factors} do not multiply to {self.m}")
-
-    @cached_property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-    @cached_property
-    def prefix_products(self) -> tuple[int, ...]:
-        """prefix_products[k] is the product of the first k prime powers
-        p_i^{a_i}: 1 first, m last."""
-        return tuple(accumulate((p**a for p, a in self.factors), mul, initial=1))
 
     @property
     def radical(self) -> int:

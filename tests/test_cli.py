@@ -9,7 +9,7 @@ import time
 
 from test_gbf import reference_autocorr, reference_pair_counts
 
-from gbfkit import cli
+from gbfkit import cli, criteria
 from gbfkit.cli import main
 from gbfkit.criteria import apply_criteria, decide
 from gbfkit.gbf import GbfFunction, is_gbf_numeric
@@ -302,17 +302,32 @@ def dict_built_record(m_max, n_max, timestamp):
     return record
 
 
+def cell_built_csv(m_max, n_max):
+    """The table CSV from one apply_criteria call per cell."""
+    lines = ["m," + ",".join(f"n={n}" for n in range(1, n_max + 1))]
+    for m in range(2, m_max + 1):
+        if m % 4:
+            outcomes = [apply_criteria(m, n)[0] for n in range(1, n_max + 1)]
+            lines.append(",".join([str(m)] + outcomes))
+    return "\n".join(lines) + "\n"
+
+
 def test_table_store_line_matches_dict_oracle(tmp_path, capsys, monkeypatch):
     # byte for byte, so a change of separators or key order shows; each
-    # range is written once through --store and once through GBF_STORE
-    for m_max, n_max in [(16, 3), (1000, 9), (10000, 16)]:
+    # range is written once through --store and once through GBF_STORE.
+    # One row, one cell and one row of one cell are the edges of the
+    # per-row templates.
+    grids = [(2, 1), (3, 1), (2, 16), (6, 3), (16, 3), (1000, 9), (10000, 16)]
+    for m_max, n_max in grids:
         argv = ["table", "--m-max", str(m_max), "--n-max", str(n_max)]
-        flag, env = tmp_path / f"flag-{m_max}.jsonl", tmp_path / f"env-{m_max}.jsonl"
+        flag = tmp_path / f"flag-{m_max}-{n_max}.jsonl"
+        env = tmp_path / f"env-{m_max}-{n_max}.jsonl"
         assert main(argv + ["--store", str(flag)]) == 0
         monkeypatch.setenv("GBF_STORE", str(env))
         assert main(argv) == 0
         monkeypatch.delenv("GBF_STORE")
-        capsys.readouterr()
+        csv = cell_built_csv(m_max, n_max)
+        assert capsys.readouterr().out == csv + csv, (m_max, n_max)
         oracle = dict_built_record(m_max, n_max, None)
         for line in (flag.read_text(), env.read_text()):
             oracle["timestamp"] = json.loads(line)["timestamp"]
@@ -320,10 +335,11 @@ def test_table_store_line_matches_dict_oracle(tmp_path, capsys, monkeypatch):
 
 
 def test_table_json_matches_dict_oracle(capsys):
-    assert main(["table", "--m-max", "14", "--n-max", "5", "--json"]) == 0
-    out = capsys.readouterr().out
-    oracle = dict_built_record(14, 5, json.loads(out)["timestamp"])
-    assert out == json.dumps(oracle, sort_keys=True, indent=2) + "\n"
+    for m_max, n_max in [(2, 1), (3, 1), (2, 16), (6, 3), (14, 5)]:
+        assert main(["table", "--m-max", str(m_max), "--n-max", str(n_max), "--json"]) == 0
+        out = capsys.readouterr().out
+        oracle = dict_built_record(m_max, n_max, json.loads(out)["timestamp"])
+        assert out == json.dumps(oracle, sort_keys=True, indent=2) + "\n", (m_max, n_max)
 
 
 def test_table_csv_renders_no_record(capsys, monkeypatch):
@@ -336,13 +352,22 @@ def test_table_csv_renders_no_record(capsys, monkeypatch):
     assert len(capsys.readouterr().out.splitlines()) == 75
 
 
-def test_table_factors_each_row_once(capsys):
-    # the table decides n = 1..9 for one m before the next, so each row
-    # misses the factorize cache once; is_prime adds a few more misses
+def test_table_factors_each_row_once(capsys, monkeypatch):
+    # the table reads one outcome row per m, so each row factors the odd
+    # part of its m once, whatever the cache holds, and the row m = 2
+    # not at all; is_prime adds a few more cache misses
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return factorize(m)
+
+    monkeypatch.setattr(criteria, "factorize", counting)
     factorize.cache_clear()
     assert main(["table", "--m-max", "1000", "--n-max", "9"]) == 0
     rows = len(capsys.readouterr().out.splitlines()) - 1
     assert rows == 749
+    assert calls == [m // 2 if m % 2 == 0 else m for m in range(3, 1001) if m % 4]
     assert factorize.cache_info().misses <= rows + 20
 
 

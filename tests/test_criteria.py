@@ -2,7 +2,7 @@
 
 import hashlib
 import json
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +22,7 @@ from gbfkit.criteria import (
     apply_criteria,
     decide,
     is_mersenne_for,
+    outcome_row,
     strip_primes,
 )
 
@@ -218,11 +219,17 @@ def test_oversized_inputs_refused_before_factorize(monkeypatch, capsys):
             decide(m, n)
         with pytest.raises(ValueError):
             apply_criteria(m, n)
+        with pytest.raises(ValueError, match="need"):
+            outcome_row(m, n)
         assert main(["decide", str(m), str(n)]) == 64
     assert "gbf decide: need m <= " in capsys.readouterr().err
+    for m, n_max in [(1, 5), (15, 0)]:
+        with pytest.raises(ValueError, match="need"):
+            outcome_row(m, n_max)
     # the caps themselves are admitted: 4 | 10^14, and (6, 10^8) is both even
     assert decide(MAX_M, 5).outcome == EXISTS
     assert decide(6, MAX_N).outcome == EXISTS
+    assert outcome_row(MAX_M, 5) == (EXISTS,) * 5
 
 
 def test_verdict_json():
@@ -247,6 +254,44 @@ def test_verdicts_pinned():
         for n in range(1, 17):
             digest.update((decide(m, n).to_json_str() + "\n").encode())
     assert digest.hexdigest() == "8090a5653d520905397665fc3a3ef5497ad2a00ee596fd9fed490a400bb3e178"
+
+
+# -- the row route ----------------------------------------------------------
+
+
+def _row_by_cells(m, n_max):
+    return tuple(apply_criteria(m, n)[0] for n in range(1, n_max + 1))
+
+
+# m = c * a product of primes, Mersenne primes 2^k - 1 among them, so that
+# the 2p^a escape and both strips show up far past the pinned n <= 16
+_ROW_PRIMES = [3, 5, 7, 11, 13, 31, 37, 127, 131, 8191, 131071, 524287]
+_structured_m = st.builds(
+    lambda c, primes: c * prod(primes),
+    st.sampled_from([1, 2, 4]),
+    st.lists(st.sampled_from(_ROW_PRIMES), min_size=1, max_size=4),
+).filter(lambda m: 2 <= m <= 10**9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(2, 10**9), _structured_m), st.integers(1, 64))
+@example(2 * 524287, 64)
+def test_outcome_row_matches_cells(m, n_max):
+    assert outcome_row(m, n_max) == _row_by_cells(m, n_max)
+
+
+def test_outcome_row_mersenne_escape_rows():
+    # 8191 = 2^13 - 1 and 131071 = 2^17 - 1 dodge the 2^(n-3) window at
+    # n = 15 and n = 19, with p = 7 mod 8, as 31 does at n = 7
+    for m, n in [(2 * 8191, 15), (2 * 8191**2, 15), (2 * 131071, 19)]:
+        row = outcome_row(m, n + 2)
+        assert row == _row_by_cells(m, n + 2)
+        assert row[n - 1] == UNKNOWN
+        assert decide(m, n).residual == (m, n)
+        # two below, 4p > 2^(n-2); two above, the window has passed and
+        # p = 7 mod 8 leaves the cell open
+        assert row[n - 3] == NONEXISTENT
+        assert row[n + 1] == UNKNOWN
 
 
 # -- pipeline invariants ----------------------------------------------------
