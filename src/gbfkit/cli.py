@@ -26,7 +26,15 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .criteria import EXISTS, NONEXISTENT, UNKNOWN, decide, outcome_row
+from .criteria import (
+    EXISTS,
+    NONEXISTENT,
+    TABLE_M_MAX,
+    TABLE_N_MAX,
+    UNKNOWN,
+    decide,
+    outcome_rows,
+)
 from .gbf import (
     GbfFunction,
     compute_autocorr,
@@ -288,15 +296,18 @@ def _table_line(args, rows) -> str:
 
 
 def _cmd_table(args) -> int:
-    if args.m_max > 10000 or args.n_max > 16:
-        print("gbf table: range too large (m-max <= 10000, n-max <= 16)", file=sys.stderr)
+    if args.m_max > TABLE_M_MAX or args.n_max > TABLE_N_MAX:
+        print(
+            f"gbf table: range too large (m-max <= {TABLE_M_MAX}, n-max <= {TABLE_N_MAX})",
+            file=sys.stderr,
+        )
         return EX_USAGE
     if args.m_max < 2 or args.n_max < 1:
         print("gbf table: need m-max >= 2 and n-max >= 1", file=sys.stderr)
         return EX_USAGE
     # few distinct outcome rows (17 of the 7499 at the caps): each is
     # rendered once, and every m reuses its row's text
-    rows = [(m, outcome_row(m, args.n_max)) for m in range(2, args.m_max + 1) if m % 4]
+    rows = outcome_rows(args.m_max, args.n_max)
     if not args.json:
         texts = {row: "," + ",".join(row) for row in {row for _, row in rows}}
         lines = ["m," + ",".join(f"n={n}" for n in range(1, args.n_max + 1))]

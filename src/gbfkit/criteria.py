@@ -20,9 +20,11 @@ through p and q as well.  Hence the outcome of (m, n) depends on m only
 through those four facts.  Two private functions state each criterion
 once: _class_step for the steps that m mod 4, m = 2 and n decide alone,
 and _rule for the rest, from (m even, p, q, n).  apply_criteria calls
-both and adds the params, strip steps and residual; outcome_row, for
-callers that need only outcomes, such as `gbf table`, factors m once
-and calls them for n = 1..n_max.
+both and adds the params, strip steps and residual; it factors m by
+trial division.  outcome_rows, for callers that need only outcomes over
+a grid, such as `gbf table`, factors nothing: one sieve over the odd
+numbers up to m_max records each one's two smallest primes, _class_step
+runs once per class of m, and _rule once per distinct (m even, p, q).
 
 All comparisons are integer-exact; thresholds like p > 2^{n-3} are coded
 as 8p > 2^n so small n needs no fractions.
@@ -46,6 +48,11 @@ from .vsum import c_exponent  # noqa: F401
 # verdict takes 0.04 s, and 2^n is a 12.5 MB integer.
 MAX_M = 10**14
 MAX_N = 10**8
+
+# outcome_rows' grid caps, the ranges `gbf table` admits: the sieve holds
+# two lists of TABLE_M_MAX + 1 ints, and a row TABLE_N_MAX outcomes
+TABLE_M_MAX = 10000
+TABLE_N_MAX = 16
 
 # id -> cite of a step.  A step with params names them in its cite, so
 # its entry renders the cite from n and the params; the others are fixed.
@@ -211,10 +218,6 @@ def _refuse(m: int, n: int) -> ValueError:
     return ValueError(f"need n <= {MAX_N}, got {n}: 2^n takes too much memory")
 
 
-def _two_smallest(primes: Sequence[int]) -> tuple[int, int | None]:
-    return primes[0], primes[1] if len(primes) > 1 else None
-
-
 def apply_criteria(
     m: int, n: int
 ) -> tuple[str, tuple[tuple[str, dict], ...], tuple[int, int] | None]:
@@ -241,7 +244,7 @@ def apply_criteria(
         reduced = fact.prefix_products[len(kept)] * (2 if even else 1)
         params = {"stripped": list(stripped), "kept_m": reduced}
         steps = (("strip-even" if even else "strip-odd", params),)
-    p, q = _two_smallest(kept)
+    p, q = kept[0], kept[1] if len(kept) > 1 else None
     sid = _rule(even, p, q, n)
     if sid is None:
         return UNKNOWN, steps, (reduced, n)
@@ -254,22 +257,65 @@ def apply_criteria(
     return NONEXISTENT, steps + ((sid, params),), None
 
 
-def outcome_row(m: int, n_max: int) -> tuple[str, ...]:
-    """The outcomes of apply_criteria(m, n) for n = 1..n_max, from one
-    factorization of m.
+def _two_smallest_odd_primes(k_max: int) -> tuple[list[int], list[int]]:
+    """(first, second): first[k] < second[k] are the two smallest primes
+    of each odd k <= k_max, 0 where there is none (k = 1 has neither, a
+    prime power no second).
 
-    By _rule, the outcome depends on m only through m mod 4, m == 2 and
-    the two smallest primes of its odd part, so those are read once.
-    Refuses what apply_criteria(m, n_max) refuses, before any arithmetic.
+    One pass over the odd k in ascending order: a k that no smaller prime
+    has marked is prime, and marks its odd multiples, so each multiple
+    meets its primes in ascending order.
     """
-    if not (2 <= m <= MAX_M and 1 <= n_max <= MAX_N):
-        raise _refuse(m, n_max)
-    steps = [_class_step(m, n) for n in range(1, n_max + 1)]
-    if None in steps:
+    first = [0] * (k_max + 1)
+    second = [0] * (k_max + 1)
+    for p in range(3, k_max + 1, 2):
+        if first[p]:
+            continue
+        for j in range(p, k_max + 1, 2 * p):
+            if not first[j]:
+                first[j] = p
+            elif not second[j]:
+                second[j] = p
+    return first, second
+
+
+def outcome_rows(m_max: int, n_max: int) -> list[tuple[int, tuple[str, ...]]]:
+    """[(m, row)] for 2 <= m <= m_max with 4 not dividing m, ascending,
+    where row[n - 1] is apply_criteria(m, n)'s outcome for n = 1..n_max.
+
+    Nothing is factored.  The two smallest primes of each odd part come
+    from one sieve; _class_step reads m only through m mod 4 and m == 2,
+    so it runs once per class, at the class's smallest member; and _rule
+    runs once per distinct (m even, p, q), whose rows are shared.  Grids
+    past TABLE_M_MAX x TABLE_N_MAX raise ValueError before the sieve is
+    allocated.
+    """
+    if not (2 <= m_max <= TABLE_M_MAX and 1 <= n_max <= TABLE_N_MAX):
+        raise ValueError(
+            f"need 2 <= m_max <= {TABLE_M_MAX} and 1 <= n_max <= {TABLE_N_MAX},"
+            f" got ({m_max}, {n_max})"
+        )
+    ns = range(1, n_max + 1)
+    # m = 2, m odd and m = 2 mod 4 with m > 2
+    boolean_steps, odd_steps, even_steps = ([_class_step(c, n) for n in ns] for c in (2, 3, 6))
+    first, second = _two_smallest_odd_primes(m_max)
+    by_primes = {}
+    rows = [(2, tuple([_OUTCOME[sid] for sid in boolean_steps]))]
+    for m in range(3, m_max + 1):
+        if m % 4 == 0:
+            continue
         even = m % 2 == 0
-        p, q = _two_smallest(factorize(m // 2 if even else m).primes)
-        steps = [sid or _rule(even, p, q, n) for n, sid in enumerate(steps, 1)]
-    return tuple([_OUTCOME[sid] for sid in steps])
+        k = m // 2 if even else m
+        key = (even, first[k], second[k])
+        row = by_primes.get(key)
+        if row is None:
+            p, q = first[k], second[k] or None
+            steps = even_steps if even else odd_steps
+            row = by_primes[key] = tuple(
+                [_OUTCOME[sid or _rule(even, p, q, n)] for n, sid in zip(ns, steps)]
+            )
+        rows.append((m, row))
+    return rows
 
 
 def decide(m: int, n: int) -> Verdict:

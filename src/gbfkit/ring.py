@@ -24,19 +24,18 @@ Cyclotomic polynomials are computed from the binomials x^e - 1, e | d,
 by Moebius inversion (multiplications, then exact divisions), and
 cached per d.
 
-factorize keeps its last 64 results in an LRU cache, and fills in each
+factorize is trial division, uncached: no caller factors the same number
+often enough to need a cache, and `gbf table` factors nothing
+(criteria.outcome_rows sieves).  factorize fills in each
 PrimeFactorization's primes and the prefix products of its prime powers
-as it builds it, so reading them costs nothing more.  The results are
-frozen, so callers share them safely.  `gbf table` reads one outcome row
-per m from criteria.outcome_row, which calls factorize once for the
-row.
+as it builds it, so reading them costs nothing more.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from itertools import accumulate
 from math import gcd, prod
 from operator import mul
@@ -53,9 +52,8 @@ INT64_MAX = 2**63 - 1
 MAX_REDUCTION_ENTRIES = 1 << 22
 
 
-@lru_cache(maxsize=64)
 def factorize(m: int) -> "PrimeFactorization":
-    """Prime factorization by trial division, cached.  A prime near 10^14
+    """Prime factorization by trial division.  A prime near 10^14
     takes 0.65 s, and the time grows tenfold per hundredfold of m."""
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")

@@ -13,7 +13,7 @@ from gbfkit import cli, criteria
 from gbfkit.cli import main
 from gbfkit.criteria import apply_criteria, decide
 from gbfkit.gbf import GbfFunction, is_gbf_numeric
-from gbfkit.ring import factorize, punctured_subgroup_sum, subgroup_sum
+from gbfkit.ring import punctured_subgroup_sum, subgroup_sum
 
 
 def test_decide_exit_codes(capsys):
@@ -258,8 +258,13 @@ def test_table_cli(capsys):
     assert all(line.split(",")[3] == "Nonexistent" for line in lines[1:])
 
     assert main(["table", "--m-max", "20000"]) == 64
+    assert main(["table", "--m-max", "10001"]) == 64
+    assert main(["table", "--n-max", "17"]) == 64
+    too_large = "gbf table: range too large (m-max <= 10000, n-max <= 16)\n"
+    assert capsys.readouterr().err == too_large * 3
     assert main(["table", "--m-max", "1"]) == 64
-    capsys.readouterr()
+    assert main(["table", "--n-max", "0"]) == 64
+    assert capsys.readouterr().err == "gbf table: need m-max >= 2 and n-max >= 1\n" * 2
 
     assert main(["table", "--m-max", "14", "--n-max", "5", "--json"]) == 0
     cells = json.loads(capsys.readouterr().out)["outcome"]["cells"]
@@ -352,23 +357,19 @@ def test_table_csv_renders_no_record(capsys, monkeypatch):
     assert len(capsys.readouterr().out.splitlines()) == 75
 
 
-def test_table_factors_each_row_once(capsys, monkeypatch):
-    # the table reads one outcome row per m, so each row factors the odd
-    # part of its m once, whatever the cache holds, and the row m = 2
-    # not at all; is_prime adds a few more cache misses
-    calls = []
+def test_table_factors_nothing(capsys, monkeypatch):
+    # the table's rows come from one sieve of the odd numbers up to m-max,
+    # so trial division never runs
+    def no_factorize(m):
+        raise AssertionError(f"factorize({m}) ran")
 
-    def counting(m):
-        calls.append(m)
-        return factorize(m)
-
-    monkeypatch.setattr(criteria, "factorize", counting)
-    factorize.cache_clear()
+    monkeypatch.setattr(criteria, "factorize", no_factorize)
     assert main(["table", "--m-max", "1000", "--n-max", "9"]) == 0
-    rows = len(capsys.readouterr().out.splitlines()) - 1
-    assert rows == 749
-    assert calls == [m // 2 if m % 2 == 0 else m for m in range(3, 1001) if m % 4]
-    assert factorize.cache_info().misses <= rows + 20
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 1 + 749
+    # the pinned 1000 x 9 digest of test_table_csv_pinned
+    digest = "266e96633f028459b3864f025d361f74be8c88e7051a8b4bb688b946d4820562"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_store_roundtrip(tmp_path, capsys, monkeypatch):

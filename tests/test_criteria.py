@@ -1,8 +1,9 @@
 """Tests for the (m, n) decision pipeline."""
 
+import functools
 import hashlib
 import json
-from math import isqrt, prod
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,15 +17,18 @@ from gbfkit.criteria import (
     MAX_M,
     MAX_N,
     NONEXISTENT,
+    TABLE_M_MAX,
+    TABLE_N_MAX,
     UNKNOWN,
     CriterionStep,
     Verdict,
     apply_criteria,
     decide,
     is_mersenne_for,
-    outcome_row,
+    outcome_rows,
     strip_primes,
 )
+from gbfkit.ring import factorize
 
 
 def ids(verdict: Verdict) -> list[str]:
@@ -213,23 +217,39 @@ def test_oversized_inputs_refused_before_factorize(monkeypatch, capsys):
     def no_factorize(m):
         raise AssertionError(f"factorize({m}) ran")
 
+    sieves = []
+    sieve = criteria._two_smallest_odd_primes
+
+    def counting_sieve(k_max):
+        sieves.append(k_max)
+        return sieve(k_max)
+
     monkeypatch.setattr(criteria, "factorize", no_factorize)
+    monkeypatch.setattr(criteria, "_two_smallest_odd_primes", counting_sieve)
     for m, n in [(MAX_M + 1, 5), (2 * MAX_M + 2, 5), (15, MAX_N + 1), (MAX_M + 2, MAX_N + 2)]:
         with pytest.raises(ValueError, match="need"):
             decide(m, n)
         with pytest.raises(ValueError):
             apply_criteria(m, n)
-        with pytest.raises(ValueError, match="need"):
-            outcome_row(m, n)
         assert main(["decide", str(m), str(n)]) == 64
     assert "gbf decide: need m <= " in capsys.readouterr().err
-    for m, n_max in [(1, 5), (15, 0)]:
-        with pytest.raises(ValueError, match="need"):
-            outcome_row(m, n_max)
-    # the caps themselves are admitted: 4 | 10^14, and (6, 10^8) is both even
+    # outcome_rows refuses grids past the table caps before the sieve
+    for m_max, n_max in [
+        (TABLE_M_MAX + 1, 5),
+        (15, TABLE_N_MAX + 1),
+        (MAX_M, MAX_N),
+        (1, 5),
+        (15, 0),
+    ]:
+        with pytest.raises(ValueError, match="need 2 <= m_max"):
+            outcome_rows(m_max, n_max)
+    assert sieves == []
+    # the caps themselves are admitted: 4 | 10^14, and (6, 10^8) is both
+    # even; the grid at the table caps sieves once and factors nothing
     assert decide(MAX_M, 5).outcome == EXISTS
     assert decide(6, MAX_N).outcome == EXISTS
-    assert outcome_row(MAX_M, 5) == (EXISTS,) * 5
+    assert len(outcome_rows(TABLE_M_MAX, TABLE_N_MAX)) == 7499
+    assert sieves == [TABLE_M_MAX]
 
 
 def test_verdict_json():
@@ -263,29 +283,45 @@ def _row_by_cells(m, n_max):
     return tuple(apply_criteria(m, n)[0] for n in range(1, n_max + 1))
 
 
-# m = c * a product of primes, Mersenne primes 2^k - 1 among them, so that
-# the 2p^a escape and both strips show up far past the pinned n <= 16
-_ROW_PRIMES = [3, 5, 7, 11, 13, 31, 37, 127, 131, 8191, 131071, 524287]
-_structured_m = st.builds(
-    lambda c, primes: c * prod(primes),
-    st.sampled_from([1, 2, 4]),
-    st.lists(st.sampled_from(_ROW_PRIMES), min_size=1, max_size=4),
-).filter(lambda m: 2 <= m <= 10**9)
+def test_sieve_matches_factorize():
+    # the sieve's two smallest primes of each odd part, against trial
+    # division; 0 stands for a missing prime
+    first, second = criteria._two_smallest_odd_primes(TABLE_M_MAX)
+    for m in range(2, TABLE_M_MAX + 1):
+        k = m // (m & -m)
+        primes = factorize(k).primes
+        assert (first[k], second[k]) == (tuple(primes[:2]) + (0, 0))[:2], m
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(st.integers(2, 10**9), _structured_m), st.integers(1, 64))
-@example(2 * 524287, 64)
-def test_outcome_row_matches_cells(m, n_max):
-    assert outcome_row(m, n_max) == _row_by_cells(m, n_max)
+_ROWS_M_MAX = 3000
 
 
-def test_outcome_row_mersenne_escape_rows():
+@functools.cache
+def _cells_by_apply_criteria():
+    return {
+        m: _row_by_cells(m, TABLE_N_MAX) for m in range(2, _ROWS_M_MAX + 1) if m % 4
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, _ROWS_M_MAX), st.integers(1, TABLE_N_MAX))
+@example(2, 1)
+@example(3, 1)
+@example(2, 16)
+@example(6, 3)
+@example(_ROWS_M_MAX, TABLE_N_MAX)
+def test_outcome_rows_match_cells(m_max, n_max):
+    cells = _cells_by_apply_criteria()
+    expected = [(m, row[:n_max]) for m, row in cells.items() if m <= m_max]
+    assert outcome_rows(m_max, n_max) == expected
+
+
+def test_mersenne_escape_cells():
     # 8191 = 2^13 - 1 and 131071 = 2^17 - 1 dodge the 2^(n-3) window at
-    # n = 15 and n = 19, with p = 7 mod 8, as 31 does at n = 7
+    # n = 15 and n = 19, with p = 7 mod 8, as 31 does at n = 7; all three
+    # m lie past the table's caps, so the cells go through apply_criteria
     for m, n in [(2 * 8191, 15), (2 * 8191**2, 15), (2 * 131071, 19)]:
-        row = outcome_row(m, n + 2)
-        assert row == _row_by_cells(m, n + 2)
+        row = _row_by_cells(m, n + 2)
         assert row[n - 1] == UNKNOWN
         assert decide(m, n).residual == (m, n)
         # two below, 4p > 2^(n-2); two above, the window has passed and
