@@ -6,11 +6,11 @@ integer-arithmetic criteria about the prime factorization of m versus
 2^n; everything else is Unknown, reported together with the fully
 stripped residual parameters.
 
-One core, apply_criteria, runs the criteria and returns the outcome, the
-applied steps as (id, params) pairs, and the residual.  decide wraps it
-into a Verdict, rendering each step's cite from CITES, so a cite is fixed
-by the step's id, its params and n.  The ids are the keys of CITES, a
-closed catalog, so downstream tools can rely on the spelling.
+decide runs the criteria on one (m, n) and returns a Verdict whose trace
+holds each applied step with its params and its cite, rendered from CITES,
+so a cite is fixed by the step's id, its params and n.  The ids are the
+keys of CITES, a closed catalog, so downstream tools can rely on the
+spelling.
 
 Every criterion reads m only through m mod 4, whether m = 2, and the
 two smallest odd primes p < q of m, which it compares with 2^n.  The
@@ -19,10 +19,10 @@ removes q removes every larger prime too, so the stripped m is read
 through p and q as well.  Hence the outcome of (m, n) depends on m only
 through those four facts.  Two private functions state each criterion
 once: _class_step for the steps that m mod 4, m = 2 and n decide alone,
-and _rule for the rest, from (m even, p, q, n).  apply_criteria calls
-both and adds the params, strip steps and residual; it factors m by
-trial division.  outcome_rows, for callers that need only outcomes over
-a grid, such as `gbf table`, factors nothing: one sieve over the odd
+and _rule for the rest, from (m even, p, q, n).  decide calls both and
+adds the params, strip steps and residual; it factors m by trial
+division.  outcome_rows, for callers that need only outcomes over a
+grid, such as `gbf table`, factors nothing: one sieve over the odd
 numbers up to m_max records each one's two smallest primes, _class_step
 runs once per class of m, and _rule once per distinct (m even, p, q).
 
@@ -36,8 +36,9 @@ import json
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from math import prod
 
-from .ring import factorize, is_prime
+from .ring import factorize
 # re-exported: perfbench/spans.py traces c_exponent under this name too
 from .vsum import c_exponent  # noqa: F401
 
@@ -123,14 +124,6 @@ class Verdict:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def is_mersenne_for(n: int, p: int) -> bool:
-    """p == 2^{n-2} - 1 and prime; the one escape hatch of the 2p^alpha
-    window criterion."""
-    if n < 3:
-        return False
-    return p == (1 << (n - 2)) - 1 and is_prime(p)
-
-
 def strip_primes(
     odd_primes: Sequence[int], n: int, even_part: bool
 ) -> tuple[Sequence[int], Sequence[int]]:
@@ -193,7 +186,9 @@ def _rule(even: bool, p: int, q: int | None, n: int) -> str | None:
         return None
     if 4 * p > two_n:
         return "nonexist-2p-alpha-large"
-    if 8 * p > two_n and not is_mersenne_for(n, p):
+    # n >= 5 here: even n and n = 3 are class steps, and n = 1 returned
+    # above; p is prime, so p = 2^(n-2) - 1 is the Mersenne escape
+    if 8 * p > two_n and p != (1 << (n - 2)) - 1:
         return "nonexist-2p-alpha-non-mersenne"
     if p % 8 in (3, 5):
         return "nonexist-2p-alpha-mod8"
@@ -216,45 +211,6 @@ def _refuse(m: int, n: int) -> ValueError:
     if m > MAX_M:
         return ValueError(f"need m <= {MAX_M}, got {m}: trial division of m takes too long")
     return ValueError(f"need n <= {MAX_N}, got {n}: 2^n takes too much memory")
-
-
-def apply_criteria(
-    m: int, n: int
-) -> tuple[str, tuple[tuple[str, dict], ...], tuple[int, int] | None]:
-    """Run the criteria on (m, n): (outcome, steps, residual).
-
-    Each step is an (id, params) pair, in the order applied.  residual is
-    the reduced (m, n) when the outcome is Unknown, else None.  Inputs
-    outside 2 <= m <= MAX_M, 1 <= n <= MAX_N raise ValueError before any
-    arithmetic.
-    """
-    if not (2 <= m <= MAX_M and 1 <= n <= MAX_N):
-        raise _refuse(m, n)
-    sid = _class_step(m, n)
-    if sid is not None:
-        return _OUTCOME[sid], ((sid, {}),), None
-
-    # m is odd, or m = 2 mod 4 with m > 2 and n odd: strip the odd part
-    even = m % 2 == 0
-    fact = factorize(m // 2 if even else m)
-    kept, stripped = strip_primes(fact.primes, n, even)
-    steps = ()
-    reduced = m
-    if stripped:
-        reduced = fact.prefix_products[len(kept)] * (2 if even else 1)
-        params = {"stripped": list(stripped), "kept_m": reduced}
-        steps = (("strip-even" if even else "strip-odd", params),)
-    p, q = kept[0], kept[1] if len(kept) > 1 else None
-    sid = _rule(even, p, q, n)
-    if sid is None:
-        return UNKNOWN, steps, (reduced, n)
-    if sid == "nonexist-s1-odd":
-        params = {}
-    elif sid == "nonexist-3p1p2":
-        params = {"p1": p, "p2": q}
-    else:
-        params = {"p": p}
-    return NONEXISTENT, steps + ((sid, params),), None
 
 
 def _two_smallest_odd_primes(k_max: int) -> tuple[list[int], list[int]]:
@@ -281,7 +237,7 @@ def _two_smallest_odd_primes(k_max: int) -> tuple[list[int], list[int]]:
 
 def outcome_rows(m_max: int, n_max: int) -> list[tuple[int, tuple[str, ...]]]:
     """[(m, row)] for 2 <= m <= m_max with 4 not dividing m, ascending,
-    where row[n - 1] is apply_criteria(m, n)'s outcome for n = 1..n_max.
+    where row[n - 1] is decide(m, n).outcome for n = 1..n_max.
 
     Nothing is factored.  The two smallest primes of each odd part come
     from one sieve; _class_step reads m only through m mod 4 and m == 2,
@@ -318,12 +274,42 @@ def outcome_rows(m_max: int, n_max: int) -> list[tuple[int, tuple[str, ...]]]:
     return rows
 
 
+def _step(sid: str, n: int, params: dict) -> CriterionStep:
+    return CriterionStep(sid, CITES[sid](n, params), params)
+
+
 def decide(m: int, n: int) -> Verdict:
-    """Run the criteria pipeline on (m, n).  Every input within the caps
-    gets a verdict; see apply_criteria for the refusals."""
-    outcome, steps, residual = apply_criteria(m, n)
+    """Run the criteria pipeline on (m, n).
+
+    The trace lists the applied steps in order, and residual is the
+    reduced (m, n) when the outcome is Unknown, else None.  Inputs
+    outside 2 <= m <= MAX_M, 1 <= n <= MAX_N raise ValueError before any
+    arithmetic.
+    """
+    if not (2 <= m <= MAX_M and 1 <= n <= MAX_N):
+        raise _refuse(m, n)
+    sid = _class_step(m, n)
+    if sid is not None:
+        return Verdict(m, n, _OUTCOME[sid], (CriterionStep(sid, CITES[sid]),))
+
+    # m is odd, or m = 2 mod 4 with m > 2 and n odd: strip the odd part
+    even = m % 2 == 0
+    fact = factorize(m // 2 if even else m)
+    kept, stripped = strip_primes(fact.primes, n, even)
     trace = ()
-    for sid, params in steps:
-        cite = CITES[sid]
-        trace += (CriterionStep(sid, cite(n, params) if params else cite, params),)
-    return Verdict(m, n, outcome, trace, residual)
+    reduced = m
+    if stripped:
+        reduced = prod(p**a for p, a in fact.factors[: len(kept)]) * (2 if even else 1)
+        params = {"stripped": list(stripped), "kept_m": reduced}
+        trace = (_step("strip-even" if even else "strip-odd", n, params),)
+    p, q = kept[0], kept[1] if len(kept) > 1 else None
+    sid = _rule(even, p, q, n)
+    if sid is None:
+        return Verdict(m, n, UNKNOWN, trace, (reduced, n))
+    if sid == "nonexist-s1-odd":
+        step = CriterionStep(sid, CITES[sid])
+    elif sid == "nonexist-3p1p2":
+        step = _step(sid, n, {"p1": p, "p2": q})
+    else:
+        step = _step(sid, n, {"p": p})
+    return Verdict(m, n, NONEXISTENT, trace + (step,))

@@ -26,9 +26,12 @@ from math import gcd
 
 import numpy as np
 
-from .ring import CyclicRingElt, cyclotomic_residue
+from .ring import CyclicRingElt, cyclotomic_residue, json_int, json_ints
 # re-exported: perfbench/spans.py traces the zero-test under this name too
 from .ring import character_value_is_zero  # noqa: F401
+
+# is_gbf_numeric's bound on | |F(y)|^2 - 2^n |, the same as search's screen
+_TOL = 1e-6
 
 # (x, y) cells per gather block: the block's scratch arrays (128 KB
 # each) stay in cache, and a table build needs no memory beyond them
@@ -73,7 +76,8 @@ class GbfFunction:
     @classmethod
     def from_json(cls, text: str | dict) -> "GbfFunction":
         obj = json.loads(text) if isinstance(text, str) else text
-        return cls.from_values(int(obj["n"]), int(obj["m"]), obj["values"])
+        n, m = json_int(obj["n"], "n"), json_int(obj["m"], "m")
+        return cls(n, m, json_ints(obj["values"], "values"))
 
     def to_json(self) -> dict:
         return {"m": self.m, "n": self.n, "values": list(self.values)}
@@ -137,10 +141,10 @@ def walsh_spectrum_numeric(fn: GbfFunction) -> np.ndarray:
     return np.abs(buf) ** 2
 
 
-def is_gbf_numeric(fn: GbfFunction, tol: float = 1e-6) -> bool:
+def is_gbf_numeric(fn: GbfFunction) -> bool:
     """Float cross-check of the bent property; never authoritative."""
     flat = 1 << fn.n
-    return bool(np.max(np.abs(walsh_spectrum_numeric(fn) - flat)) <= tol)
+    return bool(np.max(np.abs(walsh_spectrum_numeric(fn) - flat)) <= _TOL)
 
 
 def normalize_modulus(fn: GbfFunction) -> GbfFunction:

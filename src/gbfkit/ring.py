@@ -26,9 +26,8 @@ cached per d.
 
 factorize is trial division, uncached: no caller factors the same number
 often enough to need a cache, and `gbf table` factors nothing
-(criteria.outcome_rows sieves).  factorize fills in each
-PrimeFactorization's primes and the prefix products of its prime powers
-as it builds it, so reading them costs nothing more.
+(criteria.outcome_rows sieves).  A PrimeFactorization holds m and its
+(p, a) pairs only; its primes and radical are read from those pairs.
 """
 
 from __future__ import annotations
@@ -36,9 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate
 from math import gcd, prod
-from operator import mul
 
 import numpy as np
 
@@ -70,39 +67,27 @@ def factorize(m: int) -> "PrimeFactorization":
         p += 1 if p == 2 else 2
     if rest > 1:
         factors.append((rest, 1))
-    return PrimeFactorization(
-        m,
-        tuple(factors),
-        tuple(p for p, _ in factors),
-        tuple(accumulate((p**a for p, a in factors), mul, initial=1)),
-    )
-
-
-def is_prime(p: int) -> bool:
-    return p >= 2 and factorize(p).factors == ((p, 1),)
+    return PrimeFactorization(m, tuple(factors))
 
 
 @dataclass(frozen=True, slots=True)
 class PrimeFactorization:
-    """m = prod p_i^{a_i} with p_1 < p_2 < ... .
-
-    primes lists the p_i, and prefix_products[k] is the product of the
-    first k prime powers p_i^{a_i}: 1 first, m last.  factorize fills both
-    in, so reading them costs no further work.
-    """
+    """m = prod p_i^{a_i} with p_1 < p_2 < ..., as the pairs (p_i, a_i)."""
 
     m: int
     factors: tuple[tuple[int, int], ...]
-    primes: tuple[int, ...]
-    prefix_products: tuple[int, ...]
 
     def __post_init__(self):
-        if self.prefix_products[-1] != self.m:
+        if prod(p**a for p, a in self.factors) != self.m:
             raise ValueError(f"factors {self.factors} do not multiply to {self.m}")
 
     @property
+    def primes(self) -> tuple[int, ...]:
+        return tuple(p for p, _ in self.factors)
+
+    @property
     def radical(self) -> int:
-        return prod(self.primes)
+        return prod(p for p, _ in self.factors)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +222,24 @@ class CharacterSpec:
             raise ValueError(f"character order {self.order} must divide m={self.m}")
 
 
+def json_int(value, what: str) -> int:
+    """value, which must be a JSON integer; ValueError otherwise.
+
+    Python counts bool as int, but true is not an integer in JSON, and
+    int() would turn 1.9, "1" or true into 1 without complaint.
+    """
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r:.40}")
+    return value
+
+
+def json_ints(values, what: str) -> tuple[int, ...]:
+    """values, which must be a JSON array of integers, as a tuple."""
+    if not isinstance(values, list) or not all(type(v) is int for v in values):
+        raise ValueError(f"{what} must be a list of integers, got {values!r:.40}")
+    return tuple(values)
+
+
 @dataclass(frozen=True)
 class CyclicRingElt:
     """Immutable element of Z[C_m]; coeffs[i] is the coefficient of g^i."""
@@ -269,7 +272,7 @@ class CyclicRingElt:
     @classmethod
     def from_json(cls, text: str | dict) -> "CyclicRingElt":
         obj = json.loads(text) if isinstance(text, str) else text
-        return cls.from_coeffs(int(obj["m"]), obj["coeffs"])
+        return cls(json_int(obj["m"], "m"), json_ints(obj["coeffs"], "coeffs"))
 
     def to_json(self) -> dict:
         return {"m": self.m, "coeffs": list(self.coeffs)}

@@ -193,6 +193,6 @@ def test_exact_and_numeric_bent_tests_agree():
     bent = 0
     for fn in cases:
         exact = is_gbf_exact(fn)
-        assert exact == is_gbf_numeric(fn, tol=1e-6)
+        assert exact == is_gbf_numeric(fn)
         bent += exact
     assert bent >= 4

@@ -9,9 +9,9 @@ import time
 
 from test_gbf import reference_autocorr, reference_pair_counts
 
-from gbfkit import cli, criteria
+from gbfkit import cli, criteria, ring
 from gbfkit.cli import main
-from gbfkit.criteria import apply_criteria, decide
+from gbfkit.criteria import decide
 from gbfkit.gbf import GbfFunction, is_gbf_numeric
 from gbfkit.ring import punctured_subgroup_sum, subgroup_sum
 
@@ -230,6 +230,10 @@ def test_decompose_cli(capsys):
     assert main(["decompose", "not-json", "--minimal"]) == 65
     assert main(["decompose", '{"m": 10}', "--minimal"]) == 65
     assert main(["decompose", '{"m":10,"coeffs":[1,0,0,0,0,-1,0,0,0,0]}', "--minimal"]) == 65
+    # coefficients and m must be JSON integers: int() would read each as (1, 1)
+    for coeffs in ([1.9, 1], "11", [True, True]):
+        assert main(["decompose", json.dumps({"m": 2, "coeffs": coeffs}), "--c-exponent"]) == 65
+    assert main(["decompose", '{"m": 2.0, "coeffs": [1, 1]}', "--c-exponent"]) == 65
     capsys.readouterr()
 
 
@@ -276,7 +280,7 @@ def test_table_cli(capsys):
 def test_table_csv_pinned(tmp_path, capsys):
     # golden digests: the 1000 x 9 CSV from before factorize was cached,
     # the CSV at the range caps and the store record's outcome from
-    # before the table read apply_criteria; any moved outcome changes them
+    # before the table read outcome_rows; any moved outcome changes them
     for m_max, n_max, digest in [
         (1000, 9, "266e96633f028459b3864f025d361f74be8c88e7051a8b4bb688b946d4820562"),
         (10000, 16, "f8cf25b0a1c9d7a19fad2af2fac7bd87583a1a06c8c1034da42b1e0613d18fcf"),
@@ -297,7 +301,7 @@ def dict_built_record(m_max, n_max, timestamp):
     """The table record as cell dicts, rendered by `gbf table` before it
     spliced the cells into the JSON line; the oracle for that line."""
     cells = [
-        {"m": m, "n": n, "outcome": apply_criteria(m, n)[0]}
+        {"m": m, "n": n, "outcome": decide(m, n).outcome}
         for m in range(2, m_max + 1)
         if m % 4
         for n in range(1, n_max + 1)
@@ -308,11 +312,11 @@ def dict_built_record(m_max, n_max, timestamp):
 
 
 def cell_built_csv(m_max, n_max):
-    """The table CSV from one apply_criteria call per cell."""
+    """The table CSV from one decide call per cell."""
     lines = ["m," + ",".join(f"n={n}" for n in range(1, n_max + 1))]
     for m in range(2, m_max + 1):
         if m % 4:
-            outcomes = [apply_criteria(m, n)[0] for n in range(1, n_max + 1)]
+            outcomes = [decide(m, n).outcome for n in range(1, n_max + 1)]
             lines.append(",".join([str(m)] + outcomes))
     return "\n".join(lines) + "\n"
 
@@ -359,17 +363,22 @@ def test_table_csv_renders_no_record(capsys, monkeypatch):
 
 def test_table_factors_nothing(capsys, monkeypatch):
     # the table's rows come from one sieve of the odd numbers up to m-max,
-    # so trial division never runs
+    # so trial division never runs, not even through ring's own callers:
+    # the Mersenne escape at p = 7, 31 and 127 tests p alone
     def no_factorize(m):
         raise AssertionError(f"factorize({m}) ran")
 
     monkeypatch.setattr(criteria, "factorize", no_factorize)
-    assert main(["table", "--m-max", "1000", "--n-max", "9"]) == 0
-    out = capsys.readouterr().out
-    assert len(out.splitlines()) == 1 + 749
-    # the pinned 1000 x 9 digest of test_table_csv_pinned
-    digest = "266e96633f028459b3864f025d361f74be8c88e7051a8b4bb688b946d4820562"
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    monkeypatch.setattr(ring, "factorize", no_factorize)
+    # the pinned digests of test_table_csv_pinned
+    for m_max, n_max, rows, digest in [
+        (1000, 9, 749, "266e96633f028459b3864f025d361f74be8c88e7051a8b4bb688b946d4820562"),
+        (10000, 16, 7499, "f8cf25b0a1c9d7a19fad2af2fac7bd87583a1a06c8c1034da42b1e0613d18fcf"),
+    ]:
+        assert main(["table", "--m-max", str(m_max), "--n-max", str(n_max)]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 1 + rows
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_store_roundtrip(tmp_path, capsys, monkeypatch):

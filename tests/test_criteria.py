@@ -22,9 +22,7 @@ from gbfkit.criteria import (
     UNKNOWN,
     CriterionStep,
     Verdict,
-    apply_criteria,
     decide,
-    is_mersenne_for,
     outcome_rows,
     strip_primes,
 )
@@ -132,21 +130,12 @@ def test_twice_odd_strip():
 
 
 def test_mersenne_escape():
-    # 31 = 2^5 - 1 and 127 = 2^7 - 1 dodge the 2^(n-3) window
+    # 7 = 2^3 - 1, 31 = 2^5 - 1 and 127 = 2^7 - 1 dodge the 2^(n-3) window
+    assert decide(14, 5).outcome == UNKNOWN
     v = decide(62, 7)
     assert v.outcome == UNKNOWN
     assert v.residual == (62, 7)
     assert decide(254, 9).outcome == UNKNOWN
-
-
-def test_is_mersenne_for():
-    assert is_mersenne_for(5, 7)
-    assert is_mersenne_for(7, 31)
-    assert is_mersenne_for(9, 127)
-    assert not is_mersenne_for(5, 5)
-    assert not is_mersenne_for(3, 1)
-    assert not is_mersenne_for(11, 511)
-    assert not is_mersenne_for(13, 2047)
 
 
 def test_strip_primes_direct():
@@ -229,8 +218,6 @@ def test_oversized_inputs_refused_before_factorize(monkeypatch, capsys):
     for m, n in [(MAX_M + 1, 5), (2 * MAX_M + 2, 5), (15, MAX_N + 1), (MAX_M + 2, MAX_N + 2)]:
         with pytest.raises(ValueError, match="need"):
             decide(m, n)
-        with pytest.raises(ValueError):
-            apply_criteria(m, n)
         assert main(["decide", str(m), str(n)]) == 64
     assert "gbf decide: need m <= " in capsys.readouterr().err
     # outcome_rows refuses grids past the table caps before the sieve
@@ -268,7 +255,7 @@ def test_verdict_json():
 
 def test_verdicts_pinned():
     # golden digest of every verdict with m <= 2000 and n <= 16, cite
-    # prose included, computed before decide rendered from apply_criteria
+    # prose included, computed before decide shared its rule with the table
     digest = hashlib.sha256()
     for m in range(2, 2001):
         for n in range(1, 17):
@@ -280,7 +267,7 @@ def test_verdicts_pinned():
 
 
 def _row_by_cells(m, n_max):
-    return tuple(apply_criteria(m, n)[0] for n in range(1, n_max + 1))
+    return tuple(decide(m, n).outcome for n in range(1, n_max + 1))
 
 
 def test_sieve_matches_factorize():
@@ -297,7 +284,7 @@ _ROWS_M_MAX = 3000
 
 
 @functools.cache
-def _cells_by_apply_criteria():
+def _cells_by_decide():
     return {
         m: _row_by_cells(m, TABLE_N_MAX) for m in range(2, _ROWS_M_MAX + 1) if m % 4
     }
@@ -311,7 +298,7 @@ def _cells_by_apply_criteria():
 @example(6, 3)
 @example(_ROWS_M_MAX, TABLE_N_MAX)
 def test_outcome_rows_match_cells(m_max, n_max):
-    cells = _cells_by_apply_criteria()
+    cells = _cells_by_decide()
     expected = [(m, row[:n_max]) for m, row in cells.items() if m <= m_max]
     assert outcome_rows(m_max, n_max) == expected
 
@@ -319,7 +306,7 @@ def test_outcome_rows_match_cells(m_max, n_max):
 def test_mersenne_escape_cells():
     # 8191 = 2^13 - 1 and 131071 = 2^17 - 1 dodge the 2^(n-3) window at
     # n = 15 and n = 19, with p = 7 mod 8, as 31 does at n = 7; all three
-    # m lie past the table's caps, so the cells go through apply_criteria
+    # m lie past the table's caps, so the cells go through decide
     for m, n in [(2 * 8191, 15), (2 * 8191**2, 15), (2 * 131071, 19)]:
         row = _row_by_cells(m, n + 2)
         assert row[n - 1] == UNKNOWN

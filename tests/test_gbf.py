@@ -104,6 +104,9 @@ def test_line_and_json_roundtrip():
     import json
 
     assert GbfFunction.from_json(json.dumps(f.to_json())) == f
+    for bad in [{"values": [0, 1.0]}, {"values": [False, True]}, {"values": "01"}, {"n": True}]:
+        with pytest.raises(ValueError, match="must be"):
+            GbfFunction.from_json({"m": 4, "n": 1, "values": [0, 1]} | bad)
     with pytest.raises(ValueError):
         GbfFunction.from_line("4 0,1")
 

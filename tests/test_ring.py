@@ -18,8 +18,8 @@ from gbfkit.ring import (
     character_values_numeric,
     cyclotomic_polynomial,
     cyclotomic_residue,
+    PrimeFactorization,
     factorize,
-    is_prime,
     punctured_subgroup_sum,
     reduction_matrix,
     reduction_radical,
@@ -50,9 +50,13 @@ def test_factorize_basic():
     assert factorize(12).radical == 6
 
 
-def test_is_prime_small():
-    primes = [p for p in range(60) if is_prime(p)]
-    assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+def test_factorization_fields():
+    # m and its (p, a) pairs are all a factorization holds; the rest is read
+    assert list(PrimeFactorization.__dataclass_fields__) == ["m", "factors"]
+    assert factorize(360).primes == (2, 3, 5)
+    assert factorize(1).primes == () and factorize(1).radical == 1
+    with pytest.raises(ValueError, match="do not multiply"):
+        PrimeFactorization(12, ((2, 1), (3, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +391,22 @@ def test_elt_json_roundtrip():
     import json
 
     assert CyclicRingElt.from_json(json.dumps(a.to_json())) == a
+
+
+def test_elt_json_needs_integers():
+    # int() would have read each of these as a valid element of Z[C_2]
+    for obj in [
+        {"m": 2, "coeffs": [1.9, 1]},
+        {"m": 2, "coeffs": "11"},
+        {"m": 2, "coeffs": [True, True]},
+        {"m": 2, "coeffs": [1, "1"]},
+        {"m": 2.0, "coeffs": [1, 1]},
+        {"m": True, "coeffs": [1]},
+        {"m": "2", "coeffs": [1, 1]},
+    ]:
+        with pytest.raises(ValueError, match="must be"):
+            CyclicRingElt.from_json(obj)
+    assert CyclicRingElt.from_json('{"m": 2, "coeffs": [-1, 3]}').coeffs == (-1, 3)
 
 
 def test_elt_validation():
