@@ -29,8 +29,6 @@ from . import __version__
 from .criteria import (
     EXISTS,
     NONEXISTENT,
-    TABLE_M_MAX,
-    TABLE_N_MAX,
     UNKNOWN,
     decide,
     outcome_rows,
@@ -42,7 +40,7 @@ from .gbf import (
     is_gbf_exact,
     normalize_modulus,
 )
-from .ring import CyclicRingElt, reduction_radical
+from .ring import CyclicRingElt, decimal_int, reduction_radical
 from .search import DEFAULT_BUDGET, BudgetExceededError, brute_force, n3_catalog_check
 from .vsum import c_exponent, is_minimal_vsum, reduced_exponent, structure_decompose
 
@@ -296,18 +294,13 @@ def _table_line(args, rows) -> str:
 
 
 def _cmd_table(args) -> int:
-    if args.m_max > TABLE_M_MAX or args.n_max > TABLE_N_MAX:
-        print(
-            f"gbf table: range too large (m-max <= {TABLE_M_MAX}, n-max <= {TABLE_N_MAX})",
-            file=sys.stderr,
-        )
-        return EX_USAGE
-    if args.m_max < 2 or args.n_max < 1:
-        print("gbf table: need m-max >= 2 and n-max >= 1", file=sys.stderr)
+    try:
+        rows = outcome_rows(args.m_max, args.n_max)
+    except ValueError as exc:
+        print(f"gbf table: {exc}", file=sys.stderr)
         return EX_USAGE
     # few distinct outcome rows (17 of the 7499 at the caps): each is
     # rendered once, and every m reuses its row's text
-    rows = outcome_rows(args.m_max, args.n_max)
     if not args.json:
         texts = {row: "," + ",".join(row) for row in {row for _, row in rows}}
         lines = ["m," + ",".join(f"n={n}" for n in range(1, args.n_max + 1))]
@@ -336,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--store", help="append the result record to this JSON-lines file")
 
     p = sub.add_parser("decide", help="run the criteria pipeline on (m, n)")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("m", type=decimal_int)
+    p.add_argument("n", type=decimal_int)
     common(p)
     p.set_defaults(run=_cmd_decide)
 
@@ -348,10 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("search", help="exhaustive witness search over f(0) = 0")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("m", type=decimal_int)
+    p.add_argument("n", type=decimal_int)
+    p.add_argument("--threads", type=decimal_int, default=1)
+    p.add_argument("--budget", type=decimal_int, default=DEFAULT_BUDGET)
     p.add_argument("--progress", action="store_true", help="JSON progress events on stderr")
     common(p)
     p.set_defaults(run=_cmd_search)
@@ -370,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_catalog)
 
     p = sub.add_parser("table", help="verdict matrix over parameter ranges")
-    p.add_argument("--m-max", type=int, default=100)
-    p.add_argument("--n-max", type=int, default=9)
+    p.add_argument("--m-max", type=decimal_int, default=100)
+    p.add_argument("--n-max", type=decimal_int, default=9)
     common(p)
     p.set_defaults(run=_cmd_table)
 

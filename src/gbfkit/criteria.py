@@ -7,10 +7,11 @@ integer-arithmetic criteria about the prime factorization of m versus
 stripped residual parameters.
 
 decide runs the criteria on one (m, n) and returns a Verdict whose trace
-holds each applied step with its params and its cite, rendered from CITES,
-so a cite is fixed by the step's id, its params and n.  The ids are the
-keys of CITES, a closed catalog, so downstream tools can rely on the
-spelling.
+holds each applied step with its params and its cite.  CITES holds one
+str.format template per step id, and _step fills it with n and the
+step's params, so a cite is fixed by the step's id, its params and n.
+The ids are the keys of CITES, a closed catalog, so downstream tools can
+rely on the spelling.
 
 Every criterion reads m only through m mod 4, whether m = 2, and the
 two smallest odd primes p < q of m, which it compares with 2^n.  The
@@ -19,10 +20,11 @@ removes q removes every larger prime too, so the stripped m is read
 through p and q as well.  Hence the outcome of (m, n) depends on m only
 through those four facts.  Two private functions state each criterion
 once: _class_step for the steps that m mod 4, m = 2 and n decide alone,
-and _rule for the rest, from (m even, p, q, n).  decide calls both and
-adds the params, strip steps and residual; it factors m by trial
-division.  outcome_rows, for callers that need only outcomes over a
-grid, such as `gbf table`, factors nothing: one sieve over the odd
+and _rule for the rest, from (m even, p, q, n).  _rule alone decides
+whether q survives the strip: decide factors m by trial division, passes
+q to _rule unfiltered, and lists the stripped primes only to report them
+in its strip step.  outcome_rows, for callers that need only outcomes
+over a grid, such as `gbf table`, factors nothing: one sieve over the odd
 numbers up to m_max records each one's two smallest primes, _class_step
 runs once per class of m, and _rule once per distinct (m even, p, q).
 
@@ -33,8 +35,6 @@ as 8p > 2^n so small n needs no fractions.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import prod
 
@@ -55,30 +55,20 @@ MAX_N = 10**8
 TABLE_M_MAX = 10000
 TABLE_N_MAX = 16
 
-# id -> cite of a step.  A step with params names them in its cite, so
-# its entry renders the cite from n and the params; the others are fixed.
+# id -> cite of a step, a str.format template: _step fills it with n and
+# the step's params, and a step with params names each of them in it.
 CITES = {
     "exists-4-divides": "4 | m: standard constructions exist for every n",
     "exists-both-even": "m and n both even: constructions exist",
     "exists-boolean-even-n": "m = 2: boolean bent functions exist iff n is even",
     "nonexist-n3": "n = 3 with m odd or m = 2 mod 4: excluded by the autocorrelation catalog",
     "nonexist-s1-odd": "odd m with a single prime factor admits no generalized bent function",
-    "nonexist-3p1p2": lambda n, p: (
-        f"odd m with s >= 2 prime factors and 3*{p['p1']} + {p['p2']} > 2^{n}"
-    ),
-    "strip-odd": lambda n, p: (
-        f"odd primes {p['stripped']} satisfy p_1 + p > 2^n; reduced to m = {p['kept_m']}"
-    ),
-    "strip-even": lambda n, p: (
-        f"odd primes {p['stripped']} satisfy p_1 + p > 2^n + 2; reduced to m = {p['kept_m']}"
-    ),
-    "nonexist-2p-alpha-large": lambda n, p: f"m = 2 p^a with p = {p['p']} > 2^(n-2)",
-    "nonexist-2p-alpha-non-mersenne": lambda n, p: (
-        f"m = 2 p^a with p = {p['p']} > 2^(n-3) and p != 2^(n-2) - 1"
-    ),
-    "nonexist-2p-alpha-mod8": lambda n, p: (
-        f"m = 2 p^a with p = {p['p']} = 3 or 5 mod 8 (externally sourced result)"
-    ),
+    "nonexist-3p1p2": "odd m with s >= 2 prime factors and 3*{p1} + {p2} > 2^{n}",
+    "strip-odd": "odd primes {stripped} satisfy p_1 + p > 2^n; reduced to m = {kept_m}",
+    "strip-even": "odd primes {stripped} satisfy p_1 + p > 2^n + 2; reduced to m = {kept_m}",
+    "nonexist-2p-alpha-large": "m = 2 p^a with p = {p} > 2^(n-2)",
+    "nonexist-2p-alpha-non-mersenne": "m = 2 p^a with p = {p} > 2^(n-3) and p != 2^(n-2) - 1",
+    "nonexist-2p-alpha-mod8": "m = 2 p^a with p = {p} = 3 or 5 mod 8 (externally sourced result)",
 }
 CRITERION_IDS = frozenset(CITES)
 
@@ -122,27 +112,6 @@ class Verdict:
 
     def to_json_str(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
-
-
-def strip_primes(
-    odd_primes: Sequence[int], n: int, even_part: bool
-) -> tuple[Sequence[int], Sequence[int]]:
-    """Split the odd primes of m into (kept, stripped).
-
-    A prime q is strippable when p_1 + q exceeds _strip_bound(n,
-    even_part), 2^n for odd m and 2^n + 2 for m = 2 * odd: no reduced
-    exponent of an autocorrelation decomposition can then involve q, so
-    nonexistence for the kept part transfers to m.  The smallest prime is
-    always kept; stripping everything would only weaken the later
-    criteria.
-
-    The primes come in ascending order, so p_1 + p <= threshold holds on
-    a prefix of them: kept is that prefix, never shorter than p_1
-    alone, and stripped is the rest, both slices of odd_primes.
-    """
-    threshold = _strip_bound(n, even_part)
-    cut = bisect_right(odd_primes, threshold - odd_primes[0], 1)
-    return odd_primes[:cut], odd_primes[cut:]
 
 
 def _strip_bound(n: int, even: bool) -> int:
@@ -275,7 +244,7 @@ def outcome_rows(m_max: int, n_max: int) -> list[tuple[int, tuple[str, ...]]]:
 
 
 def _step(sid: str, n: int, params: dict) -> CriterionStep:
-    return CriterionStep(sid, CITES[sid](n, params), params)
+    return CriterionStep(sid, CITES[sid].format(n=n, **params), params)
 
 
 def decide(m: int, n: int) -> Verdict:
@@ -290,26 +259,24 @@ def decide(m: int, n: int) -> Verdict:
         raise _refuse(m, n)
     sid = _class_step(m, n)
     if sid is not None:
-        return Verdict(m, n, _OUTCOME[sid], (CriterionStep(sid, CITES[sid]),))
+        return Verdict(m, n, _OUTCOME[sid], (_step(sid, n, {}),))
 
-    # m is odd, or m = 2 mod 4 with m > 2 and n odd: strip the odd part
+    # m is odd, or m = 2 mod 4 with m > 2 and n odd: _rule strips the odd
+    # part; the stripped primes, a suffix of the ascending primes that
+    # never holds p, are listed here only to report them
     even = m % 2 == 0
     fact = factorize(m // 2 if even else m)
-    kept, stripped = strip_primes(fact.primes, n, even)
+    primes = fact.primes
+    p, q = primes[0], primes[1] if len(primes) > 1 else None
+    sid = _rule(even, p, q, n)
+    cut = 1 + sum(p + r <= _strip_bound(n, even) for r in primes[1:])
     trace = ()
     reduced = m
-    if stripped:
-        reduced = prod(p**a for p, a in fact.factors[: len(kept)]) * (2 if even else 1)
-        params = {"stripped": list(stripped), "kept_m": reduced}
+    if cut < len(primes):
+        reduced = prod(r**a for r, a in fact.factors[:cut]) * (2 if even else 1)
+        params = {"stripped": list(primes[cut:]), "kept_m": reduced}
         trace = (_step("strip-even" if even else "strip-odd", n, params),)
-    p, q = kept[0], kept[1] if len(kept) > 1 else None
-    sid = _rule(even, p, q, n)
     if sid is None:
         return Verdict(m, n, UNKNOWN, trace, (reduced, n))
-    if sid == "nonexist-s1-odd":
-        step = CriterionStep(sid, CITES[sid])
-    elif sid == "nonexist-3p1p2":
-        step = _step(sid, n, {"p1": p, "p2": q})
-    else:
-        step = _step(sid, n, {"p": p})
-    return Verdict(m, n, NONEXISTENT, trace + (step,))
+    params = {"nonexist-s1-odd": {}, "nonexist-3p1p2": {"p1": p, "p2": q}}.get(sid, {"p": p})
+    return Verdict(m, n, NONEXISTENT, trace + (_step(sid, n, params),))

@@ -20,13 +20,12 @@ Walsh spectrum is kept alongside for cross-validation only.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
 
-from .ring import CyclicRingElt, cyclotomic_residue, json_int, json_ints
+from .ring import CyclicRingElt, cyclotomic_residue, decimal_int, decimal_ints
 # re-exported: perfbench/spans.py traces the zero-test under this name too
 from .ring import character_value_is_zero  # noqa: F401
 
@@ -67,17 +66,11 @@ class GbfFunction:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"expected 'm n v0,v1,...', got {line!r}")
-        m, n = int(parts[0]), int(parts[1])
-        return cls.from_values(n, m, [int(v) for v in parts[2].split(",")])
+        m, n = decimal_int(parts[0]), decimal_int(parts[1])
+        return cls(n, m, decimal_ints(parts[2]))
 
     def to_line(self) -> str:
         return f"{self.m} {self.n} " + ",".join(str(v) for v in self.values)
-
-    @classmethod
-    def from_json(cls, text: str | dict) -> "GbfFunction":
-        obj = json.loads(text) if isinstance(text, str) else text
-        n, m = json_int(obj["n"], "n"), json_int(obj["m"], "m")
-        return cls(n, m, json_ints(obj["values"], "values"))
 
     def to_json(self) -> dict:
         return {"m": self.m, "n": self.n, "values": list(self.values)}

@@ -33,6 +33,7 @@ often enough to need a cache, and `gbf table` factors nothing
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cache
 from math import gcd, prod
@@ -238,6 +239,27 @@ def json_ints(values, what: str) -> tuple[int, ...]:
     if not isinstance(values, list) or not all(type(v) is int for v in values):
         raise ValueError(f"{what} must be a list of integers, got {values!r:.40}")
     return tuple(values)
+
+
+# a plain decimal: int() also takes "1_2", "+5", " 5" and non-ASCII digits
+_DECIMAL = re.compile(r"-?[0-9]+")
+_DECIMALS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+
+
+def decimal_int(text: str) -> int:
+    """text, which must be an optional - and ASCII digits 0-9, as an int;
+    ValueError otherwise."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"not a decimal integer: {text!r:.40}")
+    return int(text)
+
+
+def decimal_ints(text: str) -> tuple[int, ...]:
+    """text, which must be decimal integers (as decimal_int) joined by
+    commas, as a tuple; ValueError otherwise."""
+    if not _DECIMALS.fullmatch(text):
+        raise ValueError(f"not comma-separated decimal integers: {text!r:.40}")
+    return tuple(map(int, text.split(",")))
 
 
 @dataclass(frozen=True)

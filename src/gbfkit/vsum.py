@@ -40,7 +40,6 @@ refuses inputs whose grouped fibers would pass MAX_FIBER_WORDS.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import chain, islice
 from math import gcd, lcm
@@ -159,10 +158,6 @@ class MinimalVsum:
     def to_json(self) -> dict:
         return {"elt": self.elt.to_json(), "k": self.reduced_exponent}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "MinimalVsum":
-        return cls(CyclicRingElt.from_json(obj["elt"]), int(obj["k"]))
-
 
 @dataclass(frozen=True)
 class MinimalDecomposition:
@@ -173,11 +168,6 @@ class MinimalDecomposition:
 
     def to_json(self) -> dict:
         return {"parts": [p.to_json() for p in self.parts], "lcm": self.lcm_exponent}
-
-    @classmethod
-    def from_json(cls, text: str | dict) -> "MinimalDecomposition":
-        obj = json.loads(text) if isinstance(text, str) else text
-        return cls(tuple(MinimalVsum.from_json(p) for p in obj["parts"]), int(obj["lcm"]))
 
 
 def c_exponent(elt: CyclicRingElt, max_norm: int = 16) -> tuple[int, MinimalDecomposition]:

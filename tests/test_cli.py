@@ -24,6 +24,21 @@ def test_decide_exit_codes(capsys):
     assert "residual: (14, 5)" in capsys.readouterr().out
     assert main(["decide", "1", "4"]) == 64
     assert main(["decide", "many", "4"]) == 64
+    # int() would read each of these as a number; every integer argument
+    # takes only an optional - and ASCII digits
+    capsys.readouterr()
+    for argv in (
+        ["decide", "1_5", "3"],
+        ["decide", "15", "+3"],
+        ["decide", "15", "\u0663"],
+        ["search", "3", "1_1"],
+        ["search", "3", "3", "--budget", "1_000"],
+        ["search", "3", "3", "--threads", " 1"],
+        ["table", "--m-max", "1_0"],
+        ["table", "--n-max", "\u0669"],
+    ):
+        assert main(argv) == 64, argv
+        assert "invalid decimal_int value" in capsys.readouterr().err
     assert main(["bogus"]) == 64
     assert main(["--help"]) == 0
 
@@ -51,6 +66,13 @@ def test_verify_inline(capsys):
 
     assert main(["verify", "4", "1"]) == 65
     assert main(["verify", "4", "1", "0,7"]) == 65
+    # int() reads 1_2 as 12 and the Arabic-Indic digit one as 1, which
+    # verified m = 12 (exit 1) and (4, 1, [0, 1]) (exit 0)
+    capsys.readouterr()
+    assert main(["verify", "1_2", "1", "0,1_1"]) == 65
+    assert "gbf verify: not a decimal integer: '1_2'" in capsys.readouterr().err
+    assert main(["verify", "4", "1", "0,\u0661"]) == 65
+    assert "gbf verify: not comma-separated decimal integers" in capsys.readouterr().err
 
 
 def test_verify_file(tmp_path, capsys):
@@ -64,6 +86,9 @@ def test_verify_file(tmp_path, capsys):
     bad.write_text("4 1 0,1\nnot a function\n")
     assert main(["verify", "--file", str(bad)]) == 65
     assert "bad.txt:2" in capsys.readouterr().err
+    bad.write_text("4 1 0,1\n1_2 1 0,1_1\n")
+    assert main(["verify", "--file", str(bad)]) == 65
+    assert "bad.txt:2: not a decimal integer: '1_2'" in capsys.readouterr().err
 
 
 def test_oversized_reduction_orders_refused(tmp_path, capsys, monkeypatch):
@@ -261,14 +286,13 @@ def test_table_cli(capsys):
     assert seen == [m for m in range(2, 17) if m % 4 != 0]
     assert all(line.split(",")[3] == "Nonexistent" for line in lines[1:])
 
-    assert main(["table", "--m-max", "20000"]) == 64
-    assert main(["table", "--m-max", "10001"]) == 64
-    assert main(["table", "--n-max", "17"]) == 64
-    too_large = "gbf table: range too large (m-max <= 10000, n-max <= 16)\n"
-    assert capsys.readouterr().err == too_large * 3
-    assert main(["table", "--m-max", "1"]) == 64
-    assert main(["table", "--n-max", "0"]) == 64
-    assert capsys.readouterr().err == "gbf table: need m-max >= 2 and n-max >= 1\n" * 2
+    # outcome_rows alone refuses a range, and the CLI prints its message
+    for m_max, n_max in [(20000, 9), (10001, 9), (100, 17), (1, 9), (100, 0)]:
+        assert main(["table", "--m-max", str(m_max), "--n-max", str(n_max)]) == 64
+        assert capsys.readouterr().err == (
+            "gbf table: need 2 <= m_max <= 10000 and 1 <= n_max <= 16,"
+            f" got ({m_max}, {n_max})\n"
+        )
 
     assert main(["table", "--m-max", "14", "--n-max", "5", "--json"]) == 0
     cells = json.loads(capsys.readouterr().out)["outcome"]["cells"]

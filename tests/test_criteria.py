@@ -3,7 +3,7 @@
 import functools
 import hashlib
 import json
-from math import isqrt
+from string import Formatter
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +24,6 @@ from gbfkit.criteria import (
     Verdict,
     decide,
     outcome_rows,
-    strip_primes,
 )
 from gbfkit.ring import factorize
 
@@ -138,42 +137,16 @@ def test_mersenne_escape():
     assert decide(254, 9).outcome == UNKNOWN
 
 
-def test_strip_primes_direct():
-    kept, stripped = strip_primes([3, 31], 5, even_part=False)
-    assert (kept, stripped) == ([3], [31])
-    # 3 + 31 = 34 = 2^5 + 2 is not over the even-part threshold
-    kept, stripped = strip_primes([3, 31], 5, even_part=True)
-    assert (kept, stripped) == ([3, 31], [])
-    # the smallest prime never strips itself
-    kept, stripped = strip_primes([5], 1, even_part=False)
-    assert (kept, stripped) == ([5], [])
-
-
-def _strip_primes_by_membership(odd_primes, n, even_part):
-    """The two-comprehension definition strip_primes replaced."""
-    threshold = (1 << n) + (2 if even_part else 0)
-    p1 = odd_primes[0]
-    kept = [p for p in odd_primes if p == p1 or p1 + p <= threshold]
-    stripped = [p for p in odd_primes if p not in kept]
-    return kept, stripped
-
-
-_ODD_PRIMES = [p for p in range(3, 1 << 13, 2) if all(p % q for q in range(3, isqrt(p) + 1, 2))]
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(st.sampled_from(_ODD_PRIMES), min_size=1, max_size=8, unique=True).map(sorted),
-    st.integers(1, 24),
-    st.booleans(),
-)
-# p_1 + p on the threshold, for each parity
-@example([3, 29, 31], 5, False)
-@example([3, 31, 37], 5, True)
-def test_strip_primes_is_the_membership_split(odd_primes, n, even_part):
-    got = strip_primes(odd_primes, n, even_part)
-    assert got == _strip_primes_by_membership(odd_primes, n, even_part)
-    assert all(type(part) is list for part in got)
+def test_strip_reports_only_what_rule_strips():
+    # 3 + 31 > 2^5 strips 31 from odd m
+    v = decide(93, 5)
+    assert v.trace[0].params == {"stripped": [31], "kept_m": 3}
+    assert ids(v) == ["strip-odd", "nonexist-s1-odd"]
+    # 3 + 31 = 34 = 2^5 + 2 is not over the even-part bound
+    assert ids(decide(186, 5)) == []
+    assert decide(186, 5).residual == (186, 5)
+    # the smallest prime never strips itself, though 5 + 5 > 2^1
+    assert ids(decide(5, 1)) == ["nonexist-s1-odd"]
 
 
 def test_strip_verdicts_pinned():
@@ -191,6 +164,24 @@ def test_strip_verdicts_pinned():
 
 
 # -- bad inputs and serialization -------------------------------------------
+
+
+# cells whose traces hold every step id between them
+_CELL_PER_STEP = [
+    (12, 7), (6, 4), (2, 5), (45, 3), (27, 5), (91, 5), (93, 5), (806, 5), (10, 5), (6, 5)
+]
+
+
+def test_cite_templates_name_exactly_their_params():
+    seen = {}
+    for m, n in _CELL_PER_STEP:
+        for step in decide(m, n).trace:
+            seen.setdefault(step.id, set(step.params))
+    assert set(seen) == CRITERION_IDS
+    assert all(type(cite) is str for cite in criteria.CITES.values())
+    for sid, params in seen.items():
+        fields = {name for _, name, _, _ in Formatter().parse(criteria.CITES[sid]) if name}
+        assert fields - {"n"} == params, sid
 
 
 def test_bad_inputs():

@@ -101,12 +101,22 @@ def test_line_and_json_roundtrip():
     f = fn(4, 2, [0, 1, 2, 3])
     assert GbfFunction.from_line(f.to_line()) == f
     assert GbfFunction.from_line("4 1 0,1") == fn(4, 1, [0, 1])
-    import json
-
-    assert GbfFunction.from_json(json.dumps(f.to_json())) == f
-    for bad in [{"values": [0, 1.0]}, {"values": [False, True]}, {"values": "01"}, {"n": True}]:
-        with pytest.raises(ValueError, match="must be"):
-            GbfFunction.from_json({"m": 4, "n": 1, "values": [0, 1]} | bad)
+    assert f.to_json() == {"m": 4, "n": 2, "values": [0, 1, 2, 3]}
+    # each field (m, then n, then values) takes only an optional - and
+    # ASCII digits, though int() also reads digit-group underscores, a +
+    # and non-ASCII digits
+    for line in [
+        "1_2 1 0,1",
+        "\u0664 1 0,1",
+        "4 +1 0,1",
+        "4 \u0661 0,1",
+        "4 1 0,1_1",
+        "4 1 0,\u0661",
+        "4 1 0,,1",
+        "4 1 0,1,",
+    ]:
+        with pytest.raises(ValueError, match="not .*decimal"):
+            GbfFunction.from_line(line)
     with pytest.raises(ValueError):
         GbfFunction.from_line("4 0,1")
 

@@ -143,13 +143,30 @@ def test_galois_twist():
         elt(10, {1: 1}).galois_twist(5)
 
 
-def test_galois_twist_inverse_roundtrip():
-    rng = random.Random(3)
-    for _ in range(40):
-        m = rng.choice([5, 9, 10, 21, 30])
-        t = rng.choice([t for t in range(1, m) if gcd(t, m) == 1])
-        a = random_elt(rng, m)
-        assert a.galois_twist(t).galois_twist(pow(t, -1, m)) == a
+@st.composite
+def elt_pairs_and_unit(draw):
+    """Two elements of one Z[C_m], m <= 42, and a unit t of Z_m."""
+    m = draw(st.integers(1, 42))
+    coeffs = st.lists(st.integers(-4, 4), min_size=m, max_size=m)
+    a, b = (CyclicRingElt(m, tuple(draw(coeffs))) for _ in range(2))
+    return a, b, draw(st.sampled_from([t for t in range(1, m + 1) if gcd(t, m) == 1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(elt_pairs_and_unit())
+def test_galois_twist_and_conj_inverse_are_ring_homs(case):
+    a, b, t = case
+    for hom in (lambda x: x.galois_twist(t), CyclicRingElt.conj_inverse):
+        assert hom(a + b) == hom(a) + hom(b)
+        assert hom(a * b) == hom(a) * hom(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(elt_pairs_and_unit())
+def test_galois_twist_inverse_roundtrip(case):
+    a, _, t = case
+    assert a.galois_twist(t).galois_twist(pow(t, -1, a.m)) == a
+    assert a.conj_inverse().conj_inverse() == a
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +178,13 @@ def test_natural_projection_example():
     assert p5.natural_projection(6).coeffs == (5, 0, 0, 0, 0, 0)
 
 
-def test_natural_projection_is_ring_hom():
-    rng = random.Random(11)
-    for _ in range(40):
-        a, b = random_elt(rng, 30), random_elt(rng, 30, lo=-2, hi=2)
-        for d in (2, 3, 5, 6, 10, 15, 30):
-            assert (a * b).natural_projection(d) == a.natural_projection(d) * b.natural_projection(d)
-            assert (a + b).natural_projection(d) == a.natural_projection(d) + b.natural_projection(d)
+@settings(max_examples=100, deadline=None)
+@given(elt_pairs_and_unit())
+def test_natural_projection_is_ring_hom(case):
+    a, b, _ = case
+    for d in [d for d in range(1, a.m + 1) if a.m % d == 0]:
+        assert (a * b).natural_projection(d) == a.natural_projection(d) * b.natural_projection(d)
+        assert (a + b).natural_projection(d) == a.natural_projection(d) + b.natural_projection(d)
 
 
 # ---------------------------------------------------------------------------
