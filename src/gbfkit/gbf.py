@@ -11,21 +11,25 @@ The exact route never touches F directly.  The autocorrelation elements
 
 satisfy E_0 = 2^n g^0, and f is generalized bent if and only if an
 order-m character kills E_x for every x != 0.  The table is built once
-per function as a (2^n, m) int64 array of counts, by an XOR gather and
-one bincount per block of rows, and the bent test reduces rows 1..2^n-1
-modulo Phi_m in a single matmul with the cached matrix R_m (see
-ring.cyclotomic_residue).  Everything stays integer-exact.  A numeric
-Walsh spectrum is kept alongside for cross-validation only.
+per function as one read-only (2^n, m) int64 array of counts, row x the
+coefficients of E_x, by an XOR gather and one bincount per block of
+rows, and the bent test reduces rows 1..2^n-1 modulo Phi_m in a single
+matmul with the cached matrix R_m (see ring.cyclotomic_residue).
+autocorr_invariants checks the identities every table satisfies, bent
+or not, on the same array; gbf verify reports them.  Everything stays
+integer-exact.  A numeric Walsh spectrum is kept alongside for
+cross-validation only.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
 
-from .ring import CyclicRingElt, cyclotomic_residue, decimal_int, decimal_ints
+from .ring import cyclotomic_residue, decimal_int, decimal_ints
 # re-exported: perfbench/spans.py traces the zero-test under this name too
 from .ring import character_value_is_zero  # noqa: F401
 
@@ -36,6 +40,10 @@ _TOL = 1e-6
 # each) stay in cache, and a table build needs no memory beyond them
 # and its (2^n, m) result
 _BLOCK_CELLS = 1 << 14
+
+# the fields of a function line are split by runs of ASCII space or tab
+# only, not by str.split()'s Unicode whitespace (no-break space, em space)
+_FIELD_SEP = re.compile(r"[ \t]+")
 
 
 @dataclass(frozen=True)
@@ -63,7 +71,7 @@ class GbfFunction:
     # line format: "m n v0,v1,...,v_{2^n-1}"
     @classmethod
     def from_line(cls, line: str) -> "GbfFunction":
-        parts = line.split()
+        parts = _FIELD_SEP.split(line.strip(" \t"))
         if len(parts) != 3:
             raise ValueError(f"expected 'm n v0,v1,...', got {line!r}")
         m, n = decimal_int(parts[0]), decimal_int(parts[1])
@@ -76,19 +84,9 @@ class GbfFunction:
         return {"m": self.m, "n": self.n, "values": list(self.values)}
 
 
-@dataclass(frozen=True, eq=False)
-class AutocorrTable:
-    """E_x for every x: counts[x, k] is the coefficient of g^k in E_x."""
-
-    fn: GbfFunction
-    counts: np.ndarray
-
-    def __getitem__(self, x: int) -> CyclicRingElt:
-        return CyclicRingElt(self.fn.m, tuple(self.counts[x].tolist()))
-
-
-def compute_autocorr(fn: GbfFunction) -> AutocorrTable:
-    """E_x = sum_y g^{f(y+x) - f(y)} for every x, as one count array."""
+def compute_autocorr(fn: GbfFunction) -> np.ndarray:
+    """E_x = sum_y g^{f(y+x) - f(y)} for every x, as one read-only
+    (2^n, m) int64 array: row x holds the coefficients of E_x."""
     size, m = 1 << fn.n, fn.m
     values = np.asarray(fn.values, dtype=np.int64)
     points = np.arange(size)
@@ -105,18 +103,50 @@ def compute_autocorr(fn: GbfFunction) -> AutocorrTable:
         pairs = np.bincount(bins.ravel(), minlength=xs.size * 2 * m)
         counts[start : start + rows] = pairs.reshape(-1, 2, m).sum(axis=1)
     counts.flags.writeable = False
-    return AutocorrTable(fn, counts)
+    return counts
 
 
-def is_gbf_exact(fn: GbfFunction | AutocorrTable) -> bool:
+def is_gbf_exact(fn: GbfFunction | np.ndarray) -> bool:
     """Exact bent test: an order-m character kills E_x for all x != 0.
 
-    Takes the function or a table already built for it.  A function is
-    normalized first, which leaves |F(y)| unchanged, so the test runs at
-    the order its values generate; a table is tested at its own m.
+    Takes the function or a count array already built for it.  A
+    function is normalized first, which leaves |F(y)| unchanged, so the
+    test runs at the order its values generate; an array is tested at
+    its own m, counts.shape[1].
     """
-    table = fn if isinstance(fn, AutocorrTable) else compute_autocorr(normalize_modulus(fn))
-    return not cyclotomic_residue(table.counts[1:], table.fn.m).any()
+    counts = fn if isinstance(fn, np.ndarray) else compute_autocorr(normalize_modulus(fn))
+    return not cyclotomic_residue(counts[1:], counts.shape[1]).any()
+
+
+def autocorr_invariants(fn: GbfFunction, counts: np.ndarray) -> dict:
+    """The identities of fn's table counts that gbf verify reports.
+
+    They hold for every f, bent or not, so a False flags a faulty table:
+    origin_mass, E_0 = 2^n g^0; inversion_symmetric, every E_x is fixed
+    by g -> g^{-1}; even_identity_coeff, the g^0 coefficient of E_x is
+    even for x != 0; and even_m_identity, for even m only (None for odd
+    m), a_x = 2^n - 4|G_f| + 8 b_x for x != 0.  There G_f = {x : f(x)
+    odd}, G_f^2 = |G_f| + 2 sum b_x x in the group algebra of Z_2^n, and
+    a_x is the image of E_x under g -> -1.
+    """
+    size, m = counts.shape
+    identity = None
+    if m % 2 == 0:
+        support = np.flatnonzero(np.asarray(fn.values) % 2)
+        # square[x] counts the ordered pairs of G_f with u ^ v = x, 2 b_x
+        square = np.zeros(size, dtype=np.int64)
+        rows = max(1, _BLOCK_CELLS // max(1, support.size))
+        for start in range(0, support.size, rows):
+            pairs = support[start : start + rows, None] ^ support
+            square += np.bincount(pairs.ravel(), minlength=size)
+        psi = counts[:, 0::2].sum(axis=1) - counts[:, 1::2].sum(axis=1)
+        identity = bool(np.array_equal(psi[1:], size - 4 * support.size + 4 * square[1:]))
+    return {
+        "origin_mass": bool(counts[0, 0] == size and counts[0].sum() == size),
+        "inversion_symmetric": bool(np.array_equal(counts[:, -np.arange(m) % m], counts)),
+        "even_identity_coeff": not (counts[1:, 0] % 2).any(),
+        "even_m_identity": identity,
+    }
 
 
 def walsh_spectrum_numeric(fn: GbfFunction) -> np.ndarray:
@@ -149,39 +179,3 @@ def normalize_modulus(fn: GbfFunction) -> GbfFunction:
     shifted = [(v - fn.values[0]) % fn.m for v in fn.values]
     d = gcd(fn.m, *shifted)
     return GbfFunction(fn.n, fn.m // d, tuple(v // d for v in shifted))
-
-
-@dataclass(frozen=True)
-class GfData:
-    """Odd-value support data for even m.
-
-    support: the set G_f = {x : f(x) odd}; b counts XOR pairs,
-    G_f^2 = |G_f| + 2 * sum b_x x in the group algebra of Z_2^n; and
-    a_x is the psi-image of E_x.  For every f (bent or not) these tie
-    together as a_x = 2^n - 4|G_f| + 8 b_x.
-    """
-
-    support: tuple[int, ...]
-    b: dict[int, int]
-    a: dict[int, int]
-
-
-def gf_data(fn: GbfFunction | AutocorrTable) -> GfData:
-    """G_f, b and a for even m; takes the function or its table."""
-    table = fn if isinstance(fn, AutocorrTable) else compute_autocorr(fn)
-    fn = table.fn
-    if fn.m % 2 != 0:
-        raise ValueError(f"odd-support data needs even m, got {fn.m}")
-    size = 1 << fn.n
-    support = np.flatnonzero(np.asarray(fn.values) % 2)
-    square = np.zeros(size, dtype=np.int64)
-    rows = max(1, _BLOCK_CELLS // max(1, support.size))
-    for start in range(0, support.size, rows):
-        pairs = support[start : start + rows, None] ^ support
-        square += np.bincount(pairs.ravel(), minlength=size)
-    assert square[0] == support.size
-    assert not (square[1:] % 2).any(), "off-identity pair counts come in XOR pairs"
-    psi = table.counts[:, 0::2].sum(axis=1) - table.counts[:, 1::2].sum(axis=1)
-    b = dict(zip(range(1, size), (square[1:] // 2).tolist()))
-    a = dict(zip(range(1, size), psi[1:].tolist()))
-    return GfData(tuple(support.tolist()), b, a)

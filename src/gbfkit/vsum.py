@@ -277,12 +277,10 @@ def structure_decompose(elt: CyclicRingElt) -> list[tuple[int, CyclicRingElt]]:
 
 def _peel(v: CyclicRingElt) -> dict[int, CyclicRingElt]:
     """v in Z[C_k], k squarefree, killed by an order-k character ->
-    dict p -> E_p over Z[C_k] with v = sum_p P_p E_p."""
+    dict p -> E_p over Z[C_k] with v = sum_p P_p E_p.  k >= 2: the
+    recursion runs only on a nonzero fiber difference that an order-r
+    character kills, and none does in C_1."""
     k = v.m
-    if k == 1:
-        if v.coeffs != (0,):
-            raise AssertionError("peel reached C_1 with a nonzero remainder")
-        return {}
     p = factorize(k).primes[0]
     r = k // p
     rinv = pow(r, -1, p)

@@ -7,7 +7,7 @@ import subprocess
 import sys
 import time
 
-from test_gbf import reference_autocorr, reference_pair_counts
+from test_gbf import expected_invariants
 
 from gbfkit import cli, criteria, ring
 from gbfkit.cli import main
@@ -90,6 +90,23 @@ def test_verify_file(tmp_path, capsys):
     assert main(["verify", "--file", str(bad)]) == 65
     assert "bad.txt:2: not a decimal integer: '1_2'" in capsys.readouterr().err
 
+    # runs of ASCII space or tab separate the fields, around them a line
+    # may carry ASCII whitespace only; str.split() and str.strip() also
+    # took Unicode spaces, and the first line was verified as 4 1 0,1
+    for line in [
+        "4\u20031\u00a00,1",
+        "4\u30001 0,1",
+        "4\v1 0,1",
+        "4 1 0,1\v",
+        "\u00a04 1 0,1",
+    ]:
+        bad.write_text("4 1 0,1\n" + line + "\n", encoding="utf-8")
+        assert main(["verify", "--file", str(bad)]) == 65, repr(line)
+        assert "bad.txt:2:" in capsys.readouterr().err, repr(line)
+    path.write_text("\t4\t1  0,1 \r\n  2 \t 2\t0,0,0,1\n")
+    assert main(["verify", "--file", str(path)]) == 0
+    assert capsys.readouterr().out.count("GBF: true") == 2
+
 
 def test_oversized_reduction_orders_refused(tmp_path, capsys, monkeypatch):
     # R_30026 would hold 15014 * 15012 int64 entries (1.8 GB)
@@ -129,25 +146,6 @@ VERIFY_ROWS = {
     "15 3 0,1,2,3,4,5,6,7": None,
     "10 3 0,5,0,5,0,5,5,0": (2, [0, 1, 0, 1, 0, 1, 1, 0]),
 }
-
-
-def expected_invariants(f):
-    """The four verify invariants, from the per-x reference table."""
-    size, m = 1 << f.n, f.m
-    table = reference_autocorr(f)
-    identity = None
-    if m % 2 == 0:
-        support, square = reference_pair_counts(f)
-        psi = [sum(c if k % 2 == 0 else -c for k, c in enumerate(row)) for row in table]
-        identity = all(
-            psi[x] == size - 4 * len(support) + 8 * (square[x] // 2) for x in range(1, size)
-        )
-    return {
-        "origin_mass": table[0][0] == size and sum(table[0]) == size,
-        "inversion_symmetric": all(row[-k % m] == row[k] for row in table for k in range(m)),
-        "even_identity_coeff": all(row[0] % 2 == 0 for row in table[1:]),
-        "even_m_identity": identity,
-    }
 
 
 def test_verify_record_pinned(tmp_path, capsys):

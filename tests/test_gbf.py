@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from gbfkit import gbf
 from gbfkit.gbf import (
     GbfFunction,
+    autocorr_invariants,
     compute_autocorr,
-    gf_data,
     is_gbf_exact,
     is_gbf_numeric,
     normalize_modulus,
@@ -48,6 +48,25 @@ def reference_pair_counts(f):
         for v in support:
             square[u ^ v] += 1
     return support, square
+
+
+def expected_invariants(f):
+    """The four verify invariants, from the per-x reference table."""
+    size, m = 1 << f.n, f.m
+    table = reference_autocorr(f)
+    identity = None
+    if m % 2 == 0:
+        support, square = reference_pair_counts(f)
+        psi = [sum(c if k % 2 == 0 else -c for k, c in enumerate(row)) for row in table]
+        identity = all(
+            psi[x] == size - 4 * len(support) + 8 * (square[x] // 2) for x in range(1, size)
+        )
+    return {
+        "origin_mass": table[0][0] == size and sum(table[0]) == size,
+        "inversion_symmetric": all(row[-k % m] == row[k] for row in table for k in range(m)),
+        "even_identity_coeff": all(row[0] % 2 == 0 for row in table[1:]),
+        "even_m_identity": identity,
+    }
 
 
 def mm_function(m, n, perm, g, z_bit=0):
@@ -119,6 +138,18 @@ def test_line_and_json_roundtrip():
             GbfFunction.from_line(line)
     with pytest.raises(ValueError):
         GbfFunction.from_line("4 0,1")
+    # runs of ASCII space or tab separate the fields, and nothing else
+    # does: str.split() also split at these and read "4 1 0,1"
+    assert GbfFunction.from_line("4\t 1  \t0,1") == fn(4, 1, [0, 1])
+    for line in [
+        "4\u20031\u00a00,1",
+        "4\u30001 0,1",
+        "4\v1 0,1",
+        "4 1\u00a00,1",
+        "\u00a04 1 0,1",
+    ]:
+        with pytest.raises(ValueError):
+            GbfFunction.from_line(line)
 
 
 # ---------------------------------------------------------------------------
@@ -127,21 +158,20 @@ def test_line_and_json_roundtrip():
 
 def test_autocorr_example_quaternary():
     table = compute_autocorr(fn(4, 1, [0, 1]))
-    assert table[0] == CyclicRingElt.from_coeffs(4, [2, 0, 0, 0])
-    assert table[1] == CyclicRingElt.from_coeffs(4, [0, 1, 0, 1])
+    assert table.tolist() == [[2, 0, 0, 0], [0, 1, 0, 1]]
+    assert table.dtype == np.int64 and not table.flags.writeable
 
 
 def test_autocorr_example_boolean():
     table = compute_autocorr(fn(2, 2, [0, 0, 0, 1]))
-    for x in (1, 2, 3):
-        assert table[x] == CyclicRingElt.from_coeffs(2, [2, 2])
+    assert table.tolist() == [[4, 0], [2, 2], [2, 2], [2, 2]]
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(random_functions(), mm_functions()))
 def test_table_and_exact_test_match_independent_routes(f):
     table = compute_autocorr(f)
-    assert table.counts.tolist() == reference_autocorr(f)
+    assert table.tolist() == reference_autocorr(f)
     assert is_gbf_exact(f) == is_gbf_exact(table) == is_gbf_numeric(f)
 
 
@@ -153,17 +183,15 @@ def test_maiorana_mcfarland_functions_are_bent(f):
 
 @pytest.mark.parametrize("cells", [1, 7, 100, 1 << 14])
 def test_block_size_never_changes_table_or_support_data(monkeypatch, cells):
-    # n = 5 and 7 split into several gather blocks, the last one partial
+    # n = 5 and 7 split the table and the odd-support pair count into
+    # several gather blocks, the last one partial
     monkeypatch.setattr(gbf, "_BLOCK_CELLS", cells)
     rng = random.Random(cells)
     for m, n in ((6, 5), (10, 7), (15, 5)):
         f = random_fn(rng, m, n)
-        assert compute_autocorr(f).counts.tolist() == reference_autocorr(f)
-        if m % 2 == 0:
-            data = gf_data(f)
-            support, square = reference_pair_counts(f)
-            assert list(data.support) == support
-            assert data.b == {x: square[x] // 2 for x in range(1, 1 << n)}
+        table = compute_autocorr(f)
+        assert table.tolist() == reference_autocorr(f)
+        assert autocorr_invariants(f, table) == expected_invariants(f)
 
 
 def test_autocorr_invariants_hold_for_arbitrary_f():
@@ -172,9 +200,9 @@ def test_autocorr_invariants_hold_for_arbitrary_f():
         m, n = rng.choice([(3, 2), (4, 2), (6, 3), (10, 3), (12, 2)])
         f = random_fn(rng, m, n)
         table = compute_autocorr(f)
-        assert table[0] == CyclicRingElt.monomial(m, 0, 1 << n)
+        assert CyclicRingElt(m, tuple(table[0].tolist())) == CyclicRingElt.monomial(m, 0, 1 << n)
         for x in range(1, 1 << n):
-            e = table[x]
+            e = CyclicRingElt(m, tuple(table[x].tolist()))
             assert e == e.conj_inverse()
             assert e.coeffs[0] % 2 == 0
             assert e.norm == 1 << n
@@ -265,28 +293,45 @@ def test_normalize_fixes_origin_and_gcd():
 
 
 # ---------------------------------------------------------------------------
-# odd-value support data
+# table invariants
 
 
-def test_gf_data_example():
-    data = gf_data(fn(4, 1, [0, 1]))
-    assert data.support == (1,)
-    assert data.b == {1: 0}
-    assert data.a == {1: -2}
-    assert data.a[1] == 2**1 - 4 * len(data.support) + 8 * data.b[1]
+def test_autocorr_invariants_example():
+    f = fn(4, 1, [0, 1])
+    table = compute_autocorr(f)
+    ok = dict.fromkeys(expected_invariants(f), True)
+    assert autocorr_invariants(f, table) == expected_invariants(f) == ok
+    # G_f = {1}, no pair of it sums to 1, and E_1 = g + g^3 maps to
+    # a_1 = -2 = 2^1 - 4 * 1 + 8 * 0.  Each row below breaks one
+    # invariant and keeps the other three
+    for x, row, broken in [
+        (0, [1, 0, 1, 0], "origin_mass"),
+        (0, [2, 0, 1, 0], "origin_mass"),
+        (1, [0, 2, 0, 0], "inversion_symmetric"),
+        (1, [1, 2, 1, 2], "even_identity_coeff"),
+        (1, [0, 0, 2, 0], "even_m_identity"),
+    ]:
+        bad = table.copy()
+        bad[x] = row
+        assert autocorr_invariants(f, bad) == {**ok, broken: False}, broken
 
 
-def test_gf_data_identity_holds_for_all_f():
+def test_autocorr_invariants_match_reference_for_all_f():
     rng = random.Random(31)
     for _ in range(60):
-        m, n = rng.choice([(4, 2), (6, 3), (10, 3), (2, 4)])
+        m, n = rng.choice([(4, 2), (6, 3), (10, 3), (2, 4), (3, 2), (15, 3)])
         f = random_fn(rng, m, n)
-        data = gf_data(f)
-        gsize = len(data.support)
-        for x in range(1, 1 << n):
-            assert data.a[x] == (1 << n) - 4 * gsize + 8 * data.b[x]
+        got = autocorr_invariants(f, compute_autocorr(f))
+        assert got == expected_invariants(f)
+        assert all(type(v) is bool for v in got.values() if v is not None)
+        assert got["even_m_identity"] is (True if m % 2 == 0 else None)
 
 
-def test_gf_data_needs_even_m():
-    with pytest.raises(ValueError):
-        gf_data(fn(15, 2, [0, 1, 2, 3]))
+def test_even_m_identity_is_none_for_odd_m():
+    f = fn(15, 2, [0, 1, 2, 3])
+    assert autocorr_invariants(f, compute_autocorr(f)) == {
+        "origin_mass": True,
+        "inversion_symmetric": True,
+        "even_identity_coeff": True,
+        "even_m_identity": None,
+    }

@@ -8,7 +8,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from gbfkit import search, vsum
+from gbfkit import cli, search, vsum
 from gbfkit.cli import main
 from gbfkit.gbf import GbfFunction, is_gbf_exact
 from gbfkit.ring import CharacterSpec, CyclicRingElt, character_value_is_zero, subgroup_sum
@@ -43,6 +43,33 @@ def test_witness_examples():
         out = brute_force(m, n)
         assert out.status == "WitnessFound"
         assert is_gbf_exact(out.witness)
+
+
+def test_each_witness_is_tested_exactly_once(monkeypatch, capsys):
+    # the exact test runs once per screen survivor, and the witness, the
+    # last survivor, is not tested again by brute_force or by gbf search
+    monkeypatch.delenv("GBF_STORE", raising=False)
+    tested = []
+    exact = search.is_gbf_exact
+
+    def counting(fn):
+        tested.append(fn.values)
+        return exact(fn)
+
+    monkeypatch.setattr(search, "is_gbf_exact", counting)
+    for m, n in [(4, 2), (8, 3)]:
+        del tested[:]
+        events = []
+        out = brute_force(m, n, progress=events.append)
+        assert len(tested) == sum(ev["survivors"] for ev in events), (m, n)
+        assert tested[-1] == out.witness.values, (m, n)
+
+    def refuse(fn):
+        raise AssertionError("gbf search re-ran the exact test")
+
+    monkeypatch.setattr(cli, "is_gbf_exact", refuse)
+    assert main(["search", "4", "2"]) == 0
+    assert "  verified exact: true\n" in capsys.readouterr().out
 
 
 def test_exhausted_examples():

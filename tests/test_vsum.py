@@ -587,6 +587,9 @@ def coset_shifts(m, p):
 def test_enumerate_c6_norm3():
     got = {v.elt.coeffs for v in enumerate_minimal_vsums(6, 3)}
     assert got == coset_shifts(6, 2) | coset_shifts(6, 3)
+    # an empty box (norm 0) and N[C_1] hold no nonzero v-sum
+    assert enumerate_minimal_vsums(6, 0) == []
+    assert enumerate_minimal_vsums(1, 8) == []
 
 
 def test_enumerate_c30_norm5_only_prime_cosets():
