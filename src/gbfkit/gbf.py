@@ -73,7 +73,7 @@ class GbfFunction:
     def from_line(cls, line: str) -> "GbfFunction":
         parts = _FIELD_SEP.split(line.strip(" \t"))
         if len(parts) != 3:
-            raise ValueError(f"expected 'm n v0,v1,...', got {line!r}")
+            raise ValueError(f"expected 'm n v0,v1,...', got {line!r:.40}")
         m, n = decimal_int(parts[0]), decimal_int(parts[1])
         return cls(n, m, decimal_ints(parts[2]))
 

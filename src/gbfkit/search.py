@@ -13,15 +13,16 @@ examines every assignment (examined == normalized_space) and certifies
 nonexistence.
 
 The character at y = 0 is trivial, so an assignment's value there,
-1 + sum_j zeta^{d_j}, depends only on the digit multisets of its head
-(prefix and mid) and of its tail.  The tail table keeps each tail
-multiset as one run of rows, and the tail groups that pass after a head
-are cached per head multiset, so the y = 0 screen runs once per pair of
-multisets: at (15, 3), 3060 tail groups against at most 680 head
-multisets for 3375 heads.  A witness has |F(0)|^2 = 2^n exactly, so its
-groups pass.  The rows of a chunk's passing groups are screened at the
-other characters together, and the few survivors go to the exact test
-in lexicographic order, so that the witness reported is the least.
+1 + sum_j zeta^{d_j}, depends only on the multiset of its free digits.
+The y = 0 screen runs once per such multiset (_HeadTable), lazily, as
+far as the blocks reached need: at (15, 3), C(21, 7) = 116280 tests for
+15^7 assignments.  A witness has |F(0)|^2 = 2^n exactly, so it passes.
+The tail table keeps each tail multiset as one run of rows and is built
+only once some head (prefix and mid) has a passing tail group; at seven
+of the thirteen n = 3 moduli 3..15 none has.  The rows of a chunk's
+passing groups are screened at the other characters together, and the
+few survivors go to the exact test in lexicographic order, so that the
+witness reported is the least.
 
 The catalog half lists every element of N[C_30] satisfying the five
 arithmetic constraints an autocorrelation coefficient of a bent
@@ -40,7 +41,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, lru_cache, partial
-from itertools import islice, product
+from itertools import combinations_with_replacement, islice, product
 from math import ceil
 from typing import NamedTuple
 
@@ -56,15 +57,15 @@ from .ring import (
 )
 from .vsum import _vsums_under
 
-# brute_force(15, 3) exhausts this budget in 0.05 to 0.07 s, 2.4e9 to
-# 3.6e9 assignments/s with the tail-table build, on one core of a 2-core
-# Xeon VM.  That holds for n >= 3 only: n = 2 runs at about 2e7
-# assignments/s, and n = 1 at about 5e4 one-assignment blocks/s
+# brute_force(15, 3) exhausts this budget in 0.03 to 0.06 s, 3e9 to
+# 6e9 assignments/s with the tail-table build, on one core of a 2-core
+# Xeon VM.  That holds for n >= 3 only: n = 2 runs at 5e7 to 1e8
+# assignments/s, and n = 1 at about 2e5 one-assignment blocks/s
 DEFAULT_BUDGET = 15**7
 
-# a block costs 10 to 30 microseconds however few assignments it holds,
-# so at n = 1 the budget alone does not bound the time; 2^19 blocks take
-# about 11 s on the same VM.  Every n >= 2 space inside DEFAULT_BUDGET
+# a block costs a few microseconds however few assignments it holds, so
+# at n = 1 the budget alone does not bound the time; 2^19 blocks take
+# about 2.4 s on the same VM.  Every n >= 2 space inside DEFAULT_BUDGET
 # has at most 554^2 blocks
 MAX_BLOCKS = 1 << 19
 
@@ -158,7 +159,10 @@ def _tail_tables(m: int, n: int, tail: int) -> _TailTables:
     positions.  chi[x, 0] = 1, so an assignment's y = 0 contribution
     sum_j zeta^{d_j} is one exact number across all permutations of its
     digits.  The rows are sorted, stably, by their sorted digits read in
-    base m; the columns are then built one spectrum row at a time.
+    base m with the smallest digit most significant: the groups are the
+    digit multisets in lexicographic order, numbered as _HeadTable
+    numbers them, and those whose smallest digit is at least d form a
+    suffix.  The columns are then built one spectrum row at a time.
 
     The digits are sorted column-wise by an odd-even transposition
     network of np.minimum / np.maximum, which sorts any tail columns in
@@ -173,7 +177,7 @@ def _tail_tables(m: int, n: int, tail: int) -> _TailTables:
             cols[j], cols[j + 1] = np.minimum(cols[j], cols[j + 1]), np.maximum(cols[j], cols[j + 1])
     key = np.zeros(m**tail, dtype=np.int64)
     for j, col in enumerate(cols):
-        key += col * np.int64(m**j)  # an int64 factor: the key outgrows int16
+        key += col * np.int64(m ** (tail - 1 - j))  # an int64 factor: the key outgrows int16
     del cols
     counts = np.unique(key, return_counts=True)[1]
     digits = digits[np.argsort(key, kind="stable")]
@@ -187,21 +191,138 @@ def _tail_tables(m: int, n: int, tail: int) -> _TailTables:
     return _TailTables(digits, columns, columns[0][starts], starts, counts)
 
 
-# holds every head multiset of a search: C(17, 3) = 680 at (15, 3)
-@lru_cache(maxsize=1024)
-def _head_groups(m: int, n: int, tail: int, head: tuple[int, ...]) -> np.ndarray:
-    """The tail groups that pass the y = 0 screen after the head
-    (0, *head), head's digits sorted.  The head's y = 0 contribution
-    1 + sum_j zeta^{h_j} depends on its digit multiset alone, so every
-    ordering of one multiset shares this read-only index array."""
-    zeta = _roots(m)
-    s = 1.0
-    for h in head:
-        s += zeta[h]
-    z = s + _tail_tables(m, n, tail).values
-    groups = (np.abs(z.real * z.real + z.imag * z.imag - (1 << n)) <= _TOL).nonzero()[0]
-    groups.flags.writeable = False
-    return groups
+def _multisets(m: int, k: int) -> np.ndarray:
+    """The k-digit multisets over range(m) in lexicographic order, one
+    sorted row each."""
+    sets = list(combinations_with_replacement(range(m), k))
+    return np.array(sets, dtype=np.intp).reshape(len(sets), k)
+
+
+# what a head multiset with no passing tail group is given
+_NO_GROUPS = np.zeros(0, dtype=np.intp)
+_NO_GROUPS.flags.writeable = False
+
+
+class _HeadTable:
+    """The tail groups that pass the y = 0 screen after each head
+    multiset of 2^n - 1 - tail digits, found lazily.
+
+    An assignment's y = 0 value 1 + sum_j zeta^{d_j} depends only on the
+    multiset P of its 2^n - 1 free digits, so each P is screened once, as
+    its canonical split: the head H of its h smallest digits and the tail
+    group T of the rest, min(T) >= max(H).  The canonical heads are
+    taken by smallest digit, each against the suffix of groups whose
+    smallest digit is at least its largest, one numpy pass per run of
+    digits holding at least about 2^14 pairs.  Every P that passes is
+    filed under each of its (head multiset, tail group) splits.  A head
+    multiset of smallest digit d lies only in multisets P of smallest
+    digit at most d, so once those are screened (d <= complete) its
+    groups are final.  A witness has |F(0)|^2 = 2^n exactly, so its
+    split passes."""
+
+    def __init__(self, m: int, n: int, tail: int):
+        self.m, self.size = m, 1 << n
+        self.head = self.size - 1 - tail
+        zeta = _roots(m)
+        self.tails = _multisets(m, tail)
+        self.rank = {tuple(t): g for g, t in enumerate(self.tails.tolist())}
+        self.values = zeta[self.tails].sum(axis=1)
+        # a canonical head is (a, *rest): rest sorted, its digits all >= a
+        self.rests = _multisets(m, self.head - 1)
+        self.rest_sums = 1 + zeta[self.rests].sum(axis=1)
+        self.rest_tops = self.rests.max(axis=1, initial=0)
+        digit = np.arange(m)
+        if self.head > 1:
+            # a rest meets the groups from _first(its largest digit) on,
+            # after every lead up to its smallest digit
+            meets = len(self.rank) - self._first(self.rest_tops)
+            pairs = np.append(np.cumsum(meets[::-1])[::-1], 0)[self._start(digit)]
+        else:
+            pairs = len(self.rank) - self._first(digit)
+        # upto[a]: the pairs of the canonical heads of smallest digit <= a
+        self.upto = np.cumsum(pairs)
+        self.complete = -1
+        # groups found for heads not yet complete, by smallest digit
+        self.pending: dict[int, dict[tuple[int, ...], list[int]]] = {}
+        self.found: dict[tuple[int, ...], np.ndarray] = {}
+
+    def _first(self, top: np.ndarray) -> np.ndarray:
+        """The first group of smallest digit at least top: those from
+        there on may follow a head of largest digit top.  The one group
+        of a tail of no digits follows every head."""
+        if self.tails.shape[1] == 0:
+            return np.zeros_like(top)
+        return np.searchsorted(self.tails[:, 0], top)
+
+    def _start(self, lead: np.ndarray) -> np.ndarray:
+        """The first rest whose digits are all at least lead."""
+        if self.head == 1:
+            return np.zeros_like(lead)
+        return np.searchsorted(self.rests[:, 0], lead)
+
+    def groups(self, head: tuple[int, ...]) -> np.ndarray:
+        """The sorted, read-only indices of the tail groups that pass
+        after the head multiset head, a sorted tuple."""
+        if head[0] > self.complete:
+            self._screen(head[0])
+        return self.found.get(head, _NO_GROUPS)
+
+    def _screen(self, d: int) -> None:
+        """Screen the canonical heads from the first smallest digit not
+        yet complete through d, and on until the pass holds at least
+        about 2^14 pairs: at n = 1, one new head per block, a pass serves
+        many blocks."""
+        a0 = self.complete + 1
+        done = self.upto[a0 - 1] if a0 else 0
+        step = max(1, _TAIL_CELLS >> 5)  # 2^14 at the default _TAIL_CELLS
+        a1 = min(self.m, max(d, int(np.searchsorted(self.upto, done + step))) + 1)
+        # the canonical heads (lead, *rests[rest]) of smallest digit a0 .. a1 - 1
+        lead = np.arange(a0, a1)
+        start = self._start(lead)
+        per = len(self.rests) - start
+        lead = np.repeat(lead, per)
+        rest = np.arange(lead.size) + np.repeat(start - np.cumsum(per) + per, per)
+        lo = self._first(np.maximum(lead, self.rest_tops[rest]))
+        # pair k is head who[k] and group group[k]: the groups from lo on
+        sizes = len(self.rank) - lo
+        who = np.repeat(np.arange(lead.size), sizes)
+        group = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(who.size)
+        z = (_roots(self.m)[lead] + self.rest_sums[rest])[who] + self.values[group]
+        keep = np.abs(z.real * z.real + z.imag * z.imag - self.size) <= _TOL
+        who, group = who[keep], group[keep]
+        whole = np.concatenate([lead[who, None], self.rests[rest[who]], self.tails[group]], axis=1)
+        for p in whole.tolist():
+            for head, left in _splits(p, self.head):
+                self.pending.setdefault(head[0], {}).setdefault(head, []).append(self.rank[left])
+        self.complete = a1 - 1
+        for a in [a for a in self.pending if a < a1]:
+            for head, groups in self.pending.pop(a).items():
+                groups = np.array(sorted(groups), dtype=np.intp)
+                groups.flags.writeable = False
+                self.found[head] = groups
+
+
+def _splits(p: list[int], k: int):
+    """Each distinct multiset of k digits taken from the sorted list p,
+    with the digits left over, both as sorted tuples."""
+    if k == 0:
+        yield (), tuple(p)
+        return
+    if len(p) == k:
+        yield tuple(p), ()
+        return
+    # take j copies of p's smallest digit v, then the rest from what follows
+    v = p[0]
+    c = p.count(v)
+    for j in range(max(0, k - len(p) + c), min(c, k) + 1):
+        for head, left in _splits(p[c:], k - j):
+            yield (v,) * j + head, (v,) * (c - j) + left
+
+
+# one per search: (m, n, tail) is fixed by the block size
+@lru_cache(maxsize=8)
+def _head_table(m: int, n: int, tail: int) -> _HeadTable:
+    return _HeadTable(m, n, tail)
 
 
 def _run_prefix(
@@ -211,15 +332,17 @@ def _run_prefix(
     the mid assignments in lexicographic chunks of at most _TAIL_CELLS /
     2^n and screening each chunk's tails as a few numpy batches.
 
-    The y = 0 screen runs once per digit multiset of the tail and, by
-    _head_groups, once per digit multiset of the head (prefix and mid),
-    since all permutations share one exact y = 0 value: a witness has
-    |F(0)|^2 = 2^n exactly, so its groups pass, and the few ulps between
-    the float values of one multiset are far below the tolerance.  The
-    rows of every passing (mid, group) pair of the chunk go through the
-    screens at y = 1 .. 2^n - 1 together, at most _TAIL_CELLS rows at a
-    time.  The survivors, sorted by mid and then by tail digits so that
-    the first one confirmed is the least, go through the exact test.
+    The y = 0 screen runs once per digit multiset of the whole
+    assignment, in _HeadTable, which gives each head (prefix and mid)
+    the tail groups that pass after its digit multiset: all permutations
+    share one exact y = 0 value, a witness has |F(0)|^2 = 2^n exactly,
+    so its groups pass, and the few ulps between the float values of one
+    multiset are far below the tolerance.  Only a chunk with a passing
+    group builds the tail table.  The rows of every passing (mid, group)
+    pair of the chunk go through the screens at y = 1 .. 2^n - 1
+    together, in slabs of at most _TAIL_CELLS / 8 rows.  The survivors,
+    sorted by mid and then by tail digits so that the first one
+    confirmed is the least, go through the exact test.
 
     Returns the lexicographically least witness of this block (or None),
     the count of completions examined (every tail of each mid up to the
@@ -231,17 +354,19 @@ def _run_prefix(
     tail = 0
     while tail < free and (m ** (tail + 1)) * size <= _TAIL_CELLS:
         tail += 1
-    digits, columns, _, starts, counts = _tail_tables(m, n, tail)
-    rows = digits.shape[0]
+    table = _head_table(m, n, tail)
+    rows = m**tail
+    slab = max(1, _TAIL_CELLS >> 3)  # rows per y >= 1 screen: bounds its scratch
 
     mids = product(range(m), repeat=free - tail)
     chunk = max(1, _TAIL_CELLS // size)
     done = survivors = 0
     while batch := list(islice(mids, chunk)):
         heads = [prefix + mid for mid in batch]
-        groups = [_head_groups(m, n, tail, tuple(sorted(head))) for head in heads]
+        groups = [table.groups(tuple(sorted(head))) for head in heads]
         sizes = [g.size for g in groups]
         if any(sizes):
+            digits, columns, _, starts, counts = _tail_tables(m, n, tail)
             # the chunk's spectra, one row per head: f(0) = 0 adds chi[0],
             # all ones, and each head position v its character times zeta^v
             spec = np.ones((len(heads), size), dtype=np.complex128)
@@ -255,8 +380,8 @@ def _run_prefix(
             sel = np.repeat(starts[passing] - np.cumsum(lengths) + lengths, lengths)
             sel += np.arange(sel.size)
             hits = []
-            for lo in range(0, sel.size, _TAIL_CELLS):
-                who, row = owner[lo : lo + _TAIL_CELLS], sel[lo : lo + _TAIL_CELLS]
+            for lo in range(0, sel.size, slab):
+                who, row = owner[lo : lo + slab], sel[lo : lo + slab]
                 for y in range(1, size):
                     if row.size == 0:
                         break
@@ -302,29 +427,32 @@ def brute_force(
     if space > budget:
         raise BudgetExceededError(m, n, space, budget)
     depth = min(2, size - 1)
-    if m**depth > MAX_BLOCKS:
-        raise BudgetExceededError(m, n, space, budget, blocks=m**depth)
+    blocks = m**depth
+    if blocks > MAX_BLOCKS:
+        raise BudgetExceededError(m, n, space, budget, blocks=blocks)
 
     start = time.perf_counter()
-    prefixes = [(v,) for v in range(m)]
-    if depth == 2:
-        prefixes = [(v, w) for v in range(m) for w in range(m)]
+    # product copies its pool to a tuple: share one between the two walks
+    digits = tuple(range(m))
+
+    def prefixes():
+        return product(digits, repeat=depth)
 
     # fork starts every worker on the first submit, so ask for no more
     # than there are blocks and CPUs
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(workers, len(prefixes), cpus or 1)
+    workers = min(workers, blocks, cpus or 1)
     run = partial(_run_prefix, m, n)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     witness = None
     examined = 0
     try:
         if pool is None:
-            results = map(run, prefixes)
+            results = map(run, prefixes())
         else:
             # a few chunks per worker: per-block futures cost more than a block
-            results = pool.map(run, prefixes, chunksize=ceil(len(prefixes) / (4 * workers)))
-        for prefix, (values, ex, survivors) in zip(prefixes, results):
+            results = pool.map(run, prefixes(), chunksize=ceil(blocks / (4 * workers)))
+        for prefix, (values, ex, survivors) in zip(prefixes(), results):
             examined += ex
             if progress is not None:
                 # "pruned" stays in the event so that existing readers keep working
@@ -336,7 +464,8 @@ def brute_force(
                 break
     finally:
         if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            # wait for the running chunks, so that no worker outlives the call
+            pool.shutdown(wait=True, cancel_futures=True)
     return SearchOutcome(m, n, witness, examined, time.perf_counter() - start)
 
 

@@ -108,6 +108,15 @@ def test_verify_file(tmp_path, capsys):
     assert capsys.readouterr().out.count("GBF: true") == 2
 
 
+def test_verify_file_long_bad_line_quoted_short(tmp_path, capsys):
+    # one bad line of 2^16 values wrote 131 KB to stderr
+    bad = tmp_path / "long.txt"
+    bad.write_text("16\u20031 0," + ",".join(["1"] * ((1 << 16) - 1)) + "\n", encoding="utf-8")
+    assert main(["verify", "--file", str(bad)]) == 65
+    err = capsys.readouterr().err
+    assert "long.txt:1: expected 'm n v0,v1,...'" in err and len(err) < 200
+
+
 def test_oversized_reduction_orders_refused(tmp_path, capsys, monkeypatch):
     # R_30026 would hold 15014 * 15012 int64 entries (1.8 GB)
     def no_table(fn):

@@ -152,6 +152,16 @@ def test_line_and_json_roundtrip():
             GbfFunction.from_line(line)
 
 
+def test_line_error_quotes_at_most_40_characters():
+    # a line of 2^16 values whose first separator is an em space splits
+    # into two fields; its error quoted all 131 KB of it
+    line = "4\u20031 0," + ",".join(["1"] * ((1 << 16) - 1))
+    with pytest.raises(ValueError, match="expected 'm n v0,v1,...'") as info:
+        GbfFunction.from_line(line)
+    assert str(info.value).endswith(repr(line)[:40])
+    assert len(str(info.value)) < 100
+
+
 # ---------------------------------------------------------------------------
 # autocorrelation table
 

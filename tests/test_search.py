@@ -1,15 +1,23 @@
 """Tests for the exhaustive search and the dimension-3 catalog."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbfkit import cli, search, vsum
 from gbfkit.cli import main
+from gbfkit.criteria import EXISTS, decide
 from gbfkit.gbf import GbfFunction, is_gbf_exact
 from gbfkit.ring import CharacterSpec, CyclicRingElt, character_value_is_zero, subgroup_sum
 from gbfkit.search import (
@@ -21,6 +29,9 @@ from gbfkit.search import (
     match_n3_form,
     n3_catalog_check,
 )
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def g30(i: int) -> CyclicRingElt:
@@ -198,6 +209,29 @@ def test_pooled_search_matches_serial(monkeypatch):
     assert out.examined == out.normalized_space
 
 
+def test_pool_workers_end_with_the_search(monkeypatch):
+    # the witness of (2, 4) and (4, 3) is in block (0, 0); the pool is
+    # shut down before brute_force returns, its workers joined
+    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for m, n in [(2, 4), (4, 3)]:
+        out = brute_force(m, n, workers=2)
+        assert out.status == "WitnessFound", (m, n)
+        assert multiprocessing.active_children() == [], (m, n)
+
+
+def test_search_agrees_with_decide():
+    # the search is an exact route independent of the criteria, and
+    # decide settles every cell here
+    cells = [(m, 1) for m in range(2, 201)] + [(m, 2) for m in range(2, 41)]
+    cells += [(m, 3) for m in range(2, 16)] + [(2, 4), (3, 4)]
+    assert len(cells) == 254
+    for m, n in cells:
+        out = brute_force(m, n)
+        assert (out.witness is not None) == (decide(m, n).outcome == EXISTS), (m, n)
+        if out.witness is None:
+            assert out.examined == out.normalized_space, (m, n)
+
+
 def test_pool_size_is_bounded(monkeypatch):
     # a stand-in pool on threads records the size asked for; no process
     # pool is started here
@@ -326,7 +360,7 @@ def test_every_row_passing_the_screens_is_confirmed(monkeypatch):
 
     monkeypatch.setattr(search, "is_gbf_exact", never_bent)
     monkeypatch.setattr(search, "_TOL", float("inf"))
-    search._head_groups.cache_clear()
+    search._head_table.cache_clear()
     try:
         for m, k in [(3, 2), (3, 3), (4, 2)]:
             monkeypatch.setattr(search, "_TAIL_CELLS", m**k << 3)
@@ -334,16 +368,90 @@ def test_every_row_passing_the_screens_is_confirmed(monkeypatch):
             assert search._run_prefix(m, 3, (1, 0)) == (None, m**5, m**5), (m, k)
             assert sent == [(0, 1, 0, *rest) for rest in product(range(m), repeat=5)], (m, k)
     finally:
-        search._head_groups.cache_clear()
+        search._head_table.cache_clear()
 
 
-def test_y0_screen_runs_once_per_head_multiset():
-    # at (15, 3) a head is the prefix and one mid level: 15^3 = 3375
-    # ordered heads, but C(17, 3) = 680 digit multisets
-    search._head_groups.cache_clear()
-    out = brute_force(15, 3)
-    assert out.status == "ExhaustedNone" and out.examined == out.normalized_space
-    assert search._head_groups.cache_info().misses <= comb(17, 3)
+def test_y0_screen_runs_once_per_whole_multiset(monkeypatch):
+    # at (15, 3) the 15^7 assignments have C(21, 7) = 116280 multisets of
+    # their 7 free digits, and each is screened at y = 0 once, as one
+    # (canonical head, tail group) pair: a head of 3 digits, a tail of 4
+    screened = []
+
+    class Counting(np.ndarray):
+        def __getitem__(self, key):
+            screened.append(np.size(key))
+            return np.asarray(self)[key]
+
+    search._head_table.cache_clear()
+    try:
+        table = search._head_table(15, 3, 4)
+        monkeypatch.setattr(table, "values", table.values.view(Counting))
+        out = brute_force(15, 3)
+        assert out.status == "ExhaustedNone" and out.examined == out.normalized_space
+        assert search._head_table.cache_info().misses == 1
+        assert sum(screened) == comb(21, 7)
+    finally:
+        search._head_table.cache_clear()
+
+    # no multiset of (13, 3) or (9, 3) passes y = 0, so no block builds
+    # the tail table
+    for m in (13, 9):
+        search._tail_tables.cache_clear()
+        out = brute_force(m, 3)
+        assert out.status == "ExhaustedNone" and out.examined == out.normalized_space
+        assert search._tail_tables.cache_info().misses == 0, m
+
+
+_SMALL_TABLES = [
+    (m, n, tail)
+    for n in (1, 2, 3)
+    for m in range(2, 7)
+    for tail in range((1 << n) - 1)
+    if m**tail <= 1000
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(_SMALL_TABLES),
+    st.sampled_from([search._TOL, float("inf")]),
+    st.integers(0, 12),
+    st.randoms(use_true_random=False),
+)
+def test_head_table_matches_per_head_screen(case, tol, cells, rng):
+    # every head multiset's groups are the tail groups its own float
+    # screen passes, asked for in any order; a pass of 2^cells >> 5
+    # pairs makes the lazy screen take many passes
+    m, n, tail = case
+    size = 1 << n
+    zeta = np.exp(2j * np.pi * np.arange(m) / m)
+    values = search._tail_tables(m, n, tail).values
+    heads = list(combinations_with_replacement(range(m), size - 1 - tail))
+    rng.shuffle(heads)
+    with patch.object(search, "_TOL", tol), patch.object(search, "_TAIL_CELLS", 1 << cells):
+        table = search._HeadTable(m, n, tail)
+        for head in heads:
+            z = 1 + zeta[list(head)].sum() + values
+            want = np.flatnonzero(np.abs(z.real * z.real + z.imag * z.imag - size) <= tol)
+            got = table.groups(head)
+            assert got.tolist() == want.tolist(), (m, n, tail, head)
+            assert not got.flags.writeable
+
+
+def test_search_imports_no_masked_arrays():
+    # np.unique without a return_* flag imports numpy.ma, about 13 ms in
+    # a fresh process
+    code = (
+        "import sys\n"
+        "from gbfkit.cli import main\n"
+        "assert main(['search', '15', '3']) == 1\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "GBF_STORE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_tail_groups_are_digit_multisets():
