@@ -5,24 +5,31 @@ brute_force covers the normalized space (f(0) = 0, all other values
 free) in blocks fixed by the first one or two free values.  A block
 takes the next positions (the mid levels) in lexicographic chunks and
 screens every assignment of the last positions (the tail, as many as fit
-in _TAIL_CELLS complex cells) after each mid of a chunk in a few numpy
-batches.  Screening is numeric with a one-sided tolerance far above
-attainable float error, so a true witness can never be screened out;
-every survivor is confirmed exactly before it is reported.  Exhaustion
-examines every assignment (examined == normalized_space) and certifies
-nonexistence.
+in _TAIL_CELLS complex cells, but at most the top half of Z_2^n) after
+each mid of a chunk in a few numpy batches.  Screening is numeric with
+a one-sided tolerance far above attainable float error, so a true
+witness can never be screened out; every survivor is confirmed exactly
+before it is reported.  Exhaustion examines every assignment
+(examined == normalized_space) and certifies nonexistence.
 
 The character at y = 0 is trivial, so an assignment's value there,
 1 + sum_j zeta^{d_j}, depends only on the multiset of its free digits.
 The y = 0 screen runs once per such multiset (_HeadTable), lazily, as
 far as the blocks reached need: at (15, 3), C(21, 7) = 116280 tests for
-15^7 assignments.  A witness has |F(0)|^2 = 2^n exactly, so it passes.
-The tail table keeps each tail multiset as one run of rows and is built
-only once some head (prefix and mid) has a passing tail group; at seven
-of the thirteen n = 3 moduli 3..15 none has.  The rows of a chunk's
-passing groups are screened at the other characters together, and the
-few survivors go to the exact test in lexicographic order, so that the
-witness reported is the least.
+15^7 assignments.  Let e = 2^(n-1), A the sum of zeta^f over the
+bottom half of Z_2^n (f(0) = 0 included) and B the sum over the top
+half.  Then F(0) = A + B and F(e) = A - B, since chi_e is +1 on the
+bottom half and -1 on the top.  When the tail is exactly the top half,
+A depends only on the head's digit multiset and B only on the tail's,
+so each (head multiset, tail multiset) split of a passing multiset is
+tested at y = e as well.  A witness has |F(y)|^2 = 2^n exactly at every
+y, so it passes both.  The tail table keeps each tail multiset as one
+run of rows and is built only once some head (prefix and mid) has a
+passing tail group; at n = 3 for m = 2, 3, 5, 6, 7, 9, 10, 11, 13, 14
+and 15, and at (3, 4), none has.  The rows of a chunk's passing groups
+are screened at the other characters together, and the few survivors
+go to the exact test in lexicographic order, so that the witness
+reported is the least.
 
 The catalog half lists every element of N[C_30] satisfying the five
 arithmetic constraints an autocorrelation coefficient of a bent
@@ -41,7 +48,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, lru_cache, partial
-from itertools import combinations_with_replacement, islice, product
+from itertools import combinations_with_replacement, compress, islice, product
 from math import ceil
 from typing import NamedTuple
 
@@ -57,9 +64,10 @@ from .ring import (
 )
 from .vsum import _vsums_under
 
-# brute_force(15, 3) exhausts this budget in 0.03 to 0.06 s, 3e9 to
-# 6e9 assignments/s with the tail-table build, on one core of a 2-core
-# Xeon VM.  That holds for n >= 3 only: n = 2 runs at 5e7 to 1e8
+# brute_force(15, 3) exhausts this budget in 0.012 to 0.019 s, about
+# 1e10 assignments/s, on one core of a 2-core Xeon VM; no split of its
+# digit multisets passes both screens of _HeadTable, so it builds no
+# tail table.  That holds for n >= 3 only: n = 2 runs at 5e7 to 1e8
 # assignments/s, and n = 1 at about 2e5 one-assignment blocks/s
 DEFAULT_BUDGET = 15**7
 
@@ -204,8 +212,9 @@ _NO_GROUPS.flags.writeable = False
 
 
 class _HeadTable:
-    """The tail groups that pass the y = 0 screen after each head
-    multiset of 2^n - 1 - tail digits, found lazily.
+    """The tail groups that pass the y = 0 screen, and the y = e screen
+    when the tail is the top half, after each head multiset of
+    2^n - 1 - tail digits, found lazily.
 
     An assignment's y = 0 value 1 + sum_j zeta^{d_j} depends only on the
     multiset P of its 2^n - 1 free digits, so each P is screened once, as
@@ -217,8 +226,14 @@ class _HeadTable:
     filed under each of its (head multiset, tail group) splits.  A head
     multiset of smallest digit d lies only in multisets P of smallest
     digit at most d, so once those are screened (d <= complete) its
-    groups are final.  A witness has |F(0)|^2 = 2^n exactly, so its
-    split passes."""
+    groups are final.
+
+    When the tail is the top half of Z_2^n, the head the bottom half
+    less the origin, a split (H, T) is filed only if it also passes
+    y = e = 2^(n-1): F(e) = A - B = F(0) - 2B, where A = 1 + sum_H zeta
+    and B = sum_T zeta, so F(e), unlike F(0), depends on the split.  All
+    splits of the passing P are tested in one numpy pass.  A witness has
+    |F(0)|^2 = |F(e)|^2 = 2^n exactly, so its split passes both."""
 
     def __init__(self, m: int, n: int, tail: int):
         self.m, self.size = m, 1 << n
@@ -289,11 +304,22 @@ class _HeadTable:
         group = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(who.size)
         z = (_roots(self.m)[lead] + self.rest_sums[rest])[who] + self.values[group]
         keep = np.abs(z.real * z.real + z.imag * z.imag - self.size) <= _TOL
-        who, group = who[keep], group[keep]
+        who, group, z = who[keep], group[keep], z[keep]
         whole = np.concatenate([lead[who, None], self.rests[rest[who]], self.tails[group]], axis=1)
-        for p in whole.tolist():
+        heads, groups, owner = [], [], []
+        for i, p in enumerate(whole.tolist()):
             for head, left in _splits(p, self.head):
-                self.pending.setdefault(head[0], {}).setdefault(head, []).append(self.rank[left])
+                heads.append(head)
+                groups.append(self.rank[left])
+                owner.append(i)
+        if self.tails.shape[1] == self.size // 2:
+            # the tail is the top half: F(e) = A - B = F(0) - 2B, where B
+            # is the tail group's sum of zeta^d
+            z = z[owner] - 2 * _roots(self.m)[self.tails[groups]].sum(axis=1)
+            keep = np.abs(z.real * z.real + z.imag * z.imag - self.size) <= _TOL
+            heads, groups = compress(heads, keep), compress(groups, keep)
+        for head, g in zip(heads, groups):
+            self.pending.setdefault(head[0], {}).setdefault(head, []).append(g)
         self.complete = a1 - 1
         for a in [a for a in self.pending if a < a1]:
             for head, groups in self.pending.pop(a).items():
@@ -325,6 +351,17 @@ def _head_table(m: int, n: int, tail: int) -> _HeadTable:
     return _HeadTable(m, n, tail)
 
 
+def _tail_len(m: int, n: int, free: int) -> int:
+    """The tail of a block with free positions past its prefix: as many
+    last positions as fit in _TAIL_CELLS, but no more than the top half
+    of Z_2^n, so that _HeadTable can screen at y = 2^(n-1) too."""
+    size = 1 << n
+    tail = 0
+    while tail < free and tail < size >> 1 and (m ** (tail + 1)) * size <= _TAIL_CELLS:
+        tail += 1
+    return tail
+
+
 def _run_prefix(
     m: int, n: int, prefix: tuple[int, ...]
 ) -> tuple[tuple[int, ...] | None, int, int]:
@@ -332,17 +369,24 @@ def _run_prefix(
     the mid assignments in lexicographic chunks of at most _TAIL_CELLS /
     2^n and screening each chunk's tails as a few numpy batches.
 
-    The y = 0 screen runs once per digit multiset of the whole
-    assignment, in _HeadTable, which gives each head (prefix and mid)
-    the tail groups that pass after its digit multiset: all permutations
-    share one exact y = 0 value, a witness has |F(0)|^2 = 2^n exactly,
-    so its groups pass, and the few ulps between the float values of one
-    multiset are far below the tolerance.  Only a chunk with a passing
-    group builds the tail table.  The rows of every passing (mid, group)
-    pair of the chunk go through the screens at y = 1 .. 2^n - 1
-    together, in slabs of at most _TAIL_CELLS / 8 rows.  The survivors,
-    sorted by mid and then by tail digits so that the first one
-    confirmed is the least, go through the exact test.
+    The tail is _tail_len positions long: as many as fit in
+    _TAIL_CELLS, and no more than the top half of Z_2^n, which every
+    n = 3 and n = 4 space inside DEFAULT_BUDGET gets exactly.  The y = 0
+    screen runs once per digit multiset of the whole assignment, in
+    _HeadTable, which gives each head (prefix and mid) the tail groups
+    that pass after its digit multiset: all permutations share one exact
+    y = 0 value, a witness has |F(0)|^2 = 2^n exactly, so its groups
+    pass, and the few ulps between the float values of one multiset are
+    far below the tolerance.  When the tail is the top half, the head
+    the rest of the bottom half, F(e) = A - B at y = e = 2^(n-1) depends
+    only on the head's multiset (through A) and the tail group (through
+    B), so _HeadTable screens that too, and a witness passes it for the
+    same reason.  Only a chunk with a passing group builds the tail
+    table.  The rows of every passing (mid, group) pair of the chunk go
+    through the screens at y = 1 .. 2^n - 1 together, in slabs of at
+    most _TAIL_CELLS / 8 rows.  The survivors, sorted by mid and then by
+    tail digits so that the first one confirmed is the least, go through
+    the exact test.
 
     Returns the lexicographically least witness of this block (or None),
     the count of completions examined (every tail of each mid up to the
@@ -351,9 +395,7 @@ def _run_prefix(
     chi = _char_table(n)
     zeta = _roots(m)
     free = size - 1 - len(prefix)
-    tail = 0
-    while tail < free and (m ** (tail + 1)) * size <= _TAIL_CELLS:
-        tail += 1
+    tail = _tail_len(m, n, free)
     table = _head_table(m, n, tail)
     rows = m**tail
     slab = max(1, _TAIL_CELLS >> 3)  # rows per y >= 1 screen: bounds its scratch

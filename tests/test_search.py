@@ -282,9 +282,7 @@ def _per_tail_run_prefix(m, n, prefix):
     chi = _characters(n)
     zeta = np.exp(2j * np.pi * np.arange(m) / m)
     free = size - 1 - len(prefix)
-    tail = 0
-    while tail < free and (m ** (tail + 1)) * size <= search._TAIL_CELLS:
-        tail += 1
+    tail = search._tail_len(m, n, free)
     digits, columns = _lex_tail_table(m, n, tail)
 
     spectrum = chi[0].astype(np.complex128)
@@ -393,13 +391,26 @@ def test_y0_screen_runs_once_per_whole_multiset(monkeypatch):
     finally:
         search._head_table.cache_clear()
 
-    # no multiset of (13, 3) or (9, 3) passes y = 0, so no block builds
-    # the tail table
-    for m in (13, 9):
+    # at every exhausted rung of the ladder no (head multiset, tail group)
+    # split passes both y = 0 and y = 2^(n-1), so no block builds the
+    # tail table
+    for m, n in [(m, 3) for m in (2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15)] + [(3, 4)]:
         search._tail_tables.cache_clear()
-        out = brute_force(m, 3)
+        out = brute_force(m, n)
         assert out.status == "ExhaustedNone" and out.examined == out.normalized_space
-        assert search._tail_tables.cache_info().misses == 0, m
+        assert search._tail_tables.cache_info().misses == 0, (m, n)
+
+    # at a witness, examined is (rank of the witness's head + 1) * m^tail,
+    # the tail the top half of Z_2^n
+    witnesses = {
+        (4, 3): ((0, 0, 0, 2, 1, 1, 1, 3), 768),
+        (8, 3): ((0, 0, 0, 4, 2, 2, 2, 6), 20480),
+        (12, 3): ((0, 0, 0, 6, 3, 3, 3, 9), 145152),
+        (2, 4): ((0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 0, 1, 0, 1, 1, 0), 1024),
+    }
+    for (m, n), (values, examined) in witnesses.items():
+        out = brute_force(m, n)
+        assert (out.witness.values, out.examined) == (values, examined), (m, n)
 
 
 _SMALL_TABLES = [
@@ -420,22 +431,75 @@ _SMALL_TABLES = [
 )
 def test_head_table_matches_per_head_screen(case, tol, cells, rng):
     # every head multiset's groups are the tail groups its own float
-    # screen passes, asked for in any order; a pass of 2^cells >> 5
+    # screen passes, at y = 0 and, when the tail is the top half, at
+    # y = 2^(n-1) as well, asked for in any order; a pass of 2^cells >> 5
     # pairs makes the lazy screen take many passes
     m, n, tail = case
     size = 1 << n
     zeta = np.exp(2j * np.pi * np.arange(m) / m)
     values = search._tail_tables(m, n, tail).values
+    signs = (1, -1) if tail == size // 2 else (1,)
     heads = list(combinations_with_replacement(range(m), size - 1 - tail))
     rng.shuffle(heads)
     with patch.object(search, "_TOL", tol), patch.object(search, "_TAIL_CELLS", 1 << cells):
         table = search._HeadTable(m, n, tail)
         for head in heads:
-            z = 1 + zeta[list(head)].sum() + values
-            want = np.flatnonzero(np.abs(z.real * z.real + z.imag * z.imag - size) <= tol)
+            ok = True
+            for sign in signs:
+                z = 1 + zeta[list(head)].sum() + sign * values
+                ok &= np.abs(z.real * z.real + z.imag * z.imag - size) <= tol
+            want = np.flatnonzero(ok)
             got = table.groups(head)
             assert got.tolist() == want.tolist(), (m, n, tail, head)
             assert not got.flags.writeable
+
+
+@st.composite
+def _shifted_mm_functions(draw):
+    # a Maiorana-McFarland bent function, (m/2)<x, perm(y)> + g(y) plus
+    # (m/4) z at n = 3 (x low bits, y next, z on top), composed with a
+    # random affine map of Z_2^n and shifted so that f(0) = 0: all three
+    # keep it bent
+    m, n = draw(st.sampled_from([(4, 3), (8, 3), (12, 3), (2, 4), (4, 4)]))
+    size, half = 1 << n, n // 2
+    mask = (1 << half) - 1
+    perm = draw(st.permutations(range(1 << half)))
+    g = draw(st.lists(st.integers(0, m - 1), min_size=1 << half, max_size=1 << half))
+
+    def mm(p):
+        x, y, z = p & mask, (p >> half) & mask, p >> (2 * half)
+        return ((m // 2) * bin(x & perm[y]).count("1") + (m // 4) * z + g[y]) % m
+
+    # the images of the unit vectors: the first n independent vectors of
+    # a shuffle of the nonzero ones
+    basis, span = [], {0}
+    for v in draw(st.permutations(range(1, size))):
+        if v not in span:
+            basis.append(v)
+            span |= {s ^ v for s in span}
+    shift = draw(st.integers(0, size - 1))
+
+    def image(p):
+        out = shift
+        for i, b in enumerate(basis):
+            if p >> i & 1:
+                out ^= b
+        return out
+
+    return GbfFunction(n, m, tuple((mm(image(p)) - mm(shift)) % m for p in range(size)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_shifted_mm_functions())
+def test_head_table_admits_bent_functions(f):
+    # positive control for the screens at y = 0 and y = 2^(n-1): the top
+    # half of a bent function is a tail group that passes after its
+    # bottom half's free digits
+    assert is_gbf_exact(f)
+    half = 1 << (f.n - 1)
+    table = search._HeadTable(f.m, f.n, half)
+    head, top = tuple(sorted(f.values[1:half])), tuple(sorted(f.values[half:]))
+    assert table.rank[top] in table.groups(head).tolist()
 
 
 def test_search_imports_no_masked_arrays():
