@@ -2,15 +2,17 @@
 the dimension-3 autocorrelation catalog experiment.
 
 brute_force covers the normalized space (f(0) = 0, all other values
-free) in blocks fixed by the first one or two free values.  A block
-takes the next positions (the mid levels) in lexicographic chunks and
-screens every assignment of the last positions (the tail, as many as fit
-in _TAIL_CELLS complex cells, but at most the top half of Z_2^n) after
-each mid of a chunk in a few numpy batches.  Screening is numeric with
-a one-sided tolerance far above attainable float error, so a true
-witness can never be screened out; every survivor is confirmed exactly
-before it is reported.  Exhaustion examines every assignment
-(examined == normalized_space) and certifies nonexistence.
+free) in one lexicographic walk.  The last positions (the tail: as many
+as fit in _TAIL_CELLS complex cells, but at most the top half of Z_2^n)
+are screened in numpy batches after each assignment of the positions
+before them (the head), and the heads are taken by rank in blocks of 1,
+2, 4, ... heads, at most _TAIL_CELLS / 2^n: a witness near the front is
+confirmed after a few small blocks, a large space takes a few large
+ones.  Screening is numeric with a one-sided tolerance far above
+attainable float error, so a true witness can never be screened out;
+every survivor is confirmed exactly before it is reported.  Exhaustion
+examines every assignment (examined == normalized_space) and certifies
+nonexistence.
 
 The character at y = 0 is trivial, so an assignment's value there,
 1 + sum_j zeta^{d_j}, depends only on the multiset of its free digits.
@@ -23,13 +25,14 @@ bottom half and -1 on the top.  When the tail is exactly the top half,
 A depends only on the head's digit multiset and B only on the tail's,
 so each (head multiset, tail multiset) split of a passing multiset is
 tested at y = e as well.  A witness has |F(y)|^2 = 2^n exactly at every
-y, so it passes both.  The tail table keeps each tail multiset as one
-run of rows and is built only once some head (prefix and mid) has a
-passing tail group; at n = 3 for m = 2, 3, 5, 6, 7, 9, 10, 11, 13, 14
-and 15, and at (3, 4), none has.  The rows of a chunk's passing groups
-are screened at the other characters together, and the few survivors
-go to the exact test in lexicographic order, so that the witness
-reported is the least.
+y, so it passes both; the few ulps between the float values of one
+multiset's permutations are far below the tolerance.  The tail table
+keeps each tail multiset as one run of rows and is built only once some
+head has a passing tail group; at n = 3 for m = 2, 3, 5, 6, 7, 9, 10,
+11, 13, 14 and 15, and at (3, 4), none has.  The rows of a block's
+passing groups are screened at the other characters together, and the
+few survivors go to the exact test in lexicographic order, so that the
+witness reported is the least.
 
 The catalog half lists every element of N[C_30] satisfying the five
 arithmetic constraints an autocorrelation coefficient of a bent
@@ -44,12 +47,12 @@ from __future__ import annotations
 
 import os
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, lru_cache, partial
-from itertools import combinations_with_replacement, compress, islice, product
-from math import ceil
+from itertools import combinations_with_replacement, compress, islice, starmap
 from typing import NamedTuple
 
 import numpy as np
@@ -64,18 +67,17 @@ from .ring import (
 )
 from .vsum import _vsums_under
 
-# brute_force(15, 3) exhausts this budget in 0.012 to 0.019 s, about
+# brute_force(15, 3) exhausts this budget in 0.011 to 0.018 s, about
 # 1e10 assignments/s, on one core of a 2-core Xeon VM; no split of its
 # digit multisets passes both screens of _HeadTable, so it builds no
-# tail table.  That holds for n >= 3 only: n = 2 runs at 5e7 to 1e8
-# assignments/s, and n = 1 at about 2e5 one-assignment blocks/s
+# tail table.  That holds for n >= 3 only: (553, 2) takes 0.64 to 0.84 s,
+# about 2e8 assignments/s, and n = 1 runs at about 1.5e6 assignments/s
 DEFAULT_BUDGET = 15**7
 
-# a block costs a few microseconds however few assignments it holds, so
-# at n = 1 the budget alone does not bound the time; 2^19 blocks take
-# about 2.4 s on the same VM.  Every n >= 2 space inside DEFAULT_BUDGET
-# has at most 554^2 blocks
-MAX_BLOCKS = 1 << 19
+# the roots of unity and _HeadTable's per-digit tables hold m entries,
+# and at n = 1, a space of m, the budget does not bound m: (524286, 1)
+# takes 0.30 to 0.35 s and 79 MB on the same VM
+MAX_MODULUS = 1 << 19
 
 # numeric screen: float error on |F(y)|^2 stays below ~1e-12 for the
 # sums of at most 32 unit vectors seen here, so 1e-6 cannot lose a
@@ -90,16 +92,16 @@ STATUS_EXHAUSTED = "ExhaustedNone"
 
 
 class BudgetExceededError(Exception):
-    """The space exceeds the budget or, when blocks is given, it splits
-    into more than MAX_BLOCKS blocks."""
+    """Refused up front: the space is over the budget or m over MAX_MODULUS."""
 
-    def __init__(self, m: int, n: int, space: int, budget: int, blocks: int | None = None):
-        self.m, self.n, self.space, self.budget, self.blocks = m, n, space, budget, blocks
-        what = f"normalized space {m}^{(1 << n) - 1} = {space}"
-        if blocks is None:
-            super().__init__(f"{what} exceeds budget {budget}")
-        else:
-            super().__init__(f"{what} splits into {blocks} blocks, over the cap {MAX_BLOCKS}")
+    def __init__(self, m: int, n: int, budget: int, message: str):
+        self.m, self.n, self.budget = m, n, budget
+        super().__init__(message)
+
+    @property
+    def space(self) -> int:
+        """m^(2^n - 1), computed only when asked for: it can be huge."""
+        return self.m ** ((1 << self.n) - 1)
 
 
 @dataclass(frozen=True)
@@ -151,12 +153,10 @@ class _TailTables(NamedTuple):
 
     digits[i] is the i-th assignment and columns[y][i] its contribution
     to the spectrum at y.  Group g is the row range starts[g]:starts[g] +
-    counts[g], its rows in lexicographic order; values[g] is its shared
-    contribution at y = 0."""
+    counts[g], its rows in lexicographic order."""
 
     digits: np.ndarray
     columns: np.ndarray
-    values: np.ndarray
     starts: np.ndarray
     counts: np.ndarray
 
@@ -195,8 +195,7 @@ def _tail_tables(m: int, n: int, tail: int) -> _TailTables:
         root = zeta[digits[:, j]]
         for y in range(size):
             columns[y] += chi[size - tail + j, y] * root
-    starts = np.cumsum(counts) - counts
-    return _TailTables(digits, columns, columns[0][starts], starts, counts)
+    return _TailTables(digits, columns, np.cumsum(counts) - counts, counts)
 
 
 def _multisets(m: int, k: int) -> np.ndarray:
@@ -285,8 +284,8 @@ class _HeadTable:
     def _screen(self, d: int) -> None:
         """Screen the canonical heads from the first smallest digit not
         yet complete through d, and on until the pass holds at least
-        about 2^14 pairs: at n = 1, one new head per block, a pass serves
-        many blocks."""
+        about 2^14 pairs: at n = 1, where each head is its own multiset,
+        a pass serves many heads."""
         a0 = self.complete + 1
         done = self.upto[a0 - 1] if a0 else 0
         step = max(1, _TAIL_CELLS >> 5)  # 2^14 at the default _TAIL_CELLS
@@ -345,99 +344,107 @@ def _splits(p: list[int], k: int):
             yield (v,) * j + head, (v,) * (c - j) + left
 
 
-# one per search: (m, n, tail) is fixed by the block size
+# one per search: (m, n, tail) is fixed by _tail_len
 @lru_cache(maxsize=8)
 def _head_table(m: int, n: int, tail: int) -> _HeadTable:
     return _HeadTable(m, n, tail)
 
 
-def _tail_len(m: int, n: int, free: int) -> int:
-    """The tail of a block with free positions past its prefix: as many
-    last positions as fit in _TAIL_CELLS, but no more than the top half
-    of Z_2^n, so that _HeadTable can screen at y = 2^(n-1) too."""
+def _tail_len(m: int, n: int) -> int:
+    """The tail of an (m, n) search: as many last positions as fit in
+    _TAIL_CELLS, but at most the top half of Z_2^n, so that _HeadTable
+    can screen at y = 2^(n-1) too, and at most 2^n - 2, leaving a head."""
     size = 1 << n
     tail = 0
-    while tail < free and tail < size >> 1 and (m ** (tail + 1)) * size <= _TAIL_CELLS:
+    while tail < min(size - 2, size >> 1) and (m ** (tail + 1)) * size <= _TAIL_CELLS:
         tail += 1
     return tail
 
 
-def _run_prefix(
-    m: int, n: int, prefix: tuple[int, ...]
-) -> tuple[tuple[int, ...] | None, int, int]:
-    """Search every completion of (0, *prefix, mid..., tail...), taking
-    the mid assignments in lexicographic chunks of at most _TAIL_CELLS /
-    2^n and screening each chunk's tails as a few numpy batches.
+def _heads(m: int, h: int, lo: int, hi: int) -> np.ndarray:
+    """The heads of ranks lo .. hi - 1, one row of h base-m digits each,
+    most significant first.  The ranks are int64: no search walks 2^63
+    heads, which would take centuries at any rate seen here."""
+    ranks = np.arange(lo, hi, dtype=np.int64)
+    heads = np.empty((hi - lo, h), dtype=np.int64)
+    for i in reversed(range(h)):
+        ranks, heads[:, i] = np.divmod(ranks, m)
+    return heads
 
-    The tail is _tail_len positions long: as many as fit in
-    _TAIL_CELLS, and no more than the top half of Z_2^n, which every
-    n = 3 and n = 4 space inside DEFAULT_BUDGET gets exactly.  The y = 0
-    screen runs once per digit multiset of the whole assignment, in
-    _HeadTable, which gives each head (prefix and mid) the tail groups
-    that pass after its digit multiset: all permutations share one exact
-    y = 0 value, a witness has |F(0)|^2 = 2^n exactly, so its groups
-    pass, and the few ulps between the float values of one multiset are
-    far below the tolerance.  When the tail is the top half, the head
-    the rest of the bottom half, F(e) = A - B at y = e = 2^(n-1) depends
-    only on the head's multiset (through A) and the tail group (through
-    B), so _HeadTable screens that too, and a witness passes it for the
-    same reason.  Only a chunk with a passing group builds the tail
-    table.  The rows of every passing (mid, group) pair of the chunk go
-    through the screens at y = 1 .. 2^n - 1 together, in slabs of at
-    most _TAIL_CELLS / 8 rows.  The survivors, sorted by mid and then by
-    tail digits so that the first one confirmed is the least, go through
-    the exact test.
 
-    Returns the lexicographically least witness of this block (or None),
-    the count of completions examined (every tail of each mid up to the
-    witness's) and the count of screen survivors sent to the exact test."""
-    size = 1 << n
-    chi = _char_table(n)
-    zeta = _roots(m)
-    free = size - 1 - len(prefix)
-    tail = _tail_len(m, n, free)
+def _blocks(heads: int, cap: int):
+    """The walk's head rank ranges [lo, hi): 1, 2, 4, ... heads, at most cap."""
+    lo, step = 0, 1
+    while lo < heads:
+        yield lo, min(lo + step, heads)
+        lo, step = lo + step, min(2 * step, cap)
+
+
+def _run_block(m: int, n: int, lo: int, hi: int) -> tuple[tuple[int, ...] | None, int, int]:
+    """Search every completion (0, *head, *tail) of the heads of ranks
+    lo .. hi - 1.  Only a block where _HeadTable passes some tail group
+    builds the tail table.  The rows of its passing (head, group) pairs
+    are screened at y = 1 .. 2^n - 1 together, in slabs of at most
+    _TAIL_CELLS / 8 rows, and the survivors go to the exact test sorted
+    by head and then by tail digits, so that the first one confirmed is
+    the least.  Returns that witness (or None), the count of completions
+    examined (every tail of each head up to the witness's) and the count
+    of screen survivors sent to the exact test."""
+    size, chi, zeta = 1 << n, _char_table(n), _roots(m)
+    tail = _tail_len(m, n)
     table = _head_table(m, n, tail)
     rows = m**tail
     slab = max(1, _TAIL_CELLS >> 3)  # rows per y >= 1 screen: bounds its scratch
 
-    mids = product(range(m), repeat=free - tail)
-    chunk = max(1, _TAIL_CELLS // size)
-    done = survivors = 0
-    while batch := list(islice(mids, chunk)):
-        heads = [prefix + mid for mid in batch]
-        groups = [table.groups(tuple(sorted(head))) for head in heads]
-        sizes = [g.size for g in groups]
-        if any(sizes):
-            digits, columns, _, starts, counts = _tail_tables(m, n, tail)
-            # the chunk's spectra, one row per head: f(0) = 0 adds chi[0],
-            # all ones, and each head position v its character times zeta^v
-            spec = np.ones((len(heads), size), dtype=np.complex128)
-            for pos, col in enumerate(np.array(heads, dtype=np.intp).T, start=1):
-                spec += zeta[col, None] * chi[pos]
-            passing = np.concatenate(groups)
-            lengths = counts[passing]
-            # the rows of the passing groups, and the mid each belongs to:
-            # slot k of group g is row starts[g] + k
-            owner = np.repeat(np.repeat(np.arange(len(batch)), sizes), lengths)
-            sel = np.repeat(starts[passing] - np.cumsum(lengths) + lengths, lengths)
-            sel += np.arange(sel.size)
-            hits = []
-            for lo in range(0, sel.size, slab):
-                who, row = owner[lo : lo + slab], sel[lo : lo + slab]
-                for y in range(1, size):
-                    if row.size == 0:
-                        break
-                    z = spec[who, y] + columns[y][row]
-                    keep = np.abs(z.real * z.real + z.imag * z.imag - size) <= _TOL
-                    who, row = who[keep], row[keep]
-                hits += zip(who.tolist(), digits[row].tolist())
-            for i, tail_values in sorted(hits):
-                survivors += 1
-                values = (0, *heads[i], *tail_values)
-                if is_gbf_exact(GbfFunction(n, m, values)):
-                    return values, (done + i + 1) * rows, survivors
-        done += len(batch)
-    return None, done * rows, survivors
+    heads = _heads(m, size - 1 - tail, lo, hi)
+    groups = [table.groups(tuple(key)) for key in np.sort(heads, axis=1).tolist()]
+    sizes = np.array([g.size for g in groups])
+    survivors = 0
+    if sizes.any():
+        digits, columns, starts, counts = _tail_tables(m, n, tail)
+        # the spectra of the heads with a passing group: f(0) = 0 adds
+        # chi[0], all ones, and each head position v its character times zeta^v
+        live = np.flatnonzero(sizes)
+        spec = np.ones((live.size, size), dtype=np.complex128)
+        for pos, col in enumerate(heads[live].T, start=1):
+            spec += zeta[col, None] * chi[pos]
+        passing = np.concatenate(groups)
+        lengths = counts[passing]
+        # the rows of the passing groups, and the spectrum each belongs to:
+        # slot k of group g is row starts[g] + k
+        owner = np.repeat(np.repeat(np.arange(live.size), sizes[live]), lengths)
+        sel = np.repeat(starts[passing] - np.cumsum(lengths) + lengths, lengths)
+        sel += np.arange(sel.size)
+        hits = []
+        for at in range(0, sel.size, slab):
+            who, row = owner[at : at + slab], sel[at : at + slab]
+            for y in range(1, size):
+                if row.size == 0:
+                    break
+                z = spec[who, y] + columns[y][row]
+                keep = np.abs(z.real * z.real + z.imag * z.imag - size) <= _TOL
+                who, row = who[keep], row[keep]
+            hits += zip(live[who].tolist(), digits[row].tolist())
+        for i, tail_values in sorted(hits):
+            survivors += 1
+            values = (0, *heads[i].tolist(), *tail_values)
+            if is_gbf_exact(GbfFunction(n, m, values)):
+                return values, (i + 1) * rows, survivors
+    return None, len(heads) * rows, survivors
+
+
+def _ahead(pool: ProcessPoolExecutor, run, blocks, depth: int):
+    """run(lo, hi) for each block, in order, computed on pool with at
+    most depth blocks handed out and not yet read.  pool.map would hand
+    out every block at once: a future each for the millions of blocks
+    of a space a raised budget admits."""
+    queue: deque = deque()
+    for block in blocks:
+        queue.append(pool.submit(run, *block))
+        if len(queue) == depth:
+            yield queue.popleft().result()
+    while queue:
+        yield queue.popleft().result()
 
 
 def brute_force(
@@ -450,63 +457,52 @@ def brute_force(
 ) -> SearchOutcome:
     """Exhaustive search of the normalized space for an (m, n) witness.
 
-    The space m^(2^n - 1) is rejected up front when it exceeds budget,
-    and so is a space that would split into more than MAX_BLOCKS
-    blocks.  Work splits into blocks by the first one or two free
-    values.  One loop takes the block results in order, computed in
-    process or, for workers > 1, on at most that many worker processes
-    (no more than the blocks or the CPUs), a few chunks of blocks per
-    worker.  The first block reporting a witness wins, which makes the
-    returned witness the overall lexicographic minimum.  progress, when
-    given, receives one event dict per finished block.  m < 2 is
-    refused, as decide refuses it: m = 1 has a space of 1 at every n,
-    so the budget would not stop the 4^n-cell character table.
+    The space m^(2^n - 1) is refused up front when it exceeds budget, and
+    so is m > MAX_MODULUS.  One loop takes the results of the blocks of
+    heads in order, computed in process or, for workers > 1, on at most
+    that many worker processes (no more than the blocks or the CPUs), a
+    few blocks ahead.  The first block reporting a witness wins, which
+    makes the returned witness the overall lexicographic minimum.
+    progress, when given, receives one event dict per finished block.
+    m < 2 is refused, as decide refuses it: m = 1 has a space of 1 at
+    every n, so the budget would not stop the 4^n-cell character table.
     """
     if m < 2 or n < 1:
         raise ValueError(f"need m >= 2 and n >= 1, got ({m}, {n})")
-    size = 1 << n
-    space = m ** (size - 1)
-    if space > budget:
-        raise BudgetExceededError(m, n, space, budget)
-    depth = min(2, size - 1)
-    blocks = m**depth
-    if blocks > MAX_BLOCKS:
-        raise BudgetExceededError(m, n, space, budget, blocks=blocks)
+    # m >= 2, so the space exceeds budget once 2^n - 1 reaches budget's bit
+    # length: no power is taken then, nor 1 << n where n alone reaches it
+    bits = budget.bit_length()
+    if n >= bits or (1 << n) - 1 >= bits or m ** ((1 << n) - 1) > budget:
+        what = f"normalized space {m}^(2^{n} - 1) exceeds budget {budget}"
+        raise BudgetExceededError(m, n, budget, what)
+    if m > MAX_MODULUS:
+        raise BudgetExceededError(m, n, budget, f"modulus {m} exceeds the cap {MAX_MODULUS}")
 
     start = time.perf_counter()
-    # product copies its pool to a tuple: share one between the two walks
-    digits = tuple(range(m))
-
-    def prefixes():
-        return product(digits, repeat=depth)
-
+    h = (1 << n) - 1 - _tail_len(m, n)
+    blocks = partial(_blocks, m**h, max(1, _TAIL_CELLS >> n))
     # fork starts every worker on the first submit, so ask for no more
     # than there are blocks and CPUs
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(workers, blocks, cpus or 1)
-    run = partial(_run_prefix, m, n)
+    workers = sum(1 for _ in islice(blocks(), max(0, min(workers, cpus or 1))))
+    run = partial(_run_block, m, n)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    witness = None
-    examined = 0
+    witness, examined = None, 0
     try:
-        if pool is None:
-            results = map(run, prefixes())
-        else:
-            # a few chunks per worker: per-block futures cost more than a block
-            results = pool.map(run, prefixes(), chunksize=ceil(blocks / (4 * workers)))
-        for prefix, (values, ex, survivors) in zip(prefixes(), results):
+        results = starmap(run, blocks()) if pool is None else _ahead(pool, run, blocks(), 2 * workers)
+        for (lo, _), (values, ex, survivors) in zip(blocks(), results):
             examined += ex
             if progress is not None:
-                # "pruned" stays in the event so that existing readers keep working
-                progress(
-                    {"prefix": list(prefix), "examined": ex, "pruned": 0, "survivors": survivors}
-                )
+                # "prefix", now the block's first head, and "pruned" stay
+                # in the event so that existing readers keep working
+                first = _heads(m, h, lo, lo + 1)[0].tolist()
+                progress({"prefix": first, "examined": ex, "pruned": 0, "survivors": survivors})
             if values is not None:
                 witness = GbfFunction(n, m, values)
                 break
     finally:
         if pool is not None:
-            # wait for the running chunks, so that no worker outlives the call
+            # wait for the running blocks, so that no worker outlives the call
             pool.shutdown(wait=True, cancel_futures=True)
     return SearchOutcome(m, n, witness, examined, time.perf_counter() - start)
 

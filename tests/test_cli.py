@@ -216,6 +216,9 @@ def test_search_cli(capsys):
 
     assert main(["search", "3", "5"]) == 3
     assert "exceeds budget" in capsys.readouterr().err
+    # 3^16383 has more digits than int-to-str conversion allows
+    assert main(["search", "3", "14"]) == 3
+    assert "3^(2^14 - 1) exceeds budget" in capsys.readouterr().err
 
     assert main(["search", "5", "2", "--threads", "2"]) == 1
     capsys.readouterr()
@@ -225,8 +228,10 @@ def test_search_progress_events(capsys):
     assert main(["search", "3", "2", "--progress"]) == 1
     err = capsys.readouterr().err
     events = [json.loads(line) for line in err.strip().splitlines()]
-    assert len(events) == 9
-    assert all(set(e) == {"prefix", "examined", "pruned", "survivors"} for e in events)
+    assert events == [
+        {"prefix": [0], "examined": 9, "pruned": 0, "survivors": 0},
+        {"prefix": [1], "examined": 18, "pruned": 0, "survivors": 0},
+    ]
 
 
 def test_search_json_certificate(capsys):

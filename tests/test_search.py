@@ -4,9 +4,10 @@ import multiprocessing
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, islice, product
 from math import comb
 from unittest.mock import patch
 
@@ -118,31 +119,49 @@ def test_budget():
     with pytest.raises(BudgetExceededError) as info:
         brute_force(3, 5)
     assert info.value.space == 3**31
+    assert str(info.value) == "normalized space 3^(2^5 - 1) exceeds budget 170859375"
 
     with pytest.raises(BudgetExceededError):
         brute_force(3, 2, budget=26)
     assert brute_force(3, 2, budget=27).examined == 27
+    # 2^7 = 128: refused from 2^n - 1 >= budget.bit_length() alone at 127
+    with pytest.raises(BudgetExceededError):
+        brute_force(2, 3, budget=127)
+    assert brute_force(2, 3, budget=128).examined == 128
+
+    # 3^(2^n - 1) is never taken, nor 2^n at n = 10^12: both would take
+    # far longer than the test, or all memory
+    start = time.perf_counter()
+    for n in (14, 40, 10**12):
+        with pytest.raises(BudgetExceededError) as info:
+            brute_force(3, n)
+        assert str(info.value) == f"normalized space 3^(2^{n} - 1) exceeds budget {15**7}"
+    assert time.perf_counter() - start < 1.0
 
 
-def test_block_cap_refuses_before_any_block(monkeypatch, capsys):
-    # n = 1 has one block per value of m, each a single assignment; past
-    # MAX_BLOCKS blocks the search is refused before any block runs
+def test_modulus_cap_refuses_before_any_block(monkeypatch, capsys):
+    # at n = 1 the space is m, so the budget does not bound m; past
+    # MAX_MODULUS the search is refused before any block runs
     def no_block(*args):
         raise AssertionError("a block was started")
 
-    monkeypatch.setattr(search, "_run_prefix", no_block)
-    blocks = search.MAX_BLOCKS + 1
-    with pytest.raises(BudgetExceededError) as info:
-        brute_force(blocks, 1)
-    assert info.value.blocks == blocks and str(blocks) in str(info.value)
-    assert main(["search", str(blocks), "1"]) == 3
-    assert f"{blocks} blocks" in capsys.readouterr().err
+    cap = search.MAX_MODULUS
+    assert cap == 1 << 19
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_run_block", no_block)
+        with pytest.raises(BudgetExceededError) as info:
+            brute_force(cap + 1, 1)
+        assert str(info.value) == f"modulus {cap + 1} exceeds the cap {cap}"
+        assert info.value.space == cap + 1
+        assert main(["search", str(cap + 1), "1"]) == 3
+        assert "exceeds the cap" in capsys.readouterr().err
 
-    # MAX_BLOCKS itself is admitted: every block runs
-    monkeypatch.setattr(search, "_run_prefix", lambda m, n, prefix: (None, 1, 0))
-    assert brute_force(search.MAX_BLOCKS, 1).examined == search.MAX_BLOCKS
-    # and so is the n = 2 space with the most blocks inside the budget
-    assert brute_force(554, 2).examined == 554**2
+    # MAX_MODULUS itself is admitted, and its witness (0, m/4) found
+    out = brute_force(cap, 1)
+    assert out.witness.values == (0, cap // 4) and out.examined == cap // 4 + 1
+    # and so is the n = 2 space with the largest m inside the budget
+    out = brute_force(554, 2)
+    assert out.witness.values == (0, 0, 0, 277) and out.examined == 554
 
 
 def test_modulus_one_refused_before_any_table(monkeypatch, capsys):
@@ -159,8 +178,8 @@ def test_modulus_one_refused_before_any_table(monkeypatch, capsys):
 
 
 def test_roots_are_built_once_per_modulus():
-    # 4001 blocks at n = 1 share one table of roots of unity; building it
-    # per block made the search quadratic in m
+    # the blocks of (4001, 1) share one table of roots of unity; building
+    # it per block of one value made the search quadratic in m
     search._roots.cache_clear()
     out = brute_force(4001, 1)
     assert out.status == "ExhaustedNone" and out.examined == 4001
@@ -168,13 +187,14 @@ def test_roots_are_built_once_per_modulus():
 
 
 def test_deepest_mid_walk_matches_default(monkeypatch):
-    # a batch ceiling of 2^n cells leaves no tail, so every position past
-    # the prefix is walked as a mid level, one assignment at a time
-    for m, n in [(3, 2), (4, 2), (5, 2), (4, 3), (6, 3)]:
+    # a batch ceiling of 2^n cells leaves no tail and blocks of one head,
+    # so every position is walked as a head, one assignment per block
+    for m, n in [(3, 2), (4, 2), (5, 2), (4, 3), (2, 3), (3, 3)]:
         flat = brute_force(m, n)
+        events = []
         with monkeypatch.context() as patch:
             patch.setattr(search, "_TAIL_CELLS", 1 << n)
-            deep = brute_force(m, n)
+            deep = brute_force(m, n, progress=events.append)
         assert deep.status == flat.status, (m, n)
         assert deep.witness == flat.witness, (m, n)
         if flat.witness is None:
@@ -186,23 +206,27 @@ def test_deepest_mid_walk_matches_default(monkeypatch):
             for v in flat.witness.values[1:]:
                 rank = rank * m + v
             assert deep.examined == rank + 1 <= flat.examined, (m, n)
+        walked = list(product(range(m), repeat=(1 << n) - 1))[: deep.examined]
+        assert [tuple(e["prefix"]) for e in events] == walked, (m, n)
+        assert all(e["examined"] == 1 for e in events), (m, n)
 
 
 def test_pooled_search_matches_serial(monkeypatch):
     # report three CPUs, so that workers=3 runs three processes anywhere;
-    # (20, 1) maps its 20 blocks in chunks of 3 at two workers, and its
-    # witness sits in block 5, past the first chunk
+    # two workers have four blocks handed out at a time, and the witness
+    # of (100, 1), (0, 25), sits in the fifth block, heads 15 .. 30
     monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    for m, n in [(20, 1), (8, 1), (4, 3), (6, 3)]:
+    for m, n in [(100, 1), (8, 1), (4, 3), (6, 3)]:
         runs = []
         for workers in (1, 2, 3):
             events = []
             out = brute_force(m, n, workers=workers, progress=events.append)
             runs.append((out.certificate(), events))
         assert runs[1] == runs[0] and runs[2] == runs[0], (m, n)
-        if (m, n) == (20, 1):
-            assert runs[0][0]["witness"] == [0, 5]
-            assert [e["prefix"] for e in runs[0][1]] == [[v] for v in range(6)]
+        if (m, n) == (100, 1):
+            assert runs[0][0]["witness"] == [0, 25]
+            assert [e["prefix"] for e in runs[0][1]] == [[0], [1], [3], [7], [15]]
+            assert [e["examined"] for e in runs[0][1]] == [1, 2, 4, 8, 11]
     assert brute_force(4, 3, workers=3).witness.values == (0, 0, 0, 2, 1, 1, 1, 3)
     out = brute_force(5, 3, workers=3)
     assert out.status == "ExhaustedNone"
@@ -222,9 +246,9 @@ def test_pool_workers_end_with_the_search(monkeypatch):
 def test_search_agrees_with_decide():
     # the search is an exact route independent of the criteria, and
     # decide settles every cell here
-    cells = [(m, 1) for m in range(2, 201)] + [(m, 2) for m in range(2, 41)]
+    cells = [(m, 1) for m in range(2, 1001)] + [(m, 2) for m in range(2, 61)]
     cells += [(m, 3) for m in range(2, 16)] + [(2, 4), (3, 4)]
-    assert len(cells) == 254
+    assert len(cells) == 1074
     for m, n in cells:
         out = brute_force(m, n)
         assert (out.witness is not None) == (decide(m, n).outcome == EXISTS), (m, n)
@@ -242,18 +266,54 @@ def test_pool_size_is_bounded(monkeypatch):
             asked.append(max_workers)
             super().__init__(max_workers=max_workers)
 
+    # (3, 3) walks its 27 heads in 5 blocks, of 1, 2, 4, 8 and 12; a
+    # serial run first completes its head table, which the threads then
+    # only read
+    serial = brute_force(3, 3)
+    assert serial.status == "ExhaustedNone" and serial.examined == 3**7
     monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-    out = brute_force(3, 2, workers=10**6)
-    assert asked == [9]
-    assert out.status == "ExhaustedNone" and out.examined == 27
+    assert brute_force(3, 3, workers=10**6) == serial
+    assert asked == [5]
 
-    # no more workers than CPUs either, and none at all on one CPU
+    # no more workers than CPUs either, and none at all on one CPU or
+    # for workers < 2
     monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert brute_force(3, 2, workers=10**6).examined == 27
+    assert brute_force(3, 3, workers=10**6) == serial
+    assert brute_force(3, 3, workers=-1) == serial
     monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert brute_force(3, 2, workers=10**6).examined == 27
-    assert asked == [9, 2]
+    assert brute_force(3, 3, workers=10**6) == serial
+    assert asked == [5, 2]
+
+
+def test_pool_is_handed_two_blocks_per_worker_ahead(monkeypatch):
+    # a stand-in pool that runs each block as it is handed out: with two
+    # workers, at most four blocks are out and unread, so a witness in
+    # block k is read after blocks 0 .. k + 3 were handed out, not all
+    handed = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            assert max_workers == 2
+
+        def submit(self, fn, *args):
+            handed.append(args)
+            done = Future()
+            done.set_result(fn(*args))
+            return done
+
+        def shutdown(self, wait, cancel_futures):
+            pass
+
+    # no tail and one head per block: (4, 3) has 4^7 blocks, and the
+    # witness (0, 0, 0, 2, 1, 1, 1, 3) is in block 599
+    monkeypatch.setattr(search, "_TAIL_CELLS", 1 << 3)
+    serial = brute_force(4, 3)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert brute_force(4, 3, workers=2) == serial
+    assert serial.examined == 600
+    assert handed == [(lo, lo + 1) for lo in range(603)]
 
 
 def _characters(n):
@@ -275,24 +335,21 @@ def _lex_tail_table(m, n, tail):
     return digits, columns
 
 
-def _per_tail_run_prefix(m, n, prefix):
+def _per_tail_run_block(m, n, lo, hi):
     # the block search as it was before the multiset screen: y = 0 is
-    # screened once per tail assignment, not once per digit multiset
+    # screened once per tail assignment, not once per digit multiset, and
+    # the heads of ranks lo .. hi - 1 are taken from a plain lexicographic
+    # enumeration
     size = 1 << n
     chi = _characters(n)
     zeta = np.exp(2j * np.pi * np.arange(m) / m)
-    free = size - 1 - len(prefix)
-    tail = search._tail_len(m, n, free)
+    tail = search._tail_len(m, n)
     digits, columns = _lex_tail_table(m, n, tail)
 
-    spectrum = chi[0].astype(np.complex128)
-    for j, v in enumerate(prefix):
-        spectrum = spectrum + zeta[v] * chi[j + 1]
-
     examined = 0
-    for mid in product(range(m), repeat=free - tail):
-        spec = spectrum
-        for pos, v in enumerate(mid, start=len(prefix) + 1):
+    for head in islice(product(range(m), repeat=size - 1 - tail), lo, hi):
+        spec = chi[0].astype(np.complex128)
+        for pos, v in enumerate(head, start=1):
             spec = spec + zeta[v] * chi[pos]
         examined += digits.shape[0]
         z = spec[0] + columns[0]
@@ -303,7 +360,7 @@ def _per_tail_run_prefix(m, n, prefix):
             z = spec[y] + columns[y][sel]
             sel = sel[np.abs(z.real * z.real + z.imag * z.imag - size) <= search._TOL]
         for i in sel:
-            values = (0, *prefix, *mid, *(int(d) for d in digits[i]))
+            values = (0, *head, *(int(d) for d in digits[i]))
             if search.is_gbf_exact(GbfFunction(n, m, values)):
                 return values, examined
     return None, examined
@@ -311,12 +368,13 @@ def _per_tail_run_prefix(m, n, prefix):
 
 def test_multiset_screen_matches_per_tail_screen(monkeypatch):
     # (m, n, tail ceiling): None keeps the default _TAIL_CELLS, k caps the
-    # tail at k positions, so k = 0 walks every position as a mid level
+    # tail at k positions and the blocks at m^k heads, so k = 0 walks
+    # every position as a head, one head per block
     cases = [(m, n, None) for m, n in [(4, 3), (6, 3), (8, 3), (3, 4), (3, 2), (2, 1)]]
     cases += [(4, 3, 0), (3, 2, 0), (2, 1, 0), (5, 2, 0), (6, 3, 2), (3, 4, 7)]
-    # (4, 3, 1) takes its mids four to a chunk, and the witness's mid
-    # (2, 1, 1, 1) has rank 149, past the first chunk; at (3, 4, 5) and
-    # (3, 4, 7) the passing rows of a chunk outnumber _TAIL_CELLS, so they
+    # (4, 3, 1) takes blocks of at most four heads, and the witness's head
+    # (0, 0, 2, 1, 1, 1) has rank 149, in its 39th block; at (3, 4, 5) and
+    # (3, 4, 7) the passing rows of a block outnumber _TAIL_CELLS, so they
     # are screened in pieces
     cases += [(4, 3, 1), (3, 4, 5)]
     confirmed = []
@@ -331,25 +389,28 @@ def test_multiset_screen_matches_per_tail_screen(monkeypatch):
     for m, n, k in cases:
         size = 1 << n
         cells = search._TAIL_CELLS if k is None else m**k * size
-        prefixes = product(range(m), repeat=min(2, size - 1))
         with monkeypatch.context() as patch:
             patch.setattr(search, "_TAIL_CELLS", cells)
-            for prefix in prefixes:
+            heads = m ** (size - 1 - search._tail_len(m, n))
+            for lo, hi in search._blocks(heads, max(1, cells // size)):
                 del confirmed[:]
-                values, examined, survivors = search._run_prefix(m, n, prefix)
+                values, examined, survivors = search._run_block(m, n, lo, hi)
                 sent = list(confirmed)
                 del confirmed[:]
-                assert (values, examined) == _per_tail_run_prefix(m, n, prefix), (m, n, k, prefix)
+                assert (values, examined) == _per_tail_run_block(m, n, lo, hi), (m, n, k, lo)
                 # the same survivors reach the exact test, in the same order
-                assert sent == confirmed and survivors == len(sent), (m, n, k, prefix)
+                assert sent == confirmed and survivors == len(sent), (m, n, k, lo)
                 sent_total += len(sent)
+                if values is not None:
+                    break
     assert sent_total > 0
 
 
 def test_every_row_passing_the_screens_is_confirmed(monkeypatch):
     # with no tolerance limit every completion passes the screens, so each
     # reaches the exact test once and in lexicographic order, also where a
-    # chunk's rows outnumber _TAIL_CELLS and are screened in pieces
+    # block's rows outnumber _TAIL_CELLS and are screened in pieces; the
+    # block of m^k heads from rank m^k - 1 carries into the third digit
     sent = []
 
     def never_bent(fn):
@@ -362,9 +423,13 @@ def test_every_row_passing_the_screens_is_confirmed(monkeypatch):
     try:
         for m, k in [(3, 2), (3, 3), (4, 2)]:
             monkeypatch.setattr(search, "_TAIL_CELLS", m**k << 3)
+            assert search._tail_len(m, 3) == k
             del sent[:]
-            assert search._run_prefix(m, 3, (1, 0)) == (None, m**5, m**5), (m, k)
-            assert sent == [(0, 1, 0, *rest) for rest in product(range(m), repeat=5)], (m, k)
+            lo, hi = m**k - 1, 2 * m**k - 1
+            assert search._run_block(m, 3, lo, hi) == (None, m ** (2 * k), m ** (2 * k)), (m, k)
+            heads = islice(product(range(m), repeat=7 - k), lo, hi)
+            want = [(0, *h, *t) for h in heads for t in product(range(m), repeat=k)]
+            assert sent == want, (m, k)
     finally:
         search._head_table.cache_clear()
 
@@ -437,7 +502,8 @@ def test_head_table_matches_per_head_screen(case, tol, cells, rng):
     m, n, tail = case
     size = 1 << n
     zeta = np.exp(2j * np.pi * np.arange(m) / m)
-    values = search._tail_tables(m, n, tail).values
+    t = search._tail_tables(m, n, tail)
+    values = t.columns[0][t.starts]
     signs = (1, -1) if tail == size // 2 else (1,)
     heads = list(combinations_with_replacement(range(m), size - 1 - tail))
     rng.shuffle(heads)
@@ -520,8 +586,7 @@ def test_search_imports_no_masked_arrays():
 
 def test_tail_groups_are_digit_multisets():
     for m, n in [(4, 3), (6, 3), (8, 3), (3, 4), (3, 2), (2, 1), (5, 2)]:
-        free = (1 << n) - 1 - min(2, (1 << n) - 1)
-        for tail in range(free + 1):
+        for tail in range((1 << n) - 1):
             if m**tail << n > search._TAIL_CELLS:
                 break
             t = search._tail_tables(m, n, tail)
@@ -539,24 +604,44 @@ def test_tail_groups_are_digit_multisets():
             # within a group, the rows are in lexicographic order
             rises = np.diff(rank) > 0
             assert (rises | (np.diff(group) > 0)).all(), (m, n, tail)
-            # every row's y = 0 contribution is its group's value
-            gap = np.abs(t.columns[0] - t.values[group])
+            # every row's y = 0 contribution is its group's first row's
+            gap = np.abs(t.columns[0] - t.columns[0][t.starts][group])
             assert gap.max() <= 1e-12, (m, n, tail)
 
 
-def test_progress_events():
+def test_progress_events(monkeypatch):
+    # (3, 2): a tail of the top half, two positions, after one head
+    # position, so blocks of 1 and 2 heads of 9 completions each
     events = []
     out = brute_force(3, 2, progress=events.append)
-    assert len(events) == 9
     assert all(set(e) == {"prefix", "examined", "pruned", "survivors"} for e in events)
-    assert all(e["pruned"] == 0 for e in events)
-    assert sum(e["examined"] for e in events) == out.examined == 27
-    assert sum(e["survivors"] for e in events) == 0
+    assert all(e["pruned"] == 0 and e["survivors"] == 0 for e in events)
+    assert [(e["prefix"], e["examined"]) for e in events] == [([0], 9), ([1], 18)]
+    assert out.examined == 27
 
-    # (4, 3): the witness of block (0, 0) is the only screen survivor there
+    # (15, 3): 3375 heads of three positions in blocks of 1, 2, 4, ..., 1024
+    # and the last 1328, each event's prefix its first head
+    events = []
+    brute_force(15, 3, progress=events.append)
+    sizes = [1 << k for k in range(11)] + [1328]
+    assert [e["examined"] for e in events] == [size * 15**4 for size in sizes]
+    firsts = [(1 << k) - 1 for k in range(12)]
+    assert [e["prefix"] for e in events] == [[r // 225, r // 15 % 15, r % 15] for r in firsts]
+
+    # (2, 3) with the blocks capped at 4 heads: 32 heads in blocks of 1,
+    # 2, then 4 until the last one
+    monkeypatch.setattr(search, "_TAIL_CELLS", 1 << 5)
+    events = []
+    out = brute_force(2, 3, progress=events.append)
+    assert [e["examined"] for e in events] == [4 * k for k in (1, 2, 4, 4, 4, 4, 4, 4, 4, 1)]
+    assert out.examined == out.normalized_space == 128
+    monkeypatch.undo()
+
+    # (4, 3): the witness's head (0, 0, 2) is in the second block, heads
+    # 1 and 2, and it is the only screen survivor there
     events = []
     brute_force(4, 3, progress=events.append)
-    assert [(e["prefix"], e["survivors"]) for e in events] == [([0, 0], 1)]
+    assert [(e["prefix"], e["survivors"]) for e in events] == [([0, 0, 0], 0), ([0, 0, 1], 1)]
 
 
 def test_certificate():
