@@ -26,13 +26,12 @@ A depends only on the head's digit multiset and B only on the tail's,
 so each (head multiset, tail multiset) split of a passing multiset is
 tested at y = e as well.  A witness has |F(y)|^2 = 2^n exactly at every
 y, so it passes both; the few ulps between the float values of one
-multiset's permutations are far below the tolerance.  The tail table
-keeps each tail multiset as one run of rows and is built only once some
-head has a passing tail group; at n = 3 for m = 2, 3, 5, 6, 7, 9, 10,
-11, 13, 14 and 15, and at (3, 4), none has.  The rows of a block's
-passing groups are screened at the other characters together, and the
-few survivors go to the exact test in lexicographic order, so that the
-witness reported is the least.
+multiset's permutations are far below the tolerance.  Tail rows are
+built only for the (head, tail group) pairs that pass, each group's
+distinct arrangements; at n = 3 for m = 2, 3, 5, 6, 7, 9, 10, 11, 13,
+14 and 15, and at (3, 4), none does.  Those rows are screened at the
+other characters together, and the few survivors go to the exact test
+in lexicographic order, so that the witness reported is the least.
 
 The catalog half lists every element of N[C_30] satisfying the five
 arithmetic constraints an autocorrelation coefficient of a bent
@@ -52,8 +51,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, lru_cache, partial
-from itertools import combinations_with_replacement, compress, islice, starmap
-from typing import NamedTuple
+from itertools import groupby, islice, starmap
+from math import comb
 
 import numpy as np
 
@@ -67,16 +66,16 @@ from .ring import (
 )
 from .vsum import _vsums_under
 
-# brute_force(15, 3) exhausts this budget in 0.011 to 0.018 s, about
-# 1e10 assignments/s, on one core of a 2-core Xeon VM; no split of its
+# brute_force(15, 3) exhausts this budget in 0.008 to 0.011 s, about
+# 2e10 assignments/s, on one core of a 2-core Xeon VM; no split of its
 # digit multisets passes both screens of _HeadTable, so it builds no
-# tail table.  That holds for n >= 3 only: (553, 2) takes 0.64 to 0.84 s,
-# about 2e8 assignments/s, and n = 1 runs at about 1.5e6 assignments/s
+# tail row.  That holds for n >= 3 only: (553, 2) takes 0.65 to 0.91 s,
+# about 2e8 assignments/s, and n = 1 runs at about 5e6 assignments/s
 DEFAULT_BUDGET = 15**7
 
 # the roots of unity and _HeadTable's per-digit tables hold m entries,
 # and at n = 1, a space of m, the budget does not bound m: (524286, 1)
-# takes 0.30 to 0.35 s and 79 MB on the same VM
+# takes 0.08 s and 57 MB on the same VM
 MAX_MODULUS = 1 << 19
 
 # numeric screen: float error on |F(y)|^2 stays below ~1e-12 for the
@@ -148,117 +147,131 @@ def _roots(m: int) -> np.ndarray:
     return zeta
 
 
-class _TailTables(NamedTuple):
-    """Every assignment of the last tail positions, by digit multiset.
-
-    digits[i] is the i-th assignment and columns[y][i] its contribution
-    to the spectrum at y.  Group g is the row range starts[g]:starts[g] +
-    counts[g], its rows in lexicographic order."""
-
-    digits: np.ndarray
-    columns: np.ndarray
-    starts: np.ndarray
-    counts: np.ndarray
-
-
-@lru_cache(maxsize=8)
-def _tail_tables(m: int, n: int, tail: int) -> _TailTables:
-    """The tail tables for all m^tail assignments of the last tail
-    positions.  chi[x, 0] = 1, so an assignment's y = 0 contribution
-    sum_j zeta^{d_j} is one exact number across all permutations of its
-    digits.  The rows are sorted, stably, by their sorted digits read in
-    base m with the smallest digit most significant: the groups are the
-    digit multisets in lexicographic order, numbered as _HeadTable
-    numbers them, and those whose smallest digit is at least d form a
-    suffix.  The columns are then built one spectrum row at a time.
-
-    The digits are sorted column-wise by an odd-even transposition
-    network of np.minimum / np.maximum, which sorts any tail columns in
-    tail rounds and costs a fraction of a row-wise np.sort."""
-    size = 1 << n
-    chi, zeta = _char_table(n), _roots(m)
-    cols = np.indices((m,) * tail, dtype=np.int16).reshape(tail, m**tail)
-    digits = cols.T.copy()
-    cols = list(cols)
-    for r in range(tail):
-        for j in range(r % 2, tail - 1, 2):
-            cols[j], cols[j + 1] = np.minimum(cols[j], cols[j + 1]), np.maximum(cols[j], cols[j + 1])
-    key = np.zeros(m**tail, dtype=np.int64)
-    for j, col in enumerate(cols):
-        key += col * np.int64(m ** (tail - 1 - j))  # an int64 factor: the key outgrows int16
-    del cols
-    counts = np.unique(key, return_counts=True)[1]
-    digits = digits[np.argsort(key, kind="stable")]
-    del key  # freed before the column build, which sets the peak
-    columns = np.zeros((size, digits.shape[0]), dtype=np.complex128)
-    for j in range(tail):
-        root = zeta[digits[:, j]]
-        for y in range(size):
-            columns[y] += chi[size - tail + j, y] * root
-    return _TailTables(digits, columns, np.cumsum(counts) - counts, counts)
-
-
 def _multisets(m: int, k: int) -> np.ndarray:
     """The k-digit multisets over range(m) in lexicographic order, one
-    sorted row each."""
-    sets = list(combinations_with_replacement(range(m), k))
-    return np.array(sets, dtype=np.intp).reshape(len(sets), k)
+    sorted row each.  Built a digit at a time, in place: each multiset
+    of j digits is followed by its extensions by its last digit or a
+    larger one, which keeps the rows in order."""
+    out = np.zeros((k, comb(m + k - 1, k)), dtype=np.int32)
+    last = np.zeros(1, dtype=np.int32)
+    for j in range(k):
+        counts = m - last
+        parent = np.repeat(np.arange(last.size), counts)
+        last = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts) + last[parent]
+        for col in out[:j]:
+            col[: parent.size] = col[parent]
+        out[j, : parent.size] = last
+    return out.T
 
 
-# what a head multiset with no passing tail group is given
-_NO_GROUPS = np.zeros(0, dtype=np.intp)
-_NO_GROUPS.flags.writeable = False
+def _key(rows: np.ndarray, m: int) -> np.ndarray:
+    """Each row (the last axis) read in base m, first digit most
+    significant: on sorted rows, the lexicographic order of multisets."""
+    return rows @ (m ** np.arange(rows.shape[-1] - 1, -1, -1, dtype=np.int64))
+
+
+def _by_pattern(rows: np.ndarray, table) -> tuple[np.ndarray, np.ndarray]:
+    """Expand sorted rows through a table of index rows per run pattern
+    (bit i: digits i and i + 1 equal; at most 62 bits, since m^h < 2^63,
+    as _heads assumes): each row's entries of table(its run lengths), as
+    the row of each and the digits it picks, in row and table order."""
+    if not len(rows):
+        return np.zeros(0, dtype=np.intp), rows
+    codes = (rows[:, 1:] == rows[:, :-1]) @ (1 << np.arange(rows.shape[1] - 1, dtype=np.int64))
+    _, first, which = np.unique(codes, return_index=True, return_inverse=True)
+    tables = [table(tuple(len(list(r)) for _, r in groupby(rows[i].tolist()))) for i in first.tolist()]
+    sizes = np.array([len(t) for t in tables], dtype=np.intp)
+    count = sizes[which]
+    owner = np.repeat(np.arange(len(rows)), count)
+    at = np.repeat(np.cumsum(sizes)[which] - np.cumsum(count), count) + np.arange(owner.size)
+    return owner, rows[owner[:, None], np.concatenate(tables)[at]]
+
+
+@lru_cache(maxsize=1024)
+def _split_table(runs: tuple[int, ...], k: int) -> np.ndarray:
+    """Every distinct split of a sorted row with runs of equal digits of
+    lengths runs into k digits and the rest, as index rows: the k, then
+    the rest.  Each takes a prefix of every run, in the row's order, so
+    both parts pick sorted digits."""
+    parts = [((), ())]
+    start, rest = 0, sum(runs)
+    for r in runs:
+        rest -= r
+        run = tuple(range(start, start + r))
+        parts = [
+            (took + run[:j], left + run[j:])
+            for took, left in parts
+            for j in range(max(0, k - rest - len(took)), min(r, k - len(took)) + 1)
+        ]
+        start += r
+    return np.array([took + left for took, left in parts], dtype=np.intp).reshape(len(parts), sum(runs))
+
+
+@lru_cache(maxsize=1024)
+def _arrangements(runs: tuple[int, ...]) -> np.ndarray:
+    """The distinct orderings of a sorted row with runs of equal digits of
+    lengths runs, in lexicographic order, as index rows into it (a digit
+    named by its run's first index), built a position at a time."""
+    first = np.cumsum(runs, dtype=np.intp) - runs
+    rows = np.zeros((1, 0), dtype=np.intp)
+    left = np.array([runs], dtype=np.intp)
+    for _ in range(sum(runs)):
+        parent, run = np.nonzero(left)
+        rows = np.column_stack([rows[parent], first[run]])
+        left = left[parent]
+        left[np.arange(parent.size), run] -= 1
+    return rows
 
 
 class _HeadTable:
     """The tail groups that pass the y = 0 screen, and the y = e screen
     when the tail is the top half, after each head multiset of
-    2^n - 1 - tail digits, found lazily.
+    h = 2^n - 1 - tail digits, found lazily.  Group g is the g-th tail
+    multiset in lexicographic order, tails[g].
 
     An assignment's y = 0 value 1 + sum_j zeta^{d_j} depends only on the
     multiset P of its 2^n - 1 free digits, so each P is screened once, as
     its canonical split: the head H of its h smallest digits and the tail
     group T of the rest, min(T) >= max(H).  The canonical heads are
     taken by smallest digit, each against the suffix of groups whose
-    smallest digit is at least its largest, one numpy pass per run of
-    digits holding at least about 2^14 pairs.  Every P that passes is
+    smallest digit is at least its largest.  Every P that passes is
     filed under each of its (head multiset, tail group) splits.  A head
     multiset of smallest digit d lies only in multisets P of smallest
     digit at most d, so once those are screened (d <= complete) its
-    groups are final.
+    pairs are final: they join keys (_key of the sorted head) and
+    groups, sorted by key and then group.
 
-    When the tail is the top half of Z_2^n, the head the bottom half
-    less the origin, a split (H, T) is filed only if it also passes
-    y = e = 2^(n-1): F(e) = A - B = F(0) - 2B, where A = 1 + sum_H zeta
-    and B = sum_T zeta, so F(e), unlike F(0), depends on the split.  All
-    splits of the passing P are tested in one numpy pass.  A witness has
-    |F(0)|^2 = |F(e)|^2 = 2^n exactly, so its split passes both."""
+    When the tail is the top half of Z_2^n, a split (H, T) is filed only
+    if it also passes y = e = 2^(n-1): F(e) = A - B = F(0) - 2B, where
+    A = 1 + sum_H zeta and B = sum_T zeta, so F(e), unlike F(0),
+    depends on the split.  A witness has |F(0)|^2 = |F(e)|^2 = 2^n
+    exactly, so its split passes both."""
 
     def __init__(self, m: int, n: int, tail: int):
         self.m, self.size = m, 1 << n
         self.head = self.size - 1 - tail
         zeta = _roots(m)
         self.tails = _multisets(m, tail)
-        self.rank = {tuple(t): g for g, t in enumerate(self.tails.tolist())}
-        self.values = zeta[self.tails].sum(axis=1)
+        self.tail_keys = _key(self.tails, m)
+        self.values = sum((zeta[col] for col in self.tails.T), np.zeros(len(self.tails), complex))
         # a canonical head is (a, *rest): rest sorted, its digits all >= a
         self.rests = _multisets(m, self.head - 1)
-        self.rest_sums = 1 + zeta[self.rests].sum(axis=1)
+        self.rest_sums = sum((zeta[col] for col in self.rests.T), np.ones(len(self.rests), complex))
         self.rest_tops = self.rests.max(axis=1, initial=0)
         digit = np.arange(m)
         if self.head > 1:
             # a rest meets the groups from _first(its largest digit) on,
             # after every lead up to its smallest digit
-            meets = len(self.rank) - self._first(self.rest_tops)
+            meets = len(self.tails) - self._first(self.rest_tops)
             pairs = np.append(np.cumsum(meets[::-1])[::-1], 0)[self._start(digit)]
         else:
-            pairs = len(self.rank) - self._first(digit)
+            pairs = len(self.tails) - self._first(digit)
         # upto[a]: the pairs of the canonical heads of smallest digit <= a
         self.upto = np.cumsum(pairs)
         self.complete = -1
-        # groups found for heads not yet complete, by smallest digit
-        self.pending: dict[int, dict[tuple[int, ...], list[int]]] = {}
-        self.found: dict[tuple[int, ...], np.ndarray] = {}
+        # the final pairs, and those found for heads not yet complete
+        self.keys, self.groups = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.intp)
+        self.pending = self.keys, self.groups
 
     def _first(self, top: np.ndarray) -> np.ndarray:
         """The first group of smallest digit at least top: those from
@@ -274,22 +287,30 @@ class _HeadTable:
             return np.zeros_like(lead)
         return np.searchsorted(self.rests[:, 0], lead)
 
-    def groups(self, head: tuple[int, ...]) -> np.ndarray:
-        """The sorted, read-only indices of the tail groups that pass
-        after the head multiset head, a sorted tuple."""
-        if head[0] > self.complete:
-            self._screen(head[0])
-        return self.found.get(head, _NO_GROUPS)
+    def find(self, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The passing pairs of the head multisets heads, sorted rows:
+        each pair's row and group, by row and then by group.  Screens
+        first as far as the rows' smallest digits need."""
+        while self.complete < heads[:, 0].max():
+            self._screen()
+        keys = _key(heads, self.m)
+        first = np.searchsorted(self.keys, keys)
+        count = np.searchsorted(self.keys, keys, side="right") - first
+        owner = np.repeat(np.arange(len(heads)), count)
+        at = np.repeat(first - np.cumsum(count) + count, count) + np.arange(owner.size)
+        return owner, self.groups[at]
 
-    def _screen(self, d: int) -> None:
-        """Screen the canonical heads from the first smallest digit not
-        yet complete through d, and on until the pass holds at least
-        about 2^14 pairs: at n = 1, where each head is its own multiset,
-        a pass serves many heads."""
+    def _screen(self) -> None:
+        """Screen the canonical heads of the next smallest digits, in one
+        numpy pass: as many as hold at most about 2^14 pairs, or the next
+        one alone if it holds more.  A block of 2^17 heads at n = 2 spans
+        hundreds of smallest digits; one pass over them all would hold
+        hundreds of MB."""
+        m, zeta = self.m, _roots(self.m)
         a0 = self.complete + 1
         done = self.upto[a0 - 1] if a0 else 0
         step = max(1, _TAIL_CELLS >> 5)  # 2^14 at the default _TAIL_CELLS
-        a1 = min(self.m, max(d, int(np.searchsorted(self.upto, done + step))) + 1)
+        a1 = max(a0 + 1, int(np.searchsorted(self.upto, done + step, side="right")))
         # the canonical heads (lead, *rests[rest]) of smallest digit a0 .. a1 - 1
         lead = np.arange(a0, a1)
         start = self._start(lead)
@@ -298,50 +319,32 @@ class _HeadTable:
         rest = np.arange(lead.size) + np.repeat(start - np.cumsum(per) + per, per)
         lo = self._first(np.maximum(lead, self.rest_tops[rest]))
         # pair k is head who[k] and group group[k]: the groups from lo on
-        sizes = len(self.rank) - lo
+        sizes = len(self.tails) - lo
         who = np.repeat(np.arange(lead.size), sizes)
         group = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(who.size)
-        z = (_roots(self.m)[lead] + self.rest_sums[rest])[who] + self.values[group]
+        z = (zeta[lead] + self.rest_sums[rest])[who] + self.values[group]
         keep = np.abs(z.real * z.real + z.imag * z.imag - self.size) <= _TOL
         who, group, z = who[keep], group[keep], z[keep]
+        # the passing multisets P, sorted rows, split by run pattern
         whole = np.concatenate([lead[who, None], self.rests[rest[who]], self.tails[group]], axis=1)
-        heads, groups, owner = [], [], []
-        for i, p in enumerate(whole.tolist()):
-            for head, left in _splits(p, self.head):
-                heads.append(head)
-                groups.append(self.rank[left])
-                owner.append(i)
+        owner, split = _by_pattern(whole, partial(_split_table, k=self.head))
+        head, tail = split[:, : self.head], split[:, self.head :]
+        keys, groups = _key(head, m), np.searchsorted(self.tail_keys, _key(tail, m))
         if self.tails.shape[1] == self.size // 2:
             # the tail is the top half: F(e) = A - B = F(0) - 2B, where B
             # is the tail group's sum of zeta^d
-            z = z[owner] - 2 * _roots(self.m)[self.tails[groups]].sum(axis=1)
+            z = z[owner] - 2 * zeta[tail].sum(axis=1)
             keep = np.abs(z.real * z.real + z.imag * z.imag - self.size) <= _TOL
-            heads, groups = compress(heads, keep), compress(groups, keep)
-        for head, g in zip(heads, groups):
-            self.pending.setdefault(head[0], {}).setdefault(head, []).append(g)
+            keys, groups = keys[keep], groups[keep]
+        keys = np.concatenate([self.pending[0], keys])
+        groups = np.concatenate([self.pending[1], groups])
+        # the heads of smallest digit below a1 are now complete
+        final = keys < a1 * m ** (self.head - 1)
+        order = np.lexsort((groups[final], keys[final]))
+        self.keys = np.concatenate([self.keys, keys[final][order]])
+        self.groups = np.concatenate([self.groups, groups[final][order]])
+        self.pending = keys[~final], groups[~final]
         self.complete = a1 - 1
-        for a in [a for a in self.pending if a < a1]:
-            for head, groups in self.pending.pop(a).items():
-                groups = np.array(sorted(groups), dtype=np.intp)
-                groups.flags.writeable = False
-                self.found[head] = groups
-
-
-def _splits(p: list[int], k: int):
-    """Each distinct multiset of k digits taken from the sorted list p,
-    with the digits left over, both as sorted tuples."""
-    if k == 0:
-        yield (), tuple(p)
-        return
-    if len(p) == k:
-        yield tuple(p), ()
-        return
-    # take j copies of p's smallest digit v, then the rest from what follows
-    v = p[0]
-    c = p.count(v)
-    for j in range(max(0, k - len(p) + c), min(c, k) + 1):
-        for head, left in _splits(p[c:], k - j):
-            yield (v,) * j + head, (v,) * (c - j) + left
 
 
 # one per search: (m, n, tail) is fixed by _tail_len
@@ -382,55 +385,49 @@ def _blocks(heads: int, cap: int):
 
 def _run_block(m: int, n: int, lo: int, hi: int) -> tuple[tuple[int, ...] | None, int, int]:
     """Search every completion (0, *head, *tail) of the heads of ranks
-    lo .. hi - 1.  Only a block where _HeadTable passes some tail group
-    builds the tail table.  The rows of its passing (head, group) pairs
-    are screened at y = 1 .. 2^n - 1 together, in slabs of at most
-    _TAIL_CELLS / 8 rows, and the survivors go to the exact test sorted
-    by head and then by tail digits, so that the first one confirmed is
-    the least.  Returns that witness (or None), the count of completions
+    lo .. hi - 1.  _HeadTable gives each head's passing tail groups, and
+    only their rows are built: each group's distinct arrangements, from
+    _arrangements per run pattern.  Those rows are screened at y = 1, 2,
+    ..., 2^n - 1 in turn, in slabs of at most _TAIL_CELLS / 8 rows (which
+    bounds the scratch), and the survivors go to the exact test sorted by
+    head and then by tail digits, so that the first one confirmed is the
+    least.  Returns that witness (or None), the count of completions
     examined (every tail of each head up to the witness's) and the count
     of screen survivors sent to the exact test."""
     size, chi, zeta = 1 << n, _char_table(n), _roots(m)
     tail = _tail_len(m, n)
     table = _head_table(m, n, tail)
-    rows = m**tail
-    slab = max(1, _TAIL_CELLS >> 3)  # rows per y >= 1 screen: bounds its scratch
 
     heads = _heads(m, size - 1 - tail, lo, hi)
-    groups = [table.groups(tuple(key)) for key in np.sort(heads, axis=1).tolist()]
-    sizes = np.array([g.size for g in groups])
+    owner, groups = table.find(np.sort(heads, axis=1))
     survivors = 0
-    if sizes.any():
-        digits, columns, starts, counts = _tail_tables(m, n, tail)
+    if owner.size:
         # the spectra of the heads with a passing group: f(0) = 0 adds
         # chi[0], all ones, and each head position v its character times zeta^v
-        live = np.flatnonzero(sizes)
+        live, owner = np.unique(owner, return_inverse=True)
         spec = np.ones((live.size, size), dtype=np.complex128)
         for pos, col in enumerate(heads[live].T, start=1):
             spec += zeta[col, None] * chi[pos]
-        passing = np.concatenate(groups)
-        lengths = counts[passing]
-        # the rows of the passing groups, and the spectrum each belongs to:
-        # slot k of group g is row starts[g] + k
-        owner = np.repeat(np.repeat(np.arange(live.size), sizes[live]), lengths)
-        sel = np.repeat(starts[passing] - np.cumsum(lengths) + lengths, lengths)
-        sel += np.arange(sel.size)
+        who, rows = _by_pattern(table.tails[groups], _arrangements)
         hits = []
-        for at in range(0, sel.size, slab):
-            who, row = owner[at : at + slab], sel[at : at + slab]
+        slab = max(1, _TAIL_CELLS >> 3)
+        for at in range(0, who.size, slab):
+            part, digits = owner[who[at : at + slab]], rows[at : at + slab]
+            roots = zeta[digits]
             for y in range(1, size):
-                if row.size == 0:
-                    break
-                z = spec[who, y] + columns[y][row]
+                # a tail row's contribution at y is zeta^digits @ chi[tail positions, y]
+                z = spec[part, y] + roots @ chi[size - tail :, y]
                 keep = np.abs(z.real * z.real + z.imag * z.imag - size) <= _TOL
-                who, row = who[keep], row[keep]
-            hits += zip(live[who].tolist(), digits[row].tolist())
+                part, digits, roots = part[keep], digits[keep], roots[keep]
+                if not part.size:
+                    break
+            hits += zip(live[part].tolist(), digits.tolist())
         for i, tail_values in sorted(hits):
             survivors += 1
             values = (0, *heads[i].tolist(), *tail_values)
             if is_gbf_exact(GbfFunction(n, m, values)):
-                return values, (i + 1) * rows, survivors
-    return None, len(heads) * rows, survivors
+                return values, (i + 1) * m**tail, survivors
+    return None, len(heads) * m**tail, survivors
 
 
 def _ahead(pool: ProcessPoolExecutor, run, blocks, depth: int):
@@ -495,7 +492,9 @@ def brute_force(
             if progress is not None:
                 # "prefix", now the block's first head, and "pruned" stay
                 # in the event so that existing readers keep working
-                first = _heads(m, h, lo, lo + 1)[0].tolist()
+                rank, first = lo, [0] * h
+                for i in reversed(range(h)):
+                    rank, first[i] = divmod(rank, m)
                 progress({"prefix": first, "examined": ex, "pruned": 0, "survivors": survivors})
             if values is not None:
                 witness = GbfFunction(n, m, values)
