@@ -2,36 +2,32 @@
 the dimension-3 autocorrelation catalog experiment.
 
 brute_force covers the normalized space (f(0) = 0, all other values
-free) in one lexicographic walk.  The last positions (the tail: as many
-as fit in _TAIL_CELLS complex cells, but at most the top half of Z_2^n)
-are screened in numpy batches after each assignment of the positions
-before them (the head), and the heads are taken by rank in blocks of 1,
-2, 4, ... heads, at most _TAIL_CELLS / 2^n: a witness near the front is
-confirmed after a few small blocks, a large space takes a few large
-ones.  Screening is numeric with a one-sided tolerance far above
-attainable float error, so a true witness can never be screened out;
-every survivor is confirmed exactly before it is reported.  Exhaustion
-examines every assignment (examined == normalized_space) and certifies
-nonexistence.
+free) in one lexicographic walk.  The top half of Z_2^n (the tail) is
+screened in numpy batches after each assignment of the positions
+before it (the head: the rest of the bottom half, empty at n = 1), and
+the heads are taken by rank in blocks of 1, 2, 4, ... heads, at most
+_TAIL_CELLS / 2^n: a witness near the front is confirmed after a few
+small blocks, a large space takes a few large ones.  Screening is
+numeric with a one-sided tolerance far above attainable float error, so
+a true witness can never be screened out; every survivor is confirmed
+exactly before it is reported.  Exhaustion examines every assignment
+(examined == normalized_space) and certifies nonexistence.
 
-The character at y = 0 is trivial, so an assignment's value there,
-1 + sum_j zeta^{d_j}, depends only on the multiset of its free digits.
-The y = 0 screen runs once per such multiset (_HeadTable), lazily, as
-far as the blocks reached need: at (15, 3), C(21, 7) = 116280 tests for
-15^7 assignments.  Let e = 2^(n-1), A the sum of zeta^f over the
-bottom half of Z_2^n (f(0) = 0 included) and B the sum over the top
-half.  Then F(0) = A + B and F(e) = A - B, since chi_e is +1 on the
-bottom half and -1 on the top.  When the tail is exactly the top half,
-A depends only on the head's digit multiset and B only on the tail's,
-so each (head multiset, tail multiset) split of a passing multiset is
-tested at y = e as well.  A witness has |F(y)|^2 = 2^n exactly at every
-y, so it passes both; the few ulps between the float values of one
-multiset's permutations are far below the tolerance.  Tail rows are
-built only for the (head, tail group) pairs that pass, each group's
-distinct arrangements; at n = 3 for m = 2, 3, 5, 6, 7, 9, 10, 11, 13,
-14 and 15, and at (3, 4), none does.  Those rows are screened at the
-other characters together, and the few survivors go to the exact test
-in lexicographic order, so that the witness reported is the least.
+Let e = 2^(n-1), A the sum of zeta^f over the bottom half of Z_2^n
+(f(0) = 0 included) and B the sum over the top half.  Then F(0) = A + B
+and F(e) = A - B, since chi_e is +1 on the bottom half and -1 on the
+top.  A depends only on the head, and B only on the tail's digit
+multiset (its group, _TailTable).  |A|^2 + |B|^2 is the mean of
+|F(0)|^2 and |F(e)|^2, so a pair within the tolerance of 2^n at both
+has it within the tolerance of 2^n too: each head meets only the groups
+whose |B|^2 is within the tolerance of 2^n - |A|^2, one slice of the
+groups sorted by |B|^2, and each such pair is screened at y = 0 and
+y = e.  Tail rows are built only for the pairs that pass,
+each group's distinct arrangements; at n = 3 for m = 2, 3, 5, 6, 7, 9,
+10, 11, 13, 14 and 15, and at (3, 4), none does.  Those rows are
+screened at the other characters together, and the few survivors go to
+the exact test in lexicographic order, so that the witness reported is
+the least.
 
 The catalog half lists every element of N[C_30] satisfying the five
 arithmetic constraints an autocorrelation coefficient of a bent
@@ -66,16 +62,17 @@ from .ring import (
 )
 from .vsum import _vsums_under
 
-# brute_force(15, 3) exhausts this budget in 0.008 to 0.011 s, about
-# 2e10 assignments/s, on one core of a 2-core Xeon VM; no split of its
-# digit multisets passes both screens of _HeadTable, so it builds no
-# tail row.  That holds for n >= 3 only: (553, 2) takes 0.65 to 0.91 s,
-# about 2e8 assignments/s, and n = 1 runs at about 5e6 assignments/s
+# brute_force(15, 3) exhausts this budget in 0.006 s, about 3e10
+# assignments/s, on one core of a 2-core Xeon VM (a fresh process, after
+# the import); no (head, tail group) pair passes both screens at y = 0
+# and y = 2^(n-1), so it builds no tail row.  (553, 2), the largest n = 2
+# space inside it, takes 0.018 to 0.025 s, and n = 1 runs at about 5e6
+# assignments/s
 DEFAULT_BUDGET = 15**7
 
-# the roots of unity and _HeadTable's per-digit tables hold m entries,
-# and at n = 1, a space of m, the budget does not bound m: (524286, 1)
-# takes 0.08 s and 57 MB on the same VM
+# the roots of unity and, at n = 1, the tail table hold m entries, and
+# at n = 1, a space of m, the budget does not bound m: (524286, 1)
+# takes 0.10 to 0.12 s and 59 MB on the same VM
 MAX_MODULUS = 1 << 19
 
 # numeric screen: float error on |F(y)|^2 stays below ~1e-12 for the
@@ -83,7 +80,8 @@ MAX_MODULUS = 1 << 19
 # witness; survivors are confirmed exactly
 _TOL = 1e-6
 
-# largest batch, in complex cells (tail assignments x characters)
+# largest batch, in complex cells: 2^n per head of a block, 32 per pair
+# of a screen pass and 8 per tail row of a slab
 _TAIL_CELLS = 1 << 19
 
 STATUS_WITNESS = "WitnessFound"
@@ -91,7 +89,8 @@ STATUS_EXHAUSTED = "ExhaustedNone"
 
 
 class BudgetExceededError(Exception):
-    """Refused up front: the space is over the budget or m over MAX_MODULUS."""
+    """Refused up front: the space is over the budget, m over MAX_MODULUS
+    or the heads past the int64 ranks."""
 
     def __init__(self, m: int, n: int, budget: int, message: str):
         self.m, self.n, self.budget = m, n, budget
@@ -164,16 +163,11 @@ def _multisets(m: int, k: int) -> np.ndarray:
     return out.T
 
 
-def _key(rows: np.ndarray, m: int) -> np.ndarray:
-    """Each row (the last axis) read in base m, first digit most
-    significant: on sorted rows, the lexicographic order of multisets."""
-    return rows @ (m ** np.arange(rows.shape[-1] - 1, -1, -1, dtype=np.int64))
-
-
 def _by_pattern(rows: np.ndarray, table) -> tuple[np.ndarray, np.ndarray]:
     """Expand sorted rows through a table of index rows per run pattern
-    (bit i: digits i and i + 1 equal; at most 62 bits, since m^h < 2^63,
-    as _heads assumes): each row's entries of table(its run lengths), as
+    (bit i: digits i and i + 1 equal; the rows are tails of 2^(n-1)
+    digits, so at most 62 bits, since brute_force refuses a head of 63
+    positions or more): each row's entries of table(its run lengths), as
     the row of each and the digits it picks, in row and table order."""
     if not len(rows):
         return np.zeros(0, dtype=np.intp), rows
@@ -185,26 +179,6 @@ def _by_pattern(rows: np.ndarray, table) -> tuple[np.ndarray, np.ndarray]:
     owner = np.repeat(np.arange(len(rows)), count)
     at = np.repeat(np.cumsum(sizes)[which] - np.cumsum(count), count) + np.arange(owner.size)
     return owner, rows[owner[:, None], np.concatenate(tables)[at]]
-
-
-@lru_cache(maxsize=1024)
-def _split_table(runs: tuple[int, ...], k: int) -> np.ndarray:
-    """Every distinct split of a sorted row with runs of equal digits of
-    lengths runs into k digits and the rest, as index rows: the k, then
-    the rest.  Each takes a prefix of every run, in the row's order, so
-    both parts pick sorted digits."""
-    parts = [((), ())]
-    start, rest = 0, sum(runs)
-    for r in runs:
-        rest -= r
-        run = tuple(range(start, start + r))
-        parts = [
-            (took + run[:j], left + run[j:])
-            for took, left in parts
-            for j in range(max(0, k - rest - len(took)), min(r, k - len(took)) + 1)
-        ]
-        start += r
-    return np.array([took + left for took, left in parts], dtype=np.intp).reshape(len(parts), sum(runs))
 
 
 @lru_cache(maxsize=1024)
@@ -223,151 +197,65 @@ def _arrangements(runs: tuple[int, ...]) -> np.ndarray:
     return rows
 
 
-class _HeadTable:
-    """The tail groups that pass the y = 0 screen, and the y = e screen
-    when the tail is the top half, after each head multiset of
-    h = 2^n - 1 - tail digits, found lazily.  Group g is the g-th tail
-    multiset in lexicographic order, tails[g].
+def _close(z: np.ndarray, size: int) -> np.ndarray:
+    """|z|^2 within _TOL of size."""
+    return np.abs(z.real * z.real + z.imag * z.imag - size) <= _TOL
 
-    An assignment's y = 0 value 1 + sum_j zeta^{d_j} depends only on the
-    multiset P of its 2^n - 1 free digits, so each P is screened once, as
-    its canonical split: the head H of its h smallest digits and the tail
-    group T of the rest, min(T) >= max(H).  The canonical heads are
-    taken by smallest digit, each against the suffix of groups whose
-    smallest digit is at least its largest.  Every P that passes is
-    filed under each of its (head multiset, tail group) splits.  A head
-    multiset of smallest digit d lies only in multisets P of smallest
-    digit at most d, so once those are screened (d <= complete) its
-    pairs are final: they join keys (_key of the sorted head) and
-    groups, sorted by key and then group.
 
-    When the tail is the top half of Z_2^n, a split (H, T) is filed only
-    if it also passes y = e = 2^(n-1): F(e) = A - B = F(0) - 2B, where
-    A = 1 + sum_H zeta and B = sum_T zeta, so F(e), unlike F(0),
-    depends on the split.  A witness has |F(0)|^2 = |F(e)|^2 = 2^n
-    exactly, so its split passes both."""
+class _TailTable:
+    """The digit multisets of the top half of Z_2^n (the tail groups):
+    group g is the g-th in lexicographic order, one sorted row tails[g],
+    with B, the sum of zeta^d over its digits, in sums[g].  norms holds
+    every |B|^2 in increasing order, norms[i] that of group order[i]."""
 
-    def __init__(self, m: int, n: int, tail: int):
+    def __init__(self, m: int, n: int):
         self.m, self.size = m, 1 << n
-        self.head = self.size - 1 - tail
         zeta = _roots(m)
-        self.tails = _multisets(m, tail)
-        self.tail_keys = _key(self.tails, m)
-        self.values = sum((zeta[col] for col in self.tails.T), np.zeros(len(self.tails), complex))
-        # a canonical head is (a, *rest): rest sorted, its digits all >= a
-        self.rests = _multisets(m, self.head - 1)
-        self.rest_sums = sum((zeta[col] for col in self.rests.T), np.ones(len(self.rests), complex))
-        self.rest_tops = self.rests.max(axis=1, initial=0)
-        digit = np.arange(m)
-        if self.head > 1:
-            # a rest meets the groups from _first(its largest digit) on,
-            # after every lead up to its smallest digit
-            meets = len(self.tails) - self._first(self.rest_tops)
-            pairs = np.append(np.cumsum(meets[::-1])[::-1], 0)[self._start(digit)]
-        else:
-            pairs = len(self.tails) - self._first(digit)
-        # upto[a]: the pairs of the canonical heads of smallest digit <= a
-        self.upto = np.cumsum(pairs)
-        self.complete = -1
-        # the final pairs, and those found for heads not yet complete
-        self.keys, self.groups = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.intp)
-        self.pending = self.keys, self.groups
-
-    def _first(self, top: np.ndarray) -> np.ndarray:
-        """The first group of smallest digit at least top: those from
-        there on may follow a head of largest digit top.  The one group
-        of a tail of no digits follows every head."""
-        if self.tails.shape[1] == 0:
-            return np.zeros_like(top)
-        return np.searchsorted(self.tails[:, 0], top)
-
-    def _start(self, lead: np.ndarray) -> np.ndarray:
-        """The first rest whose digits are all at least lead."""
-        if self.head == 1:
-            return np.zeros_like(lead)
-        return np.searchsorted(self.rests[:, 0], lead)
+        self.tails = _multisets(m, self.size >> 1)
+        # accumulated in place: at n = 1 a table holds up to 2^19 groups
+        self.sums = np.zeros(len(self.tails), complex)
+        for col in self.tails.T:
+            self.sums += zeta[col]
+        self.norms = np.abs(self.sums)
+        self.norms *= self.norms
+        self.order = np.argsort(self.norms)
+        self.norms.sort()
 
     def find(self, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The passing pairs of the head multisets heads, sorted rows:
-        each pair's row and group, by row and then by group.  Screens
-        first as far as the rows' smallest digits need."""
-        while self.complete < heads[:, 0].max():
-            self._screen()
-        keys = _key(heads, self.m)
-        first = np.searchsorted(self.keys, keys)
-        count = np.searchsorted(self.keys, keys, side="right") - first
-        owner = np.repeat(np.arange(len(heads)), count)
-        at = np.repeat(first - np.cumsum(count) + count, count) + np.arange(owner.size)
-        return owner, self.groups[at]
-
-    def _screen(self) -> None:
-        """Screen the canonical heads of the next smallest digits, in one
-        numpy pass: as many as hold at most about 2^14 pairs, or the next
-        one alone if it holds more.  A block of 2^17 heads at n = 2 spans
-        hundreds of smallest digits; one pass over them all would hold
-        hundreds of MB."""
-        m, zeta = self.m, _roots(self.m)
-        a0 = self.complete + 1
-        done = self.upto[a0 - 1] if a0 else 0
-        step = max(1, _TAIL_CELLS >> 5)  # 2^14 at the default _TAIL_CELLS
-        a1 = max(a0 + 1, int(np.searchsorted(self.upto, done + step, side="right")))
-        # the canonical heads (lead, *rests[rest]) of smallest digit a0 .. a1 - 1
-        lead = np.arange(a0, a1)
-        start = self._start(lead)
-        per = len(self.rests) - start
-        lead = np.repeat(lead, per)
-        rest = np.arange(lead.size) + np.repeat(start - np.cumsum(per) + per, per)
-        lo = self._first(np.maximum(lead, self.rest_tops[rest]))
-        # pair k is head who[k] and group group[k]: the groups from lo on
-        sizes = len(self.tails) - lo
-        who = np.repeat(np.arange(lead.size), sizes)
-        group = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(who.size)
-        z = (zeta[lead] + self.rest_sums[rest])[who] + self.values[group]
-        keep = np.abs(z.real * z.real + z.imag * z.imag - self.size) <= _TOL
-        who, group, z = who[keep], group[keep], z[keep]
-        # the passing multisets P, sorted rows, split by run pattern
-        whole = np.concatenate([lead[who, None], self.rests[rest[who]], self.tails[group]], axis=1)
-        owner, split = _by_pattern(whole, partial(_split_table, k=self.head))
-        head, tail = split[:, : self.head], split[:, self.head :]
-        keys, groups = _key(head, m), np.searchsorted(self.tail_keys, _key(tail, m))
-        if self.tails.shape[1] == self.size // 2:
-            # the tail is the top half: F(e) = A - B = F(0) - 2B, where B
-            # is the tail group's sum of zeta^d
-            z = z[owner] - 2 * zeta[tail].sum(axis=1)
-            keep = np.abs(z.real * z.real + z.imag * z.imag - self.size) <= _TOL
-            keys, groups = keys[keep], groups[keep]
-        keys = np.concatenate([self.pending[0], keys])
-        groups = np.concatenate([self.pending[1], groups])
-        # the heads of smallest digit below a1 are now complete
-        final = keys < a1 * m ** (self.head - 1)
-        order = np.lexsort((groups[final], keys[final]))
-        self.keys = np.concatenate([self.keys, keys[final][order]])
-        self.groups = np.concatenate([self.groups, groups[final][order]])
-        self.pending = keys[~final], groups[~final]
-        self.complete = a1 - 1
+        """The (head, group) pairs of the head rows heads that pass the
+        screens at y = 0 and y = e, as each pair's row and group, by row.
+        Each head meets the groups whose |B|^2 is within _TOL of 2^n -
+        |A|^2, in passes of at most _TAIL_CELLS / 32 pairs."""
+        a = 1 + _roots(self.m)[heads].sum(axis=1)
+        target = self.size - (a.real * a.real + a.imag * a.imag)
+        first = np.searchsorted(self.norms, target - _TOL)
+        count = np.searchsorted(self.norms, target + _TOL, side="right") - first
+        ends = np.cumsum(count)
+        # pair k is head who[k] and the group at norms[k + offset[who[k]]]
+        offset = first - ends + count
+        owners, groups = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+        total, step = int(ends[-1]), max(1, _TAIL_CELLS >> 5)
+        for lo in range(0, total, step):
+            k = np.arange(lo, min(lo + step, total))
+            who = np.searchsorted(ends, k, side="right")
+            group = self.order[offset[who] + k]
+            b = self.sums[group]
+            keep = _close(a[who] + b, self.size) & _close(a[who] - b, self.size)
+            owners.append(who[keep])
+            groups.append(group[keep])
+        return np.concatenate(owners), np.concatenate(groups)
 
 
-# one per search: (m, n, tail) is fixed by _tail_len
+# one per search
 @lru_cache(maxsize=8)
-def _head_table(m: int, n: int, tail: int) -> _HeadTable:
-    return _HeadTable(m, n, tail)
-
-
-def _tail_len(m: int, n: int) -> int:
-    """The tail of an (m, n) search: as many last positions as fit in
-    _TAIL_CELLS, but at most the top half of Z_2^n, so that _HeadTable
-    can screen at y = 2^(n-1) too, and at most 2^n - 2, leaving a head."""
-    size = 1 << n
-    tail = 0
-    while tail < min(size - 2, size >> 1) and (m ** (tail + 1)) * size <= _TAIL_CELLS:
-        tail += 1
-    return tail
+def _tail_table(m: int, n: int) -> _TailTable:
+    return _TailTable(m, n)
 
 
 def _heads(m: int, h: int, lo: int, hi: int) -> np.ndarray:
     """The heads of ranks lo .. hi - 1, one row of h base-m digits each,
-    most significant first.  The ranks are int64: no search walks 2^63
-    heads, which would take centuries at any rate seen here."""
+    most significant first.  The ranks are int64: brute_force refuses
+    m^h >= 2^63 heads."""
     ranks = np.arange(lo, hi, dtype=np.int64)
     heads = np.empty((hi - lo, h), dtype=np.int64)
     for i in reversed(range(h)):
@@ -385,8 +273,9 @@ def _blocks(heads: int, cap: int):
 
 def _run_block(m: int, n: int, lo: int, hi: int) -> tuple[tuple[int, ...] | None, int, int]:
     """Search every completion (0, *head, *tail) of the heads of ranks
-    lo .. hi - 1.  _HeadTable gives each head's passing tail groups, and
-    only their rows are built: each group's distinct arrangements, from
+    lo .. hi - 1, the tail the top half of Z_2^n.  _TailTable.find gives
+    each head's tail groups that pass at y = 0 and y = 2^(n-1), and only
+    their rows are built: each group's distinct arrangements, from
     _arrangements per run pattern.  Those rows are screened at y = 1, 2,
     ..., 2^n - 1 in turn, in slabs of at most _TAIL_CELLS / 8 rows (which
     bounds the scratch), and the survivors go to the exact test sorted by
@@ -395,11 +284,11 @@ def _run_block(m: int, n: int, lo: int, hi: int) -> tuple[tuple[int, ...] | None
     examined (every tail of each head up to the witness's) and the count
     of screen survivors sent to the exact test."""
     size, chi, zeta = 1 << n, _char_table(n), _roots(m)
-    tail = _tail_len(m, n)
-    table = _head_table(m, n, tail)
+    tail = size >> 1
+    table = _tail_table(m, n)
 
-    heads = _heads(m, size - 1 - tail, lo, hi)
-    owner, groups = table.find(np.sort(heads, axis=1))
+    heads = _heads(m, tail - 1, lo, hi)
+    owner, groups = table.find(heads)
     survivors = 0
     if owner.size:
         # the spectra of the heads with a passing group: f(0) = 0 adds
@@ -416,8 +305,7 @@ def _run_block(m: int, n: int, lo: int, hi: int) -> tuple[tuple[int, ...] | None
             roots = zeta[digits]
             for y in range(1, size):
                 # a tail row's contribution at y is zeta^digits @ chi[tail positions, y]
-                z = spec[part, y] + roots @ chi[size - tail :, y]
-                keep = np.abs(z.real * z.real + z.imag * z.imag - size) <= _TOL
+                keep = _close(spec[part, y] + roots @ chi[tail:, y], size)
                 part, digits, roots = part[keep], digits[keep], roots[keep]
                 if not part.size:
                     break
@@ -455,7 +343,8 @@ def brute_force(
     """Exhaustive search of the normalized space for an (m, n) witness.
 
     The space m^(2^n - 1) is refused up front when it exceeds budget, and
-    so is m > MAX_MODULUS.  One loop takes the results of the blocks of
+    so are m > MAX_MODULUS and m^(2^(n-1) - 1) >= 2^63 heads, past the
+    int64 head ranks.  One loop takes the results of the blocks of
     heads in order, computed in process or, for workers > 1, on at most
     that many worker processes (no more than the blocks or the CPUs), a
     few blocks ahead.  The first block reporting a witness wins, which
@@ -474,9 +363,12 @@ def brute_force(
         raise BudgetExceededError(m, n, budget, what)
     if m > MAX_MODULUS:
         raise BudgetExceededError(m, n, budget, f"modulus {m} exceeds the cap {MAX_MODULUS}")
+    # m >= 2, so a head of 63 positions or more alone passes 2^63
+    h = (1 << (n - 1)) - 1
+    if h >= 63 or m**h >= 1 << 63:
+        raise BudgetExceededError(m, n, budget, f"{m}^{h} heads exceed the int64 head ranks")
 
     start = time.perf_counter()
-    h = (1 << n) - 1 - _tail_len(m, n)
     blocks = partial(_blocks, m**h, max(1, _TAIL_CELLS >> n))
     # fork starts every worker on the first submit, so ask for no more
     # than there are blocks and CPUs
@@ -604,7 +496,8 @@ def enumerate_autocorr_candidates():
 
 def n3_catalog_check() -> dict:
     """Run the catalog experiment: classify every enumerated candidate,
-    then validate the two order-42 punctured shapes separately.  Any
+    then validate the two order-42 punctured shapes separately: Form7
+    counts those that vanish at order 42 and pass _n3_rejection.  Any
     candidate matching no form lands in "mismatches" verbatim; every
     other v-sum is counted in "rejected" under the first constraint it
     fails."""
@@ -625,16 +518,15 @@ def n3_catalog_check() -> dict:
         else:
             counts[tag.value] += 1
 
-    seven_ok = True
-    seven_psi = []
+    # a shape counts only if it vanishes at order 42 and passes the
+    # constraints, not for being one of the shapes it is compared with
+    seven_ok, seven_psi = True, []
     for coeffs in sorted(_form_7_refs()):
         elt = CyclicRingElt(42, coeffs)
         seven_psi.append(elt.psi_projection())
-        if not character_value_is_zero(elt, CharacterSpec(42, 42)):
-            seven_ok = False
-        if match_n3_form(elt) is not FormTag.FORM_7:
-            seven_ok = False
-    counts["Form7"] = len(_form_7_refs()) if seven_ok else 0
+        vanishes = character_value_is_zero(elt, CharacterSpec(42, 42))
+        seven_ok &= vanishes
+        counts["Form7"] += vanishes and _n3_rejection(coeffs) is None
 
     mismatches.sort(key=lambda e: e.coeffs)
     return {

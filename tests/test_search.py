@@ -7,7 +7,7 @@ import sys
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, islice, permutations, product
+from itertools import combinations_with_replacement, islice, permutations, product
 from math import comb
 from unittest.mock import patch
 
@@ -156,12 +156,37 @@ def test_modulus_cap_refuses_before_any_block(monkeypatch, capsys):
         assert main(["search", str(cap + 1), "1"]) == 3
         assert "exceeds the cap" in capsys.readouterr().err
 
-    # MAX_MODULUS itself is admitted, and its witness (0, m/4) found
+    # MAX_MODULUS itself is admitted, and its witness (0, m/4) found in
+    # the one block of n = 1, after all m tails of its empty head
     out = brute_force(cap, 1)
-    assert out.witness.values == (0, cap // 4) and out.examined == cap // 4 + 1
-    # and so is the n = 2 space with the largest m inside the budget
+    assert out.witness.values == (0, cap // 4) and out.examined == cap
+    # and so is the n = 2 space with the largest m inside the budget,
+    # whose witness's head (0) is the first
     out = brute_force(554, 2)
-    assert out.witness.values == (0, 0, 0, 277) and out.examined == 554
+    assert out.witness.values == (0, 0, 0, 277) and out.examined == 554**2
+
+
+def test_heads_past_int64_are_refused(monkeypatch, capsys):
+    # head ranks are int64, so m^(2^(n-1) - 1) >= 2^63 heads are refused
+    # before any block or table is built, also where the budget admits them
+    class Reached(Exception):
+        pass
+
+    def no_block(*args):
+        raise Reached
+
+    monkeypatch.setattr(search, "_run_block", no_block)
+    for m, n in [(2, 7), (2, 8), (5, 6)]:
+        h = (1 << (n - 1)) - 1
+        with pytest.raises(BudgetExceededError) as info:
+            brute_force(m, n, budget=m ** ((1 << n) - 1))
+        assert str(info.value) == f"{m}^{h} heads exceed the int64 head ranks", (m, n)
+    assert main(["search", "2", "8", "--budget", str(2**255)]) == 3
+    assert "heads exceed the int64 head ranks" in capsys.readouterr().err
+    # 3^31 and 4^31 = 2^62 heads fit: both reach their first block
+    for m in (3, 4):
+        with pytest.raises(Reached):
+            brute_force(m, 6, budget=m**63)
 
 
 def test_modulus_one_refused_before_any_table(monkeypatch, capsys):
@@ -187,46 +212,45 @@ def test_roots_are_built_once_per_modulus():
 
 
 def test_deepest_mid_walk_matches_default(monkeypatch):
-    # a batch ceiling of 2^n cells leaves no tail and blocks of one head,
-    # so every position is walked as a head, one assignment per block
-    for m, n in [(3, 2), (4, 2), (5, 2), (4, 3), (2, 3), (3, 3)]:
+    # a batch ceiling of 2^n cells makes blocks of one head (and screen
+    # passes of one pair, slabs of one row), so the walk emits one event
+    # per head in lexicographic order, each with every tail of its head
+    for m, n in [(3, 2), (4, 2), (5, 2), (4, 3), (2, 3), (3, 3), (12, 3), (7, 1)]:
         flat = brute_force(m, n)
         events = []
         with monkeypatch.context() as patch:
             patch.setattr(search, "_TAIL_CELLS", 1 << n)
             deep = brute_force(m, n, progress=events.append)
-        assert deep.status == flat.status, (m, n)
-        assert deep.witness == flat.witness, (m, n)
-        if flat.witness is None:
-            assert deep.examined == flat.examined == flat.normalized_space, (m, n)
-        else:
-            # walked in lexicographic order, the deep search stops right
-            # at the witness: its rank in the normalized space, plus one
-            rank = 0
-            for v in flat.witness.values[1:]:
-                rank = rank * m + v
-            assert deep.examined == rank + 1 <= flat.examined, (m, n)
-        walked = list(product(range(m), repeat=(1 << n) - 1))[: deep.examined]
+        assert deep == flat, (m, n)
+        h, tails = (1 << (n - 1)) - 1, m ** (1 << (n - 1))
+        walked = list(product(range(m), repeat=h))[: len(events)]
         assert [tuple(e["prefix"]) for e in events] == walked, (m, n)
-        assert all(e["examined"] == 1 for e in events), (m, n)
+        assert all(e["examined"] == tails for e in events), (m, n)
+        assert deep.examined == len(events) * tails, (m, n)
+        if flat.witness is None:
+            assert len(events) == m**h, (m, n)
+        else:
+            assert flat.witness.values[1 : h + 1] == walked[-1], (m, n)
 
 
 def test_pooled_search_matches_serial(monkeypatch):
     # report three CPUs, so that workers=3 runs three processes anywhere;
     # two workers have four blocks handed out at a time, and the witness
-    # of (100, 1), (0, 25), sits in the fifth block, heads 15 .. 30
+    # of (32, 3) at budget 32^7 has the head (0, 0, 16), in the fifth
+    # block, heads 15 .. 30
     monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    for m, n in [(100, 1), (8, 1), (4, 3), (6, 3)]:
+    default = search.DEFAULT_BUDGET
+    for m, n, budget in [(32, 3, 32**7), (8, 1, default), (4, 3, default), (6, 3, default)]:
         runs = []
         for workers in (1, 2, 3):
             events = []
-            out = brute_force(m, n, workers=workers, progress=events.append)
+            out = brute_force(m, n, budget, workers=workers, progress=events.append)
             runs.append((out.certificate(), events))
         assert runs[1] == runs[0] and runs[2] == runs[0], (m, n)
-        if (m, n) == (100, 1):
-            assert runs[0][0]["witness"] == [0, 25]
-            assert [e["prefix"] for e in runs[0][1]] == [[0], [1], [3], [7], [15]]
-            assert [e["examined"] for e in runs[0][1]] == [1, 2, 4, 8, 11]
+        if (m, n) == (32, 3):
+            assert runs[0][0]["witness"] == [0, 0, 0, 16, 8, 8, 8, 24]
+            assert [e["prefix"] for e in runs[0][1]] == [[0, 0, r] for r in (0, 1, 3, 7, 15)]
+            assert [e["examined"] for e in runs[0][1]] == [k * 32**4 for k in (1, 2, 4, 8, 2)]
     assert brute_force(4, 3, workers=3).witness.values == (0, 0, 0, 2, 1, 1, 1, 3)
     out = brute_force(5, 3, workers=3)
     assert out.status == "ExhaustedNone"
@@ -245,12 +269,13 @@ def test_pool_workers_end_with_the_search(monkeypatch):
 
 def test_search_agrees_with_decide():
     # the search is an exact route independent of the criteria, and
-    # decide settles every cell here
-    cells = [(m, 1) for m in range(2, 1001)] + [(m, 2) for m in range(2, 61)]
-    cells += [(m, 3) for m in range(2, 16)] + [(2, 4), (3, 4)]
-    assert len(cells) == 1074
+    # decide settles every cell here; n = 3 runs past the default budget
+    # up to m = 30, at budget m^7
+    cells = [(m, 1) for m in range(2, 1001)] + [(m, 2) for m in range(2, 201)]
+    cells += [(m, 3) for m in range(2, 31)] + [(2, 4), (3, 4)]
+    assert len(cells) == 1229
     for m, n in cells:
-        out = brute_force(m, n)
+        out = brute_force(m, n, max(search.DEFAULT_BUDGET, m ** ((1 << n) - 1)))
         assert (out.witness is not None) == (decide(m, n).outcome == EXISTS), (m, n)
         if out.witness is None:
             assert out.examined == out.normalized_space, (m, n)
@@ -267,8 +292,8 @@ def test_pool_size_is_bounded(monkeypatch):
             super().__init__(max_workers=max_workers)
 
     # (3, 3) walks its 27 heads in 5 blocks, of 1, 2, 4, 8 and 12; a
-    # serial run first completes its head table, which the threads then
-    # only read
+    # serial run first builds its tail table, which the threads then only
+    # read
     serial = brute_force(3, 3)
     assert serial.status == "ExhaustedNone" and serial.examined == 3**7
     monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
@@ -305,15 +330,15 @@ def test_pool_is_handed_two_blocks_per_worker_ahead(monkeypatch):
         def shutdown(self, wait, cancel_futures):
             pass
 
-    # no tail and one head per block: (4, 3) has 4^7 blocks, and the
-    # witness (0, 0, 0, 2, 1, 1, 1, 3) is in block 599
+    # one head per block: (32, 3) at budget 32^7 has 32^3 blocks, and the
+    # witness (0, 0, 0, 16, 8, 8, 8, 24) is in block 16
     monkeypatch.setattr(search, "_TAIL_CELLS", 1 << 3)
-    serial = brute_force(4, 3)
+    serial = brute_force(32, 3, 32**7)
     monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert brute_force(4, 3, workers=2) == serial
-    assert serial.examined == 600
-    assert handed == [(lo, lo + 1) for lo in range(603)]
+    assert brute_force(32, 3, 32**7, workers=2) == serial
+    assert serial.examined == 17 * 32**4
+    assert handed == [(lo, lo + 1) for lo in range(20)]
 
 
 def _characters(n):
@@ -322,32 +347,31 @@ def _characters(n):
 
 
 @lru_cache(maxsize=None)
-def _lex_tail_table(m, n, tail):
-    # every tail assignment in lexicographic order and its contribution to
-    # the spectrum, built apart from search's own tables and roots
-    size = 1 << n
+def _lex_tail_table(m, n):
+    # every assignment of the top half in lexicographic order and its
+    # contribution to the spectrum, built apart from search's own tables
+    # and roots
+    size, tail = 1 << n, 1 << (n - 1)
     chi = _characters(n)
     zeta = np.exp(2j * np.pi * np.arange(m) / m)
     digits = np.array(list(product(range(m), repeat=tail)), dtype=np.int64).reshape(m**tail, tail)
     columns = np.zeros((size, m**tail), dtype=np.complex128)
     for j in range(tail):
-        columns += chi[size - tail + j][:, None] * zeta[digits[:, j]][None, :]
+        columns += chi[tail + j][:, None] * zeta[digits[:, j]][None, :]
     return digits, columns
 
 
 def _per_tail_run_block(m, n, lo, hi):
-    # the block search as it was before the multiset screen: y = 0 is
-    # screened once per tail assignment, not once per digit multiset, and
-    # the heads of ranks lo .. hi - 1 are taken from a plain lexicographic
-    # enumeration
+    # the block search without the join: y = 0 is screened once per tail
+    # assignment of the top half, and the heads of ranks lo .. hi - 1 are
+    # taken from a plain lexicographic enumeration
     size = 1 << n
     chi = _characters(n)
     zeta = np.exp(2j * np.pi * np.arange(m) / m)
-    tail = search._tail_len(m, n)
-    digits, columns = _lex_tail_table(m, n, tail)
+    digits, columns = _lex_tail_table(m, n)
 
     examined = 0
-    for head in islice(product(range(m), repeat=size - 1 - tail), lo, hi):
+    for head in islice(product(range(m), repeat=(size >> 1) - 1), lo, hi):
         spec = chi[0].astype(np.complex128)
         for pos, v in enumerate(head, start=1):
             spec = spec + zeta[v] * chi[pos]
@@ -367,16 +391,14 @@ def _per_tail_run_block(m, n, lo, hi):
 
 
 def test_multiset_screen_matches_per_tail_screen(monkeypatch):
-    # (m, n, tail ceiling): None keeps the default _TAIL_CELLS, k caps the
-    # tail at k positions and the blocks at m^k heads, so k = 0 walks
-    # every position as a head, one head per block
-    cases = [(m, n, None) for m, n in [(4, 3), (6, 3), (8, 3), (3, 4), (3, 2), (2, 1)]]
-    cases += [(4, 3, 0), (3, 2, 0), (2, 1, 0), (5, 2, 0), (6, 3, 2), (3, 4, 7)]
-    # (4, 3, 1) takes blocks of at most four heads, and the witness's head
-    # (0, 0, 2, 1, 1, 1) has rank 149, in its 39th block; at (3, 4, 5) and
-    # (3, 4, 7) the passing rows of a block outnumber _TAIL_CELLS, so they
-    # are screened in pieces
-    cases += [(4, 3, 1), (3, 4, 5)]
+    # (m, n, batch ceiling): None keeps the default _TAIL_CELLS; a small
+    # one makes blocks of few heads, screen passes of few pairs and slabs
+    # of few rows.  At (12, 3, 2^4) blocks hold two heads, and the
+    # witness's head (0, 0, 6) is in the fourth; at (3, 4, 2^9) and
+    # (2, 4, 2^6) a block's passing pairs and rows are screened in pieces
+    cases = [(m, n, None) for m, n in [(4, 3), (6, 3), (8, 3), (3, 4), (3, 2), (2, 1), (8, 1)]]
+    cases += [(4, 3, 1 << 3), (3, 2, 1 << 2), (2, 1, 1 << 1), (9, 1, 1 << 1), (5, 2, 1 << 2)]
+    cases += [(6, 3, 1 << 5), (12, 3, 1 << 4), (3, 4, 1 << 9), (2, 4, 1 << 6)]
     confirmed = []
     sent_total = 0
     exact = search.is_gbf_exact
@@ -386,20 +408,19 @@ def test_multiset_screen_matches_per_tail_screen(monkeypatch):
         return exact(fn)
 
     monkeypatch.setattr(search, "is_gbf_exact", recording)
-    for m, n, k in cases:
-        size = 1 << n
-        cells = search._TAIL_CELLS if k is None else m**k * size
+    for m, n, cells in cases:
         with monkeypatch.context() as patch:
-            patch.setattr(search, "_TAIL_CELLS", cells)
-            heads = m ** (size - 1 - search._tail_len(m, n))
-            for lo, hi in search._blocks(heads, max(1, cells // size)):
+            if cells is not None:
+                patch.setattr(search, "_TAIL_CELLS", cells)
+            heads = m ** ((1 << (n - 1)) - 1)
+            for lo, hi in search._blocks(heads, max(1, search._TAIL_CELLS >> n)):
                 del confirmed[:]
                 values, examined, survivors = search._run_block(m, n, lo, hi)
                 sent = list(confirmed)
                 del confirmed[:]
-                assert (values, examined) == _per_tail_run_block(m, n, lo, hi), (m, n, k, lo)
+                assert (values, examined) == _per_tail_run_block(m, n, lo, hi), (m, n, cells, lo)
                 # the same survivors reach the exact test, in the same order
-                assert sent == confirmed and survivors == len(sent), (m, n, k, lo)
+                assert sent == confirmed and survivors == len(sent), (m, n, cells, lo)
                 sent_total += len(sent)
                 if values is not None:
                     break
@@ -409,12 +430,12 @@ def test_multiset_screen_matches_per_tail_screen(monkeypatch):
 def test_every_row_passing_the_screens_is_confirmed(monkeypatch):
     # with no tolerance limit every completion passes the screens, so each
     # reaches the exact test once and in lexicographic order, also where a
-    # block's rows outnumber _TAIL_CELLS and are screened in pieces; the
-    # block of m^k heads from rank m^k - 1 carries into the third digit.
-    # With |F(y)|^2 allowed within 9.5 of 2^n, the completions sent are
-    # those within it at every character, by a direct transform: some
-    # fail only at the last one.  |F(y)|^2 is an integer at m = 3 and 4,
-    # so no value sits at the bound
+    # block's pairs and rows outnumber a small _TAIL_CELLS and are
+    # screened in pieces; the block of m^2 heads from rank m^2 - 1 carries
+    # into the first head digit.  With |F(y)|^2 allowed within 9.5 of
+    # 2^n, the completions sent are those within it at every character,
+    # by a direct transform: some fail only at the last one.  |F(y)|^2 is
+    # an integer at m = 3 and 4, so no value sits at the bound
     sent = []
     chi = _characters(3)
 
@@ -425,31 +446,26 @@ def test_every_row_passing_the_screens_is_confirmed(monkeypatch):
     monkeypatch.setattr(search, "is_gbf_exact", never_bent)
     for tol in (float("inf"), 9.5):
         monkeypatch.setattr(search, "_TOL", tol)
-        search._head_table.cache_clear()
-        try:
-            for m, k in [(3, 2), (3, 3), (4, 2)]:
-                monkeypatch.setattr(search, "_TAIL_CELLS", m**k << 3)
-                assert search._tail_len(m, 3) == k
-                del sent[:]
-                lo, hi = m**k - 1, 2 * m**k - 1
-                values, examined, survivors = search._run_block(m, 3, lo, hi)
-                heads = islice(product(range(m), repeat=7 - k), lo, hi)
-                want = [(0, *h, *t) for h in heads for t in product(range(m), repeat=k)]
-                spectra = np.exp(2j * np.pi * np.array(want) / m) @ chi
-                close = np.abs(np.abs(spectra) ** 2 - 8) <= tol
-                if tol < float("inf"):
-                    assert 0 < close.all(axis=1).sum() < close[:, :-1].all(axis=1).sum(), (m, k)
-                want = [v for v, ok in zip(want, close.all(axis=1)) if ok]
-                assert sent == want, (m, k, tol)
-                assert (values, examined, survivors) == (None, m ** (2 * k), len(want)), (m, k, tol)
-        finally:
-            search._head_table.cache_clear()
+        for m, cells in [(3, search._TAIL_CELLS), (3, 1 << 8), (4, 1 << 8)]:
+            monkeypatch.setattr(search, "_TAIL_CELLS", cells)
+            del sent[:]
+            lo, hi = m**2 - 1, 2 * m**2 - 1
+            values, examined, survivors = search._run_block(m, 3, lo, hi)
+            heads = islice(product(range(m), repeat=3), lo, hi)
+            want = [(0, *h, *t) for h in heads for t in product(range(m), repeat=4)]
+            spectra = np.exp(2j * np.pi * np.array(want) / m) @ chi
+            close = np.abs(np.abs(spectra) ** 2 - 8) <= tol
+            if tol < float("inf"):
+                assert 0 < close.all(axis=1).sum() < close[:, :-1].all(axis=1).sum(), (m, cells)
+            want = [v for v, ok in zip(want, close.all(axis=1)) if ok]
+            assert sent == want, (m, cells, tol)
+            assert (values, examined, survivors) == (None, m**6, len(want)), (m, cells, tol)
 
 
-def test_y0_screen_runs_once_per_whole_multiset(monkeypatch):
-    # at (15, 3) the 15^7 assignments have C(21, 7) = 116280 multisets of
-    # their 7 free digits, and each is screened at y = 0 once, as one
-    # (canonical head, tail group) pair: a head of 3 digits, a tail of 4
+def test_join_screens_each_head_against_its_window(monkeypatch):
+    # at (15, 3) the search builds one tail table, and its 3375 heads meet
+    # 3060 tail groups each, but the join screens only the pairs in each
+    # head's window of |B|^2, a small share of the 10.3 million
     screened = []
 
     class Counting(np.ndarray):
@@ -457,19 +473,20 @@ def test_y0_screen_runs_once_per_whole_multiset(monkeypatch):
             screened.append(np.size(key))
             return np.asarray(self)[key]
 
-    search._head_table.cache_clear()
+    search._tail_table.cache_clear()
     try:
-        table = search._head_table(15, 3, 4)
-        monkeypatch.setattr(table, "values", table.values.view(Counting))
+        table = search._tail_table(15, 3)
+        assert len(table.tails) == comb(18, 4)
+        monkeypatch.setattr(table, "sums", table.sums.view(Counting))
         out = brute_force(15, 3)
         assert out.status == "ExhaustedNone" and out.examined == out.normalized_space
-        assert search._head_table.cache_info().misses == 1
-        assert sum(screened) == comb(21, 7)
+        assert search._tail_table.cache_info().misses == 1
+        assert sum(screened) == 24390
     finally:
-        search._head_table.cache_clear()
+        search._tail_table.cache_clear()
 
-    # at every exhausted rung of the ladder no (head multiset, tail group)
-    # split passes both y = 0 and y = 2^(n-1), so no block builds a tail row
+    # at every exhausted rung of the ladder no (head, tail group) pair
+    # passes both y = 0 and y = 2^(n-1), so no block builds a tail row
     def no_rows(runs):
         raise AssertionError("tail rows were built")
 
@@ -479,9 +496,12 @@ def test_y0_screen_runs_once_per_whole_multiset(monkeypatch):
             out = brute_force(m, n)
             assert out.status == "ExhaustedNone" and out.examined == out.normalized_space
 
-    # at a witness, examined is (rank of the witness's head + 1) * m^tail,
-    # the tail the top half of Z_2^n
+    # at a witness, examined is (rank of the witness's head + 1) *
+    # m^(2^(n-1)), the tail the top half of Z_2^n
     witnesses = {
+        (4, 1): ((0, 1), 4),
+        (4, 2): ((0, 0, 0, 2), 16),
+        (364, 2): ((0, 0, 0, 182), 364**2),
         (4, 3): ((0, 0, 0, 2, 1, 1, 1, 3), 768),
         (8, 3): ((0, 0, 0, 4, 2, 2, 2, 6), 20480),
         (12, 3): ((0, 0, 0, 6, 3, 3, 3, 9), 145152),
@@ -492,46 +512,40 @@ def test_y0_screen_runs_once_per_whole_multiset(monkeypatch):
         assert (out.witness.values, out.examined) == (values, examined), (m, n)
 
 
-_SMALL_TABLES = [
-    (m, n, tail)
-    for n in (1, 2, 3)
-    for m in range(2, 7)
-    for tail in range((1 << n) - 1)
-    if m**tail <= 1000
-]
+_JOIN_CELLS = [(m, n) for n in (1, 2, 3) for m in range(2, 13)] + [(2, 4), (3, 4)]
 
 
 @settings(max_examples=80, deadline=None)
 @given(
-    st.sampled_from(_SMALL_TABLES),
-    st.sampled_from([search._TOL, float("inf")]),
+    st.sampled_from(_JOIN_CELLS),
+    st.sampled_from([search._TOL, 0.25, 1.5, float("inf")]),
     st.integers(0, 12),
-    st.randoms(use_true_random=False),
+    st.data(),
 )
-def test_head_table_matches_per_head_screen(case, tol, cells, rng):
-    # every head multiset's groups are the tail groups its own float
-    # screen passes, at y = 0 and, when the tail is the top half, at
-    # y = 2^(n-1) as well, asked for in any order; a pass of 2^cells >> 5
-    # pairs makes the lazy screen take many passes
-    m, n, tail = case
-    size = 1 << n
+def test_tail_table_join_matches_direct_screen(cell, tol, cells, data):
+    # find returns exactly the (head, tail multiset) pairs that a direct
+    # screen of |F(0)|^2 and |F(2^(n-1))|^2 passes, over every multiset
+    # of the top half, for heads in any order; a pass of 2^cells >> 5
+    # pairs makes the join take many passes.  Within 1e-4 of these
+    # tolerances no |F|^2 - 2^n or |A|^2 + |B|^2 - 2^n lies at these cells
+    m, n = cell
+    size, half = 1 << n, 1 << (n - 1)
     zeta = np.exp(2j * np.pi * np.arange(m) / m)
-    # group g is the g-th tail multiset in lexicographic order
-    values = np.array([zeta[list(t)].sum() for t in combinations_with_replacement(range(m), tail)])
-    signs = (1, -1) if tail == size // 2 else (1,)
-    heads = list(combinations_with_replacement(range(m), size - 1 - tail))
-    rng.shuffle(heads)
+    head = st.lists(st.integers(0, m - 1), min_size=half - 1, max_size=half - 1)
+    heads = data.draw(st.lists(head, min_size=1, max_size=12))
+    want = set()
+    for i, h in enumerate(heads):
+        a = 1 + zeta[h].sum()
+        for t in combinations_with_replacement(range(m), half):
+            b = zeta[list(t)].sum()
+            if abs(abs(a + b) ** 2 - size) <= tol and abs(abs(a - b) ** 2 - size) <= tol:
+                want.add((i, t))
     with patch.object(search, "_TOL", tol), patch.object(search, "_TAIL_CELLS", 1 << cells):
-        table = search._HeadTable(m, n, tail)
-        for head in heads:
-            ok = True
-            for sign in signs:
-                z = 1 + zeta[list(head)].sum() + sign * values
-                ok &= np.abs(z.real * z.real + z.imag * z.imag - size) <= tol
-            want = np.flatnonzero(ok)
-            owner, got = table.find(np.array([head]))
-            assert got.tolist() == want.tolist(), (m, n, tail, head)
-            assert not owner.any()
+        table = search._TailTable(m, n)
+        owner, groups = table.find(np.array(heads, dtype=np.int64).reshape(len(heads), half - 1))
+    got = [(i, tuple(table.tails[g].tolist())) for i, g in zip(owner.tolist(), groups.tolist())]
+    assert len(got) == len(set(got)) and set(got) == want
+    assert (np.diff(owner) >= 0).all()
 
 
 @st.composite
@@ -571,16 +585,15 @@ def _shifted_mm_functions(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(_shifted_mm_functions())
-def test_head_table_admits_bent_functions(f):
-    # positive control for the screens at y = 0 and y = 2^(n-1): the top
-    # half of a bent function is a tail group that passes after its
-    # bottom half's free digits
+def test_tail_table_admits_bent_functions(f):
+    # positive control for the join at y = 0 and y = 2^(n-1): the top
+    # half of a bent function is a tail group that find pairs with its
+    # head, the rest of its bottom half
     assert is_gbf_exact(f)
     half = 1 << (f.n - 1)
-    table = search._HeadTable(f.m, f.n, half)
-    head, top = sorted(f.values[1:half]), tuple(sorted(f.values[half:]))
-    group = list(combinations_with_replacement(range(f.m), half)).index(top)
-    assert group in table.find(np.array([head]))[1].tolist()
+    table = search._TailTable(f.m, f.n)
+    owner, groups = table.find(np.array([f.values[1:half]]))
+    assert sorted(f.values[half:]) in table.tails[groups].tolist()
 
 
 def test_search_imports_no_masked_arrays():
@@ -600,30 +613,32 @@ def test_search_imports_no_masked_arrays():
 
 
 def test_tail_groups_are_digit_multisets():
-    for m, n in [(4, 3), (6, 3), (8, 3), (3, 4), (3, 2), (2, 1), (5, 2)]:
+    for m, n in [(4, 3), (6, 3), (8, 3), (3, 4), (3, 2), (2, 1), (5, 2), (9, 1)]:
         zeta = np.exp(2j * np.pi * np.arange(m) / m)
-        for tail in range((1 << n) - 1):
-            if m**tail << n > search._TAIL_CELLS:
-                break
-            # group g is the g-th tail multiset in lexicographic order, and
-            # its value the sum of zeta^d over its digits
-            table = search._HeadTable(m, n, tail)
-            want = list(combinations_with_replacement(range(m), tail))
-            assert [tuple(t) for t in table.tails.tolist()] == want, (m, n, tail)
-            assert np.abs(table.values - [zeta[list(t)].sum() for t in want]).max() <= 1e-12
-            # the groups' arrangements are every assignment exactly once,
-            # each group's its own digits in lexicographic order
-            owner, rows = search._by_pattern(table.tails, search._arrangements)
-            rows = [tuple(r) for r in rows.tolist()]
-            assert (np.diff(owner) >= 0).all(), (m, n, tail)
-            for g, multiset in enumerate(want):
-                group = [rows[i] for i in np.flatnonzero(owner == g)]
-                assert group == sorted(group), (m, n, tail, g)
-                assert all(tuple(sorted(r)) == multiset for r in group), (m, n, tail, g)
-            assert sorted(rows) == list(product(range(m), repeat=tail)), (m, n, tail)
+        tail = 1 << (n - 1)
+        # group g is the g-th multiset of the top half in lexicographic
+        # order, a sorted row, with B the sum of zeta^d over its digits;
+        # norms lists each |B|^2 in increasing order, through order
+        table = search._TailTable(m, n)
+        got = [tuple(t) for t in table.tails.tolist()]
+        assert got == list(combinations_with_replacement(range(m), tail)), (m, n)
+        assert np.abs(table.sums - [zeta[list(t)].sum() for t in got]).max() <= 1e-12
+        assert sorted(table.order.tolist()) == list(range(len(got))), (m, n)
+        assert np.abs(table.norms - np.abs(table.sums[table.order]) ** 2).max() <= 1e-12
+        assert (np.diff(table.norms) >= 0).all(), (m, n)
+        # the groups' arrangements are every assignment exactly once,
+        # each group's its own digits in lexicographic order
+        owner, rows = search._by_pattern(table.tails, search._arrangements)
+        rows = [tuple(r) for r in rows.tolist()]
+        assert (np.diff(owner) >= 0).all(), (m, n)
+        for g, multiset in enumerate(got):
+            group = [rows[i] for i in np.flatnonzero(owner == g)]
+            assert group == sorted(group), (m, n, g)
+            assert all(tuple(sorted(r)) == multiset for r in group), (m, n, g)
+        assert sorted(rows) == list(product(range(m), repeat=tail)), (m, n)
 
 
-def test_split_and_arrangement_tables_match_itertools():
+def test_arrangement_tables_match_itertools():
     # every run pattern of up to 8 digits: a row of run labels 0, 1, ...
     # with those run lengths
     for length in range(9):
@@ -632,58 +647,33 @@ def test_split_and_arrangement_tables_match_itertools():
             runs = tuple(row.count(v) for v in sorted(set(row)))
             got = np.array(row, dtype=np.intp)[search._arrangements(runs)].tolist()
             assert list(map(tuple, got)) == sorted(set(permutations(row))), row
-            for k in range(length + 1):
-                split = search._split_table(runs, k).tolist()
-                heads = [tuple(row[i] for i in r[:k]) for r in split]
-                lefts = [tuple(row[i] for i in r[k:]) for r in split]
-                assert sorted(heads) == sorted(set(combinations(row, k))), (row, k)
-                assert len(heads) == len(set(heads)), (row, k)
-                for head, rest in zip(heads, lefts):
-                    assert list(head) == sorted(head) and list(rest) == sorted(rest), (row, k)
-                    assert sorted(head + rest) == list(row), (row, k)
 
 
 def test_screen_passes_keep_to_their_pair_bound(monkeypatch):
-    # each pass of the head table's screen holds at most _TAIL_CELLS / 32
-    # pairs, or the canonical heads of one smallest digit alone: digit a
-    # has one pair per whole multiset of smallest digit a, C(m - a + L - 2,
-    # L - 1) of them for L = 2^n - 1 free digits.  A block whose heads
-    # span several smallest digits takes several passes, and the search
-    # finds what it finds with the default _TAIL_CELLS
-    cases = [(40, 1), (12, 2), (31, 2), (5, 3), (8, 3)]
+    # each pass of the join holds at most _TAIL_CELLS / 32 pairs, also
+    # where one head's window holds far more: at n = 1 the one empty head
+    # meets all m groups, each of |B|^2 = 1.  The search finds what it
+    # finds with the default _TAIL_CELLS
+    cases = [(5000, 1), (40, 1), (12, 2), (31, 2), (5, 3), (8, 3), (2, 4)]
     default = {(m, n): brute_force(m, n) for m, n in cases}
-    log = []
-    screen = search._HeadTable._screen
+    passes = []
 
-    def recording(table):
-        before = table.complete
-        screen(table)
-        log.append((table.m, table.size - 1, before + 1, table.complete + 1))
+    class Counting(np.ndarray):
+        def __getitem__(self, key):
+            passes.append(np.size(key))
+            return np.asarray(self)[key]
 
-    monkeypatch.setattr(search._HeadTable, "_screen", recording)
     monkeypatch.setattr(search, "_TAIL_CELLS", 1 << 9)
-    search._head_table.cache_clear()
-    try:
-        for m, n in cases:
-            del log[:]
-            out = brute_force(m, n, progress=log.append)
-            assert out.witness == default[m, n].witness, (m, n)
-            assert out.witness or out.examined == out.normalized_space, (m, n)
-            passes = [p for p in log if isinstance(p, tuple)]
-            assert [p[2] for p in passes] == [0, *(p[3] for p in passes[:-1])], (m, n)
-            for _, length, a0, a1 in passes:
-                pairs = sum(comb(m - a + length - 2, length - 1) for a in range(a0, a1))
-                assert pairs <= 1 << 4 or a1 == a0 + 1, (m, n, a0, a1)
-            # each block's passes come before its event
-            count, per_block = 0, []
-            for p in log:
-                count, per_block = (count + 1, per_block) if p in passes else (0, per_block + [count])
-            assert len(per_block) == len(log) - len(passes), (m, n)
-            # (31, 2) has a tail of one position and blocks of at most 128
-            # heads of two, whose smallest digits reach 8 in the eighth block
-            assert max(per_block) >= (4 if (m, n) == (31, 2) else 1), (m, n)
-    finally:
-        search._head_table.cache_clear()
+    for m, n in cases:
+        table = search._tail_table(m, n)
+        monkeypatch.setattr(table, "sums", table.sums.view(Counting))
+        del passes[:]
+        out = brute_force(m, n)
+        assert out == default[m, n], (m, n)
+        assert out.witness or out.examined == out.normalized_space, (m, n)
+        assert max(passes, default=0) <= 1 << 4, (m, n)
+        if n == 1:
+            assert sum(passes) == m and len(passes) == -(-m // 16), (m, n)
 
 
 def test_progress_events(monkeypatch):
@@ -696,6 +686,13 @@ def test_progress_events(monkeypatch):
     assert [(e["prefix"], e["examined"]) for e in events] == [([0], 9), ([1], 18)]
     assert out.examined == 27
 
+    # n = 1: the head is empty, so one block, one event with prefix []
+    for m in (7, 524288):
+        events = []
+        out = brute_force(m, 1, progress=events.append)
+        assert [(e["prefix"], e["examined"]) for e in events] == [([], m)], m
+        assert out.examined == m
+
     # (15, 3): 3375 heads of three positions in blocks of 1, 2, 4, ..., 1024
     # and the last 1328, each event's prefix its first head
     events = []
@@ -705,12 +702,12 @@ def test_progress_events(monkeypatch):
     firsts = [(1 << k) - 1 for k in range(12)]
     assert [e["prefix"] for e in events] == [[r // 225, r // 15 % 15, r % 15] for r in firsts]
 
-    # (2, 3) with the blocks capped at 4 heads: 32 heads in blocks of 1,
-    # 2, then 4 until the last one
-    monkeypatch.setattr(search, "_TAIL_CELLS", 1 << 5)
+    # (2, 3) with the blocks capped at 2 heads: 8 heads in blocks of 1,
+    # then 2 until the last one, each head with 2^4 tails
+    monkeypatch.setattr(search, "_TAIL_CELLS", 1 << 4)
     events = []
     out = brute_force(2, 3, progress=events.append)
-    assert [e["examined"] for e in events] == [4 * k for k in (1, 2, 4, 4, 4, 4, 4, 4, 4, 1)]
+    assert [e["examined"] for e in events] == [16 * k for k in (1, 2, 2, 2, 1)]
     assert out.examined == out.normalized_space == 128
     monkeypatch.undo()
 
@@ -812,6 +809,22 @@ def test_form7_shapes_are_the_c42_candidates():
     assert None not in tags
     assert tags.count(FormTag.FORM_A) == 66
     assert {c.coeffs for c, t in zip(cands, tags) if t is FormTag.FORM_7} == search._form_7_refs()
+
+
+def test_form7_count_checks_each_shape(monkeypatch):
+    # a shape that vanishes at order 42 but is not inversion invariant,
+    # g times the first Form7 shape, is not counted, though the count
+    # reads from the same reference set
+    first = CyclicRingElt(42, min(search._form_7_refs()))
+    extra = first.shift(1)
+    assert search._n3_rejection(extra.coeffs) == "inversion"
+    assert character_value_is_zero(extra, CharacterSpec(42, 42))
+    refs = search._form_7_refs() | {extra.coeffs}
+    monkeypatch.setattr(search, "_form_7_refs", lambda: refs)
+    report = n3_catalog_check()
+    assert report["counts"]["Form7"] == 2
+    assert report["form7_vanish_order_42"] is True
+    assert len(report["form7_psi"]) == 3
 
 
 def test_catalog_report():
