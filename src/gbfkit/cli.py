@@ -19,6 +19,9 @@ from __future__ import annotations
 import argparse
 import fcntl
 import json
+# argparse's gettext imports locale when the first parser is built, in
+# every gbf invocation: import it with the other startup imports
+import locale  # noqa: F401
 import os
 import sys
 from datetime import datetime, timezone

@@ -2,32 +2,45 @@
 the dimension-3 autocorrelation catalog experiment.
 
 brute_force covers the normalized space (f(0) = 0, all other values
-free) in one lexicographic walk.  The top half of Z_2^n (the tail) is
-screened in numpy batches after each assignment of the positions
-before it (the head: the rest of the bottom half, empty at n = 1), and
-the heads are taken by rank in blocks of 1, 2, 4, ... heads, at most
-_TAIL_CELLS / 2^n: a witness near the front is confirmed after a few
-small blocks, a large space takes a few large ones.  Screening is
-numeric with a one-sided tolerance far above attainable float error, so
-a true witness can never be screened out; every survivor is confirmed
-exactly before it is reported.  Exhaustion examines every assignment
-(examined == normalized_space) and certifies nonexistence.
+free) as a tree over the cosets of H_k = {x : the top k bits of x are
+0}, level k = 1 .. n.  A level-k node fixes the digit multiset of f on
+each of the 2^k cosets, one sorted row of values per coset, and stands
+for every function with those multisets: the product of the cosets'
+counts of orderings (coset 0 past f(0)).  Every character y supported
+on the top k bits is constant on the cosets, so F(y) is the Walsh
+transform of the coset sums S_c = sum of zeta^f over coset c, and
+depends on the node alone.
 
-Let e = 2^(n-1), A the sum of zeta^f over the bottom half of Z_2^n
-(f(0) = 0 included) and B the sum over the top half.  Then F(0) = A + B
-and F(e) = A - B, since chi_e is +1 on the bottom half and -1 on the
-top.  A depends only on the head, and B only on the tail's digit
-multiset (its group, _TailTable).  |A|^2 + |B|^2 is the mean of
-|F(0)|^2 and |F(e)|^2, so a pair within the tolerance of 2^n at both
-has it within the tolerance of 2^n too: each head meets only the groups
-whose |B|^2 is within the tolerance of 2^n - |A|^2, one slice of the
-groups sorted by |B|^2, and each such pair is screened at y = 0 and
-y = e.  Tail rows are built only for the pairs that pass,
-each group's distinct arrangements; at n = 3 for m = 2, 3, 5, 6, 7, 9,
-10, 11, 13, 14 and 15, and at (3, 4), none does.  Those rows are
-screened at the other characters together, and the few survivors go to
-the exact test in lexicographic order, so that the witness reported is
-the least.
+Level 1 is a join.  Let e = 2^(n-1), A the sum of zeta^f over the bottom
+half (f(0) = 0 included) and B the sum over the top half; F(0) = A + B
+and F(e) = A - B.  A depends only on the digit multiset of the bottom
+half past f(0) (the head) and B only on that of the top half (the tail
+group, _TailTable).  |A|^2 + |B|^2 is the mean of |F(0)|^2 and
+|F(e)|^2, so each head meets only the groups whose |B|^2 is within the
+tolerance of 2^n - |A|^2, one slice of the groups sorted by |B|^2, and
+each such pair is screened at y = 0 and y = e.  At n = 3 for m = 2, 3,
+5, 6, 7, 9, 10, 11, 13, 14 and 15, at (3, 4), (13, 4) and (21, 4) no
+pair passes.
+
+Level k to k + 1 splits every coset multiset into a lower and an upper
+half (a split table per run pattern of equal digits, _Level).  The
+characters y = (c', 1) on the top k + 1 bits take the Walsh transform of
+size 2^k of the half differences S_(c,0) - S_(c,1); a child passes when
+each has |F(y)|^2 within the tolerance of 2^n.  Level n holds single
+points, so its nodes are functions, the leaves, which go to the exact
+test in lexicographic order.
+
+Screening is numeric with a one-sided tolerance far above attainable
+float error, so a true witness can never be screened out; every
+survivor is confirmed exactly before it is reported.  A node's row
+read whole is the least function below it, so the nodes are taken in
+the order of their rows, and a node whose row is not below the best
+witness found so far is skipped: the witness reported is the least.
+Each level counts the functions it cuts, and the leaves tested count
+one each; exhaustion examines every function (examined ==
+normalized_space), which certifies nonexistence.  The split tables
+count the functions of every child they make, so the certificate fails
+if a split is missing.
 
 The catalog half lists every element of N[C_30] satisfying the five
 arithmetic constraints an autocorrelation coefficient of a bent
@@ -43,12 +56,11 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, lru_cache, partial
-from itertools import groupby, islice, starmap
-from math import comb
+from itertools import combinations
+from math import comb, prod
 
 import numpy as np
 
@@ -62,35 +74,55 @@ from .ring import (
 )
 from .vsum import _vsums_under
 
-# brute_force(15, 3) exhausts this budget in 0.006 s, about 3e10
-# assignments/s, on one core of a 2-core Xeon VM (a fresh process, after
-# the import); no (head, tail group) pair passes both screens at y = 0
-# and y = 2^(n-1), so it builds no tail row.  (553, 2), the largest n = 2
-# space inside it, takes 0.018 to 0.025 s, and n = 1 runs at about 5e6
-# assignments/s
+# brute_force(15, 3) exhausts this budget in 0.002 to 0.003 s on one core
+# of a 2-core Xeon VM (a fresh process, after the import): no (head, tail)
+# multiset pair passes both screens at y = 0 and y = 2^(n-1), so the
+# level-1 join is the whole search.  (553, 2), the largest n = 2 space
+# inside it, takes 0.025 to 0.03 s
 DEFAULT_BUDGET = 15**7
 
 # the roots of unity and, at n = 1, the tail table hold m entries, and
 # at n = 1, a space of m, the budget does not bound m: (524286, 1)
-# takes 0.10 to 0.12 s and 59 MB on the same VM
+# takes 0.11 to 0.15 s and 61 MB on the same VM
 MAX_MODULUS = 1 << 19
 
-# numeric screen: float error on |F(y)|^2 stays below ~1e-12 for the
-# sums of at most 32 unit vectors seen here, so 1e-6 cannot lose a
-# witness; survivors are confirmed exactly
+# the level-1 tables hold every digit multiset of each half of Z_2^n, so
+# more than this many multisets of the top half (the larger),
+# C(m + 2^(n-1) - 1, 2^(n-1)), are refused whatever the budget: (21, 4),
+# 3108105 of them, exhausts in 2.3 to 2.6 s at 396 MB VmHWM on the same
+# VM, so the cap stays near 0.5 GB; (22, 4) needs 4292145 and (30, 4)
+# 38.6 million
+MAX_MULTISETS = 1 << 22
+
+# a level-k node's cosets split through every choice of the lower half
+# of their 2^(n-k) positions, C(16, 8) = 12870 at n = 5 and level 1;
+# C(32, 16) at n = 6 is past reach, so n = 6 is refused
+MAX_HALF = 16
+
+# numeric screen: each |F(y)|^2 compared is a signed sum of at most 2^n
+# <= 32 unit roots, each rounded within 2^-52 and added in at most 32
+# steps, so its float error stays below 1e-11, and |B|^2 and 2^n - |A|^2
+# at the level-1 windows likewise; 1e-6 cannot lose a witness, and
+# survivors are confirmed exactly
 _TOL = 1e-6
 
-# largest batch, in complex cells: 2^n per head of a block, 32 per pair
-# of a screen pass and 8 per tail row of a slab
+# largest batch, in complex cells: 32 per pair of a level-1 screen
+# pass, and 2^k per child of a level-k node screened at once
 _TAIL_CELLS = 1 << 19
+
+# the first run of head multisets holds this many pairs in its windows,
+# and the first run of nodes at each level this many children; each
+# next run doubles, up to the caps above
+_FIRST_RUN = 1 << 6
 
 STATUS_WITNESS = "WitnessFound"
 STATUS_EXHAUSTED = "ExhaustedNone"
 
 
 class BudgetExceededError(Exception):
-    """Refused up front: the space is over the budget, m over MAX_MODULUS
-    or the heads past the int64 ranks."""
+    """Refused up front: the space is over the budget, m over
+    MAX_MODULUS, a half past MAX_HALF positions or its multisets over
+    MAX_MULTISETS."""
 
     def __init__(self, m: int, n: int, budget: int, message: str):
         self.m, self.n, self.budget = m, n, budget
@@ -130,11 +162,11 @@ class SearchOutcome:
 
 @lru_cache(maxsize=16)
 def _char_table(n: int) -> np.ndarray:
-    """chi[x, y] = (-1)^popcount(x & y), the characters of Z_2^n."""
-    table = np.array([[1.0]])
-    block = np.array([[1.0, 1.0], [1.0, -1.0]])
+    """chi[x, y] = (-1)^popcount(x & y), the characters of Z_2^n, built
+    by doubling: [[chi, chi], [chi, -chi]]."""
+    table = np.ones((1, 1))
     for _ in range(n):
-        table = np.kron(table, block)
+        table = np.concatenate([np.concatenate([table, table], axis=1), np.concatenate([table, -table], axis=1)])
     return table
 
 
@@ -163,38 +195,61 @@ def _multisets(m: int, k: int) -> np.ndarray:
     return out.T
 
 
-def _by_pattern(rows: np.ndarray, table) -> tuple[np.ndarray, np.ndarray]:
-    """Expand sorted rows through a table of index rows per run pattern
-    (bit i: digits i and i + 1 equal; the rows are tails of 2^(n-1)
-    digits, so at most 62 bits, since brute_force refuses a head of 63
-    positions or more): each row's entries of table(its run lengths), as
-    the row of each and the digits it picks, in row and table order."""
-    if not len(rows):
-        return np.zeros(0, dtype=np.intp), rows
-    codes = (rows[:, 1:] == rows[:, :-1]) @ (1 << np.arange(rows.shape[1] - 1, dtype=np.int64))
-    _, first, which = np.unique(codes, return_index=True, return_inverse=True)
-    tables = [table(tuple(len(list(r)) for _, r in groupby(rows[i].tolist()))) for i in first.tolist()]
-    sizes = np.array([len(t) for t in tables], dtype=np.intp)
-    count = sizes[which]
-    owner = np.repeat(np.arange(len(rows)), count)
-    at = np.repeat(np.cumsum(sizes)[which] - np.cumsum(count), count) + np.arange(owner.size)
-    return owner, rows[owner[:, None], np.concatenate(tables)[at]]
+def _orderings(rows: np.ndarray) -> np.ndarray:
+    """The distinct orderings of each sorted row, s! / prod(run length!),
+    in int64, built a column at a time as the count of the row's prefix:
+    each step multiplies by the prefix length and divides by the place
+    of the new digit in its run, which stays exact.  A row of at most
+    2^(n-1) <= 16 digits has at most m^(2^(n-1)) orderings, 10^16 at
+    most within brute_force's caps, and no step passes that times 16."""
+    count = np.ones(len(rows), dtype=np.int64)
+    place = np.zeros(len(rows), dtype=np.int64)
+    for i in range(rows.shape[1]):
+        place = place + 1 if not i else np.where(rows[:, i] == rows[:, i - 1], place + 1, 1)
+        count = count * (i + 1) // place
+    return count
 
 
-@lru_cache(maxsize=1024)
-def _arrangements(runs: tuple[int, ...]) -> np.ndarray:
-    """The distinct orderings of a sorted row with runs of equal digits of
-    lengths runs, in lexicographic order, as index rows into it (a digit
-    named by its run's first index), built a position at a time."""
-    first = np.cumsum(runs, dtype=np.intp) - runs
-    rows = np.zeros((1, 0), dtype=np.intp)
-    left = np.array([runs], dtype=np.intp)
-    for _ in range(sum(runs)):
-        parent, run = np.nonzero(left)
-        rows = np.column_stack([rows[parent], first[run]])
-        left = left[parent]
-        left[np.arange(parent.size), run] -= 1
-    return rows
+def _sum_of_products(factors: np.ndarray) -> int:
+    """sum over rows of the product of the row's positive int64 factors,
+    exactly: in int64 when the largest factor to the row length, times
+    the rows, fits, else as Python ints."""
+    if not factors.size:
+        return len(factors)
+    if int(factors.max()) ** factors.shape[1] * len(factors) < 1 << 62:
+        return int(factors.prod(axis=1).sum())
+    return sum(map(prod, factors.tolist()))
+
+
+def _below(rows: np.ndarray, bound) -> np.ndarray:
+    """Which rows are lexicographically less than the row bound."""
+    bound = np.asarray(bound)
+    differ = rows != bound
+    first = differ.argmax(axis=1)
+    return differ.any(axis=1) & (rows[np.arange(len(rows)), first] < bound[first])
+
+
+def _lex_sorted(rows: np.ndarray, m: int) -> np.ndarray:
+    """The rows of digits below m in lexicographic order: by their value
+    as base-m numbers where that fits in int64."""
+    width = rows.shape[1]
+    if width * m.bit_length() < 63:
+        return rows[np.argsort(rows @ m ** np.arange(width - 1, -1, -1, dtype=np.int64))]
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+@lru_cache(maxsize=8)
+def _halves(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every choice of a lower half among s positions, in lexicographic
+    order: index rows with the lower half's positions first, and the
+    masks of the lower halves; and the signs of a half difference, +1 on
+    the lower half's positions of such a row and -1 on the upper's."""
+    low = np.array(list(combinations(range(s), s // 2)), dtype=np.intp).reshape(-1, s // 2)
+    mask = np.zeros((len(low), s), dtype=bool)
+    mask[np.arange(len(low))[:, None], low] = True
+    high = np.nonzero(~mask)[1].reshape(len(low), s - s // 2)
+    signs = np.concatenate([np.ones(s // 2), -np.ones(s - s // 2)])
+    return np.concatenate([low, high], axis=1), mask, signs
 
 
 def _close(z: np.ndarray, size: int) -> np.ndarray:
@@ -205,8 +260,9 @@ def _close(z: np.ndarray, size: int) -> np.ndarray:
 class _TailTable:
     """The digit multisets of the top half of Z_2^n (the tail groups):
     group g is the g-th in lexicographic order, one sorted row tails[g],
-    with B, the sum of zeta^d over its digits, in sums[g].  norms holds
-    every |B|^2 in increasing order, norms[i] that of group order[i]."""
+    with B, the sum of zeta^d over its digits, in sums[g] and its count
+    of orderings in counts[g].  norms holds every |B|^2 in increasing
+    order, norms[i] that of group order[i]."""
 
     def __init__(self, m: int, n: int):
         self.m, self.size = m, 1 << n
@@ -216,20 +272,25 @@ class _TailTable:
         self.sums = np.zeros(len(self.tails), complex)
         for col in self.tails.T:
             self.sums += zeta[col]
+        self.counts = _orderings(self.tails)
         self.norms = np.abs(self.sums)
         self.norms *= self.norms
         self.order = np.argsort(self.norms)
         self.norms.sort()
 
-    def find(self, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The (head, group) pairs of the head rows heads that pass the
-        screens at y = 0 and y = e, as each pair's row and group, by row.
-        Each head meets the groups whose |B|^2 is within _TOL of 2^n -
-        |A|^2, in passes of at most _TAIL_CELLS / 32 pairs."""
+    def windows(self, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A, 1 plus the sum of zeta^d over each head row's digits, and
+        the slice first .. first + count of norms within _TOL of 2^n -
+        |A|^2: the groups each head is screened against."""
         a = 1 + _roots(self.m)[heads].sum(axis=1)
         target = self.size - (a.real * a.real + a.imag * a.imag)
         first = np.searchsorted(self.norms, target - _TOL)
-        count = np.searchsorted(self.norms, target + _TOL, side="right") - first
+        return a, first, np.searchsorted(self.norms, target + _TOL, side="right") - first
+
+    def screen(self, a, first, count) -> tuple[np.ndarray, np.ndarray]:
+        """The (head, group) pairs of the windows that pass the screens at
+        y = 0 and y = e, as each pair's head (its index in a) and group,
+        by head, in passes of at most _TAIL_CELLS / 32 pairs."""
         ends = np.cumsum(count)
         # pair k is head who[k] and the group at norms[k + offset[who[k]]]
         offset = first - ends + count
@@ -252,84 +313,280 @@ def _tail_table(m: int, n: int) -> _TailTable:
     return _TailTable(m, n)
 
 
-def _heads(m: int, h: int, lo: int, hi: int) -> np.ndarray:
-    """The heads of ranks lo .. hi - 1, one row of h base-m digits each,
-    most significant first.  The ranks are int64: brute_force refuses
-    m^h >= 2^63 heads."""
-    ranks = np.arange(lo, hi, dtype=np.int64)
-    heads = np.empty((hi - lo, h), dtype=np.int64)
-    for i in reversed(range(h)):
-        ranks, heads[:, i] = np.divmod(ranks, m)
-    return heads
+def _stats() -> dict:
+    return dict.fromkeys(("nodes_in", "nodes_out", "examined", "pruned", "survivors", "seconds"), 0)
 
 
-def _blocks(heads: int, cap: int):
-    """The walk's head rank ranges [lo, hi): 1, 2, 4, ... heads, at most cap."""
-    lo, step = 0, 1
-    while lo < heads:
-        yield lo, min(lo + step, heads)
-        lo, step = lo + step, min(2 * step, cap)
+class _Level:
+    """The split tables of the cosets of the sorted level-k nodes rows
+    (a node's row lists f at x = 0 .. 2^n - 1, coset c of level k at
+    columns c 2^(n-k) .. (c + 1) 2^(n-k) - 1, each coset's digits
+    sorted), each node's count of children (the product of its cosets'
+    counts of splits), and the screen of those children at the 2^k
+    characters that level k + 1 adds.  A coset's two halves at level
+    k + 1 have sums S_0 and S_1; y = (c', 1) on the top k + 1 bits takes
+    sum_c chi[c, c'] (S_0 - S_1) of coset c, the Walsh transform of the
+    half differences."""
+
+    def __init__(self, m: int, n: int, k: int, rows: np.ndarray):
+        self.m, self.n, self.k, self.rows = m, n, k, rows
+        cosets, s = 1 << k, 1 << (n - k)
+        seg = rows.reshape(-1, s)
+        same = seg[:, 1:] == seg[:, :-1]
+        codes = same @ (1 << np.arange(s - 1, dtype=np.int64))
+        # coset 0 holds f(0) = 0, which its splits keep in place
+        codes[::cosets] |= 1 << (s - 1)
+        # the patterns present, in code order, each with one of its cosets
+        present = np.zeros(1 << s, dtype=bool)
+        present[codes] = True
+        holder = np.zeros(1 << s, dtype=np.intp)
+        holder[codes] = np.arange(len(codes))
+        first, which = holder[present], (np.cumsum(present) - 1)[codes]
+        # the splits of each run pattern: a lower half that takes each
+        # run's digits from its front (no position in it after an equal
+        # one left out) and, in coset 0, keeps f(0)
+        reps, pinned = seg[first], first % cosets == 0
+        halves, mask, self.signs = _halves(s)
+        gap = mask[:, 1:] & ~mask[:, :-1]
+        step = max(1, (_TAIL_CELLS << 4) // gap.size)
+        valid = np.concatenate([
+            ~(gap & (reps[lo : lo + step, 1:] == reps[lo : lo + step, :-1])[:, None]).any(axis=2)
+            for lo in range(0, len(reps), step)
+        ])
+        valid[pinned] &= mask[:, 0]
+        pattern, split = np.nonzero(valid)
+        self.sizes = np.bincount(pattern, minlength=len(reps)).astype(np.int64)
+        self.offsets = np.cumsum(self.sizes) - self.sizes
+        self.perms = halves[split]
+        # a split's functions: the orderings of its lower half, past f(0)
+        # in coset 0, times those of its upper half
+        digits = reps[pattern[:, None], self.perms]
+        lows = _orderings(digits[:, : s // 2])
+        # in coset 0 the lower half's z zeros, f(0) among them, order
+        # past f(0) in z / (s / 2) of its orderings
+        zeros = (digits[:, : s // 2] == 0).sum(axis=1)
+        lows = np.where(pinned[pattern], lows * zeros // (s // 2), lows)
+        self.weights = lows * _orderings(digits[:, s // 2 :])
+        self.totals = np.add.reduceat(self.weights, self.offsets)
+        self.which = which.reshape(len(rows), cosets)
+        self.width = self.sizes[self.which].prod(axis=1)
+
+    def chunks(self, run: int = _FIRST_RUN):
+        """Runs of nodes, in order, with at most run, 2 run, 4 run, ...
+        children between them, up to _TAIL_CELLS / 2^k, or one node with
+        more: a witness below one of the first nodes is found after a few
+        small runs, and then bounds the rest."""
+        step = max(1, _TAIL_CELLS >> self.k)
+        ends = np.cumsum(np.minimum(self.width, step + 1))
+        lo, run = 0, min(step, run)
+        while lo < len(self.rows):
+            base = int(ends[lo - 1]) if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, base + run, side="right")))
+            yield lo, hi
+            lo, run = hi, min(step, 2 * run)
+
+    def children(self, nodes: np.ndarray, stats: dict) -> np.ndarray:
+        """The children of the nodes (indices into rows) that pass the
+        characters of level k + 1, sorted, screened in slices of at most
+        _TAIL_CELLS / 2^k children; stats, level k + 1's, counts the
+        children screened, those that pass and the functions cut."""
+        cosets, s = 1 << self.k, 1 << (self.n - self.k)
+        which = self.which[nodes]
+        sizes = self.sizes[which]
+        seg = self.rows[nodes].reshape(-1, s)
+        # every split of every coset of the nodes, as its row in the
+        # tables, and its half difference
+        flat = sizes.ravel()
+        owner = np.repeat(np.arange(flat.size), flat)
+        start = np.cumsum(flat) - flat
+        split = np.arange(owner.size) + (self.offsets[which.ravel()] - start)[owner]
+        diff = _roots(self.m)[seg[owner[:, None], self.perms[split]]] @ self.signs
+        start = start.reshape(sizes.shape)
+        # a child is a node and a split per coset, coset 0 varying slowest
+        count = self.width[nodes]
+        stride = count[:, None] // np.cumprod(sizes, axis=1)
+        ends = np.cumsum(count)
+        total, step = int(ends[-1]), max(1, _TAIL_CELLS >> self.k)
+        kept, passed = [], 0
+        for lo in range(0, total, step):
+            rank = np.arange(lo, min(lo + step, total))
+            who = np.searchsorted(ends, rank, side="right")
+            rank += count[who] - ends[who]
+            pick = start[who] + rank[:, None] // stride[who] % sizes[who]
+            keep = _close(diff[pick] @ _char_table(self.k), 1 << self.n).all(axis=1)
+            row = split[pick[keep]]
+            # each coset of a passing child: its parent's coset through the split
+            at = who[keep, None] * cosets + np.arange(cosets)
+            kept.append(seg[at[..., None], self.perms[row]].reshape(len(row), cosets * s))
+            passed += _sum_of_products(self.weights[row])
+        cut = _sum_of_products(self.totals[which])
+        stats["nodes_in"] += total
+        stats["nodes_out"] += sum(map(len, kept))
+        stats["examined"] += cut - passed
+        stats["pruned"] += cut - passed
+        return _lex_sorted(np.concatenate(kept), self.m)
 
 
-def _run_block(m: int, n: int, lo: int, hi: int) -> tuple[tuple[int, ...] | None, int, int]:
-    """Search every completion (0, *head, *tail) of the heads of ranks
-    lo .. hi - 1, the tail the top half of Z_2^n.  _TailTable.find gives
-    each head's tail groups that pass at y = 0 and y = 2^(n-1), and only
-    their rows are built: each group's distinct arrangements, from
-    _arrangements per run pattern.  Those rows are screened at y = 1, 2,
-    ..., 2^n - 1 in turn, in slabs of at most _TAIL_CELLS / 8 rows (which
-    bounds the scratch), and the survivors go to the exact test sorted by
-    head and then by tail digits, so that the first one confirmed is the
-    least.  Returns that witness (or None), the count of completions
-    examined (every tail of each head up to the witness's) and the count
-    of screen survivors sent to the exact test."""
-    size, chi, zeta = 1 << n, _char_table(n), _roots(m)
-    tail = size >> 1
+def _confirm(m: int, n: int, leaves: np.ndarray, bound, stats: dict):
+    """The first of the sorted leaves (value lists) below bound that
+    passes the exact test, or None; every leaf tested is counted as
+    examined and as a survivor."""
+    if bound is not None:
+        leaves = leaves[_below(leaves, bound)]
+    for leaf in leaves:
+        row = leaf.tolist()
+        stats["examined"] += 1
+        stats["survivors"] += 1
+        if is_gbf_exact(GbfFunction(n, m, tuple(row))):
+            return row
+    return None
+
+
+def _descend(m: int, n: int, k: int, rows: np.ndarray, stats: dict, bound=None):
+    """The least function below the sorted level-k nodes rows, less than
+    bound, that passes the exact test, as its value list, or None.  The
+    nodes are expanded a chunk at a time, depth first; a node whose row
+    (its least function) is not below the best found so far is skipped.
+    stats[j] accumulates level j."""
+    if not len(rows):
+        return None
+    if k == n:
+        start = time.perf_counter()
+        found = _confirm(m, n, rows, bound, stats[k])
+        stats[k]["seconds"] += time.perf_counter() - start
+        return found
+    level, best = _Level(m, n, k, rows), None
+    for lo, hi in level.chunks():
+        limit = bound if best is None else best
+        nodes = np.arange(lo, hi)
+        if limit is not None:
+            nodes = nodes[_below(rows[lo:hi], limit)]
+            if not nodes.size:
+                break
+        start = time.perf_counter()
+        children = level.children(nodes, stats[k + 1])
+        stats[k + 1]["seconds"] += time.perf_counter() - start
+        found = _descend(m, n, k + 1, children, stats, limit)
+        if found is not None:
+            best = found
+    return best
+
+
+def _search_batch(m: int, n: int, level: _Level, nodes: np.ndarray):
+    """The least witness below the level-1 nodes (indices into level's
+    rows), or None, and each deeper level's counts: their children are
+    screened together, then _descend takes them with no bound.  The
+    result does not depend on the batches before it."""
+    stats = {k: _stats() for k in range(2, n + 1)}
+    start = time.perf_counter()
+    children = level.children(nodes, stats[2])
+    stats[2]["seconds"] += time.perf_counter() - start
+    return _descend(m, n, 2, children, stats), stats
+
+
+def _pooled_batch(m: int, n: int, rows: np.ndarray):
+    """_search_batch on a worker, from the batch's rows alone."""
+    return _search_batch(m, n, _Level(m, n, 1, rows), np.arange(len(rows)))
+
+
+def _stream(m: int, n: int):
+    """The search's work in order: the runs of head multisets, each
+    joined with the tail table as one item ("run", its least function,
+    level 1's counts, the witness found at n = 1 or None), followed by
+    the batches of its passing nodes, ("batch", the least function, the
+    level-1 _Level, the nodes).  The runs hold _FIRST_RUN, twice that,
+    ... pairs in their windows, up to _TAIL_CELLS / 32 (or one head with
+    more): a witness below one of the first heads is found after a few
+    small runs, and then bounds the rest."""
+    start = time.perf_counter()
     table = _tail_table(m, n)
+    heads = _multisets(m, (1 << (n - 1)) - 1)
+    head_counts = _orderings(heads)
+    # a sum of orderings over a whole table is m^(its digits) < 2^63
+    # when no multiset is missing
+    tail_total = int(table.counts.sum())
+    a, first, count = table.windows(heads)
+    ends, step = np.cumsum(count), max(1, _TAIL_CELLS >> 5)
+    lo, run = 0, min(step, _FIRST_RUN)
+    while lo < len(heads):
+        base = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + run, side="right")))
+        owner, groups = table.screen(a[lo:hi], first[lo:hi], count[lo:hi])
+        # by head, then by tail group: the lexicographic order of the rows
+        order = np.argsort(owner * len(table.tails) + groups, kind="stable")
+        owner, groups = owner[order] + lo, groups[order]
+        rows = np.zeros((len(owner), 1 << n), dtype=heads.dtype)
+        rows[:, 1 : heads.shape[1] + 1] = heads[owner]
+        rows[:, heads.shape[1] + 1 :] = table.tails[groups]
+        cut = int(head_counts[lo:hi].sum()) * tail_total
+        cut -= _sum_of_products(np.stack([head_counts[owner], table.counts[groups]], axis=1))
+        stats = _stats()
+        stats.update(nodes_in=(hi - lo) * len(table.tails), nodes_out=len(rows), examined=cut, pruned=cut)
+        # the level-1 nodes are the leaves at n = 1
+        found = _confirm(m, n, rows, None, stats) if n == 1 else None
+        stats["seconds"] = time.perf_counter() - start
+        least = [0, *heads[lo].tolist()] + [0] * table.tails.shape[1]
+        yield "run", least, stats, found
+        if n > 1 and len(rows):
+            level = _Level(m, n, 1, rows)
+            for b_lo, b_hi in level.chunks(run):
+                yield "batch", rows[b_lo].tolist(), level, np.arange(b_lo, b_hi)
+        lo, run, start = hi, min(step, 2 * run), time.perf_counter()
 
-    heads = _heads(m, tail - 1, lo, hi)
-    owner, groups = table.find(heads)
-    survivors = 0
-    if owner.size:
-        # the spectra of the heads with a passing group: f(0) = 0 adds
-        # chi[0], all ones, and each head position v its character times zeta^v
-        live, owner = np.unique(owner, return_inverse=True)
-        spec = np.ones((live.size, size), dtype=np.complex128)
-        for pos, col in enumerate(heads[live].T, start=1):
-            spec += zeta[col, None] * chi[pos]
-        who, rows = _by_pattern(table.tails[groups], _arrangements)
-        hits = []
-        slab = max(1, _TAIL_CELLS >> 3)
-        for at in range(0, who.size, slab):
-            part, digits = owner[who[at : at + slab]], rows[at : at + slab]
-            roots = zeta[digits]
-            for y in range(1, size):
-                # a tail row's contribution at y is zeta^digits @ chi[tail positions, y]
-                keep = _close(spec[part, y] + roots @ chi[tail:, y], size)
-                part, digits, roots = part[keep], digits[keep], roots[keep]
-                if not part.size:
-                    break
-            hits += zip(live[part].tolist(), digits.tolist())
-        for i, tail_values in sorted(hits):
-            survivors += 1
-            values = (0, *heads[i].tolist(), *tail_values)
-            if is_gbf_exact(GbfFunction(n, m, values)):
-                return values, (i + 1) * m**tail, survivors
-    return None, len(heads) * m**tail, survivors
 
-
-def _ahead(pool: ProcessPoolExecutor, run, blocks, depth: int):
-    """run(lo, hi) for each block, in order, computed on pool with at
-    most depth blocks handed out and not yet read.  pool.map would hand
-    out every block at once: a future each for the millions of blocks
-    of a space a raised budget admits."""
+def _results(m: int, n: int, items, workers: int):
+    """The items of _stream in order, each batch's nodes replaced by a
+    call that returns its _search_batch result: run in process, or for
+    workers > 1 already handed to a pool of that many processes, started
+    at the first batch, with at most two batches per worker handed out
+    and not yet yielded.  The pool is shut down when the caller closes
+    the generator."""
+    if workers < 2:
+        for kind, least, *rest in items:
+            yield kind, least, rest if kind == "run" else partial(_search_batch, m, n, *rest)
+        return
     queue: deque = deque()
-    for block in blocks:
-        queue.append(pool.submit(run, *block))
-        if len(queue) == depth:
-            yield queue.popleft().result()
-    while queue:
-        yield queue.popleft().result()
+    pool, handed = None, 0
+    try:
+        for kind, least, *rest in items:
+            if kind == "batch":
+                if pool is None:
+                    from concurrent.futures import ProcessPoolExecutor
+
+                    pool = ProcessPoolExecutor(max_workers=workers)
+                level, nodes = rest
+                rest = pool.submit(_pooled_batch, m, n, level.rows[nodes]).result
+                handed += 1
+            queue.append((kind, least, rest))
+            while handed == 2 * workers or (queue and queue[0][0] == "run"):
+                item = queue.popleft()
+                handed -= item[0] == "batch"
+                yield item
+        yield from queue
+    finally:
+        if pool is not None:
+            # wait for the running batches, so that no worker outlives the call
+            pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _refusal(m: int, n: int, budget: int) -> str | None:
+    """Why (m, n) is refused at budget, or None."""
+    # m >= 2, so the space exceeds budget once 2^n - 1 reaches budget's bit
+    # length: no power is taken then, nor 1 << n where n alone reaches it
+    bits = budget.bit_length()
+    if n >= bits or (1 << n) - 1 >= bits or m ** ((1 << n) - 1) > budget:
+        return f"normalized space {m}^(2^{n} - 1) exceeds budget {budget}"
+    if m > MAX_MODULUS:
+        return f"modulus {m} exceeds the cap {MAX_MODULUS}"
+    # below both caps a half has at most m^(2^(n-1)) < 2^63 orderings
+    # (10^16 at n = 5), so they are counted in int64
+    half = 1 << (n - 1)
+    if half > MAX_HALF:
+        return f"halves of {half} positions exceed the {MAX_HALF} the split tables take"
+    tails = comb(m + half - 1, half)
+    if tails > MAX_MULTISETS:
+        return f"{tails} digit multisets of the top half exceed the cap {MAX_MULTISETS}"
+    return None
 
 
 def brute_force(
@@ -342,59 +599,51 @@ def brute_force(
 ) -> SearchOutcome:
     """Exhaustive search of the normalized space for an (m, n) witness.
 
-    The space m^(2^n - 1) is refused up front when it exceeds budget, and
-    so are m > MAX_MODULUS and m^(2^(n-1) - 1) >= 2^63 heads, past the
-    int64 head ranks.  One loop takes the results of the blocks of
-    heads in order, computed in process or, for workers > 1, on at most
-    that many worker processes (no more than the blocks or the CPUs), a
-    few blocks ahead.  The first block reporting a witness wins, which
-    makes the returned witness the overall lexicographic minimum.
-    progress, when given, receives one event dict per finished block.
+    Refused up front (BudgetExceededError, before any table is built):
+    a space m^(2^n - 1) over budget, m > MAX_MODULUS, halves of more than
+    MAX_HALF positions (n >= 6), and more than MAX_MULTISETS digit
+    multisets of the top half.  The level-1 join runs in process, a run
+    of head multisets at a time; the passing nodes of a run are cut into
+    batches, and each batch is searched to its leaves, in process or,
+    for workers > 1, on at most that many worker processes (no more than
+    the CPUs; none unless some batch exists), two batches per worker
+    ahead.  Runs and batches are read in order until one's least
+    function is not below the best witness so far, which makes the
+    returned witness the overall lexicographic minimum; a batch's
+    result does not depend on the batches before it, so the pool
+    changes no result.  progress, when given, receives one event dict
+    per level: level 1 once per run, each deeper level once per batch.
     m < 2 is refused, as decide refuses it: m = 1 has a space of 1 at
     every n, so the budget would not stop the 4^n-cell character table.
     """
     if m < 2 or n < 1:
         raise ValueError(f"need m >= 2 and n >= 1, got ({m}, {n})")
-    # m >= 2, so the space exceeds budget once 2^n - 1 reaches budget's bit
-    # length: no power is taken then, nor 1 << n where n alone reaches it
-    bits = budget.bit_length()
-    if n >= bits or (1 << n) - 1 >= bits or m ** ((1 << n) - 1) > budget:
-        what = f"normalized space {m}^(2^{n} - 1) exceeds budget {budget}"
-        raise BudgetExceededError(m, n, budget, what)
-    if m > MAX_MODULUS:
-        raise BudgetExceededError(m, n, budget, f"modulus {m} exceeds the cap {MAX_MODULUS}")
-    # m >= 2, so a head of 63 positions or more alone passes 2^63
-    h = (1 << (n - 1)) - 1
-    if h >= 63 or m**h >= 1 << 63:
-        raise BudgetExceededError(m, n, budget, f"{m}^{h} heads exceed the int64 head ranks")
+    refusal = _refusal(m, n, budget)
+    if refusal is not None:
+        raise BudgetExceededError(m, n, budget, refusal)
 
     start = time.perf_counter()
-    blocks = partial(_blocks, m**h, max(1, _TAIL_CELLS >> n))
-    # fork starts every worker on the first submit, so ask for no more
-    # than there are blocks and CPUs
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = sum(1 for _ in islice(blocks(), max(0, min(workers, cpus or 1))))
-    run = partial(_run_block, m, n)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    witness, examined = None, 0
+    results = _results(m, n, _stream(m, n), max(1, min(workers, cpus or 1)))
+    best, examined = None, 0
     try:
-        results = starmap(run, blocks()) if pool is None else _ahead(pool, run, blocks(), 2 * workers)
-        for (lo, _), (values, ex, survivors) in zip(blocks(), results):
-            examined += ex
-            if progress is not None:
-                # "prefix", now the block's first head, and "pruned" stay
-                # in the event so that existing readers keep working
-                rank, first = lo, [0] * h
-                for i in reversed(range(h)):
-                    rank, first[i] = divmod(rank, m)
-                progress({"prefix": first, "examined": ex, "pruned": 0, "survivors": survivors})
-            if values is not None:
-                witness = GbfFunction(n, m, values)
+        for kind, least, value in results:
+            if best is not None and least >= best:
                 break
+            if kind == "run":
+                stats, found = value
+                levels = {1: stats}
+            else:
+                found, levels = value()
+            for k, counts in levels.items():
+                examined += counts["examined"]
+                if progress is not None:
+                    progress({"level": k, **counts})
+            if found is not None and (best is None or found < best):
+                best = found
     finally:
-        if pool is not None:
-            # wait for the running blocks, so that no worker outlives the call
-            pool.shutdown(wait=True, cancel_futures=True)
+        results.close()
+    witness = None if best is None else GbfFunction(n, m, tuple(best))
     return SearchOutcome(m, n, witness, examined, time.perf_counter() - start)
 
 

@@ -1,5 +1,6 @@
 """Tests for the exhaustive search and the dimension-3 catalog."""
 
+import concurrent.futures
 import multiprocessing
 import os
 import subprocess
@@ -7,8 +8,8 @@ import sys
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from functools import lru_cache
-from itertools import combinations_with_replacement, islice, permutations, product
-from math import comb
+from itertools import combinations, combinations_with_replacement, product
+from math import comb, factorial, prod
 from unittest.mock import patch
 
 import numpy as np
@@ -141,14 +142,14 @@ def test_budget():
 
 def test_modulus_cap_refuses_before_any_block(monkeypatch, capsys):
     # at n = 1 the space is m, so the budget does not bound m; past
-    # MAX_MODULUS the search is refused before any block runs
-    def no_block(*args):
-        raise AssertionError("a block was started")
+    # MAX_MODULUS the search is refused before any table is built
+    def no_table(*args):
+        raise AssertionError("a table was built")
 
     cap = search.MAX_MODULUS
     assert cap == 1 << 19
     with monkeypatch.context() as patch:
-        patch.setattr(search, "_run_block", no_block)
+        patch.setattr(search, "_tail_table", no_table)
         with pytest.raises(BudgetExceededError) as info:
             brute_force(cap + 1, 1)
         assert str(info.value) == f"modulus {cap + 1} exceeds the cap {cap}"
@@ -156,37 +157,46 @@ def test_modulus_cap_refuses_before_any_block(monkeypatch, capsys):
         assert main(["search", str(cap + 1), "1"]) == 3
         assert "exceeds the cap" in capsys.readouterr().err
 
-    # MAX_MODULUS itself is admitted, and its witness (0, m/4) found in
-    # the one block of n = 1, after all m tails of its empty head
+    # MAX_MODULUS itself is admitted: its two level-1 nodes are the
+    # leaves (0, m/4) and (0, 3m/4), and the first is the witness, so the
+    # second is all the search leaves unexamined
     out = brute_force(cap, 1)
-    assert out.witness.values == (0, cap // 4) and out.examined == cap
-    # and so is the n = 2 space with the largest m inside the budget,
-    # whose witness's head (0) is the first
+    assert out.witness.values == (0, cap // 4) and out.examined == cap - 1
+    # and so is the n = 2 space with the largest m inside the budget
     out = brute_force(554, 2)
-    assert out.witness.values == (0, 0, 0, 277) and out.examined == 554**2
+    assert out.witness.values == (0, 0, 0, 277) and out.examined == 306363
 
 
-def test_heads_past_int64_are_refused(monkeypatch, capsys):
-    # head ranks are int64, so m^(2^(n-1) - 1) >= 2^63 heads are refused
-    # before any block or table is built, also where the budget admits them
+def test_refusals_come_before_any_table(monkeypatch, capsys):
+    # halves past MAX_HALF positions (n >= 6) and more than MAX_MULTISETS
+    # digit multisets of the top half are refused before any table is
+    # built, also where the budget admits the space
     class Reached(Exception):
         pass
 
-    def no_block(*args):
+    def no_table(*args):
         raise Reached
 
-    monkeypatch.setattr(search, "_run_block", no_block)
-    for m, n in [(2, 7), (2, 8), (5, 6)]:
-        h = (1 << (n - 1)) - 1
+    monkeypatch.setattr(search, "_tail_table", no_table)
+    assert search.MAX_HALF == 16 and search.MAX_MULTISETS == 1 << 22
+    for m, n in [(2, 6), (3, 6), (2, 7), (2, 8)]:
         with pytest.raises(BudgetExceededError) as info:
             brute_force(m, n, budget=m ** ((1 << n) - 1))
-        assert str(info.value) == f"{m}^{h} heads exceed the int64 head ranks", (m, n)
+        half = 1 << (n - 1)
+        assert str(info.value) == f"halves of {half} positions exceed the 16 the split tables take"
+    for m in (22, 30):
+        with pytest.raises(BudgetExceededError) as info:
+            brute_force(m, 4, budget=m**15)
+        assert str(info.value) == f"{comb(m + 7, 8)} digit multisets of the top half exceed the cap {1 << 22}"
     assert main(["search", "2", "8", "--budget", str(2**255)]) == 3
-    assert "heads exceed the int64 head ranks" in capsys.readouterr().err
-    # 3^31 and 4^31 = 2^62 heads fit: both reach their first block
-    for m in (3, 4):
+    assert "halves of 128 positions exceed" in capsys.readouterr().err
+    assert main(["search", "30", "4", "--budget", str(30**15)]) == 3
+    assert "38608020 digit multisets of the top half exceed" in capsys.readouterr().err
+    # (21, 4), 3108105 multisets, and n = 5 reach their tables
+    for m, n in [(21, 4), (10, 5), (2, 5)]:
+        assert comb(m + (1 << (n - 1)) - 1, 1 << (n - 1)) <= 1 << 22
         with pytest.raises(Reached):
-            brute_force(m, 6, budget=m**63)
+            brute_force(m, n, budget=m ** ((1 << n) - 1))
 
 
 def test_modulus_one_refused_before_any_table(monkeypatch, capsys):
@@ -211,46 +221,50 @@ def test_roots_are_built_once_per_modulus():
     assert search._roots.cache_info().misses == 1
 
 
-def test_deepest_mid_walk_matches_default(monkeypatch):
-    # a batch ceiling of 2^n cells makes blocks of one head (and screen
-    # passes of one pair, slabs of one row), so the walk emits one event
-    # per head in lexicographic order, each with every tail of its head
-    for m, n in [(3, 2), (4, 2), (5, 2), (4, 3), (2, 3), (3, 3), (12, 3), (7, 1)]:
+def test_smallest_batches_match_default(monkeypatch):
+    # runs of one head multiset and one node, and screen passes of a
+    # child or pair at a time, find the same witness; an exhaustion
+    # examines every function either way, and the events' examined
+    # counts add up to the outcome's
+    cells = [(3, 2), (4, 2), (5, 2), (4, 3), (2, 3), (3, 3), (12, 3), (7, 1), (2, 4), (8, 1), (6, 3)]
+    for m, n in cells:
         flat = brute_force(m, n)
         events = []
         with monkeypatch.context() as patch:
             patch.setattr(search, "_TAIL_CELLS", 1 << n)
+            patch.setattr(search, "_FIRST_RUN", 1)
             deep = brute_force(m, n, progress=events.append)
-        assert deep == flat, (m, n)
-        h, tails = (1 << (n - 1)) - 1, m ** (1 << (n - 1))
-        walked = list(product(range(m), repeat=h))[: len(events)]
-        assert [tuple(e["prefix"]) for e in events] == walked, (m, n)
-        assert all(e["examined"] == tails for e in events), (m, n)
-        assert deep.examined == len(events) * tails, (m, n)
+        assert deep.witness == flat.witness, (m, n)
+        assert sum(e["examined"] for e in events) == deep.examined, (m, n)
         if flat.witness is None:
-            assert len(events) == m**h, (m, n)
+            assert deep.examined == flat.examined == deep.normalized_space, (m, n)
         else:
-            assert flat.witness.values[1 : h + 1] == walked[-1], (m, n)
+            assert deep.examined < deep.normalized_space, (m, n)
+
+
+def _plain(events):
+    # the events without their times
+    return [{k: v for k, v in e.items() if k != "seconds"} for e in events]
 
 
 def test_pooled_search_matches_serial(monkeypatch):
     # report three CPUs, so that workers=3 runs three processes anywhere;
-    # two workers have four blocks handed out at a time, and the witness
-    # of (32, 3) at budget 32^7 has the head (0, 0, 16), in the fifth
-    # block, heads 15 .. 30
+    # runs that start at one pair and one child cut (32, 3) at 32^7 and
+    # (4, 4) at 4^15 into many batches, and the pool's results are read in
+    # the serial order, with the same certificate and events
     monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(search, "_FIRST_RUN", 1)
     default = search.DEFAULT_BUDGET
-    for m, n, budget in [(32, 3, 32**7), (8, 1, default), (4, 3, default), (6, 3, default)]:
+    for m, n, budget in [(32, 3, 32**7), (4, 4, 4**15), (8, 1, default), (4, 3, default), (6, 3, default)]:
         runs = []
         for workers in (1, 2, 3):
             events = []
             out = brute_force(m, n, budget, workers=workers, progress=events.append)
-            runs.append((out.certificate(), events))
+            runs.append((out.certificate(), _plain(events)))
         assert runs[1] == runs[0] and runs[2] == runs[0], (m, n)
         if (m, n) == (32, 3):
             assert runs[0][0]["witness"] == [0, 0, 0, 16, 8, 8, 8, 24]
-            assert [e["prefix"] for e in runs[0][1]] == [[0, 0, r] for r in (0, 1, 3, 7, 15)]
-            assert [e["examined"] for e in runs[0][1]] == [k * 32**4 for k in (1, 2, 4, 8, 2)]
+            assert sum(e["level"] == 2 for e in runs[0][1]) == 6
     assert brute_force(4, 3, workers=3).witness.values == (0, 0, 0, 2, 1, 1, 1, 3)
     out = brute_force(5, 3, workers=3)
     assert out.status == "ExhaustedNone"
@@ -267,6 +281,18 @@ def test_pool_workers_end_with_the_search(monkeypatch):
         assert multiprocessing.active_children() == [], (m, n)
 
 
+def _recorded_witness(m, n):
+    # the witness the search reported at every Exists cell below before
+    # it searched by coset multisets, recorded from that search
+    if n == 1:
+        return (0, m // 4)
+    if n == 2:
+        return (0, 0, 0, m // 2)
+    if n == 3:
+        return tuple(m // 4 * v for v in (0, 0, 0, 2, 1, 1, 1, 3))
+    return {(2, 4): (0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 0, 1, 0, 1, 1, 0)}[m, n]
+
+
 def test_search_agrees_with_decide():
     # the search is an exact route independent of the criteria, and
     # decide settles every cell here; n = 3 runs past the default budget
@@ -279,6 +305,8 @@ def test_search_agrees_with_decide():
         assert (out.witness is not None) == (decide(m, n).outcome == EXISTS), (m, n)
         if out.witness is None:
             assert out.examined == out.normalized_space, (m, n)
+        else:
+            assert out.witness.values == _recorded_witness(m, n), (m, n)
 
 
 def test_pool_size_is_bounded(monkeypatch):
@@ -291,30 +319,30 @@ def test_pool_size_is_bounded(monkeypatch):
             asked.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    # (3, 3) walks its 27 heads in 5 blocks, of 1, 2, 4, 8 and 12; a
-    # serial run first builds its tail table, which the threads then only
-    # read
-    serial = brute_force(3, 3)
-    assert serial.status == "ExhaustedNone" and serial.examined == 3**7
-    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-    assert brute_force(3, 3, workers=10**6) == serial
-    assert asked == [5]
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    # (3, 3) has no level-1 node, so no batch and no pool; (4, 3) has
+    # batches, and a pool of no more workers than CPUs
+    serial = {cell: brute_force(*cell) for cell in [(3, 3), (4, 3)]}
+    assert brute_force(3, 3, workers=10**6) == serial[3, 3]
+    assert asked == []
+    assert brute_force(4, 3, workers=10**6) == serial[4, 3]
+    assert asked == [8]
 
-    # no more workers than CPUs either, and none at all on one CPU or
-    # for workers < 2
+    # none at all on one CPU or for workers < 2
     monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert brute_force(3, 3, workers=10**6) == serial
-    assert brute_force(3, 3, workers=-1) == serial
+    assert brute_force(4, 3, workers=10**6) == serial[4, 3]
+    assert brute_force(4, 3, workers=-1) == serial[4, 3]
     monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert brute_force(3, 3, workers=10**6) == serial
-    assert asked == [5, 2]
+    assert brute_force(4, 3, workers=10**6) == serial[4, 3]
+    assert asked == [8, 2]
 
 
-def test_pool_is_handed_two_blocks_per_worker_ahead(monkeypatch):
-    # a stand-in pool that runs each block as it is handed out: with two
-    # workers, at most four blocks are out and unread, so a witness in
-    # block k is read after blocks 0 .. k + 3 were handed out, not all
+def test_pool_is_handed_two_batches_per_worker_ahead(monkeypatch):
+    # a stand-in pool that runs each batch as it is handed out: with two
+    # workers, at most four batches are out and unread.  The search reads
+    # k batches, then the next one is not below the witness and is left
+    # unread, so k + 4 batches were handed out, not all of the search's
     handed = []
 
     class InlinePool:
@@ -330,114 +358,158 @@ def test_pool_is_handed_two_blocks_per_worker_ahead(monkeypatch):
         def shutdown(self, wait, cancel_futures):
             pass
 
-    # one head per block: (32, 3) at budget 32^7 has 32^3 blocks, and the
-    # witness (0, 0, 0, 16, 8, 8, 8, 24) is in block 16
-    monkeypatch.setattr(search, "_TAIL_CELLS", 1 << 3)
-    serial = brute_force(32, 3, 32**7)
-    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(search, "_FIRST_RUN", 1)
+    events = []
+    serial = brute_force(32, 3, 32**7, progress=events.append)
+    read = sum(e["level"] == 2 for e in events)
+    batches = sum(kind == "batch" for kind, *_ in search._stream(32, 3))
+    assert read + 4 < batches
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert brute_force(32, 3, 32**7, workers=2) == serial
-    assert serial.examined == 17 * 32**4
-    assert handed == [(lo, lo + 1) for lo in range(20)]
+    assert len(handed) == read + 4
 
 
-def _characters(n):
+def _spectra(rows, m, n):
+    # |F(y)|^2 of each row of values by a direct transform, built apart
+    # from the search's tables and roots
     size = 1 << n
-    return np.array([[(-1) ** bin(x & y).count("1") for y in range(size)] for x in range(size)])
+    chi = np.array([[(-1) ** bin(x & y).count("1") for y in range(size)] for x in range(size)])
+    f = np.exp(2j * np.pi * np.asarray(rows) / m) @ chi
+    return f.real**2 + f.imag**2
 
 
 @lru_cache(maxsize=None)
-def _lex_tail_table(m, n):
-    # every assignment of the top half in lexicographic order and its
-    # contribution to the spectrum, built apart from search's own tables
-    # and roots
-    size, tail = 1 << n, 1 << (n - 1)
-    chi = _characters(n)
-    zeta = np.exp(2j * np.pi * np.arange(m) / m)
-    digits = np.array(list(product(range(m), repeat=tail)), dtype=np.int64).reshape(m**tail, tail)
-    columns = np.zeros((size, m**tail), dtype=np.complex128)
-    for j in range(tail):
-        columns += chi[tail + j][:, None] * zeta[digits[:, j]][None, :]
-    return digits, columns
+def _lex_walk(m, n):
+    # the oracle: every f with f(0) = 0 in lexicographic order, from
+    # itertools, cut to those within 0.5 of 2^n at every character (a
+    # rational |F(y)|^2 is an integer, so none sits at that bound), and
+    # the first of them that passes the exact test
+    rows = np.array(list(product(range(m), repeat=(1 << n) - 1)), dtype=np.int64)
+    rows = np.column_stack([np.zeros(len(rows), dtype=np.int64), rows])
+    close = (np.abs(_spectra(rows, m, n) - (1 << n)) <= 0.5).all(axis=1)
+    for row in rows[close].tolist():
+        if is_gbf_exact(GbfFunction(n, m, tuple(row))):
+            return tuple(row)
+    return None
 
 
-def _per_tail_run_block(m, n, lo, hi):
-    # the block search without the join: y = 0 is screened once per tail
-    # assignment of the top half, and the heads of ranks lo .. hi - 1 are
-    # taken from a plain lexicographic enumeration
-    size = 1 << n
-    chi = _characters(n)
-    zeta = np.exp(2j * np.pi * np.arange(m) / m)
-    digits, columns = _lex_tail_table(m, n)
-
-    examined = 0
-    for head in islice(product(range(m), repeat=(size >> 1) - 1), lo, hi):
-        spec = chi[0].astype(np.complex128)
-        for pos, v in enumerate(head, start=1):
-            spec = spec + zeta[v] * chi[pos]
-        examined += digits.shape[0]
-        z = spec[0] + columns[0]
-        sel = np.flatnonzero(np.abs(z.real * z.real + z.imag * z.imag - size) <= search._TOL)
-        for y in range(1, size):
-            if sel.size == 0:
-                break
-            z = spec[y] + columns[y][sel]
-            sel = sel[np.abs(z.real * z.real + z.imag * z.imag - size) <= search._TOL]
-        for i in sel:
-            values = (0, *head, *(int(d) for d in digits[i]))
-            if search.is_gbf_exact(GbfFunction(n, m, values)):
-                return values, examined
-    return None, examined
+_TREE_CELLS = [(m, 1) for m in range(2, 13)] + [(m, 2) for m in range(2, 13)]
+_TREE_CELLS += [(m, 3) for m in range(2, 7)] + [(2, 4)]
 
 
-def test_multiset_screen_matches_per_tail_screen(monkeypatch):
-    # (m, n, batch ceiling): None keeps the default _TAIL_CELLS; a small
-    # one makes blocks of few heads, screen passes of few pairs and slabs
-    # of few rows.  At (12, 3, 2^4) blocks hold two heads, and the
-    # witness's head (0, 0, 6) is in the fourth; at (3, 4, 2^9) and
-    # (2, 4, 2^6) a block's passing pairs and rows are screened in pieces
-    cases = [(m, n, None) for m, n in [(4, 3), (6, 3), (8, 3), (3, 4), (3, 2), (2, 1), (8, 1)]]
-    cases += [(4, 3, 1 << 3), (3, 2, 1 << 2), (2, 1, 1 << 1), (9, 1, 1 << 1), (5, 2, 1 << 2)]
-    cases += [(6, 3, 1 << 5), (12, 3, 1 << 4), (3, 4, 1 << 9), (2, 4, 1 << 6)]
-    confirmed = []
-    sent_total = 0
-    exact = search.is_gbf_exact
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_TREE_CELLS),
+    st.sampled_from([search._TOL, 0.5, 2.5]),
+    st.integers(0, 12),
+    st.sampled_from([1, 64]),
+)
+def test_tree_matches_lex_walk(cell, tol, cells, first):
+    # the tree's witness is the lexicographically least bent function, as
+    # the oracle walk finds it, at the search's tolerance and at larger
+    # ones that let more nodes through, with batches of 2^cells cells and
+    # first runs of one or 64; an exhaustion examines every function
+    m, n = cell
+    with (
+        patch.object(search, "_TOL", tol),
+        patch.object(search, "_TAIL_CELLS", 1 << cells),
+        patch.object(search, "_FIRST_RUN", first),
+    ):
+        out = brute_force(m, n)
+    want = _lex_walk(m, n)
+    assert (out.witness and out.witness.values) == want
+    if want is None:
+        assert out.examined == out.normalized_space
 
-    def recording(fn):
-        confirmed.append(fn.values)
-        return exact(fn)
 
-    monkeypatch.setattr(search, "is_gbf_exact", recording)
-    for m, n, cells in cases:
-        with monkeypatch.context() as patch:
-            if cells is not None:
-                patch.setattr(search, "_TAIL_CELLS", cells)
-            heads = m ** ((1 << (n - 1)) - 1)
-            for lo, hi in search._blocks(heads, max(1, search._TAIL_CELLS >> n)):
-                del confirmed[:]
-                values, examined, survivors = search._run_block(m, n, lo, hi)
-                sent = list(confirmed)
-                del confirmed[:]
-                assert (values, examined) == _per_tail_run_block(m, n, lo, hi), (m, n, cells, lo)
-                # the same survivors reach the exact test, in the same order
-                assert sent == confirmed and survivors == len(sent), (m, n, cells, lo)
-                sent_total += len(sent)
-                if values is not None:
-                    break
-    assert sent_total > 0
+def _orderings(digits) -> int:
+    # the distinct orderings of a list of digits
+    out = factorial(len(digits))
+    for d in set(digits):
+        out //= factorial(digits.count(d))
+    return out
+
+
+def _functions_below(row, n, k):
+    # the functions below a level-k node: the product of its cosets'
+    # orderings, coset 0 without f(0)
+    s = 1 << (n - k)
+    cosets = [list(row[c * s : (c + 1) * s]) for c in range(1 << k)]
+    return prod(_orderings(c[1:] if not i else c) for i, c in enumerate(cosets))
+
+
+def _halves_of(coset, pinned):
+    # the distinct (sorted lower half, sorted upper half) splits of a
+    # sorted coset, the lower half keeping f(0) first in coset 0
+    half = len(coset) // 2
+    out = set()
+    for low in combinations(range(len(coset)), half):
+        if pinned and 0 not in low:
+            continue
+        out.add((tuple(coset[i] for i in low), tuple(coset[i] for i in range(len(coset)) if i not in low)))
+    return sorted(out)
+
+
+def _level_one_rows(m, n):
+    # the level-1 nodes of (m, n) as the search's stream yields them
+    for kind, least, *rest in search._stream(m, n):
+        if kind == "batch":
+            level, nodes = rest
+            yield level.rows
+
+
+def test_count_identity_at_every_level(monkeypatch):
+    # with every child let through, each node's children are the products
+    # of its cosets' distinct splits (itertools), and their functions,
+    # counted by factorials, sum to the node's own; the search's counts
+    # agree, so nothing is cut, and an exhaustion with no exact test
+    # passing examines every function, each leaf once
+    monkeypatch.setattr(search, "_TOL", float("inf"))
+    for m, n in [(3, 2), (4, 3), (3, 3), (5, 3), (2, 4), (3, 4)]:
+        rows = next(kind_rows for kind_rows in _level_one_rows(m, n))
+        for k in range(1, n):
+            level = search._Level(m, n, k, rows)
+            nxt = []
+            for i, row in enumerate(rows.tolist()[:20]):
+                stats = search._stats()
+                children = level.children(np.array([i]), stats)
+                s = 1 << (n - k)
+                splits = [_halves_of(row[c * s : (c + 1) * s], not c) for c in range(1 << k)]
+                want = sorted(sum(choice, ()) for choice in product(*(
+                    [low + high for low, high in sp] for sp in splits)))
+                assert sorted(map(tuple, children.tolist())) == want, (m, n, k, row)
+                total = sum(_functions_below(c, n, k + 1) for c in children.tolist())
+                assert total == _functions_below(row, n, k), (m, n, k, row)
+                assert stats["nodes_in"] == stats["nodes_out"] == len(want)
+                assert stats["examined"] == stats["pruned"] == 0
+                nxt.append(children)
+            rows = search._lex_sorted(np.concatenate(nxt), m)
+
+    tested = []
+
+    def never_bent(fn):
+        tested.append(fn.values)
+        return False
+
+    monkeypatch.setattr(search, "is_gbf_exact", never_bent)
+    for m, n in [(3, 3), (2, 4), (4, 2)]:
+        del tested[:]
+        events = []
+        out = brute_force(m, n, progress=events.append)
+        assert out.examined == out.normalized_space == len(tested) == len(set(tested)), (m, n)
+        assert sum(e["survivors"] for e in events) == len(tested), (m, n)
+        assert sum(e["pruned"] for e in events) == 0, (m, n)
 
 
 def test_every_row_passing_the_screens_is_confirmed(monkeypatch):
-    # with no tolerance limit every completion passes the screens, so each
-    # reaches the exact test once and in lexicographic order, also where a
-    # block's pairs and rows outnumber a small _TAIL_CELLS and are
-    # screened in pieces; the block of m^2 heads from rank m^2 - 1 carries
-    # into the first head digit.  With |F(y)|^2 allowed within 9.5 of
-    # 2^n, the completions sent are those within it at every character,
-    # by a direct transform: some fail only at the last one.  |F(y)|^2 is
-    # an integer at m = 3 and 4, so no value sits at the bound
+    # with no tolerance limit every function passes the screens, so each
+    # reaches the exact test once, also where the runs and batches are
+    # small.  With |F(y)|^2 allowed within 9.5 of 2^n, the functions
+    # sent are those within it at every character, by a direct
+    # transform: some fail only at the last one.  |F(y)|^2 is an integer
+    # at m = 3 and 4, so no value sits at the bound
     sent = []
-    chi = _characters(3)
 
     def never_bent(fn):
         sent.append(fn.values)
@@ -446,26 +518,48 @@ def test_every_row_passing_the_screens_is_confirmed(monkeypatch):
     monkeypatch.setattr(search, "is_gbf_exact", never_bent)
     for tol in (float("inf"), 9.5):
         monkeypatch.setattr(search, "_TOL", tol)
-        for m, cells in [(3, search._TAIL_CELLS), (3, 1 << 8), (4, 1 << 8)]:
+        for m, cells, first in [(3, search._TAIL_CELLS, 64), (3, 1 << 8, 1), (4, 1 << 8, 1)]:
             monkeypatch.setattr(search, "_TAIL_CELLS", cells)
+            monkeypatch.setattr(search, "_FIRST_RUN", first)
             del sent[:]
-            lo, hi = m**2 - 1, 2 * m**2 - 1
-            values, examined, survivors = search._run_block(m, 3, lo, hi)
-            heads = islice(product(range(m), repeat=3), lo, hi)
-            want = [(0, *h, *t) for h in heads for t in product(range(m), repeat=4)]
-            spectra = np.exp(2j * np.pi * np.array(want) / m) @ chi
-            close = np.abs(np.abs(spectra) ** 2 - 8) <= tol
+            out = brute_force(m, 3)
+            every = [(0, *t) for t in product(range(m), repeat=7)]
+            close = np.abs(_spectra(every, m, 3) - 8) <= tol
             if tol < float("inf"):
                 assert 0 < close.all(axis=1).sum() < close[:, :-1].all(axis=1).sum(), (m, cells)
-            want = [v for v, ok in zip(want, close.all(axis=1)) if ok]
-            assert sent == want, (m, cells, tol)
-            assert (values, examined, survivors) == (None, m**6, len(want)), (m, cells, tol)
+            want = [v for v, ok in zip(every, close.all(axis=1)) if ok]
+            assert sorted(sent) == want and len(set(sent)) == len(sent), (m, cells, tol)
+            assert out.witness is None and out.examined == m**7, (m, cells, tol)
+
+
+def test_leaves_from_the_bound_on_are_not_tested(monkeypatch):
+    # the bound is the best witness so far: leaves at or past it reach no
+    # exact test, bent or not, and are not counted, while a bent leaf
+    # below it is returned
+    tested = []
+    exact = search.is_gbf_exact
+
+    def counting(fn):
+        tested.append(fn.values)
+        return exact(fn)
+
+    monkeypatch.setattr(search, "is_gbf_exact", counting)
+    bent = [(0, 0, 0, 2, 1, 1, 1, 3), (0, 0, 0, 2, 3, 3, 3, 1), (0, 0, 1, 3, 1, 1, 0, 2)]
+    assert all(is_gbf_exact(GbfFunction(3, 4, v)) for v in bent)
+    leaves = np.array(bent)
+    for bound, found, count in [(None, bent[0], 1), (list(bent[1]), bent[0], 1), (list(bent[0]), None, 0)]:
+        del tested[:]
+        stats = search._stats()
+        got = search._confirm(4, 3, leaves, bound, stats)
+        assert (got and tuple(got)) == found and len(tested) == count, bound
+        assert stats["examined"] == stats["survivors"] == count, bound
 
 
 def test_join_screens_each_head_against_its_window(monkeypatch):
-    # at (15, 3) the search builds one tail table, and its 3375 heads meet
-    # 3060 tail groups each, but the join screens only the pairs in each
-    # head's window of |B|^2, a small share of the 10.3 million
+    # at (15, 3) the search builds one tail table, and its 680 head
+    # multisets meet 3060 tail groups each, but the join screens only the
+    # pairs in each head's window of |B|^2, a small share of the 2.1
+    # million
     screened = []
 
     class Counting(np.ndarray):
@@ -481,31 +575,31 @@ def test_join_screens_each_head_against_its_window(monkeypatch):
         out = brute_force(15, 3)
         assert out.status == "ExhaustedNone" and out.examined == out.normalized_space
         assert search._tail_table.cache_info().misses == 1
-        assert sum(screened) == 24390
+        assert sum(screened) == 5340
     finally:
         search._tail_table.cache_clear()
 
-    # at every exhausted rung of the ladder no (head, tail group) pair
-    # passes both y = 0 and y = 2^(n-1), so no block builds a tail row
-    def no_rows(runs):
-        raise AssertionError("tail rows were built")
+    # at every exhausted rung of the ladder no (head, tail) multiset pair
+    # passes both y = 0 and y = 2^(n-1), so no level-1 node is split
+    def no_level(*args):
+        raise AssertionError("a level-1 node was split")
 
     with monkeypatch.context() as patch:
-        patch.setattr(search, "_arrangements", no_rows)
+        patch.setattr(search, "_Level", no_level)
         for m, n in [(m, 3) for m in (2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15)] + [(3, 4)]:
             out = brute_force(m, n)
             assert out.status == "ExhaustedNone" and out.examined == out.normalized_space
 
-    # at a witness, examined is (rank of the witness's head + 1) *
-    # m^(2^(n-1)), the tail the top half of Z_2^n
+    # at a witness, examined counts the functions of the head runs joined
+    # and of the batches searched before the search stopped
     witnesses = {
-        (4, 1): ((0, 1), 4),
-        (4, 2): ((0, 0, 0, 2), 16),
-        (364, 2): ((0, 0, 0, 182), 364**2),
-        (4, 3): ((0, 0, 0, 2, 1, 1, 1, 3), 768),
-        (8, 3): ((0, 0, 0, 4, 2, 2, 2, 6), 20480),
-        (12, 3): ((0, 0, 0, 6, 3, 3, 3, 9), 145152),
-        (2, 4): ((0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 0, 1, 0, 1, 1, 0), 1024),
+        (4, 1): ((0, 1), 3),
+        (4, 2): ((0, 0, 0, 2), 49),
+        (364, 2): ((0, 0, 0, 182), 132133),
+        (4, 3): ((0, 0, 0, 2, 1, 1, 1, 3), 15609),
+        (8, 3): ((0, 0, 0, 4, 2, 2, 2, 6), 151505),
+        (12, 3): ((0, 0, 0, 6, 3, 3, 3, 9), 1140389),
+        (2, 4): ((0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 0, 1, 0, 1, 1, 0), 31225),
     }
     for (m, n), (values, examined) in witnesses.items():
         out = brute_force(m, n)
@@ -523,7 +617,7 @@ _JOIN_CELLS = [(m, n) for n in (1, 2, 3) for m in range(2, 13)] + [(2, 4), (3, 4
     st.data(),
 )
 def test_tail_table_join_matches_direct_screen(cell, tol, cells, data):
-    # find returns exactly the (head, tail multiset) pairs that a direct
+    # the join returns exactly the (head, tail multiset) pairs that a direct
     # screen of |F(0)|^2 and |F(2^(n-1))|^2 passes, over every multiset
     # of the top half, for heads in any order; a pass of 2^cells >> 5
     # pairs makes the join take many passes.  Within 1e-4 of these
@@ -542,7 +636,7 @@ def test_tail_table_join_matches_direct_screen(cell, tol, cells, data):
                 want.add((i, t))
     with patch.object(search, "_TOL", tol), patch.object(search, "_TAIL_CELLS", 1 << cells):
         table = search._TailTable(m, n)
-        owner, groups = table.find(np.array(heads, dtype=np.int64).reshape(len(heads), half - 1))
+        owner, groups = table.screen(*table.windows(np.array(heads, dtype=np.int64).reshape(len(heads), half - 1)))
     got = [(i, tuple(table.tails[g].tolist())) for i, g in zip(owner.tolist(), groups.tolist())]
     assert len(got) == len(set(got)) and set(got) == want
     assert (np.diff(owner) >= 0).all()
@@ -587,13 +681,35 @@ def _shifted_mm_functions(draw):
 @given(_shifted_mm_functions())
 def test_tail_table_admits_bent_functions(f):
     # positive control for the join at y = 0 and y = 2^(n-1): the top
-    # half of a bent function is a tail group that find pairs with its
+    # half of a bent function is a tail group that the join pairs with its
     # head, the rest of its bottom half
     assert is_gbf_exact(f)
     half = 1 << (f.n - 1)
     table = search._TailTable(f.m, f.n)
-    owner, groups = table.find(np.array([f.values[1:half]]))
+    owner, groups = table.screen(*table.windows(np.array([f.values[1:half]])))
     assert sorted(f.values[half:]) in table.tails[groups].tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_shifted_mm_functions())
+def test_bent_functions_reach_a_leaf(f):
+    # positive control for every level: searched from its own level-1
+    # node, with no exact test passing, a bent function is among the
+    # leaves that reach the exact test
+    assert is_gbf_exact(f)
+    half = 1 << (f.n - 1)
+    row = [0, *sorted(f.values[1:half]), *sorted(f.values[half:])]
+    tested = []
+
+    def never_bent(fn):
+        tested.append(fn.values)
+        return False
+
+    with patch.object(search, "is_gbf_exact", never_bent):
+        level = search._Level(f.m, f.n, 1, np.array([row]))
+        found, stats = search._search_batch(f.m, f.n, level, np.arange(1))
+    assert found is None and f.values in tested
+    assert stats[f.n]["survivors"] == len(tested)
 
 
 def test_search_imports_no_masked_arrays():
@@ -612,48 +728,74 @@ def test_search_imports_no_masked_arrays():
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+def test_search_imports_no_process_pool():
+    # concurrent.futures.process takes 14 to 20 ms to import, so the
+    # search imports it only when it starts a pool
+    code = (
+        "import sys\n"
+        "from gbfkit.cli import main\n"
+        "assert main(['search', '15', '3']) == 1\n"
+        "assert main(['search', '4', '3']) == 0\n"
+        "print('concurrent.futures.process' in sys.modules)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "GBF_STORE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_tail_groups_are_digit_multisets():
     for m, n in [(4, 3), (6, 3), (8, 3), (3, 4), (3, 2), (2, 1), (5, 2), (9, 1)]:
         zeta = np.exp(2j * np.pi * np.arange(m) / m)
         tail = 1 << (n - 1)
         # group g is the g-th multiset of the top half in lexicographic
-        # order, a sorted row, with B the sum of zeta^d over its digits;
-        # norms lists each |B|^2 in increasing order, through order
+        # order, a sorted row, with B the sum of zeta^d over its digits and
+        # its count of orderings; norms lists each |B|^2 in increasing
+        # order, through order
         table = search._TailTable(m, n)
         got = [tuple(t) for t in table.tails.tolist()]
         assert got == list(combinations_with_replacement(range(m), tail)), (m, n)
         assert np.abs(table.sums - [zeta[list(t)].sum() for t in got]).max() <= 1e-12
+        assert table.counts.tolist() == [_orderings(list(t)) for t in got], (m, n)
+        assert sum(table.counts.tolist()) == m**tail, (m, n)
         assert sorted(table.order.tolist()) == list(range(len(got))), (m, n)
         assert np.abs(table.norms - np.abs(table.sums[table.order]) ** 2).max() <= 1e-12
         assert (np.diff(table.norms) >= 0).all(), (m, n)
-        # the groups' arrangements are every assignment exactly once,
-        # each group's its own digits in lexicographic order
-        owner, rows = search._by_pattern(table.tails, search._arrangements)
-        rows = [tuple(r) for r in rows.tolist()]
-        assert (np.diff(owner) >= 0).all(), (m, n)
-        for g, multiset in enumerate(got):
-            group = [rows[i] for i in np.flatnonzero(owner == g)]
-            assert group == sorted(group), (m, n, g)
-            assert all(tuple(sorted(r)) == multiset for r in group), (m, n, g)
-        assert sorted(rows) == list(product(range(m), repeat=tail)), (m, n)
 
 
-def test_arrangement_tables_match_itertools():
-    # every run pattern of up to 8 digits: a row of run labels 0, 1, ...
-    # with those run lengths
-    for length in range(9):
-        for cuts in product((False, True), repeat=max(0, length - 1)):
-            row = tuple(np.cumsum((0, *cuts)).tolist())[:length]
-            runs = tuple(row.count(v) for v in sorted(set(row)))
-            got = np.array(row, dtype=np.intp)[search._arrangements(runs)].tolist()
-            assert list(map(tuple, got)) == sorted(set(permutations(row))), row
+def test_split_tables_match_itertools():
+    # every run pattern of up to 8 digits, as one coset of a node whose
+    # other cosets are single digits: its splits are the distinct (lower,
+    # upper) halves of its digits, lower halves in lexicographic order,
+    # each with the orderings of both halves (past f(0) in coset 0), and
+    # they sum to the coset's own orderings
+    for length in (2, 4, 8):
+        for cuts in product((False, True), repeat=length - 1):
+            coset = list(np.cumsum((0, *cuts)).tolist())
+            for pinned in (True, False):
+                # coset 0 holds f(0) = 0 first; otherwise coset 1, after a
+                # coset 0 of zeros
+                row = coset + [0] * length if pinned else [0] * length + coset
+                level = search._Level(max(row) + 1, length.bit_length(), 1, np.array([row]))
+                at = 0 if pinned else 1
+                table = level.which[0, at]
+                lo, size = level.offsets[table], level.sizes[table]
+                perms = level.perms[lo : lo + size].tolist()
+                got = [(tuple(coset[i] for i in p[: length // 2]), tuple(coset[i] for i in p[length // 2 :])) for p in perms]
+                assert got == _halves_of(coset, pinned), (coset, pinned)
+                weights = level.weights[lo : lo + size].tolist()
+                want = [_orderings(list(low[pinned:])) * _orderings(list(high)) for low, high in got]
+                assert weights == want, (coset, pinned)
+                assert level.totals[table] == sum(want) == _orderings(coset[pinned:]), (coset, pinned)
 
 
 def test_screen_passes_keep_to_their_pair_bound(monkeypatch):
     # each pass of the join holds at most _TAIL_CELLS / 32 pairs, also
     # where one head's window holds far more: at n = 1 the one empty head
-    # meets all m groups, each of |B|^2 = 1.  The search finds what it
-    # finds with the default _TAIL_CELLS
+    # meets all m groups, each of |B|^2 = 1.  The search finds the same
+    # witness, and exhausts the same spaces, as with the default
+    # _TAIL_CELLS
     cases = [(5000, 1), (40, 1), (12, 2), (31, 2), (5, 3), (8, 3), (2, 4)]
     default = {(m, n): brute_force(m, n) for m, n in cases}
     passes = []
@@ -669,53 +811,47 @@ def test_screen_passes_keep_to_their_pair_bound(monkeypatch):
         monkeypatch.setattr(table, "sums", table.sums.view(Counting))
         del passes[:]
         out = brute_force(m, n)
-        assert out == default[m, n], (m, n)
+        assert out.witness == default[m, n].witness, (m, n)
         assert out.witness or out.examined == out.normalized_space, (m, n)
         assert max(passes, default=0) <= 1 << 4, (m, n)
         if n == 1:
             assert sum(passes) == m and len(passes) == -(-m // 16), (m, n)
 
 
-def test_progress_events(monkeypatch):
-    # (3, 2): a tail of the top half, two positions, after one head
-    # position, so blocks of 1 and 2 heads of 9 completions each
+def test_progress_events():
+    # one event per level: level 1 for each run of head multisets, each
+    # deeper level for each batch; examined adds up to the outcome's, and
+    # only the leaves (level n) have survivors
+    keys = {"level", "nodes_in", "nodes_out", "examined", "pruned", "survivors", "seconds"}
+
+    # (3, 2): 3 head multisets meet 6 tail multisets in one run, and no
+    # pair passes: all 27 functions are cut at level 1
     events = []
     out = brute_force(3, 2, progress=events.append)
-    assert all(set(e) == {"prefix", "examined", "pruned", "survivors"} for e in events)
-    assert all(e["pruned"] == 0 and e["survivors"] == 0 for e in events)
-    assert [(e["prefix"], e["examined"]) for e in events] == [([0], 9), ([1], 18)]
+    assert all(set(e) == keys for e in events)
+    assert _plain(events) == [
+        {"level": 1, "nodes_in": 18, "nodes_out": 0, "examined": 27, "pruned": 27, "survivors": 0}
+    ]
     assert out.examined == 27
 
-    # n = 1: the head is empty, so one block, one event with prefix []
-    for m in (7, 524288):
+    # n = 1: the level-1 nodes are the leaves, tested at level 1
+    for m, examined in [(7, 7), (524288, 524287)]:
         events = []
         out = brute_force(m, 1, progress=events.append)
-        assert [(e["prefix"], e["examined"]) for e in events] == [([], m)], m
-        assert out.examined == m
+        assert [(e["level"], e["examined"], e["survivors"]) for e in events] == [(1, examined, m % 4 == 0)]
+        assert out.examined == examined
 
-    # (15, 3): 3375 heads of three positions in blocks of 1, 2, 4, ..., 1024
-    # and the last 1328, each event's prefix its first head
+    # (4, 3): the first run joins all 20 head multisets, and the batch of
+    # its 34 level-1 nodes holds the witness, the one leaf tested
     events = []
-    brute_force(15, 3, progress=events.append)
-    sizes = [1 << k for k in range(11)] + [1328]
-    assert [e["examined"] for e in events] == [size * 15**4 for size in sizes]
-    firsts = [(1 << k) - 1 for k in range(12)]
-    assert [e["prefix"] for e in events] == [[r // 225, r // 15 % 15, r % 15] for r in firsts]
+    out = brute_force(4, 3, progress=events.append)
+    assert _plain(events) == [
+        {"level": 1, "nodes_in": 700, "nodes_out": 34, "examined": 15440, "pruned": 15440, "survivors": 0},
+        {"level": 2, "nodes_in": 60, "nodes_out": 30, "examined": 140, "pruned": 140, "survivors": 0},
+        {"level": 3, "nodes_in": 64, "nodes_out": 36, "examined": 29, "pruned": 28, "survivors": 1},
+    ]
+    assert sum(e["examined"] for e in events) == out.examined == 15609
 
-    # (2, 3) with the blocks capped at 2 heads: 8 heads in blocks of 1,
-    # then 2 until the last one, each head with 2^4 tails
-    monkeypatch.setattr(search, "_TAIL_CELLS", 1 << 4)
-    events = []
-    out = brute_force(2, 3, progress=events.append)
-    assert [e["examined"] for e in events] == [16 * k for k in (1, 2, 2, 2, 1)]
-    assert out.examined == out.normalized_space == 128
-    monkeypatch.undo()
-
-    # (4, 3): the witness's head (0, 0, 2) is in the second block, heads
-    # 1 and 2, and it is the only screen survivor there
-    events = []
-    brute_force(4, 3, progress=events.append)
-    assert [(e["prefix"], e["survivors"]) for e in events] == [([0, 0, 0], 0), ([0, 0, 1], 1)]
 
 
 def test_certificate():
