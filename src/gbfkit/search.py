@@ -14,13 +14,13 @@ depends on the node alone.
 Level 1 is a join.  Let e = 2^(n-1), A the sum of zeta^f over the bottom
 half (f(0) = 0 included) and B the sum over the top half; F(0) = A + B
 and F(e) = A - B.  A depends only on the digit multiset of the bottom
-half past f(0) (the head) and B only on that of the top half (the tail
-group, _TailTable).  |A|^2 + |B|^2 is the mean of |F(0)|^2 and
-|F(e)|^2, so each head meets only the groups whose |B|^2 is within the
-tolerance of 2^n - |A|^2, one slice of the groups sorted by |B|^2, and
-each such pair is screened at y = 0 and y = e.  At n = 3 for m = 2, 3,
-5, 6, 7, 9, 10, 11, 13, 14 and 15, at (3, 4), (13, 4) and (21, 4) no
-pair passes.
+half (the head) and B only on that of the top half (the tail group,
+_TailTable, whose first groups, those with a digit 0, are the heads).
+|A|^2 + |B|^2 is the mean of |F(0)|^2 and |F(e)|^2, so each head
+meets only the groups whose |B|^2 is within the tolerance of 2^n -
+|A|^2, one slice of the groups sorted by |B|^2, and each such pair is
+screened at y = 0 and y = e.  At n = 3 for m = 2, 3, 5, 6, 7, 9, 10,
+11, 13, 14 and 15, at (3, 4), (13, 4) and (21, 4) no pair passes.
 
 Level k to k + 1 splits every coset multiset into a lower and an upper
 half (a split table per run pattern of equal digits, _Level).  The
@@ -78,20 +78,19 @@ from .vsum import _vsums_under
 # of a 2-core Xeon VM (a fresh process, after the import): no (head, tail)
 # multiset pair passes both screens at y = 0 and y = 2^(n-1), so the
 # level-1 join is the whole search.  (553, 2), the largest n = 2 space
-# inside it, takes 0.025 to 0.03 s
+# inside it, takes 0.02 to 0.03 s
 DEFAULT_BUDGET = 15**7
 
 # the roots of unity and, at n = 1, the tail table hold m entries, and
 # at n = 1, a space of m, the budget does not bound m: (524286, 1)
-# takes 0.11 to 0.15 s and 61 MB on the same VM
+# takes 0.09 to 0.11 s and 61 MB on the same VM
 MAX_MODULUS = 1 << 19
 
-# the level-1 tables hold every digit multiset of each half of Z_2^n, so
-# more than this many multisets of the top half (the larger),
-# C(m + 2^(n-1) - 1, 2^(n-1)), are refused whatever the budget: (21, 4),
-# 3108105 of them, exhausts in 2.3 to 2.6 s at 396 MB VmHWM on the same
-# VM, so the cap stays near 0.5 GB; (22, 4) needs 4292145 and (30, 4)
-# 38.6 million
+# the level-1 table holds every digit multiset of a half of Z_2^n (the
+# heads are its first), so more than this many, C(m + 2^(n-1) - 1,
+# 2^(n-1)), are refused whatever the budget: (21, 4), 3108105 of them,
+# exhausts in 2.1 to 2.5 s at 297 MB VmHWM on the same VM, so the cap
+# stays near 0.5 GB; (22, 4) needs 4292145 and (30, 4) 38.6 million
 MAX_MULTISETS = 1 << 22
 
 # a level-k node's cosets split through every choice of the lower half
@@ -112,7 +111,10 @@ _TAIL_CELLS = 1 << 19
 
 # the first run of head multisets holds this many pairs in its windows,
 # and the first run of nodes at each level this many children; each
-# next run doubles, up to the caps above
+# next run doubles, up to the caps above.  Head runs start larger, as a
+# run costs some 15 numpy calls even when no pair passes: the witness of
+# (12, 3) is 192 pairs in, that of (24, 3) 768
+_FIRST_PAIRS = 1 << 10
 _FIRST_RUN = 1 << 6
 
 STATUS_WITNESS = "WitnessFound"
@@ -229,12 +231,8 @@ def _below(rows: np.ndarray, bound) -> np.ndarray:
     return differ.any(axis=1) & (rows[np.arange(len(rows)), first] < bound[first])
 
 
-def _lex_sorted(rows: np.ndarray, m: int) -> np.ndarray:
-    """The rows of digits below m in lexicographic order: by their value
-    as base-m numbers where that fits in int64."""
-    width = rows.shape[1]
-    if width * m.bit_length() < 63:
-        return rows[np.argsort(rows @ m ** np.arange(width - 1, -1, -1, dtype=np.int64))]
+def _lex_sorted(rows: np.ndarray) -> np.ndarray:
+    """The rows in lexicographic order."""
     return rows[np.lexsort(rows.T[::-1])]
 
 
@@ -262,7 +260,9 @@ class _TailTable:
     group g is the g-th in lexicographic order, one sorted row tails[g],
     with B, the sum of zeta^d over its digits, in sums[g] and its count
     of orderings in counts[g].  norms holds every |B|^2 in increasing
-    order, norms[i] that of group order[i]."""
+    order, norms[i] that of group order[i].  The bottom half has as many
+    points, so its multisets with a digit 0, the first groups, are the
+    heads."""
 
     def __init__(self, m: int, n: int):
         self.m, self.size = m, 1 << n
@@ -279,10 +279,11 @@ class _TailTable:
         self.norms.sort()
 
     def windows(self, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A, 1 plus the sum of zeta^d over each head row's digits, and
-        the slice first .. first + count of norms within _TOL of 2^n -
-        |A|^2: the groups each head is screened against."""
-        a = 1 + _roots(self.m)[heads].sum(axis=1)
+        """A, the sum of zeta^d over each of the head groups heads (the
+        digits of a bottom half, f(0) = 0 among them), and the slice
+        first .. first + count of norms within _TOL of 2^n - |A|^2: the
+        groups each head is screened against."""
+        a = self.sums[heads]
         target = self.size - (a.real * a.real + a.imag * a.imag)
         first = np.searchsorted(self.norms, target - _TOL)
         return a, first, np.searchsorted(self.norms, target + _TOL, side="right") - first
@@ -371,7 +372,7 @@ class _Level:
         self.which = which.reshape(len(rows), cosets)
         self.width = self.sizes[self.which].prod(axis=1)
 
-    def chunks(self, run: int = _FIRST_RUN):
+    def chunks(self, run: int):
         """Runs of nodes, in order, with at most run, 2 run, 4 run, ...
         children between them, up to _TAIL_CELLS / 2^k, or one node with
         more: a witness below one of the first nodes is found after a few
@@ -424,7 +425,7 @@ class _Level:
         stats["nodes_out"] += sum(map(len, kept))
         stats["examined"] += cut - passed
         stats["pruned"] += cut - passed
-        return _lex_sorted(np.concatenate(kept), self.m)
+        return _lex_sorted(np.concatenate(kept))
 
 
 def _confirm(m: int, n: int, leaves: np.ndarray, bound, stats: dict):
@@ -456,7 +457,7 @@ def _descend(m: int, n: int, k: int, rows: np.ndarray, stats: dict, bound=None):
         stats[k]["seconds"] += time.perf_counter() - start
         return found
     level, best = _Level(m, n, k, rows), None
-    for lo, hi in level.chunks():
+    for lo, hi in level.chunks(_FIRST_RUN):
         limit = bound if best is None else best
         nodes = np.arange(lo, hi)
         if limit is not None:
@@ -494,30 +495,34 @@ def _stream(m: int, n: int):
     joined with the tail table as one item ("run", its least function,
     level 1's counts, the witness found at n = 1 or None), followed by
     the batches of its passing nodes, ("batch", the least function, the
-    level-1 _Level, the nodes).  The runs hold _FIRST_RUN, twice that,
-    ... pairs in their windows, up to _TAIL_CELLS / 32 (or one head with
-    more): a witness below one of the first heads is found after a few
-    small runs, and then bounds the rest."""
+    level-1 _Level, the nodes, the count of the run's batches).  The runs
+    hold _FIRST_PAIRS, twice that, ... pairs in their windows, up to
+    _TAIL_CELLS / 32 (or one head with more): a witness below one of the
+    first heads is found after a few runs, and then bounds the rest."""
     start = time.perf_counter()
     table = _tail_table(m, n)
-    heads = _multisets(m, (1 << (n - 1)) - 1)
-    head_counts = _orderings(heads)
+    half = table.tails.shape[1]
+    # the digits of the bottom half, f(0) = 0 among them, are a group with
+    # a digit 0, one of the first C(m + half - 2, half - 1) (the heads);
+    # its orderings with f(0) first are z / half of its own, z its zeros
+    heads = comb(m + half - 2, half - 1)
+    head_counts = table.counts[:heads] * (table.tails[:heads] == 0).sum(axis=1) // half
     # a sum of orderings over a whole table is m^(its digits) < 2^63
     # when no multiset is missing
     tail_total = int(table.counts.sum())
-    a, first, count = table.windows(heads)
+    a, first, count = table.windows(np.arange(heads))
     ends, step = np.cumsum(count), max(1, _TAIL_CELLS >> 5)
-    lo, run = 0, min(step, _FIRST_RUN)
-    while lo < len(heads):
+    # the first run's batches start at _FIRST_RUN children, each next
+    # run's at twice as many
+    lo, run, batch = 0, min(step, _FIRST_PAIRS), _FIRST_RUN
+    while lo < heads:
         base = int(ends[lo - 1]) if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, base + run, side="right")))
         owner, groups = table.screen(a[lo:hi], first[lo:hi], count[lo:hi])
         # by head, then by tail group: the lexicographic order of the rows
         order = np.argsort(owner * len(table.tails) + groups, kind="stable")
         owner, groups = owner[order] + lo, groups[order]
-        rows = np.zeros((len(owner), 1 << n), dtype=heads.dtype)
-        rows[:, 1 : heads.shape[1] + 1] = heads[owner]
-        rows[:, heads.shape[1] + 1 :] = table.tails[groups]
+        rows = np.concatenate([table.tails[owner], table.tails[groups]], axis=1)
         cut = int(head_counts[lo:hi].sum()) * tail_total
         cut -= _sum_of_products(np.stack([head_counts[owner], table.counts[groups]], axis=1))
         stats = _stats()
@@ -525,44 +530,50 @@ def _stream(m: int, n: int):
         # the level-1 nodes are the leaves at n = 1
         found = _confirm(m, n, rows, None, stats) if n == 1 else None
         stats["seconds"] = time.perf_counter() - start
-        least = [0, *heads[lo].tolist()] + [0] * table.tails.shape[1]
+        least = table.tails[lo].tolist() + [0] * half
         yield "run", least, stats, found
         if n > 1 and len(rows):
             level = _Level(m, n, 1, rows)
-            for b_lo, b_hi in level.chunks(run):
-                yield "batch", rows[b_lo].tolist(), level, np.arange(b_lo, b_hi)
-        lo, run, start = hi, min(step, 2 * run), time.perf_counter()
+            chunks = list(level.chunks(batch))
+            for b_lo, b_hi in chunks:
+                yield "batch", rows[b_lo].tolist(), level, np.arange(b_lo, b_hi), len(chunks)
+        lo, start = hi, time.perf_counter()
+        run, batch = min(step, 2 * run), min(_TAIL_CELLS, 2 * batch)
 
 
 def _results(m: int, n: int, items, workers: int):
     """The items of _stream in order, each batch's nodes replaced by a
-    call that returns its _search_batch result: run in process, or for
-    workers > 1 already handed to a pool of that many processes, started
-    at the first batch, with at most two batches per worker handed out
-    and not yet yielded.  The pool is shut down when the caller closes
-    the generator."""
-    if workers < 2:
-        for kind, least, *rest in items:
-            yield kind, least, rest if kind == "run" else partial(_search_batch, m, n, *rest)
-        return
+    call that returns its _search_batch result.  For workers > 1 a pool
+    starts at the first run of two batches or more, with no more
+    processes than workers or that run's batches, and takes every batch
+    from then on, with at most two batches per process handed out and
+    not yet yielded; the batches before it run in process.  The pool is
+    shut down when the caller closes the generator."""
     queue: deque = deque()
-    pool, handed = None, 0
+    pool, ahead, handed = None, 0, 0
     try:
         for kind, least, *rest in items:
+            pooled = False
             if kind == "batch":
-                if pool is None:
+                level, nodes, batches = rest
+                if pool is None and min(workers, batches) > 1:
                     from concurrent.futures import ProcessPoolExecutor
 
-                    pool = ProcessPoolExecutor(max_workers=workers)
-                level, nodes = rest
-                rest = pool.submit(_pooled_batch, m, n, level.rows[nodes]).result
-                handed += 1
-            queue.append((kind, least, rest))
-            while handed == 2 * workers or (queue and queue[0][0] == "run"):
-                item = queue.popleft()
-                handed -= item[0] == "batch"
+                    ahead = 2 * min(workers, batches)
+                    pool = ProcessPoolExecutor(max_workers=ahead // 2)
+                if pool is None:
+                    rest = partial(_search_batch, m, n, level, nodes)
+                else:
+                    rest, pooled = pool.submit(_pooled_batch, m, n, level.rows[nodes]).result, True
+            queue.append((kind, least, rest, pooled))
+            handed += pooled
+            # with no pool, ahead and handed stay 0 and every item goes on
+            while queue and (handed == ahead or not queue[0][3]):
+                *item, pooled = queue.popleft()
+                handed -= pooled
                 yield item
-        yield from queue
+        for *item, _ in queue:
+            yield item
     finally:
         if pool is not None:
             # wait for the running batches, so that no worker outlives the call
@@ -605,14 +616,15 @@ def brute_force(
     multisets of the top half.  The level-1 join runs in process, a run
     of head multisets at a time; the passing nodes of a run are cut into
     batches, and each batch is searched to its leaves, in process or,
-    for workers > 1, on at most that many worker processes (no more than
-    the CPUs; none unless some batch exists), two batches per worker
-    ahead.  Runs and batches are read in order until one's least
-    function is not below the best witness so far, which makes the
-    returned witness the overall lexicographic minimum; a batch's
-    result does not depend on the batches before it, so the pool
-    changes no result.  progress, when given, receives one event dict
-    per level: level 1 once per run, each deeper level once per batch.
+    for workers > 1, on a pool started at the first run of two batches
+    or more, with no more processes than workers, the CPUs or that
+    run's batches, two batches per process ahead.  Runs and batches are
+    read in order until one's least function is not below the best
+    witness so far, which makes the returned witness the overall
+    lexicographic minimum; a batch's result does not depend on the
+    batches before it, so the pool changes no result.  progress, when
+    given, receives one event dict per level: level 1 once per run, each
+    deeper level once per batch.
     m < 2 is refused, as decide refuses it: m = 1 has a space of 1 at
     every n, so the budget would not stop the 4^n-cell character table.
     """

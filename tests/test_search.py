@@ -164,7 +164,7 @@ def test_modulus_cap_refuses_before_any_block(monkeypatch, capsys):
     assert out.witness.values == (0, cap // 4) and out.examined == cap - 1
     # and so is the n = 2 space with the largest m inside the budget
     out = brute_force(554, 2)
-    assert out.witness.values == (0, 0, 0, 277) and out.examined == 306363
+    assert out.witness.values == (0, 0, 0, 277) and out.examined == 613275
 
 
 def test_refusals_come_before_any_table(monkeypatch, capsys):
@@ -232,6 +232,7 @@ def test_smallest_batches_match_default(monkeypatch):
         events = []
         with monkeypatch.context() as patch:
             patch.setattr(search, "_TAIL_CELLS", 1 << n)
+            patch.setattr(search, "_FIRST_PAIRS", 1)
             patch.setattr(search, "_FIRST_RUN", 1)
             deep = brute_force(m, n, progress=events.append)
         assert deep.witness == flat.witness, (m, n)
@@ -253,6 +254,7 @@ def test_pooled_search_matches_serial(monkeypatch):
     # (4, 4) at 4^15 into many batches, and the pool's results are read in
     # the serial order, with the same certificate and events
     monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(search, "_FIRST_PAIRS", 1)
     monkeypatch.setattr(search, "_FIRST_RUN", 1)
     default = search.DEFAULT_BUDGET
     for m, n, budget in [(32, 3, 32**7), (4, 4, 4**15), (8, 1, default), (4, 3, default), (6, 3, default)]:
@@ -321,28 +323,71 @@ def test_pool_size_is_bounded(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    runs = {}
+    for cell in [(3, 3), (4, 3), (2, 4)]:
+        runs[cell] = [rest[-1] for kind, least, *rest in search._stream(*cell) if kind == "batch"]
     # (3, 3) has no level-1 node, so no batch and no pool; (4, 3) has
-    # batches, and a pool of no more workers than CPUs
-    serial = {cell: brute_force(*cell) for cell in [(3, 3), (4, 3)]}
+    # one run of three batches, and a pool of three workers, not eight;
+    # (2, 4) finds its witness in its first run, of one batch, in process
+    assert runs[3, 3] == [] and runs[4, 3] == [3, 3, 3] and runs[2, 4][0] == 1
+    serial = {cell: brute_force(*cell) for cell in runs}
     assert brute_force(3, 3, workers=10**6) == serial[3, 3]
+    assert brute_force(2, 4, workers=10**6) == serial[2, 4]
     assert asked == []
     assert brute_force(4, 3, workers=10**6) == serial[4, 3]
-    assert asked == [8]
+    assert asked == [3]
 
-    # none at all on one CPU or for workers < 2
+    # no more workers than CPUs, and none at all on one CPU or for workers < 2
     monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert brute_force(4, 3, workers=10**6) == serial[4, 3]
     assert brute_force(4, 3, workers=-1) == serial[4, 3]
     monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert brute_force(4, 3, workers=10**6) == serial[4, 3]
-    assert asked == [8, 2]
+    assert asked == [3, 2]
+
+
+def test_pool_starts_at_the_first_run_of_two_batches(monkeypatch):
+    # a stream of runs of one, three and one batches: the first run's
+    # batch is searched in process, then a pool of three workers (not
+    # five) takes every batch from the second run on, in order
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def submit(self, fn, *args):
+            done = Future()
+            done.set_result(fn(*args))
+            return done
+
+        def shutdown(self, wait, cancel_futures):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(search, "_search_batch", lambda m, n, level, nodes: ("in process", int(nodes[0])))
+    monkeypatch.setattr(search, "_pooled_batch", lambda m, n, rows: ("pooled", int(rows[0])))
+    level = type("Level", (), {"rows": np.arange(5)})
+    runs = [[0], [1, 2, 3], [4]]
+    stream = []
+    for i, run in enumerate(runs):
+        stream.append(("run", [i], "stats", None))
+        stream += [("batch", [node], level, np.array([node]), len(run)) for node in run]
+    got = []
+    for kind, least, value in search._results(2, 3, iter(stream), 5):
+        got.append(value if kind == "run" else value())
+    assert asked == [3]
+    expected = [["stats", None], ("in process", 0), ["stats", None]]
+    expected += [("pooled", node) for node in (1, 2, 3)] + [["stats", None], ("pooled", 4)]
+    assert got == expected
 
 
 def test_pool_is_handed_two_batches_per_worker_ahead(monkeypatch):
     # a stand-in pool that runs each batch as it is handed out: with two
     # workers, at most four batches are out and unread.  The search reads
     # k batches, then the next one is not below the witness and is left
-    # unread, so k + 4 batches were handed out, not all of the search's
+    # unread; the j batches before the first run of two or more run in
+    # process, so k - j + 4 batches were handed out, not all of the search's
     handed = []
 
     class InlinePool:
@@ -358,16 +403,18 @@ def test_pool_is_handed_two_batches_per_worker_ahead(monkeypatch):
         def shutdown(self, wait, cancel_futures):
             pass
 
+    monkeypatch.setattr(search, "_FIRST_PAIRS", 1)
     monkeypatch.setattr(search, "_FIRST_RUN", 1)
     events = []
     serial = brute_force(32, 3, 32**7, progress=events.append)
     read = sum(e["level"] == 2 for e in events)
-    batches = sum(kind == "batch" for kind, *_ in search._stream(32, 3))
-    assert read + 4 < batches
+    runs = [rest[-1] for kind, least, *rest in search._stream(32, 3) if kind == "batch"]
+    before = next(i for i, batches in enumerate(runs) if batches > 1)
+    assert before < read and read + 4 < len(runs)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert brute_force(32, 3, 32**7, workers=2) == serial
-    assert len(handed) == read + 4
+    assert len(handed) == read - before + 4
 
 
 def _spectra(rows, m, n):
@@ -414,6 +461,7 @@ def test_tree_matches_lex_walk(cell, tol, cells, first):
     with (
         patch.object(search, "_TOL", tol),
         patch.object(search, "_TAIL_CELLS", 1 << cells),
+        patch.object(search, "_FIRST_PAIRS", first),
         patch.object(search, "_FIRST_RUN", first),
     ):
         out = brute_force(m, n)
@@ -455,7 +503,7 @@ def _level_one_rows(m, n):
     # the level-1 nodes of (m, n) as the search's stream yields them
     for kind, least, *rest in search._stream(m, n):
         if kind == "batch":
-            level, nodes = rest
+            level, nodes, batches = rest
             yield level.rows
 
 
@@ -484,7 +532,7 @@ def test_count_identity_at_every_level(monkeypatch):
                 assert stats["nodes_in"] == stats["nodes_out"] == len(want)
                 assert stats["examined"] == stats["pruned"] == 0
                 nxt.append(children)
-            rows = search._lex_sorted(np.concatenate(nxt), m)
+            rows = search._lex_sorted(np.concatenate(nxt))
 
     tested = []
 
@@ -520,6 +568,7 @@ def test_every_row_passing_the_screens_is_confirmed(monkeypatch):
         monkeypatch.setattr(search, "_TOL", tol)
         for m, cells, first in [(3, search._TAIL_CELLS, 64), (3, 1 << 8, 1), (4, 1 << 8, 1)]:
             monkeypatch.setattr(search, "_TAIL_CELLS", cells)
+            monkeypatch.setattr(search, "_FIRST_PAIRS", first)
             monkeypatch.setattr(search, "_FIRST_RUN", first)
             del sent[:]
             out = brute_force(m, 3)
@@ -575,7 +624,8 @@ def test_join_screens_each_head_against_its_window(monkeypatch):
         out = brute_force(15, 3)
         assert out.status == "ExhaustedNone" and out.examined == out.normalized_space
         assert search._tail_table.cache_info().misses == 1
-        assert sum(screened) == 5340
+        # the heads' own sums once, then the pairs of their windows
+        assert screened[0] == 680 and sum(screened[1:]) == 5340
     finally:
         search._tail_table.cache_clear()
 
@@ -595,10 +645,10 @@ def test_join_screens_each_head_against_its_window(monkeypatch):
     witnesses = {
         (4, 1): ((0, 1), 3),
         (4, 2): ((0, 0, 0, 2), 49),
-        (364, 2): ((0, 0, 0, 182), 132133),
+        (364, 2): ((0, 0, 0, 182), 397117),
         (4, 3): ((0, 0, 0, 2, 1, 1, 1, 3), 15609),
-        (8, 3): ((0, 0, 0, 4, 2, 2, 2, 6), 151505),
-        (12, 3): ((0, 0, 0, 6, 3, 3, 3, 9), 1140389),
+        (8, 3): ((0, 0, 0, 4, 2, 2, 2, 6), 1334545),
+        (12, 3): ((0, 0, 0, 6, 3, 3, 3, 9), 3873699),
         (2, 4): ((0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 0, 1, 0, 1, 1, 0), 31225),
     }
     for (m, n), (values, examined) in witnesses.items():
@@ -636,7 +686,9 @@ def test_tail_table_join_matches_direct_screen(cell, tol, cells, data):
                 want.add((i, t))
     with patch.object(search, "_TOL", tol), patch.object(search, "_TAIL_CELLS", 1 << cells):
         table = search._TailTable(m, n)
-        owner, groups = table.screen(*table.windows(np.array(heads, dtype=np.int64).reshape(len(heads), half - 1)))
+        # each head with f(0) = 0 is the group of its sorted bottom half
+        group = {tuple(t): g for g, t in enumerate(table.tails.tolist())}
+        owner, groups = table.screen(*table.windows(np.array([group[tuple(sorted([0, *h]))] for h in heads])))
     got = [(i, tuple(table.tails[g].tolist())) for i, g in zip(owner.tolist(), groups.tolist())]
     assert len(got) == len(set(got)) and set(got) == want
     assert (np.diff(owner) >= 0).all()
@@ -686,7 +738,8 @@ def test_tail_table_admits_bent_functions(f):
     assert is_gbf_exact(f)
     half = 1 << (f.n - 1)
     table = search._TailTable(f.m, f.n)
-    owner, groups = table.screen(*table.windows(np.array([f.values[1:half]])))
+    group = table.tails.tolist().index(sorted(f.values[:half]))
+    owner, groups = table.screen(*table.windows(np.array([group])))
     assert sorted(f.values[half:]) in table.tails[groups].tolist()
 
 
@@ -811,6 +864,8 @@ def test_screen_passes_keep_to_their_pair_bound(monkeypatch):
         monkeypatch.setattr(table, "sums", table.sums.view(Counting))
         del passes[:]
         out = brute_force(m, n)
+        # the heads' own sums, then the passes
+        assert passes.pop(0) == comb(m + (1 << (n - 1)) - 2, (1 << (n - 1)) - 1), (m, n)
         assert out.witness == default[m, n].witness, (m, n)
         assert out.witness or out.examined == out.normalized_space, (m, n)
         assert max(passes, default=0) <= 1 << 4, (m, n)
