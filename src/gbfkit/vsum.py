@@ -27,22 +27,24 @@ _vsums_under: it yields every nonzero v-sum below a box of coefficient
 bounds and within a norm budget, exactly once.  It first moves to the
 smallest subgroup coset that holds the support of the box, then works
 fiberwise over a coprime splitting C_m = C_q x C_r, with q = p^a the
-power of the largest prime p of m.  Each C_r fiber's
-sub-elements under its slice of the box are held sparse and grouped by
-exact value, their residues mod Phi_r, which a matmul reduces in
-chunks; fibers are then chosen class by class from one common group,
-by an explicit-stack walk, and each v-sum is one gather from the
-chosen fibers.  _minimal_among keeps the v-sums above no minimal v-sum
-of smaller norm.  No float enters and nothing recurses with the size
-of m; c_exponent refuses elements above its max_norm, and every caller
-refuses inputs whose grouped fibers would pass MAX_FIBER_WORDS.
+power of the largest prime p of m: a v-sum is a choice of fibers in
+N[C_r] whose exact values (residues mod Phi_r) agree on each class of
+p fibers, made class by class by an explicit-stack walk.  A class of
+nonzero value has p nonzero fibers, so fibers are grouped only up to
+norm budget - (p - 1), and those of value zero (v-sums of C_r) come
+from a recursion into C_r.  The census walks less, by the fiber lemma
+(_census_candidates): a minimal v-sum with a class of value zero is
+one fiber or is 0 on that class.  No float enters, and recursion goes
+only into C_r, as deep as m has primes; c_exponent refuses elements
+above its max_norm, and every caller refuses inputs whose grouped
+fibers would pass MAX_FIBER_WORDS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
-from math import gcd, lcm
+from itertools import accumulate, chain, islice
+from math import gcd, lcm, prod
 from operator import itemgetter
 
 import numpy as np
@@ -57,20 +59,18 @@ from .ring import (
 )
 
 # enumerate_minimal_vsums guards.  At the (60, 8) corner the census
-# finds 362 minimal v-sums among 65147 v-sums in 0.7 s, and the process
-# peaks at 91 MB (VmHWM in /proc/self/status; Python 3.11, one core of
-# a 2-core Xeon VM).  The 65147 tuples held for _minimal_among make most
-# of that peak.
+# finds 362 minimal v-sums among 2702 candidates in 0.04-0.08 s, and
+# the process peaks at 32 MB, 27 MB of it numpy's import (VmHWM in
+# /proc/self/status; Python 3.11, one core of a 2-core Xeon VM).
 MAX_ENUM_MODULUS = 60
 MAX_ENUM_NORM = 8
 
 # Memory held by the grouped fibers of one _vsums_under call, in 8-byte
 # words: a sub-element held over s support cells counts 20 + s, and each
-# distinct value key 24 + phi(r).  tracemalloc finds 6.3-7.7 bytes held
-# per counted word (25 MB for the 125970 sub-elements of the (60, 8)
-# census, 41 MB for the 2^16 of a C_1024 fiber with 16 ones), so the cap
-# holds about 64 MB at most.  The (60, 8) census counts 4.3M; past the
-# cap, as for the C_30 fibers of P_210, the input is refused.
+# distinct value key 24 + phi(r).  tracemalloc finds up to 7.3 bytes
+# held per counted word (41 MB for the 2^16 sub-elements of a C_1024
+# fiber with 16 ones), so the cap holds about 64 MB at most.  The
+# (60, 8) census counts 84k; P_210's C_30 fibers are refused up front.
 MAX_FIBER_WORDS = 1 << 23
 
 
@@ -330,42 +330,70 @@ def _sub_elements(bound: tuple[int, ...], budget: int):
         left -= 1
 
 
-def _grouped_by_value(
-    r: int, betas: tuple[int, ...], bound: tuple[int, ...], budget: int, room: int
-) -> tuple[dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]], int]:
-    """Elements of N[C_r] supported on betas, below bound there and of
-    norm <= budget, grouped by exact character value, and the words
-    they take (see MAX_FIBER_WORDS).  ValueError past room words.
+def _count_within(bound: tuple[int, ...], cut: int) -> int:
+    """How many tuples _sub_elements(bound, cut) yields, by prefix sums."""
+    if cut >= sum(bound):
+        return prod(b + 1 for b in bound)
+    ways = [1] + [0] * cut
+    for b in bound:
+        run = list(accumulate(ways))
+        ways = [run[t] - (run[t - b - 1] if t > b else 0) for t in range(cut + 1)]
+    return sum(ways)
 
-    Elements are held sparse, as their coefficients on betas.  The key
-    is the residue mod Phi_r, reduced by one matmul per chunk of 256
-    elements spread out to length r.  Values are (norm, coeffs) pairs
-    sorted by norm so that assembly can cut early on the norm budget.
+
+def _grouped_by_value(
+    r: int, betas: tuple[int, ...], bound: tuple[int, ...], budget: int, cut: int,
+    vanishing_fibers: bool, room: int,
+) -> tuple[dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]], int]:
+    """Elements of N[C_r] on betas, below bound there, grouped by exact
+    value, and the words they take (see MAX_FIBER_WORDS): for nonzero
+    values those of norm <= cut; for the zero value 0 and, with
+    vanishing_fibers, the v-sums of norm <= budget, by recursion or,
+    where that at most doubles the count, by listing up to the budget.
+    ValueError past room words, up front if the count alone passes them.
+
+    Elements are held sparse, as their coefficients on betas; the key
+    is the residue mod Phi_r, one matmul per chunk of 256.  Values are
+    sorted (norm, coeffs) pairs, so assembly can cut early on the norm.
     """
+    s, count = len(betas), _count_within(bound, cut)
+    recurse = vanishing_fibers and r > 1 and cut < min(budget, sum(bound))
+    if recurse and (full := _count_within(bound, budget)) <= 2 * count:
+        cut, count, recurse = budget, full, False  # cheaper than the recursion
+    used = count * (20 + s)
+    if used > room:
+        raise ValueError(f"the sub-elements of a C_{r} fiber need over {room} words; refused")
     groups: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
-    count = used = 0
-    elements = _sub_elements(bound, budget)
+    elements = _sub_elements(bound, cut)
     while chunk := list(islice(elements, 256)):
         rows = np.zeros((len(chunk), r), dtype=np.int64)
         rows[:, list(betas)] = chunk
-        keys = cyclotomic_residue(rows, r)
+        # mod Phi_1 = x - 1, an element of N[C_1] is its own residue
+        keys = cyclotomic_residue(rows, r) if r > 1 else rows
         for coeffs, key in zip(chunk, keys.tolist()):
             groups.setdefault(tuple(key), []).append((sum(coeffs), coeffs))
-        count += len(chunk)
-        used = count * (20 + len(betas)) + len(groups) * (24 + keys.shape[1])
-        if used > room:
-            raise ValueError(
-                f"the sub-elements of a C_{r} fiber need over {room} words; refused"
-            )
+    # the first element listed is 0, so the first key is the zero value
+    zero = next(iter(groups))
+    if not vanishing_fibers:
+        groups[zero] = groups[zero][:1]
+    elif recurse:
+        box = dict(zip(betas, bound))
+        vsums = _vsums_under(tuple(box.get(beta, 0) for beta in range(r)), budget)
+        groups[zero] = [(0, (0,) * s)] + [(sum(v), tuple(v[b] for b in betas)) for v in vsums]
+        used += len(groups[zero]) * (20 + s)
+    used += len(groups) * (24 + len(zero))
+    if used > room:
+        raise ValueError(f"the sub-elements of a C_{r} fiber need over {room} words; refused")
     for lst in groups.values():
         lst.sort()
     return groups, used
 
 
-def _vsums_under(box: tuple[int, ...], budget: int):
+def _vsums_under(box: tuple[int, ...], budget: int, vanishing_fibers: bool = True):
     """Every nonzero v-sum B in N[C_m], m = len(box), with B <= box
     componentwise and norm <= budget, each exactly once, as coefficient
-    tuples.
+    tuples.  Without vanishing_fibers, only those in which every fiber
+    of a class of value zero is 0 (see _census_candidates).
 
     When the support of box lies in one coset of the subgroup of order
     m/d, B lives there too, and an order-m character kills B exactly
@@ -380,13 +408,19 @@ def _vsums_under(box: tuple[int, ...], budget: int):
     least the sum of the fibers' cheapest norms for it (0 for the zero
     value).  The fiber tuple determines B, hence no duplicates.
 
+    The cut: a fiber in a class of nonzero value has p - 1 nonzero
+    companions, so the walk reads none of its sub-elements above norm
+    budget - (p - 1), and a value whose cheapest element in some fiber
+    is above that has a floor above the budget.  So nonzero values are
+    grouped only within the cut, the walk reads the same prefix of each
+    list, and the yield order is unchanged.  The zero value's list is 0
+    and the v-sums under the fiber's box in C_r (see _grouped_by_value).
+
     The fibers are chosen in alpha order, so B is one itemgetter gather
     from their coefficients laid end to end, with a trailing 0 for the
-    cells outside the box.  The last level, fiber q - 1, is the tail of
-    that input: its choices run in a plain loop under the head the
-    other fibers make, with the same norm cut, and each yields one
-    gather.  ValueError when the grouped fibers need more than
-    MAX_FIBER_WORDS.
+    cells outside the box; the last fiber's choices run in a plain loop
+    under the head the others make.  ValueError when the grouped fibers
+    need more than MAX_FIBER_WORDS.
     """
     m = len(box)
     supp = [j for j, b in enumerate(box) if b]
@@ -395,7 +429,7 @@ def _vsums_under(box: tuple[int, ...], budget: int):
     d = gcd(m, *(j - supp[0] for j in supp))
     if d > 1:
         j0 = supp[0] % d
-        for sub in _vsums_under(box[j0::d], budget):
+        for sub in _vsums_under(box[j0::d], budget, vanishing_fibers):
             coeffs = [0] * m
             coeffs[j0::d] = sub
             yield tuple(coeffs)
@@ -408,13 +442,13 @@ def _vsums_under(box: tuple[int, ...], budget: int):
     # per fiber: the indices j of its support, and its grouped sub-elements
     slots, groups = [], []
     by_shape: dict[tuple, dict] = {}
-    room = MAX_FIBER_WORDS
+    room, cut = MAX_FIBER_WORDS, max(budget - p + 1, 0)
     for alpha in range(q):
         cells = [(beta, (r * alpha + q * beta) % m) for beta in range(r)]
         cells = [(beta, j) for beta, j in cells if box[j]]
         shape = (tuple(beta for beta, _ in cells), tuple(box[j] for _, j in cells))
         if shape not in by_shape:
-            by_shape[shape], used = _grouped_by_value(r, *shape, budget, room)
+            by_shape[shape], used = _grouped_by_value(r, *shape, budget, cut, vanishing_fibers, room)
             room -= used
         slots.append([j for _, j in cells])
         groups.append(by_shape[shape])
@@ -427,10 +461,9 @@ def _vsums_under(box: tuple[int, ...], budget: int):
         shared = set(fibers[0]).intersection(*fibers[1:])
         options.append(sorted((sum(f[key][0][0] for f in fibers), key) for key in shared))
     # Depth-first over the levels class 0's value, its p fibers, class
-    # 1's value, ...; each level yields the slack it leaves, the budget
-    # left over the cheapest completion of the classes chosen so far.  An
-    # explicit stack of level generators, so q may pass the recursion
-    # limit.  The last level, fiber q - 1, runs inline (see the docstring).
+    # 1's value, ...; each level yields the slack it leaves over the
+    # cheapest completion so far.  An explicit stack of level generators,
+    # so q may pass the recursion limit; the last level runs inline.
     values: list[tuple[int, ...]] = [()] * classes
     chosen: list[tuple[int, ...]] = [()] * (q - 1)
 
@@ -475,32 +508,46 @@ def _vsums_under(box: tuple[int, ...], budget: int):
 def _minimal_among(vsums: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """The minimal v-sums in vsums, sorted.
 
-    vsums must hold, with each member, every nonzero v-sum below it.
-    Every v-sum lies above a minimal one, and two different v-sums of
-    equal norm never lie one below the other.  So, taking norms in
-    increasing order, a member is minimal exactly when no minimal member
-    of smaller norm lies below it.
+    vsums must hold, with each member, every minimal v-sum below it.
+    Then, taking norms in increasing order, a member is minimal exactly
+    when no minimal member of smaller norm lies below it: a member that
+    is not minimal lies above a nonzero proper sub-v-sum, hence above a
+    minimal one of smaller norm, which is in vsums; and nothing nonzero
+    lies properly below a minimal member.
     """
     levels: dict[int, list[tuple[int, ...]]] = {}
     for b in vsums:
         levels.setdefault(sum(b), []).append(b)
-    minimal: list[tuple[int, ...]] = []
     below: list[np.ndarray] = []
     for norm in sorted(levels):
-        level, fresh = levels[norm], []
-        # in chunks of about 2^16 entries, so the scratch arrays stay
-        # small next to vsums
-        step = max(1, (1 << 16) // len(level[0]))
-        for start in range(0, len(level), step):
-            rows = np.array(level[start : start + step], dtype=np.int64)
-            for c in below:
-                rows = rows[~(rows >= c).all(axis=1)]
-            fresh.append(rows)
-        for rows in fresh:
-            below += list(rows)
-            minimal += map(tuple, rows.tolist())
-    minimal.sort()
-    return minimal
+        rows = np.array(levels[norm], dtype=np.int64)
+        for c in below:
+            rows = rows[~(rows >= c).all(axis=1)]
+        below += list(rows)
+    return sorted(tuple(c.tolist()) for c in below)
+
+
+def _census_candidates(m: int, k: int) -> list[tuple[int, ...]]:
+    """Distinct v-sums of N[C_m] of norm <= k, every minimal one among
+    them: the walk without vanishing fibers, and the minimal v-sums of
+    C_r (the subgroup of order r) shifted into each of its q cosets.
+
+    The fiber lemma (C_m = C_q x C_r as in _vsums_under): if a class of
+    a minimal v-sum B has value zero, B is one fiber or is 0 on that
+    class.  Proof: a nonzero fiber of value zero is alone a v-sum below
+    B, so it is B.  A fiber is a shift of an element of C_r, minimal
+    exactly when that element is; the walk leaves out just these.
+    """
+    if m == 1:
+        return []
+    p, a = factorize(m).factors[-1]
+    found = list(_vsums_under((k,) * m, k, vanishing_fibers=False))
+    for c in _minimal_among(_census_candidates(m // p**a, k)):
+        for j in range(p**a):
+            b = [0] * m
+            b[j :: p**a] = c
+            found.append(tuple(b))
+    return found
 
 
 def enumerate_minimal_vsums(m: int, max_norm: int) -> list[MinimalVsum]:
@@ -511,5 +558,5 @@ def enumerate_minimal_vsums(m: int, max_norm: int) -> list[MinimalVsum]:
         raise ValueError(f"modulus {m} outside the supported range 1..{MAX_ENUM_MODULUS}")
     if max_norm < 0 or max_norm > MAX_ENUM_NORM:
         raise ValueError(f"norm bound {max_norm} outside the supported range 0..{MAX_ENUM_NORM}")
-    found = _minimal_among(list(_vsums_under((max_norm,) * m, max_norm)))
+    found = _minimal_among(_census_candidates(m, max_norm))
     return [MinimalVsum(b, reduced_exponent(b)) for b in (CyclicRingElt(m, c) for c in found)]

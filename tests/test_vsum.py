@@ -6,6 +6,7 @@ import time
 from itertools import combinations, product
 from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from gbfkit.ring import (
     CharacterSpec,
     CyclicRingElt,
     character_value_is_zero,
+    cyclotomic_residue,
     factorize,
     punctured_subgroup_sum,
     subgroup_sum,
@@ -494,12 +496,46 @@ def test_coset_scan_agrees_with_enumerator(m):
         assert is_minimal_vsum(d) == by_enumerator, d
 
 
-def test_oversized_fibers_refused():
-    # P_210 splits into C_7 x C_30 fibers with 2^30 sub-elements each
-    with pytest.raises(ValueError, match="sub-elements"):
-        next(vsum._vsums_under(full_sum(210).coeffs, 209))
+def test_oversized_fibers_refused(monkeypatch):
     # the largest census the guards admit stays under the cap
     assert len(enumerate_minimal_vsums(vsum.MAX_ENUM_MODULUS, vsum.MAX_ENUM_NORM)) == 362
+    # P_210 splits into C_7 x C_30 fibers with 2^30 sub-elements each,
+    # refused by their count before any is listed
+    def listed(bound, budget):
+        raise AssertionError("sub-elements listed before the refusal")
+
+    monkeypatch.setattr(vsum, "_sub_elements", listed)
+    with pytest.raises(ValueError, match="sub-elements"):
+        next(vsum._vsums_under(full_sum(210).coeffs, 209))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=7), st.integers(0, 12))
+def test_sub_element_count_is_exact(bound, cut):
+    bound = tuple(bound)
+    assert vsum._count_within(bound, cut) == sum(1 for _ in vsum._sub_elements(bound, cut))
+
+
+def test_zero_value_list_is_charged(monkeypatch):
+    # the fibers of (8,) * 30 are C_6 boxes (8,) * 6: their nonzero values
+    # are grouped within norm 4, and the zero value's v-sums of C_6 up
+    # to norm 8 come from the recursion, on top of those words
+    bound, betas = (8,) * 6, tuple(range(6))
+    args = (6, betas, bound, 8, 4)
+    groups, used = vsum._grouped_by_value(*args, True, vsum.MAX_FIBER_WORDS)
+    census_groups, census_used = vsum._grouped_by_value(*args, False, vsum.MAX_FIBER_WORDS)
+    zero = (0,) * 2
+    assert max(n for n, _ in groups[zero]) == 8
+    assert max(n for key, lst in groups.items() if key != zero for n, _ in lst) == 4
+    assert census_groups[zero] == [(0, (0,) * 6)]
+    assert used == census_used + len(groups[zero]) * (20 + 6)
+    with pytest.raises(ValueError, match="sub-elements"):
+        vsum._grouped_by_value(*args, True, used - 1)
+    monkeypatch.setattr(vsum, "MAX_FIBER_WORDS", used - 1)
+    with pytest.raises(ValueError, match="sub-elements"):
+        next(vsum._vsums_under((8,) * 30, 8))
+    monkeypatch.setattr(vsum, "MAX_FIBER_WORDS", used)
+    assert next(vsum._vsums_under((8,) * 30, 8)) is not None
 
 
 @pytest.mark.parametrize(
@@ -651,3 +687,46 @@ def test_enumerate_support_sits_in_one_coset():
         supp = v.elt.support()
         j = supp[0]
         assert all((i - j) % (m // k) == 0 for i in supp)
+
+
+def census_by_full_walk(m, k):
+    """The minimal v-sums of norm <= k by the route the census replaced:
+    every v-sum under the box (k,) * m, then the minimality filter."""
+    return vsum._minimal_among(list(vsum._vsums_under((k,) * m, k)))
+
+
+def test_census_matches_full_walk():
+    # every m <= 60 at norm <= 4 (r = 1 and single classes among them),
+    # then sizes with several classes per fiber and larger norms
+    for m in range(1, 61):
+        oracle = census_by_full_walk(m, 4)
+        for k in range(5):
+            got = [v.elt.coeffs for v in enumerate_minimal_vsums(m, k)]
+            assert got == [b for b in oracle if sum(b) <= k], (m, k)
+    for m, k in [(30, 8), (32, 6), (36, 6), (42, 8), (50, 5), (54, 5), (60, 6)]:
+        got = [v.elt.coeffs for v in enumerate_minimal_vsums(m, k)]
+        assert got == census_by_full_walk(m, k), (m, k)
+
+
+@pytest.mark.parametrize("m, k", [(60, 8), (36, 6), (42, 8), (32, 6), (16, 8), (7, 8)])
+def test_census_candidates(m, k):
+    cands = vsum._census_candidates(m, k)
+    if (m, k) == (60, 8):
+        # the full walk under (8,) * 60 yields 65147 v-sums
+        assert len(cands) == 2702
+    assert len(set(cands)) == len(cands)
+    assert all(0 < sum(b) <= k for b in cands)
+    assert not np.count_nonzero(cyclotomic_residue(np.array(cands), m))
+    # the split of _vsums_under: fiber alpha holds the cells r*alpha + q*beta
+    p, a = factorize(m).factors[-1]
+    q, r = p**a, m // p**a
+    fibers = np.array([[b[(r * alpha + q * beta) % m] for beta in range(r)]
+                       for b in cands for alpha in range(q)]).reshape(len(cands), q, r)
+    values = cyclotomic_residue(fibers, r)
+    nonzero = fibers.any(axis=2)
+    for cls in range(q // p):
+        alphas = list(range(cls, q, q // p))
+        vanishing = nonzero[:, alphas] & ~values[:, alphas].any(axis=2)
+        # a nonzero fiber of value zero is the whole candidate
+        lone = vanishing.any(axis=1)
+        assert (nonzero[lone].sum(axis=1) == 1).all()
