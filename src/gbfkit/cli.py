@@ -331,7 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive witness search over f(0) = 0")
     p.add_argument("m", type=decimal_int)
     p.add_argument("n", type=decimal_int)
-    p.add_argument("--threads", type=decimal_int, default=1)
+    p.add_argument(
+        "--threads",
+        type=decimal_int,
+        default=1,
+        help="worker processes for the runs of head multisets after the first"
+        " with level-1 nodes, at most the CPUs (default 1: all in process)",
+    )
     p.add_argument("--budget", type=decimal_int, default=DEFAULT_BUDGET)
     p.add_argument("--progress", action="store_true", help="JSON progress events on stderr")
     common(p)

@@ -36,6 +36,9 @@ survivor is confirmed exactly before it is reported.  A node's row
 read whole is the least function below it, so the nodes are taken in
 the order of their rows, and a node whose row is not below the best
 witness found so far is skipped: the witness reported is the least.
+The heads are joined in runs, and the search below a run's passing
+nodes is the unit of work: it depends on that run alone, so it runs in
+process or on a process pool with the same result.
 Each level counts the functions it cuts, and the leaves tested count
 one each; exhaustion examines every function (examined ==
 normalized_space), which certifies nonexistence.  The split tables
@@ -105,13 +108,13 @@ MAX_HALF = 16
 # survivors are confirmed exactly
 _TOL = 1e-6
 
-# largest batch, in complex cells: 32 per pair of a level-1 screen
-# pass, and 2^k per child of a level-k node screened at once
+# largest screen pass, in complex cells: 32 per pair of a level-1
+# screen pass, and 2^k per child of a level-k node screened at once
 _TAIL_CELLS = 1 << 19
 
 # the first run of head multisets holds this many pairs in its windows,
-# and the first run of nodes at each level this many children; each
-# next run doubles, up to the caps above.  Head runs start larger, as a
+# and the first chunk of nodes at each level this many children; each
+# next one doubles, up to the caps above.  Head runs start larger, as a
 # run costs some 15 numpy calls even when no pair passes: the witness of
 # (12, 3) is 192 pairs in, that of (24, 3) 768
 _FIRST_PAIRS = 1 << 10
@@ -308,12 +311,6 @@ class _TailTable:
         return np.concatenate(owners), np.concatenate(groups)
 
 
-# one per search
-@lru_cache(maxsize=8)
-def _tail_table(m: int, n: int) -> _TailTable:
-    return _TailTable(m, n)
-
-
 def _stats() -> dict:
     return dict.fromkeys(("nodes_in", "nodes_out", "examined", "pruned", "survivors", "seconds"), 0)
 
@@ -373,10 +370,12 @@ class _Level:
         self.width = self.sizes[self.which].prod(axis=1)
 
     def chunks(self, run: int):
-        """Runs of nodes, in order, with at most run, 2 run, 4 run, ...
-        children between them, up to _TAIL_CELLS / 2^k, or one node with
-        more: a witness below one of the first nodes is found after a few
-        small runs, and then bounds the rest."""
+        """Chunks of nodes, in order: the first with at most run children,
+        each next with at most twice as many as run or the chunk before,
+        up to _TAIL_CELLS / 2^k, or one node with more.  A witness below
+        one of the first nodes is found after a few small chunks, and then
+        bounds the rest; a node with many children is not followed by
+        more chunks of one node each."""
         step = max(1, _TAIL_CELLS >> self.k)
         ends = np.cumsum(np.minimum(self.width, step + 1))
         lo, run = 0, min(step, run)
@@ -384,7 +383,7 @@ class _Level:
             base = int(ends[lo - 1]) if lo else 0
             hi = max(lo + 1, int(np.searchsorted(ends, base + run, side="right")))
             yield lo, hi
-            lo, run = hi, min(step, 2 * run)
+            lo, run = hi, min(step, 2 * max(run, int(ends[hi - 1]) - base))
 
     def children(self, nodes: np.ndarray, stats: dict) -> np.ndarray:
         """The children of the nodes (indices into rows) that pass the
@@ -473,34 +472,26 @@ def _descend(m: int, n: int, k: int, rows: np.ndarray, stats: dict, bound=None):
     return best
 
 
-def _search_batch(m: int, n: int, level: _Level, nodes: np.ndarray):
-    """The least witness below the level-1 nodes (indices into level's
-    rows), or None, and each deeper level's counts: their children are
-    screened together, then _descend takes them with no bound.  The
-    result does not depend on the batches before it."""
-    stats = {k: _stats() for k in range(2, n + 1)}
+def _search_run(m: int, n: int, rows: np.ndarray):
+    """The least witness below the sorted level-1 nodes rows of one run,
+    or None, and the counts of levels 1 .. n (level 1's are the leaves'
+    at n = 1, else 0): _descend with no bound, so the result does not
+    depend on the runs before it, in process or on a pool."""
+    stats = {k: _stats() for k in range(1, n + 1)}
+    return _descend(m, n, 1, rows, stats), stats
+
+
+def _stream(m: int, n: int, best):
+    """The runs of head multisets in order, each joined with the tail
+    table, as (the run's least function, level 1's counts, its passing
+    level-1 nodes, sorted), up to the first whose least function is not
+    below best(), the best witness so far or None; that run is not
+    joined.  The runs hold _FIRST_PAIRS, twice that, ... pairs in their
+    windows, up to _TAIL_CELLS / 32 (or one head with more): a witness
+    below one of the first heads is found after a few runs, and then
+    bounds the rest."""
     start = time.perf_counter()
-    children = level.children(nodes, stats[2])
-    stats[2]["seconds"] += time.perf_counter() - start
-    return _descend(m, n, 2, children, stats), stats
-
-
-def _pooled_batch(m: int, n: int, rows: np.ndarray):
-    """_search_batch on a worker, from the batch's rows alone."""
-    return _search_batch(m, n, _Level(m, n, 1, rows), np.arange(len(rows)))
-
-
-def _stream(m: int, n: int):
-    """The search's work in order: the runs of head multisets, each
-    joined with the tail table as one item ("run", its least function,
-    level 1's counts, the witness found at n = 1 or None), followed by
-    the batches of its passing nodes, ("batch", the least function, the
-    level-1 _Level, the nodes, the count of the run's batches).  The runs
-    hold _FIRST_PAIRS, twice that, ... pairs in their windows, up to
-    _TAIL_CELLS / 32 (or one head with more): a witness below one of the
-    first heads is found after a few runs, and then bounds the rest."""
-    start = time.perf_counter()
-    table = _tail_table(m, n)
+    table = _TailTable(m, n)
     half = table.tails.shape[1]
     # the digits of the bottom half, f(0) = 0 among them, are a group with
     # a digit 0, one of the first C(m + half - 2, half - 1) (the heads);
@@ -512,10 +503,11 @@ def _stream(m: int, n: int):
     tail_total = int(table.counts.sum())
     a, first, count = table.windows(np.arange(heads))
     ends, step = np.cumsum(count), max(1, _TAIL_CELLS >> 5)
-    # the first run's batches start at _FIRST_RUN children, each next
-    # run's at twice as many
-    lo, run, batch = 0, min(step, _FIRST_PAIRS), _FIRST_RUN
+    lo, run = 0, min(step, _FIRST_PAIRS)
     while lo < heads:
+        least, bound = table.tails[lo].tolist() + [0] * half, best()
+        if bound is not None and least >= bound:
+            return
         base = int(ends[lo - 1]) if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, base + run, side="right")))
         owner, groups = table.screen(a[lo:hi], first[lo:hi], count[lo:hi])
@@ -527,48 +519,36 @@ def _stream(m: int, n: int):
         cut -= _sum_of_products(np.stack([head_counts[owner], table.counts[groups]], axis=1))
         stats = _stats()
         stats.update(nodes_in=(hi - lo) * len(table.tails), nodes_out=len(rows), examined=cut, pruned=cut)
-        # the level-1 nodes are the leaves at n = 1
-        found = _confirm(m, n, rows, None, stats) if n == 1 else None
         stats["seconds"] = time.perf_counter() - start
-        least = table.tails[lo].tolist() + [0] * half
-        yield "run", least, stats, found
-        if n > 1 and len(rows):
-            level = _Level(m, n, 1, rows)
-            chunks = list(level.chunks(batch))
-            for b_lo, b_hi in chunks:
-                yield "batch", rows[b_lo].tolist(), level, np.arange(b_lo, b_hi), len(chunks)
-        lo, start = hi, time.perf_counter()
-        run, batch = min(step, 2 * run), min(_TAIL_CELLS, 2 * batch)
+        yield least, stats, rows
+        lo, run, start = hi, min(step, 2 * run), time.perf_counter()
 
 
-def _results(m: int, n: int, items, workers: int):
-    """The items of _stream in order, each batch's nodes replaced by a
-    call that returns its _search_batch result.  For workers > 1 a pool
-    starts at the first run of two batches or more, with no more
-    processes than workers or that run's batches, and takes every batch
-    from then on, with at most two batches per process handed out and
-    not yet yielded; the batches before it run in process.  The pool is
-    shut down when the caller closes the generator."""
+def _results(m: int, n: int, runs, workers: int):
+    """The runs of _stream in order, each one's nodes replaced by a call
+    that returns its _search_run result, or by None where it has none.
+    The first run with nodes is searched in process; for workers > 1 a
+    pool of that many processes, started at its first submission, takes
+    every later one, with at most two runs per process handed out and
+    not yet yielded.  The pool is shut down when the caller closes the
+    generator."""
     queue: deque = deque()
-    pool, ahead, handed = None, 0, 0
+    pool, handed, searched = None, 0, False
     try:
-        for kind, least, *rest in items:
-            pooled = False
-            if kind == "batch":
-                level, nodes, batches = rest
-                if pool is None and min(workers, batches) > 1:
+        for least, stats, rows in runs:
+            search, pooled = None, False
+            if len(rows) and (workers < 2 or not searched):
+                search, searched = partial(_search_run, m, n, rows), True
+            elif len(rows):
+                if pool is None:
                     from concurrent.futures import ProcessPoolExecutor
 
-                    ahead = 2 * min(workers, batches)
-                    pool = ProcessPoolExecutor(max_workers=ahead // 2)
-                if pool is None:
-                    rest = partial(_search_batch, m, n, level, nodes)
-                else:
-                    rest, pooled = pool.submit(_pooled_batch, m, n, level.rows[nodes]).result, True
-            queue.append((kind, least, rest, pooled))
+                    pool = ProcessPoolExecutor(max_workers=workers)
+                search, pooled = pool.submit(_search_run, m, n, rows).result, True
+            queue.append((least, stats, search, pooled))
             handed += pooled
-            # with no pool, ahead and handed stay 0 and every item goes on
-            while queue and (handed == ahead or not queue[0][3]):
+            # with no pool, handed stays 0 and every run goes on
+            while queue and (handed == 2 * workers or not queue[0][3]):
                 *item, pooled = queue.popleft()
                 handed -= pooled
                 yield item
@@ -576,7 +556,7 @@ def _results(m: int, n: int, items, workers: int):
             yield item
     finally:
         if pool is not None:
-            # wait for the running batches, so that no worker outlives the call
+            # wait for the running searches, so that no worker outlives the call
             pool.shutdown(wait=True, cancel_futures=True)
 
 
@@ -614,17 +594,16 @@ def brute_force(
     a space m^(2^n - 1) over budget, m > MAX_MODULUS, halves of more than
     MAX_HALF positions (n >= 6), and more than MAX_MULTISETS digit
     multisets of the top half.  The level-1 join runs in process, a run
-    of head multisets at a time; the passing nodes of a run are cut into
-    batches, and each batch is searched to its leaves, in process or,
-    for workers > 1, on a pool started at the first run of two batches
-    or more, with no more processes than workers, the CPUs or that
-    run's batches, two batches per process ahead.  Runs and batches are
-    read in order until one's least function is not below the best
-    witness so far, which makes the returned witness the overall
-    lexicographic minimum; a batch's result does not depend on the
-    batches before it, so the pool changes no result.  progress, when
-    given, receives one event dict per level: level 1 once per run, each
-    deeper level once per batch.
+    of head multisets at a time, and each run's passing nodes are
+    searched to their leaves by one _search_run call: the first run with
+    nodes in process and, for workers > 1, every later one on a pool of
+    no more processes than workers or the CPUs, two runs per process
+    ahead.  Runs are read in order until one's least function is not
+    below the best witness so far, which makes the returned witness the
+    overall lexicographic minimum; a run's result does not depend on the
+    runs before it, so the pool changes no result.  progress, when
+    given, receives one event dict per level per run: level 1 for every
+    run, and levels 2 .. n for a run with level-1 nodes.
     m < 2 is refused, as decide refuses it: m = 1 has a space of 1 at
     every n, so the budget would not stop the 4^n-cell character table.
     """
@@ -636,17 +615,18 @@ def brute_force(
 
     start = time.perf_counter()
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    results = _results(m, n, _stream(m, n), max(1, min(workers, cpus or 1)))
     best, examined = None, 0
+    # the stream stops at a run not below the best witness read so far;
+    # runs handed to the pool before that witness was read are skipped
+    # below
+    results = _results(m, n, _stream(m, n, lambda: best), max(1, min(workers, cpus or 1)))
     try:
-        for kind, least, value in results:
+        for least, stats, search in results:
             if best is not None and least >= best:
                 break
-            if kind == "run":
-                stats, found = value
-                levels = {1: stats}
-            else:
-                found, levels = value()
+            found, levels = search() if search is not None else (None, {1: _stats()})
+            for key, value in stats.items():
+                levels[1][key] += value
             for k, counts in levels.items():
                 examined += counts["examined"]
                 if progress is not None:

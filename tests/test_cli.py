@@ -225,7 +225,7 @@ def test_search_cli(capsys):
 
 
 def test_search_progress_events(capsys):
-    # one JSON line per level and batch: (3, 2) is cut whole at level 1
+    # one JSON line per level and run: (3, 2) is cut whole at level 1
     assert main(["search", "3", "2", "--progress"]) == 1
     err = capsys.readouterr().err
     events = [json.loads(line) for line in err.strip().splitlines()]

@@ -149,7 +149,7 @@ def test_modulus_cap_refuses_before_any_block(monkeypatch, capsys):
     cap = search.MAX_MODULUS
     assert cap == 1 << 19
     with monkeypatch.context() as patch:
-        patch.setattr(search, "_tail_table", no_table)
+        patch.setattr(search, "_TailTable", no_table)
         with pytest.raises(BudgetExceededError) as info:
             brute_force(cap + 1, 1)
         assert str(info.value) == f"modulus {cap + 1} exceeds the cap {cap}"
@@ -177,7 +177,7 @@ def test_refusals_come_before_any_table(monkeypatch, capsys):
     def no_table(*args):
         raise Reached
 
-    monkeypatch.setattr(search, "_tail_table", no_table)
+    monkeypatch.setattr(search, "_TailTable", no_table)
     assert search.MAX_HALF == 16 and search.MAX_MULTISETS == 1 << 22
     for m, n in [(2, 6), (3, 6), (2, 7), (2, 8)]:
         with pytest.raises(BudgetExceededError) as info:
@@ -221,9 +221,9 @@ def test_roots_are_built_once_per_modulus():
     assert search._roots.cache_info().misses == 1
 
 
-def test_smallest_batches_match_default(monkeypatch):
-    # runs of one head multiset and one node, and screen passes of a
-    # child or pair at a time, find the same witness; an exhaustion
+def test_smallest_runs_match_default(monkeypatch):
+    # runs of one head multiset, chunks of one node, and screen passes of
+    # a child or pair at a time find the same witness; an exhaustion
     # examines every function either way, and the events' examined
     # counts add up to the outcome's
     cells = [(3, 2), (4, 2), (5, 2), (4, 3), (2, 3), (3, 3), (12, 3), (7, 1), (2, 4), (8, 1), (6, 3)]
@@ -248,39 +248,68 @@ def _plain(events):
     return [{k: v for k, v in e.items() if k != "seconds"} for e in events]
 
 
+def _recording_pool(started, context=None):
+    # a process pool that records the size it is started with
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers, mp_context=context)
+
+    return RecordingPool
+
+
 def test_pooled_search_matches_serial(monkeypatch):
-    # report three CPUs, so that workers=3 runs three processes anywhere;
-    # runs that start at one pair and one child cut (32, 3) at 32^7 and
-    # (4, 4) at 4^15 into many batches, and the pool's results are read in
-    # the serial order, with the same certificate and events
+    # report three CPUs, so that workers=3 runs three processes anywhere.
+    # (30, 3) at 30^7 has 15 runs with nodes, so the pool takes 14.  With
+    # every function passing the screens, runs of one pair on make most
+    # heads a run of their own, all with nodes; with no exact test
+    # passing, or one at (3, 3) that passes a single function of the
+    # fourth run, the pool searches runs that the search reads or, past
+    # that witness, leaves unread.  The pool's results are read in the
+    # serial order, with the same certificate and events
+    started = []
     monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    monkeypatch.setattr(search, "_FIRST_PAIRS", 1)
-    monkeypatch.setattr(search, "_FIRST_RUN", 1)
-    default = search.DEFAULT_BUDGET
-    for m, n, budget in [(32, 3, 32**7), (4, 4, 4**15), (8, 1, default), (4, 3, default), (6, 3, default)]:
+    witness = (0, 0, 1, 1, 2, 2, 2, 2)
+
+    def searches(m, n, budget):
         runs = []
         for workers in (1, 2, 3):
+            del started[:]
             events = []
             out = brute_force(m, n, budget, workers=workers, progress=events.append)
+            assert started == ([workers] if workers > 1 else []), (m, n, workers)
             runs.append((out.certificate(), _plain(events)))
         assert runs[1] == runs[0] and runs[2] == runs[0], (m, n)
-        if (m, n) == (32, 3):
-            assert runs[0][0]["witness"] == [0, 0, 0, 16, 8, 8, 8, 24]
-            assert sum(e["level"] == 2 for e in runs[0][1]) == 6
-    assert brute_force(4, 3, workers=3).witness.values == (0, 0, 0, 2, 1, 1, 1, 3)
-    out = brute_force(5, 3, workers=3)
-    assert out.status == "ExhaustedNone"
-    assert out.examined == out.normalized_space
+        return runs[0][0]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(concurrent.futures, "ProcessPoolExecutor", _recording_pool(started))
+        cert = searches(30, 3, 30**7)
+        assert cert["witness"] is None and cert["examined"] == 30**7
+
+    # the patches reach the workers only if they are forked
+    fork = _recording_pool(started, multiprocessing.get_context("fork"))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fork)
+    monkeypatch.setattr(search, "_FIRST_PAIRS", 1)
+    monkeypatch.setattr(search, "_TOL", float("inf"))
+    monkeypatch.setattr(search, "is_gbf_exact", lambda fn: False)
+    for m, n in [(3, 2), (3, 3), (2, 4)]:
+        cert = searches(m, n, search.DEFAULT_BUDGET)
+        assert cert["witness"] is None and cert["examined"] == cert["normalized_space"], (m, n)
+    monkeypatch.setattr(search, "is_gbf_exact", lambda fn: fn.values == witness)
+    cert = searches(3, 3, search.DEFAULT_BUDGET)
+    assert tuple(cert["witness"]) == witness and cert["examined"] < 3**7
 
 
 def test_pool_workers_end_with_the_search(monkeypatch):
-    # the witness of (2, 4) and (4, 3) is in block (0, 0); the pool is
-    # shut down before brute_force returns, its workers joined
+    # the pool is shut down before brute_force returns, its workers
+    # joined: (30, 3) at 30^7 starts one
+    started = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _recording_pool(started))
     monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    for m, n in [(2, 4), (4, 3)]:
-        out = brute_force(m, n, workers=2)
-        assert out.status == "WitnessFound", (m, n)
-        assert multiprocessing.active_children() == [], (m, n)
+    out = brute_force(30, 3, 30**7, workers=2)
+    assert out.status == "ExhaustedNone" and started == [2]
+    assert multiprocessing.active_children() == []
 
 
 def _recorded_witness(m, n):
@@ -324,97 +353,95 @@ def test_pool_size_is_bounded(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     runs = {}
-    for cell in [(3, 3), (4, 3), (2, 4)]:
-        runs[cell] = [rest[-1] for kind, least, *rest in search._stream(*cell) if kind == "batch"]
-    # (3, 3) has no level-1 node, so no batch and no pool; (4, 3) has
-    # one run of three batches, and a pool of three workers, not eight;
-    # (2, 4) finds its witness in its first run, of one batch, in process
-    assert runs[3, 3] == [] and runs[4, 3] == [3, 3, 3] and runs[2, 4][0] == 1
-    serial = {cell: brute_force(*cell) for cell in runs}
-    assert brute_force(3, 3, workers=10**6) == serial[3, 3]
-    assert brute_force(2, 4, workers=10**6) == serial[2, 4]
+    for cell in [(3, 3), (2, 4), (8, 3), (30, 3)]:
+        runs[cell] = sum(len(rows) > 0 for least, stats, rows in search._stream(*cell, lambda: None))
+    # (3, 3) has no level-1 node, so no pool; (2, 4) finds its witness in
+    # its one run with nodes, in process, and (8, 3) in the first of its
+    # two, whose second is then not searched; (30, 3) has 15 runs with
+    # nodes
+    assert runs == {(3, 3): 0, (2, 4): 1, (8, 3): 2, (30, 3): 15}
+    serial = {cell: brute_force(*cell, cell[0] ** ((1 << cell[1]) - 1)) for cell in runs}
+
+    def pooled(cell, workers):
+        return brute_force(*cell, cell[0] ** ((1 << cell[1]) - 1), workers=workers)
+
+    for cell in [(3, 3), (2, 4), (8, 3)]:
+        assert pooled(cell, 10**6) == serial[cell]
     assert asked == []
-    assert brute_force(4, 3, workers=10**6) == serial[4, 3]
-    assert asked == [3]
+    # min(workers, CPUs) processes
+    assert pooled((30, 3), 10**6) == serial[30, 3]
+    assert pooled((30, 3), 3) == serial[30, 3]
+    assert asked == [8, 3]
 
     # no more workers than CPUs, and none at all on one CPU or for workers < 2
     monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert brute_force(4, 3, workers=10**6) == serial[4, 3]
-    assert brute_force(4, 3, workers=-1) == serial[4, 3]
+    assert pooled((30, 3), 10**6) == serial[30, 3]
+    assert pooled((30, 3), 1) == serial[30, 3]
+    assert pooled((30, 3), -1) == serial[30, 3]
     monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert brute_force(4, 3, workers=10**6) == serial[4, 3]
-    assert asked == [3, 2]
+    assert pooled((30, 3), 10**6) == serial[30, 3]
+    assert asked == [8, 3, 2]
 
 
-def test_pool_starts_at_the_first_run_of_two_batches(monkeypatch):
-    # a stream of runs of one, three and one batches: the first run's
-    # batch is searched in process, then a pool of three workers (not
-    # five) takes every batch from the second run on, in order
-    asked = []
+class _InlinePool:
+    # a stand-in pool that runs each search as it is handed out
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
+    def submit(self, fn, *args):
+        self.handed.append(int(args[-1][0, 0]))
+        done = Future()
+        done.set_result(("pooled", fn(*args)))
+        return done
 
-        def submit(self, fn, *args):
-            done = Future()
-            done.set_result(fn(*args))
-            return done
-
-        def shutdown(self, wait, cancel_futures):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(search, "_search_batch", lambda m, n, level, nodes: ("in process", int(nodes[0])))
-    monkeypatch.setattr(search, "_pooled_batch", lambda m, n, rows: ("pooled", int(rows[0])))
-    level = type("Level", (), {"rows": np.arange(5)})
-    runs = [[0], [1, 2, 3], [4]]
-    stream = []
-    for i, run in enumerate(runs):
-        stream.append(("run", [i], "stats", None))
-        stream += [("batch", [node], level, np.array([node]), len(run)) for node in run]
-    got = []
-    for kind, least, value in search._results(2, 3, iter(stream), 5):
-        got.append(value if kind == "run" else value())
-    assert asked == [3]
-    expected = [["stats", None], ("in process", 0), ["stats", None]]
-    expected += [("pooled", node) for node in (1, 2, 3)] + [["stats", None], ("pooled", 4)]
-    assert got == expected
+    def shutdown(self, wait, cancel_futures):
+        pass
 
 
-def test_pool_is_handed_two_batches_per_worker_ahead(monkeypatch):
-    # a stand-in pool that runs each batch as it is handed out: with two
-    # workers, at most four batches are out and unread.  The search reads
-    # k batches, then the next one is not below the witness and is left
-    # unread; the j batches before the first run of two or more run in
-    # process, so k - j + 4 batches were handed out, not all of the search's
-    handed = []
+def _runs(nodes, pulled):
+    # a stream of runs, run i with nodes if nodes[i], recording those pulled
+    for i, has in enumerate(nodes):
+        pulled.append(i)
+        yield [i], "stats", np.full((has, 8), i)
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            assert max_workers == 2
 
-        def submit(self, fn, *args):
-            handed.append(args)
-            done = Future()
-            done.set_result(fn(*args))
-            return done
+def test_pool_starts_after_the_first_run_with_nodes(monkeypatch):
+    # runs without nodes have nothing to search; the first run with nodes
+    # is searched in process, then the pool, of the size it is given,
+    # takes every run with nodes after it, in order
+    monkeypatch.setattr(_InlinePool, "started", [], raising=False)
+    monkeypatch.setattr(_InlinePool, "handed", [], raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(search, "_search_run", lambda m, n, rows: int(rows[0, 0]))
+    nodes = [0, 1, 0, 1, 1, 0]
+    for workers, want in [
+        (5, [None, 1, None, ("pooled", 3), ("pooled", 4), None]),
+        (1, [None, 1, None, 3, 4, None]),
+    ]:
+        got = []
+        for least, stats, run in search._results(2, 3, _runs(nodes, []), workers):
+            assert stats == "stats" and least == [len(got)]
+            got.append(run and run())
+        assert got == want, workers
+    assert _InlinePool.started == [5] and _InlinePool.handed == [3, 4]
 
-        def shutdown(self, wait, cancel_futures):
-            pass
 
-    monkeypatch.setattr(search, "_FIRST_PAIRS", 1)
-    monkeypatch.setattr(search, "_FIRST_RUN", 1)
-    events = []
-    serial = brute_force(32, 3, 32**7, progress=events.append)
-    read = sum(e["level"] == 2 for e in events)
-    runs = [rest[-1] for kind, least, *rest in search._stream(32, 3) if kind == "batch"]
-    before = next(i for i, batches in enumerate(runs) if batches > 1)
-    assert before < read and read + 4 < len(runs)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert brute_force(32, 3, 32**7, workers=2) == serial
-    assert len(handed) == read - before + 4
+def test_pool_is_handed_two_runs_per_worker_ahead(monkeypatch):
+    # with two workers, the run yielded and the three after it have been
+    # handed out, four in all, and the stream is read no further than
+    # that; once it is exhausted, the runs left are yielded in order
+    monkeypatch.setattr(_InlinePool, "started", [], raising=False)
+    monkeypatch.setattr(_InlinePool, "handed", [], raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(search, "_search_run", lambda m, n, rows: int(rows[0, 0]))
+    pulled = []
+    results = search._results(2, 3, _runs([1] * 10, pulled), 2)
+    for j, (least, stats, run) in enumerate(results):
+        assert run() == (j if not j else ("pooled", j))
+        # run 0 is searched in process, before any run after it is read
+        ahead = min(j + 4, 10) if j else 1
+        assert _InlinePool.handed == list(range(1, ahead)) and pulled == list(range(ahead)), j
+    assert _InlinePool.started == [2] and j == 9
 
 
 def _spectra(rows, m, n):
@@ -455,8 +482,8 @@ _TREE_CELLS += [(m, 3) for m in range(2, 7)] + [(2, 4)]
 def test_tree_matches_lex_walk(cell, tol, cells, first):
     # the tree's witness is the lexicographically least bent function, as
     # the oracle walk finds it, at the search's tolerance and at larger
-    # ones that let more nodes through, with batches of 2^cells cells and
-    # first runs of one or 64; an exhaustion examines every function
+    # ones that let more nodes through, with screen passes of 2^cells cells
+    # and first runs of one or 64; an exhaustion examines every function
     m, n = cell
     with (
         patch.object(search, "_TOL", tol),
@@ -500,11 +527,10 @@ def _halves_of(coset, pinned):
 
 
 def _level_one_rows(m, n):
-    # the level-1 nodes of (m, n) as the search's stream yields them
-    for kind, least, *rest in search._stream(m, n):
-        if kind == "batch":
-            level, nodes, batches = rest
-            yield level.rows
+    # the level-1 nodes of (m, n)'s runs, as the search's stream yields them
+    for least, stats, rows in search._stream(m, n, lambda: None):
+        if len(rows):
+            yield rows
 
 
 def test_count_identity_at_every_level(monkeypatch):
@@ -552,7 +578,7 @@ def test_count_identity_at_every_level(monkeypatch):
 
 def test_every_row_passing_the_screens_is_confirmed(monkeypatch):
     # with no tolerance limit every function passes the screens, so each
-    # reaches the exact test once, also where the runs and batches are
+    # reaches the exact test once, also where the runs and chunks are
     # small.  With |F(y)|^2 allowed within 9.5 of 2^n, the functions
     # sent are those within it at every character, by a direct
     # transform: some fail only at the last one.  |F(y)|^2 is an integer
@@ -616,18 +642,21 @@ def test_join_screens_each_head_against_its_window(monkeypatch):
             screened.append(np.size(key))
             return np.asarray(self)[key]
 
-    search._tail_table.cache_clear()
-    try:
-        table = search._tail_table(15, 3)
-        assert len(table.tails) == comb(18, 4)
-        monkeypatch.setattr(table, "sums", table.sums.view(Counting))
+    tables = []
+
+    class CountingTable(search._TailTable):
+        def __init__(self, m, n):
+            super().__init__(m, n)
+            tables.append(self)
+            self.sums = self.sums.view(Counting)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_TailTable", CountingTable)
         out = brute_force(15, 3)
-        assert out.status == "ExhaustedNone" and out.examined == out.normalized_space
-        assert search._tail_table.cache_info().misses == 1
-        # the heads' own sums once, then the pairs of their windows
-        assert screened[0] == 680 and sum(screened[1:]) == 5340
-    finally:
-        search._tail_table.cache_clear()
+    assert out.status == "ExhaustedNone" and out.examined == out.normalized_space
+    assert len(tables) == 1 and len(tables[0].tails) == comb(18, 4)
+    # the heads' own sums once, then the pairs of their windows
+    assert screened[0] == 680 and sum(screened[1:]) == 5340
 
     # at every exhausted rung of the ladder no (head, tail) multiset pair
     # passes both y = 0 and y = 2^(n-1), so no level-1 node is split
@@ -641,7 +670,7 @@ def test_join_screens_each_head_against_its_window(monkeypatch):
             assert out.status == "ExhaustedNone" and out.examined == out.normalized_space
 
     # at a witness, examined counts the functions of the head runs joined
-    # and of the batches searched before the search stopped
+    # and searched before the search stopped
     witnesses = {
         (4, 1): ((0, 1), 3),
         (4, 2): ((0, 0, 0, 2), 49),
@@ -759,8 +788,7 @@ def test_bent_functions_reach_a_leaf(f):
         return False
 
     with patch.object(search, "is_gbf_exact", never_bent):
-        level = search._Level(f.m, f.n, 1, np.array([row]))
-        found, stats = search._search_batch(f.m, f.n, level, np.arange(1))
+        found, stats = search._search_run(f.m, f.n, np.array([row]))
     assert found is None and f.values in tested
     assert stats[f.n]["survivors"] == len(tested)
 
@@ -858,10 +886,14 @@ def test_screen_passes_keep_to_their_pair_bound(monkeypatch):
             passes.append(np.size(key))
             return np.asarray(self)[key]
 
+    class CountingTable(search._TailTable):
+        def __init__(self, m, n):
+            super().__init__(m, n)
+            self.sums = self.sums.view(Counting)
+
+    monkeypatch.setattr(search, "_TailTable", CountingTable)
     monkeypatch.setattr(search, "_TAIL_CELLS", 1 << 9)
     for m, n in cases:
-        table = search._tail_table(m, n)
-        monkeypatch.setattr(table, "sums", table.sums.view(Counting))
         del passes[:]
         out = brute_force(m, n)
         # the heads' own sums, then the passes
@@ -874,9 +906,9 @@ def test_screen_passes_keep_to_their_pair_bound(monkeypatch):
 
 
 def test_progress_events():
-    # one event per level: level 1 for each run of head multisets, each
-    # deeper level for each batch; examined adds up to the outcome's, and
-    # only the leaves (level n) have survivors
+    # one event per level per run of head multisets: level 1 always, and
+    # each deeper level for a run with level-1 nodes; examined adds up to
+    # the outcome's, and only the leaves (level n) have survivors
     keys = {"level", "nodes_in", "nodes_out", "examined", "pruned", "survivors", "seconds"}
 
     # (3, 2): 3 head multisets meet 6 tail multisets in one run, and no
@@ -896,8 +928,8 @@ def test_progress_events():
         assert [(e["level"], e["examined"], e["survivors"]) for e in events] == [(1, examined, m % 4 == 0)]
         assert out.examined == examined
 
-    # (4, 3): the first run joins all 20 head multisets, and the batch of
-    # its 34 level-1 nodes holds the witness, the one leaf tested
+    # (4, 3): the first run joins all 20 head multisets, and its 34
+    # level-1 nodes hold the witness, the one leaf tested
     events = []
     out = brute_force(4, 3, progress=events.append)
     assert _plain(events) == [
@@ -906,6 +938,14 @@ def test_progress_events():
         {"level": 3, "nodes_in": 64, "nodes_out": 36, "examined": 29, "pruned": 28, "survivors": 1},
     ]
     assert sum(e["examined"] for e in events) == out.examined == 15609
+
+    # (30, 3) at 30^7: 18 runs, 15 of them with level-1 nodes
+    events = []
+    out = brute_force(30, 3, 30**7, progress=events.append)
+    nodes = [len(rows) > 0 for least, stats, rows in search._stream(30, 3, lambda: None)]
+    assert (len(nodes), sum(nodes)) == (18, 15)
+    assert [e["level"] for e in events] == [k for has in nodes for k in ([1, 2, 3] if has else [1])]
+    assert sum(e["examined"] for e in events) == out.examined == 30**7
 
 
 
