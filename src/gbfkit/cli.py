@@ -1,7 +1,12 @@
 """Command-line front end.
 
-Subcommands: decide, verify, search, decompose, catalog, table.  Every
-run builds a ResultRecord; with --json the record is printed verbatim,
+Subcommands: decide, verify, search, decompose, catalog, table, each
+defined once in COMMANDS.  A call that names a command builds one
+argument parser, that command's; help, --version, a missing or unknown
+command and arguments that parser leaves over go to the whole `gbf`
+parser, so help and usage errors read as the whole parser's.
+
+Every run builds a ResultRecord; with --json the record is printed verbatim,
 and when a results store is configured (--store or GBF_STORE) the
 record is appended there as one JSON line, whole even when several
 runs share the store.  `gbf table` renders its record only when one of
@@ -304,31 +309,17 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gbf",
-        description="Exact arithmetic for generalized bent function existence.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def common(p):
-        p.add_argument("--json", action="store_true", help="print the full result record")
-        p.add_argument("--store", help="append the result record to this JSON-lines file")
-
-    p = sub.add_parser("decide", help="run the criteria pipeline on (m, n)")
+def _decide_args(p) -> None:
     p.add_argument("m", type=decimal_int)
     p.add_argument("n", type=decimal_int)
-    common(p)
-    p.set_defaults(run=_cmd_decide)
 
-    p = sub.add_parser("verify", help="exact bent check of explicit functions")
+
+def _verify_args(p) -> None:
     p.add_argument("function", nargs="*", help="inline: m n v0,v1,...")
     p.add_argument("--file", help="file with one 'm n v0,v1,...' per line")
-    common(p)
-    p.set_defaults(run=_cmd_verify)
 
-    p = sub.add_parser("search", help="exhaustive witness search over f(0) = 0")
+
+def _search_args(p) -> None:
     p.add_argument("m", type=decimal_int)
     p.add_argument("n", type=decimal_int)
     p.add_argument(
@@ -340,35 +331,73 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--budget", type=decimal_int, default=DEFAULT_BUDGET)
     p.add_argument("--progress", action="store_true", help="JSON progress events on stderr")
-    common(p)
-    p.set_defaults(run=_cmd_search)
 
-    p = sub.add_parser("decompose", help="v-sum analysis of a ring element")
+
+def _decompose_args(p) -> None:
     p.add_argument("elt", help='element JSON {"m":..., "coeffs":[...]} or @file')
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--c-exponent", action="store_true")
     mode.add_argument("--minimal", action="store_true")
     mode.add_argument("--structure", action="store_true")
-    common(p)
-    p.set_defaults(run=_cmd_decompose)
 
-    p = sub.add_parser("catalog", help="dimension-3 autocorrelation catalog experiment")
-    common(p)
-    p.set_defaults(run=_cmd_catalog)
 
-    p = sub.add_parser("table", help="verdict matrix over parameter ranges")
+def _table_args(p) -> None:
     p.add_argument("--m-max", type=decimal_int, default=100)
     p.add_argument("--n-max", type=decimal_int, default=9)
-    common(p)
-    p.set_defaults(run=_cmd_table)
 
+
+# name -> (help, adds the command's own arguments, runner), in the order
+# `gbf -h` lists them
+COMMANDS = {
+    "decide": ("run the criteria pipeline on (m, n)", _decide_args, _cmd_decide),
+    "verify": ("exact bent check of explicit functions", _verify_args, _cmd_verify),
+    "search": ("exhaustive witness search over f(0) = 0", _search_args, _cmd_search),
+    "decompose": ("v-sum analysis of a ring element", _decompose_args, _cmd_decompose),
+    "catalog": ("dimension-3 autocorrelation catalog experiment", None, _cmd_catalog),
+    "table": ("verdict matrix over parameter ranges", _table_args, _cmd_table),
+}
+
+
+def _fill(p: argparse.ArgumentParser, add_args, run) -> argparse.ArgumentParser:
+    if add_args is not None:
+        add_args(p)
+    p.add_argument("--json", action="store_true", help="print the full result record")
+    p.add_argument("--store", help="append the result record to this JSON-lines file")
+    p.set_defaults(run=run)
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole `gbf` parser: one subparser per entry of COMMANDS."""
+    parser = argparse.ArgumentParser(
+        prog="gbf",
+        description="Exact arithmetic for generalized bent function existence.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    for name, (help_text, add_args, run) in COMMANDS.items():
+        _fill(sub.add_parser(name, help=help_text), add_args, run)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv.  When argv[0] names a command, only that command's
+    parser is built: the one the whole parser would hand argv[1:] to.
+    Anything else, or arguments that parser leaves over, goes to the whole
+    parser, so help, usage and errors read as the whole parser's."""
+    spec = COMMANDS.get(argv[0]) if argv else None
+    if spec is not None:
+        _, add_args, run = spec
+        parser = _fill(argparse.ArgumentParser(prog=f"gbf {argv[0]}"), add_args, run)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else EX_USAGE
     try:

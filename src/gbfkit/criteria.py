@@ -26,7 +26,8 @@ q to _rule unfiltered, and lists the stripped primes only to report them
 in its strip step.  outcome_rows, for callers that need only outcomes
 over a grid, such as `gbf table`, factors nothing: one sieve over the odd
 numbers up to m_max records each one's two smallest primes, _class_step
-runs once per class of m, and _rule once per distinct (m even, p, q).
+runs once per class of m, and _rule once per threshold key: m even, p
+when m is even, and which powers of 2 p + q and 3p + q exceed.
 
 All comparisons are integer-exact; thresholds like p > 2^{n-3} are coded
 as 8p > 2^n so small n needs no fractions.
@@ -211,9 +212,12 @@ def outcome_rows(m_max: int, n_max: int) -> list[tuple[int, tuple[str, ...]]]:
     Nothing is factored.  The two smallest primes of each odd part come
     from one sieve; _class_step reads m only through m mod 4 and m == 2,
     so it runs once per class, at the class's smallest member; and _rule
-    runs once per distinct (m even, p, q), whose rows are shared.  Grids
-    past TABLE_M_MAX x TABLE_N_MAX raise ValueError before the sieve is
-    allocated.
+    runs once per threshold key, whose rows are shared.  That key holds
+    all _rule reads of q: m even, p for even m (an odd m's row reads p
+    only through the sums), and the bit lengths that place p + q against
+    the strip bound and 3p + q against 2^n, or no lengths when q is None.
+    Grids past TABLE_M_MAX x TABLE_N_MAX raise ValueError before the
+    sieve is allocated.
     """
     if not (2 <= m_max <= TABLE_M_MAX and 1 <= n_max <= TABLE_N_MAX):
         raise ValueError(
@@ -224,19 +228,24 @@ def outcome_rows(m_max: int, n_max: int) -> list[tuple[int, tuple[str, ...]]]:
     # m = 2, m odd and m = 2 mod 4 with m > 2
     boolean_steps, odd_steps, even_steps = ([_class_step(c, n) for n in ns] for c in (2, 3, 6))
     first, second = _two_smallest_odd_primes(m_max)
-    by_primes = {}
+    by_thresholds = {}
     rows = [(2, tuple([_OUTCOME[sid] for sid in boolean_steps]))]
     for m in range(3, m_max + 1):
         if m % 4 == 0:
             continue
         even = m % 2 == 0
         k = m // 2 if even else m
-        key = (even, first[k], second[k])
-        row = by_primes.get(key)
+        p, q = first[k], second[k] or None
+        # _rule reads q only through p + q > _strip_bound(n, even) =
+        # 2^n + 2 even and 3p + q > 2^n, and an odd row reads p only there
+        # too; X > 2^n iff (X - 1).bit_length() > n for X >= 1
+        thresholds = (even, p if even else 0)
+        if q is not None:
+            thresholds += ((p + q - 2 * even - 1).bit_length(), (3 * p + q - 1).bit_length())
+        row = by_thresholds.get(thresholds)
         if row is None:
-            p, q = first[k], second[k] or None
             steps = even_steps if even else odd_steps
-            row = by_primes[key] = tuple(
+            row = by_thresholds[thresholds] = tuple(
                 [_OUTCOME[sid or _rule(even, p, q, n)] for n, sid in zip(ns, steps)]
             )
         rows.append((m, row))

@@ -1,5 +1,6 @@
 """CLI tests driven through main(argv) and captured output."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import time
 
+import pytest
 from test_gbf import expected_invariants
 
 from gbfkit import cli, criteria, ring
@@ -50,6 +52,79 @@ def test_decide_json(capsys):
     assert record["command"] == "decide"
     assert record["params"] == {"m": 45, "n": 3}
     assert record["outcome"] == decide(45, 3).to_json()
+
+
+def _by_full_parser(argv, capsys):
+    """stdout, stderr and exit code when the whole `gbf` parser, every
+    subparser built, reads argv: what main printed before it built only
+    the named command's parser."""
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    out = capsys.readouterr()
+    return out.out, out.err, 0 if exc.value.code == 0 else cli.EX_USAGE
+
+
+def _by_main(argv, capsys):
+    code = main(argv)
+    out = capsys.readouterr()
+    return out.out, out.err, code
+
+
+def test_command_help_matches_full_parser(capsys):
+    assert list(cli.COMMANDS) == ["decide", "verify", "search", "decompose", "catalog", "table"]
+    for name in cli.COMMANDS:
+        for argv in ([name, "-h"], [name, "--help"]):
+            seen = _by_main(argv, capsys)
+            assert seen == _by_full_parser(argv, capsys), argv
+            assert seen[0].startswith(f"usage: gbf {name} [-h]") and seen[2] == 0
+
+
+def test_usage_and_errors_match_full_parser(capsys):
+    cases = {
+        ("-h",): ("usage: gbf [-h] [--version]", "", 0),
+        ("--version",): (f"gbf {cli.__version__}\n", "", 0),
+        ("bogus",): ("", "usage: gbf [-h] [--version]", 64),
+        ("search", "3", "3", "--bogus"): ("", "usage: gbf [-h] [--version]", 64),
+        # leftovers past a known command's arguments, and errors inside it
+        ("decide", "3", "3", "extra"): ("", "usage: gbf [-h] [--version]", 64),
+        ("search", "3"): ("", "usage: gbf search [-h]", 64),
+        ("decompose", "{}"): ("", "usage: gbf decompose [-h]", 64),
+        ("table", "--m-max", "1_0"): ("", "usage: gbf table [-h]", 64),
+        (): ("", "usage: gbf [-h] [--version]", 64),
+    }
+    for argv, (out, err, code) in cases.items():
+        seen = _by_main(list(argv), capsys)
+        assert seen == _by_full_parser(list(argv), capsys), argv
+        assert seen[0].startswith(out) and seen[1].startswith(err) and seen[2] == code, argv
+    assert "decompose" in _by_main(["-h"], capsys)[0]
+    err = _by_main(["search", "3", "3", "--bogus"], capsys)[1]
+    assert err.endswith("\ngbf: error: unrecognized arguments: --bogus\n")
+
+
+def test_known_command_builds_one_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["decide", "45", "3"]) == 1
+    assert built == ["gbf decide"]
+    for name in cli.COMMANDS:
+        built.clear()
+        assert main([name, "-h"]) == 0
+        assert built == [f"gbf {name}"]
+    # the whole parser: gbf and a subparser per command
+    built.clear()
+    assert main(["bogus"]) == 64
+    assert len(built) == 1 + len(cli.COMMANDS)
+    # leftovers are read again by the whole parser, for its error line
+    built.clear()
+    assert main(["search", "3", "3", "--bogus"]) == 64
+    assert len(built) == 2 + len(cli.COMMANDS)
+    capsys.readouterr()
 
 
 def test_verify_inline(capsys):

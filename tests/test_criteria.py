@@ -294,6 +294,30 @@ def test_outcome_rows_match_cells(m_max, n_max):
     assert outcome_rows(m_max, n_max) == expected
 
 
+def test_outcome_rows_match_rule_per_prime_pair():
+    # the oracle runs _rule once per distinct (m even, p, q), p and q from
+    # trial division, where outcome_rows shares a row among the m of one
+    # parity (and one p, for even m) whose p + q and 3p + q fall between
+    # the same powers of 2
+    ns = range(1, TABLE_N_MAX + 1)
+    by_primes = {}
+    expected = []
+    for m in range(2, TABLE_M_MAX + 1):
+        if m % 4 == 0:
+            continue
+        even = m % 2 == 0
+        primes = factorize(m // 2 if even else m).primes
+        p, q = (primes + (None, None))[:2]
+        key = (m == 2, even, p, q)
+        if key not in by_primes:
+            by_primes[key] = tuple(
+                criteria._OUTCOME[criteria._class_step(m, n) or criteria._rule(even, p, q, n)]
+                for n in ns
+            )
+        expected.append((m, by_primes[key]))
+    assert outcome_rows(TABLE_M_MAX, TABLE_N_MAX) == expected
+
+
 def test_mersenne_escape_cells():
     # 8191 = 2^13 - 1 and 131071 = 2^17 - 1 dodge the 2^(n-3) window at
     # n = 15 and n = 19, with p = 7 mod 8, as 31 does at n = 7; all three
