@@ -48,10 +48,14 @@ if a split is missing.
 The catalog half lists every element of N[C_30] satisfying the five
 arithmetic constraints an autocorrelation coefficient of a bent
 function must satisfy at n = 3, and classifies each against the known
-shape catalog.  The candidates are the v-sums of norm 8 that the one
-exact enumerator, vsum._vsums_under, yields, filtered by inversion
-invariance and an even g^0-coefficient; no per-candidate zero-test is
-needed, and the alternating projection follows from the others.
+shape catalog.  It lists no v-sum it rejects: the v-sums of each norm
+up to 8 are counted from the fibers the one exact enumerator,
+vsum._vsums_under, groups (vsum._vsum_counts), and the inversion-fixed
+elements of norm 8, a few thousand rows, are built directly and
+zero-tested at once, exactly; those with an even g^0-coefficient are
+the candidates.  The alternating projection follows from the others.
+enumerate_autocorr_candidates takes the enumerator's walk instead, as
+an independent cross-check.
 """
 
 from __future__ import annotations
@@ -72,10 +76,11 @@ from .ring import (
     CharacterSpec,
     CyclicRingElt,
     character_value_is_zero,
+    cyclotomic_residue,
     punctured_subgroup_sum,
     subgroup_sum,
 )
-from .vsum import _vsums_under
+from .vsum import _vsum_counts, _vsums_under
 
 # brute_force(15, 3) exhausts this budget in 0.002 to 0.003 s on one core
 # of a 2-core Xeon VM (a fresh process, after the import): no (head, tail)
@@ -729,29 +734,68 @@ def enumerate_autocorr_candidates():
     order-30 character vanishing, and alternating projection divisible
     by 4 (which the first three imply; see _n3_rejection).  The v-sums
     under the box (8,) * 30 that _n3_rejection passes, in the
-    enumerator's order."""
+    enumerator's order: the walk that n3_catalog_check does not take,
+    kept as the catalog's independent cross-check."""
     for c in _vsums_under((8,) * 30, 8):
         if _n3_rejection(c) is None:
             yield CyclicRingElt(30, c)
 
 
+def _symmetric_vsums(m: int) -> np.ndarray:
+    """The v-sums of N[C_m], m even, of norm exactly 8 that inversion
+    fixes, one coefficient row each, in no particular order.
+
+    Inversion fixes c_0 and c_h, h = m/2, and pairs c_i with c_(m-i), so
+    such an element is a row of h + 1 free cells, c_j in cell min(j,
+    m - j): a multiset of 4 digits over range(h), a digit i > 0 adding 1
+    to cell i, and the s digits 0 leaving c_0 + c_h = 2s, split in each
+    of the 2s + 1 ways.  The zero test multiplies the rows by the
+    residues mod Phi_m of the h + 1 folded basis elements
+    (cyclotomic_residue); with row sums at most 8 each entry is at most
+    8 times the largest residue coefficient in size, far inside int64.
+    """
+    h = m // 2
+    digits = _multisets(h, 4)
+    free = np.zeros((len(digits), h + 1), dtype=np.int8)
+    np.add.at(free, (np.arange(len(digits))[:, None], digits), 1)
+    ways = 2 * free[:, 0].astype(np.int64) + 1
+    free = np.repeat(free, ways, axis=0)
+    free[:, 0] = np.arange(len(free)) - np.repeat(np.cumsum(ways) - ways, ways)
+    free[:, h] = np.repeat(ways - 1, ways) - free[:, 0]
+    cell = np.minimum(np.arange(m), m - np.arange(m))
+    residues = cyclotomic_residue(np.eye(h + 1, dtype=np.int64)[:, cell], m)
+    return free[~(free @ residues).any(axis=1)][:, cell]
+
+
+def _n3_census(m: int) -> tuple[dict, list[tuple[int, ...]]]:
+    """The v-sums of N[C_m], m even, of norm at most 8 without a walk:
+    how many _n3_rejection rejects under each constraint, and those it
+    passes, as coefficient tuples.
+
+    The norm constraint rejects every v-sum of norm below 8
+    (_vsum_counts), inversion the others of norm 8 but the symmetric
+    ones (_symmetric_vsums), and even_identity those of odd c_0.
+    """
+    counts = _vsum_counts((8,) * m, 8)
+    rows = _symmetric_vsums(m)
+    odd = rows[:, 0] % 2 == 1
+    rejected = dict(
+        zip(_N3_CONSTRAINTS, (sum(counts[:8]), counts[8] - len(rows), int(odd.sum())))
+    )
+    return rejected, [tuple(c) for c in rows[~odd].tolist()]
+
+
 def n3_catalog_check() -> dict:
-    """Run the catalog experiment: classify every enumerated candidate,
-    then validate the two order-42 punctured shapes separately: Form7
-    counts those that vanish at order 42 and pass _n3_rejection.  Any
-    candidate matching no form lands in "mismatches" verbatim; every
-    other v-sum is counted in "rejected" under the first constraint it
-    fails."""
+    """Run the catalog experiment: classify every candidate of
+    _n3_census(30), then validate the two order-42 punctured shapes
+    separately: Form7 counts those that vanish at order 42 and pass
+    _n3_rejection.  Any candidate matching no form lands in "mismatches"
+    verbatim; every other v-sum of norm at most 8 is counted in
+    "rejected" under the first constraint it fails."""
     counts = {tag.value: 0 for tag in FormTag}
-    rejected = dict.fromkeys(_N3_CONSTRAINTS, 0)
+    rejected, found = _n3_census(30)
     mismatches = []
-    total = 0
-    for c in _vsums_under((8,) * 30, 8):
-        failed = _n3_rejection(c)
-        if failed is not None:
-            rejected[failed] += 1
-            continue
-        total += 1
+    for c in found:
         cand = CyclicRingElt(30, c)
         tag = match_n3_form(cand)
         if tag is None:
@@ -773,7 +817,7 @@ def n3_catalog_check() -> dict:
     return {
         "modulus": 30,
         "norm": 8,
-        "candidates": total,
+        "candidates": len(found),
         "rejected": rejected,
         "counts": counts,
         "mismatches": [e.to_json() for e in mismatches],

@@ -19,25 +19,27 @@ c_exponent needs no list of sub-sums: the least t | m for which an
 order-m character kills D on every coset of the order-t subgroup is
 the answer, one matmul per t, and the witness is peeled coset by coset.
 is_minimal_vsum runs the same scan first: an element that occupies two
-or more cosets there is not minimal.  The jobs that do need sub-sums (a
-proper sub-v-sum for the peel, the minimality test past the scan, the
-census of minimal v-sums up to a norm bound, and the candidates of the
-n = 3 catalog in gbfkit.search) run on one exact enumerator,
-_vsums_under: it yields every nonzero v-sum below a box of coefficient
-bounds and within a norm budget, exactly once.  It first moves to the
-smallest subgroup coset that holds the support of the box, then works
-fiberwise over a coprime splitting C_m = C_q x C_r, with q = p^a the
-power of the largest prime p of m: a v-sum is a choice of fibers in
-N[C_r] whose exact values (residues mod Phi_r) agree on each class of
-p fibers, made class by class by an explicit-stack walk.  A class of
-nonzero value has p nonzero fibers, so fibers are grouped only up to
-norm budget - (p - 1), and those of value zero (v-sums of C_r) come
-from a recursion into C_r.  The census walks less, by the fiber lemma
-(_census_candidates): a minimal v-sum with a class of value zero is
-one fiber or is 0 on that class.  No float enters, and recursion goes
-only into C_r, as deep as m has primes; c_exponent refuses elements
-above its max_norm, and every caller refuses inputs whose grouped
-fibers would pass MAX_FIBER_WORDS.
+or more cosets there is not minimal.  The jobs that do need sub-sums
+(a proper sub-v-sum for the peel, the minimality test past the scan,
+and the census of minimal v-sums up to a norm bound) run on one exact
+enumerator, _vsums_under: it yields every nonzero v-sum below a box of
+coefficient bounds and within a norm budget, exactly once.  It first
+moves to the smallest subgroup coset that holds the support of the
+box, then works fiberwise over a coprime splitting C_m = C_q x C_r,
+with q = p^a the power of the largest prime p of m: a v-sum is a
+choice of fibers in N[C_r] whose exact values (residues mod Phi_r)
+agree on each class of p fibers, made class by class by an
+explicit-stack walk.  A class of nonzero value has p nonzero fibers,
+so fibers are grouped only up to norm budget - (p - 1), and those of
+value zero (v-sums of C_r) come from a recursion into C_r.  The census
+walks less, by the fiber lemma (_census_candidates): a minimal v-sum
+with a class of value zero is one fiber or is 0 on that class.  The
+n = 3 catalog in gbfkit.search does not walk: it needs only how many
+v-sums there are of each norm, which _vsum_counts reads from the same
+grouped fibers.  No float enters, and recursion goes only into C_r, as
+deep as m has primes; c_exponent refuses elements above its max_norm,
+and every caller refuses inputs whose grouped fibers would pass
+MAX_FIBER_WORDS.
 """
 
 from __future__ import annotations
@@ -389,6 +391,51 @@ def _grouped_by_value(
     return groups, used
 
 
+def _fibers(box: tuple[int, ...], budget: int, vanishing_fibers: bool):
+    """The setup _vsums_under walks and _vsum_counts counts: None when
+    no nonzero v-sum lies under box, else (p, slots, groups, options).
+
+    The support of box lies in one coset j0 + dZ of the subgroup of
+    order n = m/d, with d as large as possible; n = q * r splits as
+    _vsums_under says.  Fiber alpha of that coset holds the cells
+    slots[alpha], indices into box, and groups[alpha] is its grouped
+    sub-elements (_grouped_by_value), one per distinct shape of its
+    slice of the box.  Class c holds the fibers c, c + q/p, ..., and
+    options[c] lists the values every one of them can take, each after
+    its norm floor, the sum of the fibers' cheapest norms for it.
+    """
+    m = len(box)
+    supp = [j for j, b in enumerate(box) if b]
+    if not supp:
+        return None
+    d = gcd(m, *(j - supp[0] for j in supp))
+    j0, n = supp[0] % d, m // d
+    if n == 1:
+        return None  # N[C_1] = N holds no nonzero v-sum
+    p, a = factorize(n).factors[-1]
+    q = p**a
+    r, classes = n // q, q // p
+    slots, groups = [], []
+    by_shape: dict[tuple, dict] = {}
+    room, cut = MAX_FIBER_WORDS, max(budget - p + 1, 0)
+    for alpha in range(q):
+        cells = [(beta, j0 + d * ((r * alpha + q * beta) % n)) for beta in range(r)]
+        cells = [(beta, j) for beta, j in cells if box[j]]
+        shape = (tuple(beta for beta, _ in cells), tuple(box[j] for _, j in cells))
+        if shape not in by_shape:
+            by_shape[shape], used = _grouped_by_value(r, *shape, budget, cut, vanishing_fibers, room)
+            room -= used
+        slots.append([j for _, j in cells])
+        groups.append(by_shape[shape])
+    # per class, the (norm floor, value) pairs every fiber of it can take
+    options = []
+    for cls in range(classes):
+        fibers = groups[cls::classes]
+        shared = set(fibers[0]).intersection(*fibers[1:])
+        options.append(sorted((sum(f[key][0][0] for f in fibers), key) for key in shared))
+    return p, slots, groups, options
+
+
 def _vsums_under(box: tuple[int, ...], budget: int, vanishing_fibers: bool = True):
     """Every nonzero v-sum B in N[C_m], m = len(box), with B <= box
     componentwise and norm <= budget, each exactly once, as coefficient
@@ -398,15 +445,16 @@ def _vsums_under(box: tuple[int, ...], budget: int, vanishing_fibers: bool = Tru
     When the support of box lies in one coset of the subgroup of order
     m/d, B lives there too, and an order-m character kills B exactly
     when an order-m/d one kills it read in that subgroup; so the walk
-    runs in C_{m/d}.  Then split m = q * r with q = p^a the power of the
-    largest prime p of m.  Under the CRT indexing j = r*alpha + q*beta
-    the value of B factors through the q fibers B_alpha in N[C_r], and
-    an order-m character kills B exactly when the fiber values agree on
-    each class of alpha mod q/p.  So each fiber's sub-elements under its
-    slice of the box are grouped by exact value; a class may take a
-    value only when every fiber in it has that value, at a norm of at
-    least the sum of the fibers' cheapest norms for it (0 for the zero
-    value).  The fiber tuple determines B, hence no duplicates.
+    runs in C_{m/d} (_fibers), written m below.  Then split m = q * r
+    with q = p^a the power of the largest prime p of m.  Under the CRT
+    indexing j = r*alpha + q*beta the value of B factors through the q
+    fibers B_alpha in N[C_r], and an order-m character kills B exactly
+    when the fiber values agree on each class of alpha mod q/p.  So each
+    fiber's sub-elements under its slice of the box are grouped by exact
+    value; a class may take a value only when every fiber in it has that
+    value, at a norm of at least the sum of the fibers' cheapest norms
+    for it (0 for the zero value).  The fiber tuple determines B, hence
+    no duplicates.
 
     The cut: a fiber in a class of nonzero value has p - 1 nonzero
     companions, so the walk reads none of its sub-elements above norm
@@ -422,44 +470,12 @@ def _vsums_under(box: tuple[int, ...], budget: int, vanishing_fibers: bool = Tru
     under the head the others make.  ValueError when the grouped fibers
     need more than MAX_FIBER_WORDS.
     """
-    m = len(box)
-    supp = [j for j, b in enumerate(box) if b]
-    if not supp:
+    if (setup := _fibers(box, budget, vanishing_fibers)) is None:
         return
-    d = gcd(m, *(j - supp[0] for j in supp))
-    if d > 1:
-        j0 = supp[0] % d
-        for sub in _vsums_under(box[j0::d], budget, vanishing_fibers):
-            coeffs = [0] * m
-            coeffs[j0::d] = sub
-            yield tuple(coeffs)
-        return
-    if m == 1:
-        return  # N[C_1] = N holds no nonzero v-sum
-    p, a = factorize(m).factors[-1]
-    q = p**a
-    r, classes = m // q, q // p
-    # per fiber: the indices j of its support, and its grouped sub-elements
-    slots, groups = [], []
-    by_shape: dict[tuple, dict] = {}
-    room, cut = MAX_FIBER_WORDS, max(budget - p + 1, 0)
-    for alpha in range(q):
-        cells = [(beta, (r * alpha + q * beta) % m) for beta in range(r)]
-        cells = [(beta, j) for beta, j in cells if box[j]]
-        shape = (tuple(beta for beta, _ in cells), tuple(box[j] for _, j in cells))
-        if shape not in by_shape:
-            by_shape[shape], used = _grouped_by_value(r, *shape, budget, cut, vanishing_fibers, room)
-            room -= used
-        slots.append([j for _, j in cells])
-        groups.append(by_shape[shape])
+    p, slots, groups, options = setup
+    m, q, classes = len(box), len(groups), len(options)
     at = dict(zip(chain.from_iterable(slots), range(m)))
     place = itemgetter(*(at.get(j, len(at)) for j in range(m)))
-    # per class, the (norm floor, value) pairs every fiber of it can take
-    options = []
-    for cls in range(classes):
-        fibers = [groups[cls + i * classes] for i in range(p)]
-        shared = set(fibers[0]).intersection(*fibers[1:])
-        options.append(sorted((sum(f[key][0][0] for f in fibers), key) for key in shared))
     # Depth-first over the levels class 0's value, its p fibers, class
     # 1's value, ...; each level yields the slack it leaves over the
     # cheapest completion so far.  An explicit stack of level generators,
@@ -503,6 +519,53 @@ def _vsums_under(box: tuple[int, ...], budget: int, vanishing_fibers: bool = Tru
                 b = place([*head, *coeffs, 0])
                 if any(b):
                     yield b
+
+
+def _vsum_counts(box: tuple[int, ...], budget: int) -> list[int]:
+    """How many v-sums _vsums_under(box, budget) yields at each norm
+    0..budget, from the same grouped fibers, without the walk.
+
+    A v-sum is a value per class and a sub-element of that value per
+    fiber, so a class contributes the sum over its shared values of the
+    product of its fibers' norm histograms, and the classes multiply;
+    the product, cut at the budget, counts the zero choice once, at
+    norm 0.  As in the walk, a value counts from its norm floor, and
+    each fiber's histogram from its cheapest norm up to the slack the
+    floor leaves; the cut of the walk holds here too, since a histogram
+    misses only norms that no v-sum within the budget uses.
+    """
+    counts = [1] + [0] * budget
+    if (setup := _fibers(box, budget, True)) is not None:
+        _, _, groups, options = setup
+        classes = len(options)
+        for cls, pairs in enumerate(options):
+            poly = [0] * (budget + 1)
+            for floor, key in pairs:
+                if floor > budget:
+                    break
+                slack, term = budget - floor, [1]
+                for fiber in groups[cls::classes]:
+                    hist, cheapest = [0] * (slack + 1), fiber[key][0][0]
+                    for norm, _ in fiber[key]:
+                        if norm - cheapest > slack:
+                            break
+                        hist[norm - cheapest] += 1
+                    term = _times(term, hist, slack)
+                for i, x in enumerate(term):
+                    poly[floor + i] += x
+            counts = _times(counts, poly, budget)
+    counts[0] -= 1
+    return counts
+
+
+def _times(a: list[int], b: list[int], budget: int) -> list[int]:
+    """The product of two polynomials, coefficients listed by degree,
+    up to degree budget."""
+    out = [0] * (budget + 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[: budget + 1 - i]):
+            out[i + j] += x * y
+    return out
 
 
 def _minimal_among(vsums: list[tuple[int, ...]]) -> list[tuple[int, ...]]:

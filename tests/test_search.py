@@ -1042,6 +1042,45 @@ def test_form7_shapes_are_the_c42_candidates():
     assert {c.coeffs for c, t in zip(cands, tags) if t is FormTag.FORM_7} == search._form_7_refs()
 
 
+def test_symmetric_rows_are_the_walks_filter():
+    walked = [
+        c for c in vsum._vsums_under((8,) * 30, 8) if sum(c) == 8 and c[1:] == c[:0:-1]
+    ]
+    rows = sorted(tuple(c) for c in search._symmetric_vsums(30).tolist())
+    assert rows == sorted(walked)
+    assert len(rows) == 50
+    assert sum(c[0] % 2 for c in rows) == 8
+
+
+def test_census_matches_walk_at_c42():
+    # the numbers test_form7_shapes_are_the_c42_candidates pins through
+    # the walk, here from the counts and the symmetric rows
+    rejected, found = search._n3_census(42)
+    assert rejected == {"norm": 5669, "inversion": 12650, "even_identity": 8}
+    walked = [c for c in vsum._vsums_under((8,) * 42, 8) if search._n3_rejection(c) is None]
+    assert sorted(found) == sorted(walked)
+    assert len(found) == 68
+
+
+def test_catalog_does_not_walk_c30(monkeypatch):
+    def walk(box, budget, vanishing_fibers=True):
+        raise AssertionError("the catalog walked the v-sums of C_30")
+
+    # the counter walks only the v-sums of C_6 that its fibers of value
+    # zero list (vsum._grouped_by_value)
+    walked, inner = [], vsum._vsums_under
+
+    def recorded(box, budget, vanishing_fibers=True):
+        walked.append(len(box))
+        return inner(box, budget, vanishing_fibers)
+
+    monkeypatch.setattr(search, "_vsums_under", walk)
+    monkeypatch.setattr(vsum, "_vsums_under", recorded)
+    report = n3_catalog_check()
+    assert report["candidates"] == 42
+    assert set(walked) == {6}
+
+
 def test_form7_count_checks_each_shape(monkeypatch):
     # a shape that vanishes at order 42 but is not inversion invariant,
     # g times the first Form7 shape, is not counted, though the count

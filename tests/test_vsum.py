@@ -3,6 +3,7 @@
 import hashlib
 import random
 import time
+from collections import Counter
 from itertools import combinations, product
 from math import lcm
 
@@ -507,6 +508,45 @@ def test_oversized_fibers_refused(monkeypatch):
     monkeypatch.setattr(vsum, "_sub_elements", listed)
     with pytest.raises(ValueError, match="sub-elements"):
         next(vsum._vsums_under(full_sum(210).coeffs, 209))
+    # the counter reads the same grouped fibers, and refuses alike
+    with pytest.raises(ValueError, match="sub-elements"):
+        vsum._vsum_counts(full_sum(210).coeffs, 209)
+
+
+def check_counts(box):
+    # the counter against the walk's histogram at every budget up to 8
+    for budget in range(9):
+        norms = Counter(sum(c) for c in vsum._vsums_under(box, budget))
+        assert vsum._vsum_counts(box, budget) == [norms[n] for n in range(budget + 1)]
+
+
+@st.composite
+def sparse_boxes(draw, moduli):
+    m = draw(moduli)
+    return tuple(draw(st.lists(st.sampled_from((0, 0, 0, 1, 2, 3)), min_size=m, max_size=m)))
+
+
+@settings(max_examples=40, deadline=None)
+# 18, 36, 50 and 54 split into 3, 3, 5 and 9 classes
+@given(sparse_boxes(st.sampled_from([18, 36, 50, 54]) | st.integers(1, 60)))
+def test_counts_match_walk(box):
+    check_counts(box)
+
+
+@settings(max_examples=25, deadline=None)
+@given(sparse_boxes(st.integers(1, 20)), st.integers(2, 6), st.data())
+def test_counts_match_walk_in_a_coset(sub, d, data):
+    # the support in one coset of the subgroup of order m/d, d > 1
+    j0 = data.draw(st.integers(0, d - 1))
+    box = [0] * (len(sub) * d)
+    box[j0::d] = sub
+    check_counts(tuple(box))
+
+
+def test_counts_of_empty_boxes():
+    # the all-zero box and m = 1 hold no nonzero v-sum
+    check_counts((0,) * 30)
+    check_counts((5,))
 
 
 @settings(max_examples=60, deadline=None)
@@ -534,8 +574,12 @@ def test_zero_value_list_is_charged(monkeypatch):
     monkeypatch.setattr(vsum, "MAX_FIBER_WORDS", used - 1)
     with pytest.raises(ValueError, match="sub-elements"):
         next(vsum._vsums_under((8,) * 30, 8))
+    # the counter reads the same grouped fibers, so it refuses there too
+    with pytest.raises(ValueError, match="sub-elements"):
+        vsum._vsum_counts((8,) * 30, 8)
     monkeypatch.setattr(vsum, "MAX_FIBER_WORDS", used)
     assert next(vsum._vsums_under((8,) * 30, 8)) is not None
+    assert sum(vsum._vsum_counts((8,) * 30, 8)) == 6761
 
 
 @pytest.mark.parametrize(
