@@ -175,9 +175,7 @@ def _cmd_search(args) -> int:
             print(json.dumps(event, sort_keys=True), file=sys.stderr)
 
     try:
-        outcome = brute_force(
-            args.m, args.n, budget=args.budget, workers=args.threads, progress=progress
-        )
+        outcome = brute_force(args.m, args.n, budget=args.budget, progress=progress)
     except BudgetExceededError as exc:
         print(f"gbf search: {exc}", file=sys.stderr)
         return 3
@@ -322,13 +320,6 @@ def _verify_args(p) -> None:
 def _search_args(p) -> None:
     p.add_argument("m", type=decimal_int)
     p.add_argument("n", type=decimal_int)
-    p.add_argument(
-        "--threads",
-        type=decimal_int,
-        default=1,
-        help="worker processes for the runs of head multisets after the first"
-        " with level-1 nodes, at most the CPUs (default 1: all in process)",
-    )
     p.add_argument("--budget", type=decimal_int, default=DEFAULT_BUDGET)
     p.add_argument("--progress", action="store_true", help="JSON progress events on stderr")
 

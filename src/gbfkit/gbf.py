@@ -33,7 +33,12 @@ from .ring import cyclotomic_residue, decimal_int, decimal_ints
 # re-exported: perfbench/spans.py traces the zero-test under this name too
 from .ring import character_value_is_zero  # noqa: F401
 
-# is_gbf_numeric's bound on | |F(y)|^2 - 2^n |, the same as search's screen
+# the bound on | |F(y)|^2 - 2^n | of is_gbf_numeric and of search's
+# screens.  Each |F(y)|^2 the search compares is a signed sum of at most
+# 2^n <= 32 unit roots, each within 2^-52 (search._roots) and added in
+# at most 32 steps, so its float error stays below 1e-11, and |B|^2 and
+# 2^n - |A|^2 at the level-1 windows likewise; 1e-6 cannot lose a
+# witness, and survivors are confirmed exactly
 _TOL = 1e-6
 
 # (x, y) cells per gather block: the block's scratch arrays (128 KB

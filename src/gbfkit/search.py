@@ -37,8 +37,7 @@ read whole is the least function below it, so the nodes are taken in
 the order of their rows, and a node whose row is not below the best
 witness found so far is skipped: the witness reported is the least.
 The heads are joined in runs, and the search below a run's passing
-nodes is the unit of work: it depends on that run alone, so it runs in
-process or on a process pool with the same result.
+nodes depends on that run alone.
 Each level counts the functions it cuts, and the leaves tested count
 one each; exhaustion examines every function (examined ==
 normalized_space), which certifies nonexistence.  The split tables
@@ -60,18 +59,16 @@ an independent cross-check.
 
 from __future__ import annotations
 
-import os
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache
 from itertools import combinations
 from math import comb, prod
 
 import numpy as np
 
-from .gbf import GbfFunction, is_gbf_exact
+from .gbf import _TOL, GbfFunction, is_gbf_exact
 from .ring import (
     CharacterSpec,
     CyclicRingElt,
@@ -105,13 +102,6 @@ MAX_MULTISETS = 1 << 22
 # of their 2^(n-k) positions, C(16, 8) = 12870 at n = 5 and level 1;
 # C(32, 16) at n = 6 is past reach, so n = 6 is refused
 MAX_HALF = 16
-
-# numeric screen: each |F(y)|^2 compared is a signed sum of at most 2^n
-# <= 32 unit roots, each rounded within 2^-52 and added in at most 32
-# steps, so its float error stays below 1e-11, and |B|^2 and 2^n - |A|^2
-# at the level-1 windows likewise; 1e-6 cannot lose a witness, and
-# survivors are confirmed exactly
-_TOL = 1e-6
 
 # largest screen pass, in complex cells: 32 per pair of a level-1
 # screen pass, and 2^k per child of a level-k node screened at once
@@ -182,8 +172,14 @@ def _char_table(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _roots(m: int) -> np.ndarray:
-    """zeta^v = exp(2 pi i v / m) for v in range(m), read-only."""
-    zeta = np.exp(2j * np.pi * np.arange(m) / m)
+    """zeta^v = exp(2 pi i v / m) for v in range(m), read-only, each within
+    2^-52.  The angle is taken past its nearest quarter turn, q pi / 2 for
+    q = round(4 v / m), in integers: the rest, pi r / 2m with r = 4 v - q m,
+    is at most pi / 4, so it carries no rounding error of an angle up to
+    2 pi (up to 4 ulps of 1), and i^q is exact."""
+    v = np.arange(m)
+    q = (8 * v + m) // (2 * m)
+    zeta = np.array([1, 1j, -1, -1j])[q % 4] * np.exp(0.5j * np.pi * ((4 * v - q * m) / m))
     zeta.flags.writeable = False
     return zeta
 
@@ -374,16 +370,16 @@ class _Level:
         self.which = which.reshape(len(rows), cosets)
         self.width = self.sizes[self.which].prod(axis=1)
 
-    def chunks(self, run: int):
-        """Chunks of nodes, in order: the first with at most run children,
-        each next with at most twice as many as run or the chunk before,
+    def chunks(self):
+        """Chunks of nodes, in order: the first with at most _FIRST_RUN
+        children, each next with at most twice as many as the one before,
         up to _TAIL_CELLS / 2^k, or one node with more.  A witness below
         one of the first nodes is found after a few small chunks, and then
         bounds the rest; a node with many children is not followed by
         more chunks of one node each."""
         step = max(1, _TAIL_CELLS >> self.k)
         ends = np.cumsum(np.minimum(self.width, step + 1))
-        lo, run = 0, min(step, run)
+        lo, run = 0, min(step, _FIRST_RUN)
         while lo < len(self.rows):
             base = int(ends[lo - 1]) if lo else 0
             hi = max(lo + 1, int(np.searchsorted(ends, base + run, side="right")))
@@ -461,7 +457,7 @@ def _descend(m: int, n: int, k: int, rows: np.ndarray, stats: dict, bound=None):
         stats[k]["seconds"] += time.perf_counter() - start
         return found
     level, best = _Level(m, n, k, rows), None
-    for lo, hi in level.chunks(_FIRST_RUN):
+    for lo, hi in level.chunks():
         limit = bound if best is None else best
         nodes = np.arange(lo, hi)
         if limit is not None:
@@ -481,20 +477,19 @@ def _search_run(m: int, n: int, rows: np.ndarray):
     """The least witness below the sorted level-1 nodes rows of one run,
     or None, and the counts of levels 1 .. n (level 1's are the leaves'
     at n = 1, else 0): _descend with no bound, so the result does not
-    depend on the runs before it, in process or on a pool."""
+    depend on the runs before it."""
     stats = {k: _stats() for k in range(1, n + 1)}
     return _descend(m, n, 1, rows, stats), stats
 
 
 def _stream(m: int, n: int, best):
     """The runs of head multisets in order, each joined with the tail
-    table, as (the run's least function, level 1's counts, its passing
-    level-1 nodes, sorted), up to the first whose least function is not
-    below best(), the best witness so far or None; that run is not
-    joined.  The runs hold _FIRST_PAIRS, twice that, ... pairs in their
-    windows, up to _TAIL_CELLS / 32 (or one head with more): a witness
-    below one of the first heads is found after a few runs, and then
-    bounds the rest."""
+    table, as (level 1's counts, its passing level-1 nodes, sorted), up
+    to the first whose least function is not below best(), the best
+    witness so far or None; that run is not joined.  The runs hold
+    _FIRST_PAIRS, twice that, ... pairs in their windows, up to
+    _TAIL_CELLS / 32 (or one head with more): a witness below one of the
+    first heads is found after a few runs, and then bounds the rest."""
     start = time.perf_counter()
     table = _TailTable(m, n)
     half = table.tails.shape[1]
@@ -510,8 +505,8 @@ def _stream(m: int, n: int, best):
     ends, step = np.cumsum(count), max(1, _TAIL_CELLS >> 5)
     lo, run = 0, min(step, _FIRST_PAIRS)
     while lo < heads:
-        least, bound = table.tails[lo].tolist() + [0] * half, best()
-        if bound is not None and least >= bound:
+        bound = best()
+        if bound is not None and table.tails[lo].tolist() + [0] * half >= bound:
             return
         base = int(ends[lo - 1]) if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, base + run, side="right")))
@@ -525,44 +520,8 @@ def _stream(m: int, n: int, best):
         stats = _stats()
         stats.update(nodes_in=(hi - lo) * len(table.tails), nodes_out=len(rows), examined=cut, pruned=cut)
         stats["seconds"] = time.perf_counter() - start
-        yield least, stats, rows
+        yield stats, rows
         lo, run, start = hi, min(step, 2 * run), time.perf_counter()
-
-
-def _results(m: int, n: int, runs, workers: int):
-    """The runs of _stream in order, each one's nodes replaced by a call
-    that returns its _search_run result, or by None where it has none.
-    The first run with nodes is searched in process; for workers > 1 a
-    pool of that many processes, started at its first submission, takes
-    every later one, with at most two runs per process handed out and
-    not yet yielded.  The pool is shut down when the caller closes the
-    generator."""
-    queue: deque = deque()
-    pool, handed, searched = None, 0, False
-    try:
-        for least, stats, rows in runs:
-            search, pooled = None, False
-            if len(rows) and (workers < 2 or not searched):
-                search, searched = partial(_search_run, m, n, rows), True
-            elif len(rows):
-                if pool is None:
-                    from concurrent.futures import ProcessPoolExecutor
-
-                    pool = ProcessPoolExecutor(max_workers=workers)
-                search, pooled = pool.submit(_search_run, m, n, rows).result, True
-            queue.append((least, stats, search, pooled))
-            handed += pooled
-            # with no pool, handed stays 0 and every run goes on
-            while queue and (handed == 2 * workers or not queue[0][3]):
-                *item, pooled = queue.popleft()
-                handed -= pooled
-                yield item
-        for *item, _ in queue:
-            yield item
-    finally:
-        if pool is not None:
-            # wait for the running searches, so that no worker outlives the call
-            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _refusal(m: int, n: int, budget: int) -> str | None:
@@ -590,6 +549,7 @@ def brute_force(
     n: int,
     budget: int = DEFAULT_BUDGET,
     *,
+    # ignored: perfbench/probes.py still passes workers=2
     workers: int = 1,
     progress=None,
 ) -> SearchOutcome:
@@ -598,17 +558,14 @@ def brute_force(
     Refused up front (BudgetExceededError, before any table is built):
     a space m^(2^n - 1) over budget, m > MAX_MODULUS, halves of more than
     MAX_HALF positions (n >= 6), and more than MAX_MULTISETS digit
-    multisets of the top half.  The level-1 join runs in process, a run
-    of head multisets at a time, and each run's passing nodes are
-    searched to their leaves by one _search_run call: the first run with
-    nodes in process and, for workers > 1, every later one on a pool of
-    no more processes than workers or the CPUs, two runs per process
-    ahead.  Runs are read in order until one's least function is not
-    below the best witness so far, which makes the returned witness the
-    overall lexicographic minimum; a run's result does not depend on the
-    runs before it, so the pool changes no result.  progress, when
-    given, receives one event dict per level per run: level 1 for every
-    run, and levels 2 .. n for a run with level-1 nodes.
+    multisets of the top half.  The level-1 join runs a run of head
+    multisets at a time, and each run's passing nodes are searched to
+    their leaves by one _search_run call.  Runs are read in order until
+    one's least function is not below the best witness so far, which
+    makes the returned witness the overall lexicographic minimum.
+    progress, when given, receives one event dict per level per run:
+    level 1 for every run, and levels 2 .. n for a run with level-1
+    nodes.
     m < 2 is refused, as decide refuses it: m = 1 has a space of 1 at
     every n, so the budget would not stop the 4^n-cell character table.
     """
@@ -619,27 +576,17 @@ def brute_force(
         raise BudgetExceededError(m, n, budget, refusal)
 
     start = time.perf_counter()
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     best, examined = None, 0
-    # the stream stops at a run not below the best witness read so far;
-    # runs handed to the pool before that witness was read are skipped
-    # below
-    results = _results(m, n, _stream(m, n, lambda: best), max(1, min(workers, cpus or 1)))
-    try:
-        for least, stats, search in results:
-            if best is not None and least >= best:
-                break
-            found, levels = search() if search is not None else (None, {1: _stats()})
-            for key, value in stats.items():
-                levels[1][key] += value
-            for k, counts in levels.items():
-                examined += counts["examined"]
-                if progress is not None:
-                    progress({"level": k, **counts})
-            if found is not None and (best is None or found < best):
-                best = found
-    finally:
-        results.close()
+    for stats, rows in _stream(m, n, lambda: best):
+        found, levels = _search_run(m, n, rows) if len(rows) else (None, {1: _stats()})
+        for key, value in stats.items():
+            levels[1][key] += value
+        for k, counts in levels.items():
+            examined += counts["examined"]
+            if progress is not None:
+                progress({"level": k, **counts})
+        if found is not None:
+            best = found
     witness = None if best is None else GbfFunction(n, m, tuple(best))
     return SearchOutcome(m, n, witness, examined, time.perf_counter() - start)
 

@@ -48,9 +48,7 @@ def test_exhaustive_search_confirms_n3_nonexistence(capsys, monkeypatch):
     monkeypatch.delenv("GBF_STORE", raising=False)
     for m in (3, 5, 6, 7, 9, 10, 11, 13, 15):
         start = time.monotonic()
-        rc, out, _ = _run_cli(
-            capsys, ["search", str(m), "3", "--threads", "8", "--json"]
-        )
+        rc, out, _ = _run_cli(capsys, ["search", str(m), "3", "--json"])
         elapsed = time.monotonic() - start
         assert elapsed < 600.0, f"m={m} took {elapsed:.1f}s"
         assert rc == 1

@@ -35,7 +35,6 @@ def test_decide_exit_codes(capsys):
         ["decide", "15", "\u0663"],
         ["search", "3", "1_1"],
         ["search", "3", "3", "--budget", "1_000"],
-        ["search", "3", "3", "--threads", " 1"],
         ["table", "--m-max", "1_0"],
         ["table", "--n-max", "\u0669"],
     ):
@@ -295,8 +294,13 @@ def test_search_cli(capsys):
     assert main(["search", "3", "14"]) == 3
     assert "3^(2^14 - 1) exceeds budget" in capsys.readouterr().err
 
-    assert main(["search", "5", "2", "--threads", "2"]) == 1
-    capsys.readouterr()
+
+def test_search_has_no_threads_option(capsys):
+    # the search runs in process only, so it takes no worker count
+    assert main(["search", "5", "2", "--threads", "2"]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gbf [-h] [--version]")
+    assert err.endswith("\ngbf: error: unrecognized arguments: --threads 2\n")
 
 
 def test_search_progress_events(capsys):

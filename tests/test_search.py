@@ -1,12 +1,11 @@
 """Tests for the exhaustive search and the dimension-3 catalog."""
 
-import concurrent.futures
-import multiprocessing
+import decimal
+import math
 import os
 import subprocess
 import sys
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, factorial, prod
@@ -20,7 +19,7 @@ from hypothesis import strategies as st
 from gbfkit import cli, search, vsum
 from gbfkit.cli import main
 from gbfkit.criteria import EXISTS, decide
-from gbfkit.gbf import GbfFunction, is_gbf_exact
+from gbfkit.gbf import GbfFunction, is_gbf_exact, is_gbf_numeric
 from gbfkit.ring import CharacterSpec, CyclicRingElt, character_value_is_zero, subgroup_sum
 from gbfkit.search import (
     BudgetExceededError,
@@ -248,70 +247,6 @@ def _plain(events):
     return [{k: v for k, v in e.items() if k != "seconds"} for e in events]
 
 
-def _recording_pool(started, context=None):
-    # a process pool that records the size it is started with
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            started.append(max_workers)
-            super().__init__(max_workers, mp_context=context)
-
-    return RecordingPool
-
-
-def test_pooled_search_matches_serial(monkeypatch):
-    # report three CPUs, so that workers=3 runs three processes anywhere.
-    # (30, 3) at 30^7 has 15 runs with nodes, so the pool takes 14.  With
-    # every function passing the screens, runs of one pair on make most
-    # heads a run of their own, all with nodes; with no exact test
-    # passing, or one at (3, 3) that passes a single function of the
-    # fourth run, the pool searches runs that the search reads or, past
-    # that witness, leaves unread.  The pool's results are read in the
-    # serial order, with the same certificate and events
-    started = []
-    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    witness = (0, 0, 1, 1, 2, 2, 2, 2)
-
-    def searches(m, n, budget):
-        runs = []
-        for workers in (1, 2, 3):
-            del started[:]
-            events = []
-            out = brute_force(m, n, budget, workers=workers, progress=events.append)
-            assert started == ([workers] if workers > 1 else []), (m, n, workers)
-            runs.append((out.certificate(), _plain(events)))
-        assert runs[1] == runs[0] and runs[2] == runs[0], (m, n)
-        return runs[0][0]
-
-    with monkeypatch.context() as patch:
-        patch.setattr(concurrent.futures, "ProcessPoolExecutor", _recording_pool(started))
-        cert = searches(30, 3, 30**7)
-        assert cert["witness"] is None and cert["examined"] == 30**7
-
-    # the patches reach the workers only if they are forked
-    fork = _recording_pool(started, multiprocessing.get_context("fork"))
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fork)
-    monkeypatch.setattr(search, "_FIRST_PAIRS", 1)
-    monkeypatch.setattr(search, "_TOL", float("inf"))
-    monkeypatch.setattr(search, "is_gbf_exact", lambda fn: False)
-    for m, n in [(3, 2), (3, 3), (2, 4)]:
-        cert = searches(m, n, search.DEFAULT_BUDGET)
-        assert cert["witness"] is None and cert["examined"] == cert["normalized_space"], (m, n)
-    monkeypatch.setattr(search, "is_gbf_exact", lambda fn: fn.values == witness)
-    cert = searches(3, 3, search.DEFAULT_BUDGET)
-    assert tuple(cert["witness"]) == witness and cert["examined"] < 3**7
-
-
-def test_pool_workers_end_with_the_search(monkeypatch):
-    # the pool is shut down before brute_force returns, its workers
-    # joined: (30, 3) at 30^7 starts one
-    started = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _recording_pool(started))
-    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    out = brute_force(30, 3, 30**7, workers=2)
-    assert out.status == "ExhaustedNone" and started == [2]
-    assert multiprocessing.active_children() == []
-
-
 def _recorded_witness(m, n):
     # the witness the search reported at every Exists cell below before
     # it searched by coset multisets, recorded from that search
@@ -326,122 +261,24 @@ def _recorded_witness(m, n):
 
 def test_search_agrees_with_decide():
     # the search is an exact route independent of the criteria, and
-    # decide settles every cell here; n = 3 runs past the default budget
-    # up to m = 30, at budget m^7
+    # decide settles every cell here; n >= 3 runs past the default budget,
+    # at budget m^(2^n - 1).  (6, 5) is decided by nonexist-2p-alpha-mod8,
+    # the one criterion sourced from outside the paper
     cells = [(m, 1) for m in range(2, 1001)] + [(m, 2) for m in range(2, 201)]
     cells += [(m, 3) for m in range(2, 31)] + [(2, 4), (3, 4)]
-    assert len(cells) == 1229
+    recorded = set(cells)
+    cells += [(m, 4) for m in range(4, 15)] + [(m, 5) for m in (2, 3, 5, 6, 7)]
+    assert len(cells) == 1245
     for m, n in cells:
         out = brute_force(m, n, max(search.DEFAULT_BUDGET, m ** ((1 << n) - 1)))
         assert (out.witness is not None) == (decide(m, n).outcome == EXISTS), (m, n)
         if out.witness is None:
             assert out.examined == out.normalized_space, (m, n)
-        else:
+        elif (m, n) in recorded:
             assert out.witness.values == _recorded_witness(m, n), (m, n)
-
-
-def test_pool_size_is_bounded(monkeypatch):
-    # a stand-in pool on threads records the size asked for; no process
-    # pool is started here
-    asked = []
-
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    runs = {}
-    for cell in [(3, 3), (2, 4), (8, 3), (30, 3)]:
-        runs[cell] = sum(len(rows) > 0 for least, stats, rows in search._stream(*cell, lambda: None))
-    # (3, 3) has no level-1 node, so no pool; (2, 4) finds its witness in
-    # its one run with nodes, in process, and (8, 3) in the first of its
-    # two, whose second is then not searched; (30, 3) has 15 runs with
-    # nodes
-    assert runs == {(3, 3): 0, (2, 4): 1, (8, 3): 2, (30, 3): 15}
-    serial = {cell: brute_force(*cell, cell[0] ** ((1 << cell[1]) - 1)) for cell in runs}
-
-    def pooled(cell, workers):
-        return brute_force(*cell, cell[0] ** ((1 << cell[1]) - 1), workers=workers)
-
-    for cell in [(3, 3), (2, 4), (8, 3)]:
-        assert pooled(cell, 10**6) == serial[cell]
-    assert asked == []
-    # min(workers, CPUs) processes
-    assert pooled((30, 3), 10**6) == serial[30, 3]
-    assert pooled((30, 3), 3) == serial[30, 3]
-    assert asked == [8, 3]
-
-    # no more workers than CPUs, and none at all on one CPU or for workers < 2
-    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert pooled((30, 3), 10**6) == serial[30, 3]
-    assert pooled((30, 3), 1) == serial[30, 3]
-    assert pooled((30, 3), -1) == serial[30, 3]
-    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert pooled((30, 3), 10**6) == serial[30, 3]
-    assert asked == [8, 3, 2]
-
-
-class _InlinePool:
-    # a stand-in pool that runs each search as it is handed out
-    def __init__(self, max_workers):
-        self.started.append(max_workers)
-
-    def submit(self, fn, *args):
-        self.handed.append(int(args[-1][0, 0]))
-        done = Future()
-        done.set_result(("pooled", fn(*args)))
-        return done
-
-    def shutdown(self, wait, cancel_futures):
-        pass
-
-
-def _runs(nodes, pulled):
-    # a stream of runs, run i with nodes if nodes[i], recording those pulled
-    for i, has in enumerate(nodes):
-        pulled.append(i)
-        yield [i], "stats", np.full((has, 8), i)
-
-
-def test_pool_starts_after_the_first_run_with_nodes(monkeypatch):
-    # runs without nodes have nothing to search; the first run with nodes
-    # is searched in process, then the pool, of the size it is given,
-    # takes every run with nodes after it, in order
-    monkeypatch.setattr(_InlinePool, "started", [], raising=False)
-    monkeypatch.setattr(_InlinePool, "handed", [], raising=False)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(search, "_search_run", lambda m, n, rows: int(rows[0, 0]))
-    nodes = [0, 1, 0, 1, 1, 0]
-    for workers, want in [
-        (5, [None, 1, None, ("pooled", 3), ("pooled", 4), None]),
-        (1, [None, 1, None, 3, 4, None]),
-    ]:
-        got = []
-        for least, stats, run in search._results(2, 3, _runs(nodes, []), workers):
-            assert stats == "stats" and least == [len(got)]
-            got.append(run and run())
-        assert got == want, workers
-    assert _InlinePool.started == [5] and _InlinePool.handed == [3, 4]
-
-
-def test_pool_is_handed_two_runs_per_worker_ahead(monkeypatch):
-    # with two workers, the run yielded and the three after it have been
-    # handed out, four in all, and the stream is read no further than
-    # that; once it is exhausted, the runs left are yielded in order
-    monkeypatch.setattr(_InlinePool, "started", [], raising=False)
-    monkeypatch.setattr(_InlinePool, "handed", [], raising=False)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(search, "_search_run", lambda m, n, rows: int(rows[0, 0]))
-    pulled = []
-    results = search._results(2, 3, _runs([1] * 10, pulled), 2)
-    for j, (least, stats, run) in enumerate(results):
-        assert run() == (j if not j else ("pooled", j))
-        # run 0 is searched in process, before any run after it is read
-        ahead = min(j + 4, 10) if j else 1
-        assert _InlinePool.handed == list(range(1, ahead)) and pulled == list(range(ahead)), j
-    assert _InlinePool.started == [2] and j == 9
+        else:
+            # no witness was recorded here before: check it by the float route
+            assert out.witness.values[0] == 0 and is_gbf_numeric(out.witness), (m, n)
 
 
 def _spectra(rows, m, n):
@@ -528,7 +365,7 @@ def _halves_of(coset, pinned):
 
 def _level_one_rows(m, n):
     # the level-1 nodes of (m, n)'s runs, as the search's stream yields them
-    for least, stats, rows in search._stream(m, n, lambda: None):
+    for stats, rows in search._stream(m, n, lambda: None):
         if len(rows):
             yield rows
 
@@ -809,23 +646,6 @@ def test_search_imports_no_masked_arrays():
     assert proc.stdout.splitlines()[-1] == "False"
 
 
-def test_search_imports_no_process_pool():
-    # concurrent.futures.process takes 14 to 20 ms to import, so the
-    # search imports it only when it starts a pool
-    code = (
-        "import sys\n"
-        "from gbfkit.cli import main\n"
-        "assert main(['search', '15', '3']) == 1\n"
-        "assert main(['search', '4', '3']) == 0\n"
-        "print('concurrent.futures.process' in sys.modules)\n"
-    )
-    env = {k: v for k, v in os.environ.items() if k != "GBF_STORE"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
-
-
 def test_tail_groups_are_digit_multisets():
     for m, n in [(4, 3), (6, 3), (8, 3), (3, 4), (3, 2), (2, 1), (5, 2), (9, 1)]:
         zeta = np.exp(2j * np.pi * np.arange(m) / m)
@@ -843,6 +663,67 @@ def test_tail_groups_are_digit_multisets():
         assert sorted(table.order.tolist()) == list(range(len(got))), (m, n)
         assert np.abs(table.norms - np.abs(table.sums[table.order]) ** 2).max() <= 1e-12
         assert (np.diff(table.norms) >= 0).all(), (m, n)
+
+
+def _exact_norms(tails, m):
+    # |B|^2 of each sorted row of digits, exactly up to a few ulps: B B^-1
+    # in Z[C_m] has the integer coefficients c_k = #{(i, j) : d_i - d_j = k
+    # mod m}, and is fixed by inversion, so its value at zeta is real,
+    # sum_k c_k cos(2 pi k / m), summed here by math.fsum once per
+    # distinct c
+    s, step = tails.shape[1], 1 << 15
+    coeffs = []
+    for lo in range(0, len(tails), step):
+        block = tails[lo : lo + step]
+        diff = (block[:, :, None] - block[:, None, :]) % m
+        keys = diff.reshape(len(block), s * s) + m * np.arange(len(block))[:, None]
+        coeffs.append(np.bincount(keys.ravel(), minlength=len(block) * m).reshape(len(block), m))
+    coeffs = np.concatenate(coeffs)
+    assert coeffs.max() < 256
+    # one void key per row of byte coefficients, for a fast np.unique
+    keys = np.ascontiguousarray(coeffs.astype(np.uint8)).view(f"V{m}").ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    cos = [math.cos(2 * math.pi * k / m) for k in range(m)]
+    values = [math.fsum(c * x for c, x in zip(row, cos)) for row in coeffs[first].tolist()]
+    return np.array(values)[inverse]
+
+
+# pi to 50 digits
+_PI = decimal.Decimal("3.1415926535897932384626433832795028841971693993751")
+
+
+def _root_error(z, v, m):
+    # |z - exp(2 pi i v / m)|, against cos and sin by their Taylor series
+    # at 50 digits, taken at the angle less than pi in size
+    with decimal.localcontext() as context:
+        context.prec = 50
+        x = 2 * _PI * (v if 2 * v <= m else v - m) / m
+        cos, sin, term = decimal.Decimal(0), decimal.Decimal(0), decimal.Decimal(1)
+        for k in range(60):
+            if k % 2:
+                sin += term if k % 4 == 1 else -term
+            else:
+                cos += term if k % 4 == 0 else -term
+            term = term * x / (k + 1)
+        return ((decimal.Decimal(z.real) - cos) ** 2 + (decimal.Decimal(z.imag) - sin) ** 2).sqrt()
+
+
+def test_screen_float_error_is_within_its_bound():
+    # the bound the tolerance rests on (gbf._TOL): every root of unity the
+    # tables sum is within 2^-52 of its exact value, and every |B|^2 of a
+    # tail table within 1e-11, over every n = 3 table with m <= 15 and the
+    # 319770 groups of (15, 4)
+    for m in [*range(1, 33), 4001, 524288]:
+        zeta = search._roots(m).tolist()
+        picks = range(m) if m <= 32 else range(0, m, m // 64)
+        assert max(_root_error(zeta[v], v, m) for v in picks) <= decimal.Decimal(2) ** -52, m
+    worst = 0.0
+    for m, n in [(m, 3) for m in range(2, 16)] + [(15, 4)]:
+        table = search._TailTable(m, n)
+        exact = _exact_norms(table.tails, m)
+        worst = max(worst, float(np.abs(table.norms - exact[table.order]).max()))
+    assert len(table.tails) == 319770
+    assert worst < 1e-11
 
 
 def test_split_tables_match_itertools():
@@ -942,7 +823,7 @@ def test_progress_events():
     # (30, 3) at 30^7: 18 runs, 15 of them with level-1 nodes
     events = []
     out = brute_force(30, 3, 30**7, progress=events.append)
-    nodes = [len(rows) > 0 for least, stats, rows in search._stream(30, 3, lambda: None)]
+    nodes = [len(rows) > 0 for stats, rows in search._stream(30, 3, lambda: None)]
     assert (len(nodes), sum(nodes)) == (18, 15)
     assert [e["level"] for e in events] == [k for has in nodes for k in ([1, 2, 3] if has else [1])]
     assert sum(e["examined"] for e in events) == out.examined == 30**7
