@@ -31,6 +31,12 @@ import os
 import sys
 from datetime import datetime, timezone
 
+# the search screens with small complex matrix products, on which more
+# OpenBLAS threads only spin beside the main one, doubling a search's
+# CPU time for the same wall time.  So one thread, set before the
+# imports below load numpy; a value the caller set wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import __version__
 from .criteria import (
     EXISTS,

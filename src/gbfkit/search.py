@@ -36,8 +36,10 @@ survivor is confirmed exactly before it is reported.  A node's row
 read whole is the least function below it, so the nodes are taken in
 the order of their rows, and a node whose row is not below the best
 witness found so far is skipped: the witness reported is the least.
-The heads are joined in runs, and the search below a run's passing
-nodes depends on that run alone.
+The heads are joined in runs, and each run's passing nodes are searched
+under the best witness of the runs before it; runs whose least function
+is not below it are not joined, which saves work: the witness does not
+depend on it.
 Each level counts the functions it cuts, and the leaves tested count
 one each; exhaustion examines every function (examined ==
 normalized_space), which certifies nonexistence.  The split tables
@@ -316,6 +318,23 @@ def _stats() -> dict:
     return dict.fromkeys(("nodes_in", "nodes_out", "examined", "pruned", "survivors", "seconds"), 0)
 
 
+def _chunks(width: np.ndarray, first: int, step: int):
+    """Chunks lo .. hi of the items, in order, by their widths, each
+    counted up to step + 1: the first holds a width of at most first,
+    each next at most twice the larger of the allowance and the width of
+    the chunk before, up to step, or is one item with more.  A witness
+    below one of the first items is found after a few small chunks, and
+    then bounds the rest; an item with a large width is not followed by
+    more chunks of one item each."""
+    ends = np.cumsum(np.minimum(width, step + 1))
+    lo, run = 0, min(step, first)
+    while lo < len(width):
+        base = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + run, side="right")))
+        yield lo, hi
+        lo, run = hi, min(step, 2 * max(run, int(ends[hi - 1]) - base))
+
+
 class _Level:
     """The split tables of the cosets of the sorted level-k nodes rows
     (a node's row lists f at x = 0 .. 2^n - 1, coset c of level k at
@@ -369,22 +388,6 @@ class _Level:
         self.totals = np.add.reduceat(self.weights, self.offsets)
         self.which = which.reshape(len(rows), cosets)
         self.width = self.sizes[self.which].prod(axis=1)
-
-    def chunks(self):
-        """Chunks of nodes, in order: the first with at most _FIRST_RUN
-        children, each next with at most twice as many as the one before,
-        up to _TAIL_CELLS / 2^k, or one node with more.  A witness below
-        one of the first nodes is found after a few small chunks, and then
-        bounds the rest; a node with many children is not followed by
-        more chunks of one node each."""
-        step = max(1, _TAIL_CELLS >> self.k)
-        ends = np.cumsum(np.minimum(self.width, step + 1))
-        lo, run = 0, min(step, _FIRST_RUN)
-        while lo < len(self.rows):
-            base = int(ends[lo - 1]) if lo else 0
-            hi = max(lo + 1, int(np.searchsorted(ends, base + run, side="right")))
-            yield lo, hi
-            lo, run = hi, min(step, 2 * max(run, int(ends[hi - 1]) - base))
 
     def children(self, nodes: np.ndarray, stats: dict) -> np.ndarray:
         """The children of the nodes (indices into rows) that pass the
@@ -443,12 +446,12 @@ def _confirm(m: int, n: int, leaves: np.ndarray, bound, stats: dict):
     return None
 
 
-def _descend(m: int, n: int, k: int, rows: np.ndarray, stats: dict, bound=None):
+def _descend(m: int, n: int, k: int, rows: np.ndarray, stats: dict, bound):
     """The least function below the sorted level-k nodes rows, less than
-    bound, that passes the exact test, as its value list, or None.  The
-    nodes are expanded a chunk at a time, depth first; a node whose row
-    (its least function) is not below the best found so far is skipped.
-    stats[j] accumulates level j."""
+    bound (when not None), that passes the exact test, as its value
+    list, or None.  The nodes are expanded a chunk at a time (_chunks),
+    depth first; a node whose row (its least function) is not below the
+    best found so far is skipped.  stats[j] accumulates level j."""
     if not len(rows):
         return None
     if k == n:
@@ -457,7 +460,7 @@ def _descend(m: int, n: int, k: int, rows: np.ndarray, stats: dict, bound=None):
         stats[k]["seconds"] += time.perf_counter() - start
         return found
     level, best = _Level(m, n, k, rows), None
-    for lo, hi in level.chunks():
+    for lo, hi in _chunks(level.width, _FIRST_RUN, max(1, _TAIL_CELLS >> k)):
         limit = bound if best is None else best
         nodes = np.arange(lo, hi)
         if limit is not None:
@@ -473,23 +476,15 @@ def _descend(m: int, n: int, k: int, rows: np.ndarray, stats: dict, bound=None):
     return best
 
 
-def _search_run(m: int, n: int, rows: np.ndarray):
-    """The least witness below the sorted level-1 nodes rows of one run,
-    or None, and the counts of levels 1 .. n (level 1's are the leaves'
-    at n = 1, else 0): _descend with no bound, so the result does not
-    depend on the runs before it."""
-    stats = {k: _stats() for k in range(1, n + 1)}
-    return _descend(m, n, 1, rows, stats), stats
-
-
 def _stream(m: int, n: int, best):
     """The runs of head multisets in order, each joined with the tail
     table, as (level 1's counts, its passing level-1 nodes, sorted), up
     to the first whose least function is not below best(), the best
-    witness so far or None; that run is not joined.  The runs hold
-    _FIRST_PAIRS, twice that, ... pairs in their windows, up to
-    _TAIL_CELLS / 32 (or one head with more): a witness below one of the
-    first heads is found after a few runs, and then bounds the rest."""
+    witness so far or None; that run and those after it are not joined.
+    This only saves joins: a run's nodes are searched under the best
+    witness anyway.  The runs are _chunks of the heads by the pairs in
+    their windows, from _FIRST_PAIRS up to _TAIL_CELLS / 32 (or one head
+    with more)."""
     start = time.perf_counter()
     table = _TailTable(m, n)
     half = table.tails.shape[1]
@@ -502,14 +497,10 @@ def _stream(m: int, n: int, best):
     # when no multiset is missing
     tail_total = int(table.counts.sum())
     a, first, count = table.windows(np.arange(heads))
-    ends, step = np.cumsum(count), max(1, _TAIL_CELLS >> 5)
-    lo, run = 0, min(step, _FIRST_PAIRS)
-    while lo < heads:
+    for lo, hi in _chunks(count, _FIRST_PAIRS, max(1, _TAIL_CELLS >> 5)):
         bound = best()
         if bound is not None and table.tails[lo].tolist() + [0] * half >= bound:
             return
-        base = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, base + run, side="right")))
         owner, groups = table.screen(a[lo:hi], first[lo:hi], count[lo:hi])
         # by head, then by tail group: the lexicographic order of the rows
         order = np.argsort(owner * len(table.tails) + groups, kind="stable")
@@ -521,7 +512,7 @@ def _stream(m: int, n: int, best):
         stats.update(nodes_in=(hi - lo) * len(table.tails), nodes_out=len(rows), examined=cut, pruned=cut)
         stats["seconds"] = time.perf_counter() - start
         yield stats, rows
-        lo, run, start = hi, min(step, 2 * run), time.perf_counter()
+        start = time.perf_counter()
 
 
 def _refusal(m: int, n: int, budget: int) -> str | None:
@@ -560,9 +551,10 @@ def brute_force(
     MAX_HALF positions (n >= 6), and more than MAX_MULTISETS digit
     multisets of the top half.  The level-1 join runs a run of head
     multisets at a time, and each run's passing nodes are searched to
-    their leaves by one _search_run call.  Runs are read in order until
-    one's least function is not below the best witness so far, which
-    makes the returned witness the overall lexicographic minimum.
+    their leaves by one _descend bounded by the best witness so far, so
+    the returned witness is the overall lexicographic minimum.  Runs
+    whose least function is not below that witness are not joined: that
+    saves work, and the witness does not depend on it.
     progress, when given, receives one event dict per level per run:
     level 1 for every run, and levels 2 .. n for a run with level-1
     nodes.
@@ -578,15 +570,16 @@ def brute_force(
     start = time.perf_counter()
     best, examined = None, 0
     for stats, rows in _stream(m, n, lambda: best):
-        found, levels = _search_run(m, n, rows) if len(rows) else (None, {1: _stats()})
-        for key, value in stats.items():
-            levels[1][key] += value
+        levels = {1: stats}
+        if len(rows):
+            levels.update((k, _stats()) for k in range(2, n + 1))
+            found = _descend(m, n, 1, rows, levels, best)
+            if found is not None:
+                best = found
         for k, counts in levels.items():
             examined += counts["examined"]
             if progress is not None:
                 progress({"level": k, **counts})
-        if found is not None:
-            best = found
     witness = None if best is None else GbfFunction(n, m, tuple(best))
     return SearchOutcome(m, n, witness, examined, time.perf_counter() - start)
 

@@ -303,6 +303,28 @@ def test_search_has_no_threads_option(capsys):
     assert err.endswith("\ngbf: error: unrecognized arguments: --threads 2\n")
 
 
+def test_cli_holds_openblas_to_one_thread():
+    # importing the CLI sets OPENBLAS_NUM_THREADS to 1 before numpy loads
+    # (an audit hook reads it when numpy's import starts), unless the
+    # caller set it
+    code = (
+        "import os, sys\n"
+        "seen = []\n"
+        "sys.addaudithook(lambda event, args: event == 'import' and args[0] == 'numpy'"
+        " and seen.append(os.environ.get('OPENBLAS_NUM_THREADS')))\n"
+        "import gbfkit.cli\n"
+        "print(seen, os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+    for given, want in [(None, "1"), ("2", "2")]:
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        if given is not None:
+            env["OPENBLAS_NUM_THREADS"] = given
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [f"['{want}']", want], given
+
+
 def test_search_progress_events(capsys):
     # one JSON line per level and run: (3, 2) is cut whole at level 1
     assert main(["search", "3", "2", "--progress"]) == 1

@@ -13,7 +13,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gbfkit import cli, search, vsum
@@ -240,6 +240,45 @@ def test_smallest_runs_match_default(monkeypatch):
             assert deep.examined == flat.examined == deep.normalized_space, (m, n)
         else:
             assert deep.examined < deep.normalized_space, (m, n)
+
+
+def test_witness_is_least_when_every_run_is_joined(monkeypatch):
+    # the stream's stop check only saves joins: with every run joined, the
+    # runs after the witness's are searched under it, and a later run's
+    # larger witness does not replace it.  Each cell has one: (8, 3),
+    # (12, 3) and (362, 2) at the default run sizes, and the others with
+    # runs and chunks that start at one pair and one child
+    stream = search._stream
+    for m, n, first in [(8, 3, None), (12, 3, None), (362, 2, None), (4, 3, 1), (2, 4, 1), (4, 2, 1), (6, 2, 1)]:
+        with monkeypatch.context() as patch:
+            if first is not None:
+                patch.setattr(search, "_FIRST_PAIRS", first)
+                patch.setattr(search, "_FIRST_RUN", first)
+            want = brute_force(m, n).witness
+            patch.setattr(search, "_stream", lambda m, n, best: stream(m, n, lambda: None))
+            got = brute_force(m, n).witness
+        assert want is not None and got == want, (m, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 40), max_size=60), st.integers(1, 40), st.integers(1, 60))
+@example([5, 1, 1, 1, 1, 1], 1, 100)
+def test_chunks_keep_to_their_allowances(width, first, step):
+    # _chunks, the one schedule of the head runs and of each level's
+    # chunks of nodes: the chunks cover the items in order with no gap;
+    # each holds at most its allowance of widths, each counted up to
+    # step + 1, and as many items as fit, or is one item; the first
+    # allowance is min(step, first), each next min(step, 2 max(the one
+    # before, the widths taken))
+    capped = [min(w, step + 1) for w in width]
+    lo, allowance = 0, min(step, first)
+    for start, hi in search._chunks(np.array(width, dtype=np.int64), first, step):
+        assert start == lo < hi <= len(width)
+        taken = sum(capped[lo:hi])
+        assert taken <= allowance or hi == lo + 1, (lo, hi)
+        assert hi == len(width) or taken + capped[hi] > allowance, (lo, hi)
+        lo, allowance = hi, min(step, 2 * max(allowance, taken))
+    assert lo == len(width)
 
 
 def _plain(events):
@@ -624,8 +663,9 @@ def test_bent_functions_reach_a_leaf(f):
         tested.append(fn.values)
         return False
 
+    stats = {k: search._stats() for k in range(1, f.n + 1)}
     with patch.object(search, "is_gbf_exact", never_bent):
-        found, stats = search._search_run(f.m, f.n, np.array([row]))
+        found = search._descend(f.m, f.n, 1, np.array([row]), stats, None)
     assert found is None and f.values in tested
     assert stats[f.n]["survivors"] == len(tested)
 
