@@ -1,10 +1,14 @@
 """Command-line front end.
 
 Subcommands: decide, verify, search, decompose, catalog, table, each
-defined once in COMMANDS.  A call that names a command builds one
-argument parser, that command's; help, --version, a missing or unknown
-command and arguments that parser leaves over go to the whole `gbf`
-parser, so help and usage errors read as the whole parser's.
+defined once in COMMANDS, its arguments as data.  Plain arguments (a
+command, its positionals, then its options spelled in full) are read
+from that table by _read, with no parser built and argparse not
+imported.  Anything else goes to argparse, the only source of help,
+usage and error text: a call that names a command builds one argument
+parser, that command's; help, --version, a missing or unknown command
+and arguments that parser leaves over go to the whole `gbf` parser, so
+help and usage errors read as the whole parser's.
 
 Every run builds a ResultRecord; with --json the record is printed verbatim,
 and when a results store is configured (--store or GBF_STORE) the
@@ -21,15 +25,12 @@ malformed data 65.
 
 from __future__ import annotations
 
-import argparse
 import fcntl
 import json
-# argparse's gettext imports locale when the first parser is built, in
-# every gbf invocation: import it with the other startup imports
-import locale  # noqa: F401
 import os
 import sys
 from datetime import datetime, timezone
+from types import SimpleNamespace
 
 # the search screens with small complex matrix products, on which more
 # OpenBLAS threads only spin beside the main one, doubling a search's
@@ -117,6 +118,8 @@ def _cmd_decide(args) -> int:
 
 
 def _parse_functions(args) -> list[GbfFunction]:
+    if args.file and args.function:
+        raise ValueError("give the function inline or with --file, not both")
     if args.file:
         fns = []
         with open(args.file, encoding="utf-8") as fh:
@@ -313,79 +316,164 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _decide_args(p) -> None:
-    p.add_argument("m", type=decimal_int)
-    p.add_argument("n", type=decimal_int)
+_INT = {"type": decimal_int}
 
+# the options every command takes, after its own
+_OUTPUT = (
+    ("--json", {"action": "store_true", "help": "print the full result record"}),
+    ("--store", {"help": "append the result record to this JSON-lines file"}),
+)
 
-def _verify_args(p) -> None:
-    p.add_argument("function", nargs="*", help="inline: m n v0,v1,...")
-    p.add_argument("--file", help="file with one 'm n v0,v1,...' per line")
-
-
-def _search_args(p) -> None:
-    p.add_argument("m", type=decimal_int)
-    p.add_argument("n", type=decimal_int)
-    p.add_argument("--budget", type=decimal_int, default=DEFAULT_BUDGET)
-    p.add_argument("--progress", action="store_true", help="JSON progress events on stderr")
-
-
-def _decompose_args(p) -> None:
-    p.add_argument("elt", help='element JSON {"m":..., "coeffs":[...]} or @file')
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--c-exponent", action="store_true")
-    mode.add_argument("--minimal", action="store_true")
-    mode.add_argument("--structure", action="store_true")
-
-
-def _table_args(p) -> None:
-    p.add_argument("--m-max", type=decimal_int, default=100)
-    p.add_argument("--n-max", type=decimal_int, default=9)
-
-
-# name -> (help, adds the command's own arguments, runner), in the order
-# `gbf -h` lists them
+# name -> (help, arguments, modes, runner), in the order `gbf -h` lists
+# them.  arguments are (name, argparse keywords) pairs, positionals
+# first; modes are store_true flags of which exactly one must be given.
+# _read knows only the keywords used here (type, default, help,
+# action="store_true" and nargs="*")
 COMMANDS = {
-    "decide": ("run the criteria pipeline on (m, n)", _decide_args, _cmd_decide),
-    "verify": ("exact bent check of explicit functions", _verify_args, _cmd_verify),
-    "search": ("exhaustive witness search over f(0) = 0", _search_args, _cmd_search),
-    "decompose": ("v-sum analysis of a ring element", _decompose_args, _cmd_decompose),
-    "catalog": ("dimension-3 autocorrelation catalog experiment", None, _cmd_catalog),
-    "table": ("verdict matrix over parameter ranges", _table_args, _cmd_table),
+    "decide": (
+        "run the criteria pipeline on (m, n)",
+        (("m", _INT), ("n", _INT)),
+        (),
+        _cmd_decide,
+    ),
+    "verify": (
+        "exact bent check of explicit functions",
+        (
+            ("function", {"nargs": "*", "help": "inline: m n v0,v1,..."}),
+            ("--file", {"help": "file with one 'm n v0,v1,...' per line"}),
+        ),
+        (),
+        _cmd_verify,
+    ),
+    "search": (
+        "exhaustive witness search over f(0) = 0",
+        (
+            ("m", _INT),
+            ("n", _INT),
+            ("--budget", {**_INT, "default": DEFAULT_BUDGET}),
+            ("--progress", {"action": "store_true", "help": "JSON progress events on stderr"}),
+        ),
+        (),
+        _cmd_search,
+    ),
+    "decompose": (
+        "v-sum analysis of a ring element",
+        (("elt", {"help": 'element JSON {"m":..., "coeffs":[...]} or @file'}),),
+        ("--c-exponent", "--minimal", "--structure"),
+        _cmd_decompose,
+    ),
+    "catalog": ("dimension-3 autocorrelation catalog experiment", (), (), _cmd_catalog),
+    "table": (
+        "verdict matrix over parameter ranges",
+        (("--m-max", {**_INT, "default": 100}), ("--n-max", {**_INT, "default": 9})),
+        (),
+        _cmd_table,
+    ),
 }
 
 
-def _fill(p: argparse.ArgumentParser, add_args, run) -> argparse.ArgumentParser:
-    if add_args is not None:
-        add_args(p)
-    p.add_argument("--json", action="store_true", help="print the full result record")
-    p.add_argument("--store", help="append the result record to this JSON-lines file")
+def _dest(name: str) -> str:
+    return name.lstrip("-").replace("-", "_")
+
+
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """argv as the named command's parser reads it, when argv is plain:
+    a command, its positionals, then each of its options at most once,
+    spelled in full, a valued option followed by its value, no token but
+    an option starting with -, every integer decimal and exactly one
+    mode if the command has modes.  None for anything else, which
+    argparse reads instead."""
+    spec = COMMANDS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    _, arguments, modes, run = spec
+    positionals = [(name, kw) for name, kw in arguments if not name.startswith("-")]
+    options = dict(arguments[len(positionals) :] + _OUTPUT)
+    options.update((flag, {"action": "store_true"}) for flag in modes)
+    flags = {flag for flag, kw in options.items() if kw.get("action") == "store_true"}
+    values = {
+        _dest(flag): False if flag in flags else kw.get("default") for flag, kw in options.items()
+    }
+    values["run"] = run
+    tokens, at = argv[1:], 0
+    try:
+        for name, kw in positionals:
+            if kw.get("nargs") == "*":
+                end = at
+                while end < len(tokens) and not tokens[end].startswith("-"):
+                    end += 1
+                values[name], at = tokens[at:end], end
+            elif at < len(tokens) and not tokens[at].startswith("-"):
+                values[name] = kw.get("type", str)(tokens[at])
+                at += 1
+            else:
+                return None
+        seen = set()
+        while at < len(tokens):
+            flag = tokens[at]
+            if flag in seen or flag not in options:
+                return None
+            seen.add(flag)
+            if flag in flags:
+                values[_dest(flag)] = True
+                at += 1
+            elif at + 1 < len(tokens) and not tokens[at + 1].startswith("-"):
+                values[_dest(flag)] = options[flag].get("type", str)(tokens[at + 1])
+                at += 2
+            else:
+                return None
+    except ValueError:
+        return None
+    if modes and len(seen.intersection(modes)) != 1:
+        return None
+    return SimpleNamespace(**values)
+
+
+def _fill(p, name: str):
+    """Add the arguments of command name to the argparse parser p."""
+    _, arguments, modes, run = COMMANDS[name]
+    for arg, kw in arguments:
+        p.add_argument(arg, **kw)
+    if modes:
+        group = p.add_mutually_exclusive_group(required=True)
+        for flag in modes:
+            group.add_argument(flag, action="store_true")
+    for arg, kw in _OUTPUT:
+        p.add_argument(arg, **kw)
     p.set_defaults(run=run)
     return p
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     """The whole `gbf` parser: one subparser per entry of COMMANDS."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="gbf",
         description="Exact arithmetic for generalized bent function existence.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
-    for name, (help_text, add_args, run) in COMMANDS.items():
-        _fill(sub.add_parser(name, help=help_text), add_args, run)
+    for name, (help_text, *_) in COMMANDS.items():
+        _fill(sub.add_parser(name, help=help_text), name)
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse argv.  When argv[0] names a command, only that command's
-    parser is built: the one the whole parser would hand argv[1:] to.
-    Anything else, or arguments that parser leaves over, goes to the whole
-    parser, so help, usage and errors read as the whole parser's."""
-    spec = COMMANDS.get(argv[0]) if argv else None
-    if spec is not None:
-        _, add_args, run = spec
-        parser = _fill(argparse.ArgumentParser(prog=f"gbf {argv[0]}"), add_args, run)
+def _parse(argv: list[str]):
+    """Parse argv.  Plain argv are read by _read, to the namespace the
+    command's parser would give, with no parser built.  argparse reads
+    whatever _read declines: when argv[0] names a command, only that
+    command's parser is built, the one the whole parser would hand
+    argv[1:] to.  Anything else, or arguments that parser leaves over,
+    goes to the whole parser, so help, usage and errors read as the
+    whole parser's."""
+    args = _read(argv)
+    if args is not None:
+        return args
+    import argparse
+
+    if argv and argv[0] in COMMANDS:
+        parser = _fill(argparse.ArgumentParser(prog=f"gbf {argv[0]}"), argv[0])
         args, rest = parser.parse_known_args(argv[1:])
         if not rest:
             return args

@@ -1,7 +1,9 @@
 """CLI tests driven through main(argv) and captured output."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_gbf import expected_invariants
 
 from gbfkit import cli, criteria, ring
@@ -109,7 +113,11 @@ def test_known_command_builds_one_parser(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    # plain argv are read with no parser; an abbreviation is read by the
+    # command's parser alone
     assert main(["decide", "45", "3"]) == 1
+    assert built == []
+    assert main(["decide", "45", "3", "--js"]) == 1
     assert built == ["gbf decide"]
     for name in cli.COMMANDS:
         built.clear()
@@ -124,6 +132,114 @@ def test_known_command_builds_one_parser(capsys, monkeypatch):
     assert main(["search", "3", "3", "--bogus"]) == 64
     assert len(built) == 2 + len(cli.COMMANDS)
     capsys.readouterr()
+
+
+JSON_ELT = json.dumps({"m": 2, "coeffs": [1, 1]})
+
+# command -> argv after it, of each shape the bench and the README use
+PLAIN_ARGV = {
+    "decide": [["45", "3"], ["46", "5", "--json"]],
+    "verify": [["4", "1", "0,1"], ["--file", "fns.txt"], ["--file", "f", "--store", "s"]],
+    "search": [["6", "3"], ["4", "2", "--json"], ["3", "3", "--progress", "--store", "s"]],
+    "decompose": [
+        [JSON_ELT, "--c-exponent"],
+        [JSON_ELT, "--minimal"],
+        ["@e.json", "--c-exponent", "--store", "s"],
+        ["@e.json", "--structure", "--store", "s"],
+    ],
+    "catalog": [[], ["--store", "s"]],
+    "table": [
+        ["--m-max", "100", "--n-max", "8"],
+        ["--m-max", "10000", "--n-max", "16", "--store", "s"],
+    ],
+}
+
+
+def _by_command_parser(argv):
+    """vars() of the command parser's namespace for argv, or None when it
+    errors or leaves arguments over."""
+    parser = cli._fill(argparse.ArgumentParser(prog=f"gbf {argv[0]}"), argv[0])
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            args, rest = parser.parse_known_args(argv[1:])
+    except SystemExit:
+        return None
+    return None if rest else vars(args)
+
+
+def test_plain_argv_read_as_the_command_parser_reads_them():
+    assert list(PLAIN_ARGV) == list(cli.COMMANDS)
+    for name, shapes in PLAIN_ARGV.items():
+        for rest in shapes:
+            argv = [name, *rest]
+            read = cli._read(argv)
+            assert read is not None, argv
+            assert vars(read) == _by_command_parser(argv), argv
+
+
+def _tokens(name):
+    # the command's options in full, cut short and with =, help, the end
+    # of options, integers decimal and not, an empty string, a file
+    # reference and JSON text
+    _, arguments, modes, _ = cli.COMMANDS[name]
+    flags = [arg for arg, _ in arguments + cli._OUTPUT if arg.startswith("-")] + list(modes)
+    others = ["-h", "--", "3", "-3", "1_0", "", "@f", JSON_ELT, "0,1"]
+    return flags + [flag[:4] for flag in flags] + [flag + "=3" for flag in flags] + others
+
+
+@st.composite
+def _near_plain_argv(draw):
+    # a plain argv, with up to three tokens inserted, replaced or deleted
+    name = draw(st.sampled_from(list(PLAIN_ARGV)))
+    rest = list(draw(st.sampled_from(PLAIN_ARGV[name])))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(rest)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit != "insert" and at < len(rest):
+            del rest[at]
+        if edit != "delete":
+            rest.insert(at, draw(st.sampled_from(_tokens(name))))
+    return [name, *rest]
+
+
+@settings(max_examples=600, deadline=None)
+@given(_near_plain_argv())
+def test_read_agrees_with_the_command_parser(argv):
+    read = cli._read(argv)
+    if read is not None:
+        assert vars(read) == _by_command_parser(argv)
+
+
+PLAIN_CALLS = f"""
+import json, sys
+from gbfkit.cli import main
+for argv in {[
+    ["decide", "45", "3"],
+    ["verify", "4", "1", "0,1"],
+    ["search", "3", "2", "--progress"],
+    ["decompose", JSON_ELT, "--minimal"],
+    ["catalog"],
+    ["table", "--m-max", "10", "--n-max", "2"],
+    ["decide", "45", "3", "--js"],
+]!r}:
+    code = main(argv)
+    loaded = [m for m in ("argparse", "gettext", "locale") if m in sys.modules]
+    print("loaded", json.dumps([code, loaded]))
+"""
+
+
+def test_plain_calls_import_no_argparse():
+    env = {k: v for k, v in os.environ.items() if k != "GBF_STORE"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    proc = subprocess.run(
+        [sys.executable, "-c", PLAIN_CALLS], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = [json.loads(line[7:]) for line in proc.stdout.splitlines() if line.startswith("loaded ")]
+    # six plain calls, one of each command, load none of the three; the
+    # abbreviation is read by argparse
+    assert seen[:6] == [[1, []], [0, []], [1, []], [0, []], [0, []], [0, []]]
+    assert seen[6][0] == 1 and "argparse" in seen[6][1]
 
 
 def test_verify_inline(capsys):
@@ -180,6 +296,14 @@ def test_verify_file(tmp_path, capsys):
     path.write_text("\t4\t1  0,1 \r\n  2 \t 2\t0,0,0,1\n")
     assert main(["verify", "--file", str(path)]) == 0
     assert capsys.readouterr().out.count("GBF: true") == 2
+
+    # an inline function beside --file was dropped, and only the file's
+    # rows reported (exit 1 for this one)
+    bad.write_text("4 1 0,0\n")
+    assert main(["verify", "4", "1", "0,1", "--file", str(bad)]) == 65
+    assert capsys.readouterr().err == (
+        "gbf verify: give the function inline or with --file, not both\n"
+    )
 
 
 def test_verify_file_long_bad_line_quoted_short(tmp_path, capsys):

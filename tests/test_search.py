@@ -717,11 +717,13 @@ def _exact_norms(tails, m):
         block = tails[lo : lo + step]
         diff = (block[:, :, None] - block[:, None, :]) % m
         keys = diff.reshape(len(block), s * s) + m * np.arange(len(block))[:, None]
-        coeffs.append(np.bincount(keys.ravel(), minlength=len(block) * m).reshape(len(block), m))
+        counts = np.bincount(keys.ravel(), minlength=len(block) * m).reshape(len(block), m)
+        # bytes per block, so that no int64 copy of every row is held
+        assert counts.max() < 256
+        coeffs.append(counts.astype(np.uint8))
     coeffs = np.concatenate(coeffs)
-    assert coeffs.max() < 256
     # one void key per row of byte coefficients, for a fast np.unique
-    keys = np.ascontiguousarray(coeffs.astype(np.uint8)).view(f"V{m}").ravel()
+    keys = coeffs.view(f"V{m}").ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     cos = [math.cos(2 * math.pi * k / m) for k in range(m)]
     values = [math.fsum(c * x for c, x in zip(row, cos)) for row in coeffs[first].tolist()]
