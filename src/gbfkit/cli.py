@@ -4,11 +4,8 @@ Subcommands: decide, verify, search, decompose, catalog, table, each
 defined once in COMMANDS, its arguments as data.  Plain arguments (a
 command, its positionals, then its options spelled in full) are read
 from that table by _read, with no parser built and argparse not
-imported.  Anything else goes to argparse, the only source of help,
-usage and error text: a call that names a command builds one argument
-parser, that command's; help, --version, a missing or unknown command
-and arguments that parser leaves over go to the whole `gbf` parser, so
-help and usage errors read as the whole parser's.
+imported.  Anything else goes to the whole `gbf` argument parser, the
+only source of help, usage and error text.
 
 Every run builds a ResultRecord; with --json the record is printed verbatim,
 and when a results store is configured (--store or GBF_STORE) the
@@ -461,22 +458,12 @@ def build_parser():
 
 def _parse(argv: list[str]):
     """Parse argv.  Plain argv are read by _read, to the namespace the
-    command's parser would give, with no parser built.  argparse reads
-    whatever _read declines: when argv[0] names a command, only that
-    command's parser is built, the one the whole parser would hand
-    argv[1:] to.  Anything else, or arguments that parser leaves over,
-    goes to the whole parser, so help, usage and errors read as the
-    whole parser's."""
+    command's parser would give, with no parser built.  Whatever _read
+    declines, help, abbreviations and every usage error among it, goes
+    to the whole parser."""
     args = _read(argv)
     if args is not None:
         return args
-    import argparse
-
-    if argv and argv[0] in COMMANDS:
-        parser = _fill(argparse.ArgumentParser(prog=f"gbf {argv[0]}"), argv[0])
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            return args
     return build_parser().parse_args(argv)
 
 

@@ -7,13 +7,16 @@ and D, is itself a v-sum; the zero sub-element never counts.  Every
 v-sum splits into minimal ones, and the shape of the minimal pieces is
 what the nonexistence criteria consume:
 
-- exponent(D): lcm of the orders of the support elements,
-- reduced_exponent(D): the same after the best shift of the support,
+- exponent(D): the order m/gcd(m, i) of the subgroup the support
+  generates (i running over it), the lcm of its elements' orders,
+- reduced_exponent(D): the order m/gcd(m, i - j) of the subgroup the
+  support's differences generate, so D lies in one coset of it (_coset),
   always squarefree for minimal v-sums,
 - c_exponent(D): the smallest achievable lcm of reduced exponents over
   all decompositions of D into minimal v-sums,
 - structure_decompose(D): integer elements E_p with D = sum_p P_p E_p,
-  p running over the primes of the c-exponent.
+  p running over the primes of the c-exponent, peeled on plain integer
+  rows, part by part in its coset, under one re-multiplication check.
 
 c_exponent needs no list of sub-sums: the least t | m for which an
 order-m character kills D on every coset of the order-t subgroup is
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import itemgetter
 
 import numpy as np
@@ -57,7 +60,6 @@ from .ring import (
     character_value_is_zero,
     cyclotomic_residue,
     factorize,
-    subgroup_sum,
 )
 
 # enumerate_minimal_vsums guards.  At the (60, 8) corner the census
@@ -84,29 +86,30 @@ def is_vsum(elt: CyclicRingElt) -> bool:
 
 
 def exponent(elt: CyclicRingElt) -> int:
-    """lcm of the orders m/gcd(i, m) over the support of elt."""
+    """The order m/gcd(m, supp) of the subgroup the support of elt
+    generates, which is the lcm of the orders of its elements."""
     supp = elt.support()
     if not supp:
         raise ValueError("the zero element has no exponent")
-    return lcm(*(elt.m // gcd(i, elt.m) for i in supp))
+    return elt.m // gcd(elt.m, *supp)
 
 
 def reduced_exponent(elt: CyclicRingElt) -> int:
-    return _reduced_exponent_anchor(elt)[0]
-
-
-def _reduced_exponent_anchor(elt: CyclicRingElt) -> tuple[int, int]:
-    """(k, j): the minimal exponent after dividing by g^j, j in the support."""
-    supp = elt.support()
-    if not supp:
+    """The order m/d of the subgroup the differences of the support of
+    elt generate, d from _coset: the least exponent of a shift of elt."""
+    if (coset := _coset(elt.coeffs)) is None:
         raise ValueError("the zero element has no reduced exponent")
-    m = elt.m
-    best, anchor = None, None
-    for j in supp:
-        k = lcm(*(m // gcd((i - j) % m, m) for i in supp))
-        if best is None or k < best:
-            best, anchor = k, j
-    return best, anchor
+    return elt.m // coset[1]
+
+
+def _coset(coeffs) -> tuple[int, int] | None:
+    """(j, d) for the smallest coset j + dZ of C_m, m = len(coeffs), that
+    holds the support: j is the first support index and d the largest
+    divisor of m dividing every i - j.  None when the support is empty."""
+    supp = [i for i, c in enumerate(coeffs) if c]
+    if not supp:
+        return None
+    return supp[0], gcd(len(coeffs), *(i - supp[0] for i in supp))
 
 
 def is_minimal_vsum(elt: CyclicRingElt) -> bool:
@@ -128,24 +131,6 @@ def is_minimal_vsum(elt: CyclicRingElt) -> bool:
     if np.count_nonzero(cosets) > 1:
         return False
     return next(_vsums_under(elt.coeffs, elt.norm - 1), None) is None
-
-
-def minimal_norm_lower_bound(k: int) -> int:
-    """Largest known lower bound for the norm of a minimal v-sum of
-    reduced exponent k (k squarefree).
-
-    Two bounds are combined: 2 + sum over p | k of (p - 2), and, when k
-    has at least three prime factors p1 < p2 < p3 <= ...,
-    (p1 - 1)(p2 - 1) + (p3 - 1).
-    """
-    fact = factorize(k)
-    if fact.radical != k:
-        raise ValueError(f"reduced exponents are squarefree; got {k}")
-    primes = fact.primes
-    bound = 2 + sum(p - 2 for p in primes)
-    if len(primes) >= 3:
-        bound = max(bound, (primes[0] - 1) * (primes[1] - 1) + (primes[2] - 1))
-    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -240,75 +225,66 @@ def structure_decompose(elt: CyclicRingElt) -> list[tuple[int, CyclicRingElt]]:
     """Integer elements E_p with elt = sum P_p E_p, primes p from the
     c-exponent.
 
-    Each minimal part sits, after a shift, inside the subgroup of order
-    equal to its (squarefree) reduced exponent; there it is peeled one
-    prime at a time: splitting C_k = P_p x C_r groups the coefficients
-    into p fibers over C_r, an order-k character forces the fiber values
-    to agree, so the common fiber feeds P_p and the fiber differences
-    are v-sums over C_r handled recursively.  Elements of norm above
-    c_exponent's default bound are refused.
+    Each minimal part of c_exponent's witness lies in its coset
+    anchor + step*Z (_coset), and its coefficients at the cells
+    (anchor + u*step) mod m, u < m/step, are a v-sum of C_k, k = m/step
+    its (squarefree) reduced exponent.  _peel writes that row as
+    sum_p P_p E_p in C_k, and each E_p is added back at the same cells,
+    into one row per prime.  The one check: the sum over p of the p
+    shifts by multiples of m/p of each row gives elt back.  Elements of
+    norm above c_exponent's default bound are refused.
     """
     _, decomp = c_exponent(elt)
     m = elt.m
-    acc: dict[int, CyclicRingElt] = {}
+    rows: dict[int, list[int]] = {}
     for part in decomp.parts:
-        kp, anchor = _reduced_exponent_anchor(part.elt)
-        if factorize(kp).radical != kp:
-            raise AssertionError(f"minimal v-sum with non-squarefree exponent {kp}")
-        shifted = part.elt.shift(-anchor)
-        step = m // kp
-        inner = [0] * kp
-        for i in shifted.support():
-            if i % step:
-                raise AssertionError("anchored minimal part left its subgroup")
-            inner[i // step] = shifted.coeffs[i]
-        for p, piece in _peel(CyclicRingElt(kp, tuple(inner))).items():
-            lifted = [0] * m
-            for u, c in enumerate(piece.coeffs):
-                lifted[(anchor + u * step) % m] += c
-            lift = CyclicRingElt(m, tuple(lifted))
-            acc[p] = acc.get(p, CyclicRingElt.zero(m)) + lift
-    out = sorted(acc.items())
-    check = CyclicRingElt.zero(m)
-    for p, e in out:
-        check = check + subgroup_sum(m, p) * e
-    if check != elt:
+        anchor, step = _coset(part.elt.coeffs)
+        cells = [(anchor + u * step) % m for u in range(m // step)]
+        for p, piece in _peel([part.elt.coeffs[i] for i in cells]).items():
+            row = rows.setdefault(p, [0] * m)
+            for i, c in zip(cells, piece):
+                row[i] += c
+    check = [0] * m
+    for p, row in rows.items():
+        for t in range(0, m, m // p):
+            for i, c in enumerate(row):
+                check[(i + t) % m] += c
+    if tuple(check) != elt.coeffs:
         raise AssertionError("structure decomposition failed to re-multiply")
-    return out
+    return [(p, CyclicRingElt(m, tuple(row))) for p, row in sorted(rows.items())]
 
 
-def _peel(v: CyclicRingElt) -> dict[int, CyclicRingElt]:
-    """v in Z[C_k], k squarefree, killed by an order-k character ->
-    dict p -> E_p over Z[C_k] with v = sum_p P_p E_p.  k >= 2: the
-    recursion runs only on a nonzero fiber difference that an order-r
-    character kills, and none does in C_1."""
-    k = v.m
+def _peel(v: list[int]) -> dict[int, list[int]]:
+    """v in Z[C_k], k = len(v) >= 2 squarefree, killed by an order-k
+    character -> dict p -> E_p, rows of length k, with v = sum_p P_p E_p.
+
+    With p the least prime of k and r = k/p, fiber alpha < p is v at the
+    CRT cells (r*alpha + p*beta) mod k, beta < r, read in C_r.  Then
+    v = P_p F_0 + sum_alpha g^(r*alpha) (F_alpha - F_0), and each nonzero
+    difference is peeled in C_r.  AssertionError when a nonzero
+    difference reaches r = 1.  No zero test is needed: by induction on
+    the primes of k, a peel that meets no such difference has written v
+    as sum_p P_p E_p, which an order-k character kills.
+    """
+    k = len(v)
     p = factorize(k).primes[0]
     r = k // p
-    rinv = pow(r, -1, p)
-    fibers = [[0] * r for _ in range(p)]
-    for j, c in enumerate(v.coeffs):
-        alpha = (j * rinv) % p
-        beta = (j * pow(p, -1, r)) % r if r > 1 else 0
-        fibers[alpha][beta] = c
-
-    def embed(alpha: int, coeffs_r) -> CyclicRingElt:
-        out = [0] * k
-        for beta, c in enumerate(coeffs_r):
-            out[(r * alpha + p * beta) % k] += c
-        return CyclicRingElt(k, tuple(out))
-
-    acc: dict[int, CyclicRingElt] = {p: embed(0, fibers[0])}
+    cells = [[(r * alpha + p * beta) % k for beta in range(r)] for alpha in range(p)]
+    fibers = [[v[j] for j in row] for row in cells]
+    out = {p: [0] * k}
+    for j in cells[0]:
+        out[p][j] = v[j]
     for alpha in range(1, p):
-        diff = CyclicRingElt(r, tuple(a - b for a, b in zip(fibers[alpha], fibers[0])))
-        if not diff:
+        diff = [a - b for a, b in zip(fibers[alpha], fibers[0])]
+        if not any(diff):
             continue
-        if not character_value_is_zero(diff, CharacterSpec(r, r)):
+        if r == 1:
             raise AssertionError("fiber difference is not a vanishing sum")
         for q, piece in _peel(diff).items():
-            lifted = embed(alpha, piece.coeffs)
-            acc[q] = acc.get(q, CyclicRingElt.zero(k)) + lifted
-    return {q: e for q, e in acc.items() if e}
+            row = out.setdefault(q, [0] * k)
+            for j, c in zip(cells[alpha], piece):
+                row[j] += c
+    return {q: row for q, row in out.items() if any(row)}
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +371,8 @@ def _fibers(box: tuple[int, ...], budget: int, vanishing_fibers: bool):
     """The setup _vsums_under walks and _vsum_counts counts: None when
     no nonzero v-sum lies under box, else (p, slots, groups, options).
 
-    The support of box lies in one coset j0 + dZ of the subgroup of
-    order n = m/d, with d as large as possible; n = q * r splits as
+    The support of box lies in the coset j0 + dZ of _coset, j0 < d,
+    read as the subgroup of order n = m/d; n = q * r splits as
     _vsums_under says.  Fiber alpha of that coset holds the cells
     slots[alpha], indices into box, and groups[alpha] is its grouped
     sub-elements (_grouped_by_value), one per distinct shape of its
@@ -404,12 +380,10 @@ def _fibers(box: tuple[int, ...], budget: int, vanishing_fibers: bool):
     options[c] lists the values every one of them can take, each after
     its norm floor, the sum of the fibers' cheapest norms for it.
     """
-    m = len(box)
-    supp = [j for j, b in enumerate(box) if b]
-    if not supp:
+    if (coset := _coset(box)) is None:
         return None
-    d = gcd(m, *(j - supp[0] for j in supp))
-    j0, n = supp[0] % d, m // d
+    j, d = coset
+    j0, n = j % d, len(box) // d
     if n == 1:
         return None  # N[C_1] = N holds no nonzero v-sum
     p, a = factorize(n).factors[-1]

@@ -33,7 +33,6 @@ from gbfkit.vsum import (
     enumerate_minimal_vsums,
     exponent,
     is_minimal_vsum,
-    minimal_norm_lower_bound,
     reduced_exponent,
 )
 
@@ -113,7 +112,9 @@ def test_worked_exponent_values():
     assert reduced_exponent(shifted) == 5
     assert exponent(shifted) == 15
 
-    assert minimal_norm_lower_bound(30) == 6
+    # the least norm of a minimal v-sum of reduced exponent 30
+    norms = [v.elt.norm for v in enumerate_minimal_vsums(30, 6) if v.reduced_exponent == 30]
+    assert min(norms) == 6
 
 
 def test_minimal_vsum_census_modulus_30():

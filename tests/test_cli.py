@@ -58,9 +58,8 @@ def test_decide_json(capsys):
 
 
 def _by_full_parser(argv, capsys):
-    """stdout, stderr and exit code when the whole `gbf` parser, every
-    subparser built, reads argv: what main printed before it built only
-    the named command's parser."""
+    """stdout, stderr and exit code when the whole `gbf` parser reads
+    argv: what main prints for every argv that _read declines."""
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(argv)
     out = capsys.readouterr()
@@ -113,24 +112,23 @@ def test_known_command_builds_one_parser(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    # plain argv are read with no parser; an abbreviation is read by the
-    # command's parser alone
+    # plain argv are read with no parser
     assert main(["decide", "45", "3"]) == 1
     assert built == []
-    assert main(["decide", "45", "3", "--js"]) == 1
-    assert built == ["gbf decide"]
-    for name in cli.COMMANDS:
+    # anything else builds the whole parser once: gbf and a subparser per
+    # command, whether it is an abbreviation, help, an unknown command or
+    # leftovers
+    whole = ["gbf"] + [f"gbf {name}" for name in cli.COMMANDS]
+    calls = [
+        (["decide", "45", "3", "--js"], 1),
+        (["bogus"], 64),
+        (["search", "3", "3", "--bogus"], 64),
+        *(([name, "-h"], 0) for name in cli.COMMANDS),
+    ]
+    for argv, code in calls:
         built.clear()
-        assert main([name, "-h"]) == 0
-        assert built == [f"gbf {name}"]
-    # the whole parser: gbf and a subparser per command
-    built.clear()
-    assert main(["bogus"]) == 64
-    assert len(built) == 1 + len(cli.COMMANDS)
-    # leftovers are read again by the whole parser, for its error line
-    built.clear()
-    assert main(["search", "3", "3", "--bogus"]) == 64
-    assert len(built) == 2 + len(cli.COMMANDS)
+        assert main(argv) == code
+        assert built == whole, argv
     capsys.readouterr()
 
 

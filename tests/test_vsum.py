@@ -5,7 +5,7 @@ import random
 import time
 from collections import Counter
 from itertools import combinations, product
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -29,7 +29,6 @@ from gbfkit.vsum import (
     exponent,
     is_minimal_vsum,
     is_vsum,
-    minimal_norm_lower_bound,
     reduced_exponent,
     structure_decompose,
 )
@@ -107,6 +106,34 @@ def test_exponent_shift_changes_only_plain_exponent():
             assert reduced_exponent(d.shift(j)) == k
 
 
+def lcm_of_orders(m, supp):
+    """exponent by its old definition: the lcm of the element orders."""
+    return lcm(*(m // gcd(i, m) for i in supp))
+
+
+def least_anchored_lcm(m, supp):
+    """reduced_exponent by its old definition: the least lcm of orders
+    of the support after dividing by g^j, over j in the support."""
+    return min(lcm(*(m // gcd((i - j) % m, m) for i in supp)) for j in supp)
+
+
+@st.composite
+def supported_elements(draw):
+    m = draw(st.integers(1, 120))
+    coeffs = [0] * m
+    for i in draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=8)):
+        coeffs[i] += 1
+    return CyclicRingElt(m, tuple(coeffs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(supported_elements())
+def test_exponents_are_subgroup_orders(d):
+    supp = d.support()
+    assert exponent(d) == lcm_of_orders(d.m, supp)
+    assert reduced_exponent(d) == least_anchored_lcm(d.m, supp)
+
+
 def test_exponent_zero_rejected():
     with pytest.raises(ValueError):
         exponent(CyclicRingElt.zero(6))
@@ -154,16 +181,6 @@ def test_minimal_matches_brute_force_subsets():
             if not brute:
                 break
         assert is_minimal_vsum(d) == brute, d
-
-
-def test_minimal_norm_lower_bound_values():
-    assert minimal_norm_lower_bound(30) == 6
-    assert minimal_norm_lower_bound(7) == 7
-    assert minimal_norm_lower_bound(105) == 14
-    assert minimal_norm_lower_bound(2) == 2
-    assert minimal_norm_lower_bound(6) == 3
-    with pytest.raises(ValueError):
-        minimal_norm_lower_bound(12)
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +661,52 @@ def test_structure_remultiplies_on_random_vsums():
         assert set(p for p, _ in out) <= {q for q in (2, 3, 5, 7) if ks % q == 0}
 
 
+def structure_corpus(count=500, seed=34):
+    """Seeded v-sums of norm <= 16 in C_m, 6 <= m <= 105: sums of up to
+    five shifted pieces, each a prime-order coset or, where m has three
+    primes or more, a shifted P_p1^* P_p2^* + P_p3^*."""
+    rng = random.Random(seed)
+    moduli = list(range(6, 106))
+    three_primes = [m for m in moduli if len(factorize(m).primes) >= 3]
+    out = []
+    while len(out) < count:
+        m = rng.choice(three_primes if rng.random() < 0.3 else moduli)
+        primes = factorize(m).primes
+        pieces = [subgroup_sum(m, p) for p in primes]
+        if len(primes) >= 3:
+            p1, p2, p3 = rng.sample(primes, 3)
+            pieces.append(punctured_subgroup_sum(m, p1) * punctured_subgroup_sum(m, p2)
+                          + punctured_subgroup_sum(m, p3))
+        d = CyclicRingElt.zero(m)
+        for _ in range(rng.randint(1, 5)):
+            piece = rng.choice(pieces)
+            if d.norm + piece.norm <= 16:
+                d = d + piece.shift(rng.randrange(m))
+        if d:
+            out.append(d)
+    return out
+
+
+def test_structure_output_is_pinned():
+    # recorded from the peel that shifted each part into its subgroup,
+    # zero-tested every fiber difference and re-multiplied with
+    # subgroup_sum products; 224 of the 500 have two or three primes
+    rows = [(d.m, d.coeffs, [(p, e.coeffs) for p, e in structure_decompose(d)])
+            for d in structure_corpus()]
+    assert sum(len(r[2]) > 1 for r in rows) == 224
+    assert sequence_digest(rows) == (
+        "c8865d369ae2f280503089222019aae215051f67cc85275755e9aeff55401254"
+    )
+
+
+def test_peel_refuses_a_non_vsum():
+    # no zero test runs: a nonzero fiber difference reaching C_1 stops it
+    assert vsum._peel([1, 1, 1]) == {3: [1, 0, 0]}
+    for v in ([1, 0, 0], [1, 1, 0, 0, 0, 0]):
+        with pytest.raises(AssertionError):
+            vsum._peel(v)
+
+
 def test_structure_composite_minimal():
     out = structure_decompose(composite_mini_30())
     total = CyclicRingElt.zero(30)
@@ -690,7 +753,7 @@ def test_enumerate_c30_norm6_adds_composite_shifts():
     for v in got:
         if v.elt.coeffs in comp:
             assert v.reduced_exponent == 30
-            assert v.elt.norm == minimal_norm_lower_bound(30)
+            assert v.elt.norm == 6
 
 
 def test_enumerate_sorted_and_unique():
@@ -709,11 +772,22 @@ def test_enumerate_guards(monkeypatch):
     assert enumerate_minimal_vsums(61, 4) is not None
 
 
+def norm_lower_bound(k):
+    """A lower bound for the norm of a minimal v-sum of squarefree
+    reduced exponent k: 2 + sum over p | k of (p - 2) and, for three or
+    more primes p1 < p2 < p3 <= ..., (p1 - 1)(p2 - 1) + (p3 - 1)."""
+    primes = factorize(k).primes
+    bound = 2 + sum(p - 2 for p in primes)
+    if len(primes) >= 3:
+        bound = max(bound, (primes[0] - 1) * (primes[1] - 1) + (primes[2] - 1))
+    return bound
+
+
 def test_enumerate_norm_bounds_hold():
     # lower bound certified on everything the enumerator finds
     for m in (10, 30):
         for v in enumerate_minimal_vsums(m, 6):
-            assert v.elt.norm >= minimal_norm_lower_bound(v.reduced_exponent)
+            assert v.elt.norm >= norm_lower_bound(v.reduced_exponent)
 
 
 def test_enumerate_no_two_prime_reduced_exponents():
