@@ -10,26 +10,25 @@ The exact route never touches F directly.  The autocorrelation elements
     E_x = sum_y g^{f(y + x) - f(y)}   in  N[C_m]
 
 satisfy E_0 = 2^n g^0, and f is generalized bent if and only if an
-order-m character kills E_x for every x != 0.  The table is built once
-per function as one read-only (2^n, m) int64 array of counts, row x the
-coefficients of E_x, by an XOR gather and one bincount per block of
-rows, and the bent test reduces rows 1..2^n-1 modulo Phi_m in a single
-matmul with the cached matrix R_m (see ring.cyclotomic_residue).
+order-m character kills E_x for every x != 0.  autocorr_tables builds
+the tables of a stack of k functions of one (n, m) at once, as one
+read-only (k, 2^n, m) int64 array of counts, [i, x] the coefficients of
+E_x, by an XOR gather and one bincount per block of rows; the bent test
+reduces rows 1..2^n-1 of the whole stack modulo Phi_m in one matmul
+with the cached matrix R_m (see ring.cyclotomic_residue), and
 autocorr_invariants checks the identities every table satisfies, bent
-or not, on the same array; gbf verify reports them.  Everything stays
-integer-exact.  A numeric Walsh spectrum is kept alongside for
-cross-validation only.
+or not, on the same array.  Everything stays integer-exact.  A numeric
+Walsh spectrum is kept alongside for cross-validation only.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
-from .ring import cyclotomic_residue, decimal_int, decimal_ints
+from .ring import INT64_MAX, cyclotomic_residue, decimal_int, decimal_ints
 # re-exported: perfbench/spans.py traces the zero-test under this name too
 from .ring import character_value_is_zero  # noqa: F401
 
@@ -43,8 +42,13 @@ _TOL = 1e-6
 
 # (x, y) cells per gather block: the block's scratch arrays (128 KB
 # each) stay in cache, and a table build needs no memory beyond them
-# and its (2^n, m) result
+# and its (k, 2^n, m) result
 _BLOCK_CELLS = 1 << 14
+
+# the Sylvester Hadamard matrix H_16, (-1)^{popcount(i & j)}
+_H16 = np.array([[1 - 2 * (bin(i & j).count("1") & 1) for j in range(16)] for i in range(16)])
+
+_INVARIANTS = ("origin_mass", "inversion_symmetric", "even_identity_coeff", "even_m_identity")
 
 # the fields of a function line are split by runs of ASCII space or tab
 # only, not by str.split()'s Unicode whitespace (no-break space, em space)
@@ -89,26 +93,43 @@ class GbfFunction:
         return {"m": self.m, "n": self.n, "values": list(self.values)}
 
 
-def compute_autocorr(fn: GbfFunction) -> np.ndarray:
-    """E_x = sum_y g^{f(y+x) - f(y)} for every x, as one read-only
-    (2^n, m) int64 array: row x holds the coefficients of E_x."""
-    size, m = 1 << fn.n, fn.m
-    values = np.asarray(fn.values, dtype=np.int64)
+def autocorr_tables(values, m: int) -> np.ndarray:
+    """E_x = sum_y g^{f(y+x) - f(y)} for every x and every f of a (k, 2^n)
+    stack of value rows in 0..m-1, as one read-only (k, 2^n, m) int64
+    array: [i, x] holds the coefficients of E_x for row i."""
+    values = np.asarray(values, dtype=np.int64)
+    k, size = values.shape
+    # a block is a power of two of the k 2^n rows (i, x): whole functions,
+    # or an aligned run x = s ^ r, r < span, inside one.  So one index,
+    # XOR inside each function's values, serves every block
+    rows = min(1 << (max(1, _BLOCK_CELLS // size).bit_length() - 1), k * size)
+    span = min(rows, size)
     points = np.arange(size)
-    counts = np.empty((size, m), dtype=np.int64)
-    rows = max(1, _BLOCK_CELLS // size)
-    for start in range(0, size, rows):
-        xs = points[start : start + rows]
-        # cell (x, y) lands in bin 2m (x - start) + m + f(y ^ x) - f(y);
-        # the two bins of a residue mod m are then summed, which is
-        # cheaper than reducing every cell mod m
-        bins = values[xs[:, None] ^ points]
-        bins -= values
-        bins += (2 * m * (xs - start) + m)[:, None]
-        pairs = np.bincount(bins.ravel(), minlength=xs.size * 2 * m)
-        counts[start : start + rows] = pairs.reshape(-1, 2, m).sum(axis=1)
+    index = (points[:span, None] ^ points) + size * np.arange(rows // span)[:, None, None]
+    # cell (i, x, y) lands in bin 2m (row in block) + m + f_i(x ^ y) - f_i(y);
+    # the two bins of a residue mod m are then added, which is cheaper
+    # than reducing every cell mod m
+    lift = (2 * m * np.arange(rows) + m).reshape(-1, span, 1)
+    counts = np.empty((k * size, m), dtype=np.int64)
+    for start in range(0, k * size, rows):
+        i, s = divmod(start, size)
+        block = values[i : i + rows // span]
+        if s:  # f_i(s ^ y) once, then the index, which is y at one row
+            bins = block[0, s ^ points]
+            bins = bins[index[:1]] if span > 1 else bins[None, None]
+        else:  # f_i(y) - lift serves every block of these functions
+            base = block[:, None, :] - lift[: len(block)]
+            bins = block.ravel()[index[: len(block)]]
+        bins -= base
+        pairs = np.bincount(bins.ravel(), minlength=bins.size // size * 2 * m).reshape(-1, 2, m)
+        np.add(pairs[:, 0], pairs[:, 1], out=counts[start : start + len(pairs)])
     counts.flags.writeable = False
-    return counts
+    return counts.reshape(k, size, m)
+
+
+def compute_autocorr(fn: GbfFunction) -> np.ndarray:
+    """fn's (2^n, m) table: autocorr_tables of a stack of one."""
+    return autocorr_tables([fn.values], fn.m)[0]
 
 
 def is_gbf_exact(fn: GbfFunction | np.ndarray) -> bool:
@@ -123,8 +144,10 @@ def is_gbf_exact(fn: GbfFunction | np.ndarray) -> bool:
     return not cyclotomic_residue(counts[1:], counts.shape[1]).any()
 
 
-def autocorr_invariants(fn: GbfFunction, counts: np.ndarray) -> dict:
-    """The identities of fn's table counts that gbf verify reports.
+def autocorr_invariants(fn, counts: np.ndarray):
+    """The identities of table counts that gbf verify reports: a dict for
+    a GbfFunction and its (2^n, m) table, a list of k for a (k, 2^n)
+    value stack and its (k, 2^n, m) tables.
 
     They hold for every f, bent or not, so a False flags a faulty table:
     origin_mass, E_0 = 2^n g^0; inversion_symmetric, every E_x is fixed
@@ -132,41 +155,40 @@ def autocorr_invariants(fn: GbfFunction, counts: np.ndarray) -> dict:
     even for x != 0; and even_m_identity, for even m only (None for odd
     m), a_x = 2^n - 4|G_f| + 8 b_x for x != 0.  There G_f = {x : f(x)
     odd}, G_f^2 = |G_f| + 2 sum b_x x in the group algebra of Z_2^n, and
-    a_x is the image of E_x under g -> -1.
+    a_x is the image of E_x under g -> -1.  2 b_x comes from G_f, not
+    from the table: H(W W) / 2^n for W = H 1_{G_f}, in int64 to n = 20.
     """
-    size, m = counts.shape
-    identity = None
+    if isinstance(fn, GbfFunction):
+        return autocorr_invariants(np.asarray([fn.values]), counts[None])[0]
+    k, size, m = counts.shape
+    identity = [None] * k
     if m % 2 == 0:
-        support = np.flatnonzero(np.asarray(fn.values) % 2)
-        # square[x] counts the ordered pairs of G_f with u ^ v = x, 2 b_x
-        square = np.zeros(size, dtype=np.int64)
-        rows = max(1, _BLOCK_CELLS // max(1, support.size))
-        for start in range(0, support.size, rows):
-            pairs = support[start : start + rows, None] ^ support
-            square += np.bincount(pairs.ravel(), minlength=size)
-        psi = counts[:, 0::2].sum(axis=1) - counts[:, 1::2].sum(axis=1)
-        identity = bool(np.array_equal(psi[1:], size - 4 * support.size + 4 * square[1:]))
-    return {
-        "origin_mass": bool(counts[0, 0] == size and counts[0].sum() == size),
-        "inversion_symmetric": bool(np.array_equal(counts[:, -np.arange(m) % m], counts)),
-        "even_identity_coeff": not (counts[1:, 0] % 2).any(),
-        "even_m_identity": identity,
-    }
+        odd = np.asarray(fn, dtype=np.int64) & 1
+        walsh = _walsh(odd)
+        target = size - 4 * odd.sum(axis=1, keepdims=True) + 4 * (_walsh(walsh * walsh) // size)
+        psi = np.einsum("kxa,a->kx", counts, np.resize([1, -1], m))
+        identity = (psi[:, 1:] == target[:, 1:]).all(axis=1).tolist()
+    origin = (counts[:, 0, 0] == size) & (counts[:, 0].sum(axis=1) == size)
+    inversion = (counts[..., 1:] == counts[..., :0:-1]).all(axis=(1, 2))
+    even = ~(counts[:, 1:, 0] & 1).any(axis=1)
+    rows = zip(origin.tolist(), inversion.tolist(), even.tolist(), identity)
+    return [dict(zip(_INVARIANTS, row)) for row in rows]
+
+
+def _walsh(buf: np.ndarray) -> np.ndarray:
+    """H buf along the last axis, of length 2^n, up to four bits at a
+    time: H_r is the leading r x r block of _H16."""
+    shape, h = buf.shape, 1
+    while h < shape[-1]:
+        r = min(16, shape[-1] // h)
+        buf = np.matmul(_H16[:r, :r], buf.reshape(-1, r, h))
+        h *= r
+    return buf.reshape(shape)
 
 
 def walsh_spectrum_numeric(fn: GbfFunction) -> np.ndarray:
-    """|F(y)|^2 for all y, via a complex Walsh-Hadamard butterfly."""
-    buf = np.exp(2j * np.pi * np.asarray(fn.values, dtype=np.float64) / fn.m)
-    h = 1
-    size = buf.size
-    while h < size:
-        buf = buf.reshape(-1, 2, h)
-        top, bot = buf[:, 0, :].copy(), buf[:, 1, :].copy()
-        buf[:, 0, :] = top + bot
-        buf[:, 1, :] = top - bot
-        buf = buf.reshape(size)
-        h *= 2
-    return np.abs(buf) ** 2
+    """|F(y)|^2 for all y, via the complex Walsh-Hadamard transform."""
+    return np.abs(_walsh(np.exp(2j * np.pi * np.asarray(fn.values, dtype=np.float64) / fn.m))) ** 2
 
 
 def is_gbf_numeric(fn: GbfFunction) -> bool:
@@ -176,11 +198,15 @@ def is_gbf_numeric(fn: GbfFunction) -> bool:
 
 
 def normalize_modulus(fn: GbfFunction) -> GbfFunction:
-    """Shift f(0) to 0, then divide m and all values by their common gcd.
+    """Shift f(0) to 0, then divide m and all values by their common gcd;
+    fn itself when that changes nothing.
 
     The result generates the full value group: gcd(m', values') = 1.  An
     all-constant function collapses to m' = 1 with every value 0.
     """
-    shifted = [(v - fn.values[0]) % fn.m for v in fn.values]
-    d = gcd(fn.m, *shifted)
-    return GbfFunction(fn.n, fn.m // d, tuple(v // d for v in shifted))
+    values = np.asarray(fn.values, dtype=np.int64 if fn.m <= INT64_MAX else object)
+    shifted = (values - values[0]) % fn.m
+    d = int(np.gcd.reduce(shifted, initial=fn.m))
+    if d == 1 and fn.values[0] == 0:
+        return fn
+    return GbfFunction(fn.n, fn.m // d, tuple((shifted // d).tolist()))

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_gbf import expected_invariants
+from test_gbf import expected_invariants, mm_function
 
 from gbfkit import cli, criteria, ring
 from gbfkit.cli import main
@@ -57,15 +58,6 @@ def test_decide_json(capsys):
     assert record["outcome"] == decide(45, 3).to_json()
 
 
-def _by_full_parser(argv, capsys):
-    """stdout, stderr and exit code when the whole `gbf` parser reads
-    argv: what main prints for every argv that _read declines."""
-    with pytest.raises(SystemExit) as exc:
-        cli.build_parser().parse_args(argv)
-    out = capsys.readouterr()
-    return out.out, out.err, 0 if exc.value.code == 0 else cli.EX_USAGE
-
-
 def _by_main(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
@@ -73,11 +65,12 @@ def _by_main(argv, capsys):
 
 
 def test_command_help_matches_full_parser(capsys):
+    # _read declines help, so the whole parser answers it
     assert list(cli.COMMANDS) == ["decide", "verify", "search", "decompose", "catalog", "table"]
     for name in cli.COMMANDS:
         for argv in ([name, "-h"], [name, "--help"]):
+            assert cli._read(argv) is None, argv
             seen = _by_main(argv, capsys)
-            assert seen == _by_full_parser(argv, capsys), argv
             assert seen[0].startswith(f"usage: gbf {name} [-h]") and seen[2] == 0
 
 
@@ -95,15 +88,16 @@ def test_usage_and_errors_match_full_parser(capsys):
         (): ("", "usage: gbf [-h] [--version]", 64),
     }
     for argv, (out, err, code) in cases.items():
+        # _read declines each, so the whole parser answers it
+        assert cli._read(list(argv)) is None, argv
         seen = _by_main(list(argv), capsys)
-        assert seen == _by_full_parser(list(argv), capsys), argv
         assert seen[0].startswith(out) and seen[1].startswith(err) and seen[2] == code, argv
     assert "decompose" in _by_main(["-h"], capsys)[0]
     err = _by_main(["search", "3", "3", "--bogus"], capsys)[1]
     assert err.endswith("\ngbf: error: unrecognized arguments: --bogus\n")
 
 
-def test_known_command_builds_one_parser(capsys, monkeypatch):
+def test_parser_built_only_for_declined_argv(capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -313,12 +307,13 @@ def test_verify_file_long_bad_line_quoted_short(tmp_path, capsys):
     assert "long.txt:1: expected 'm n v0,v1,...'" in err and len(err) < 200
 
 
+def no_table(*args):
+    raise AssertionError("a table was built for a refused input")
+
+
 def test_oversized_reduction_orders_refused(tmp_path, capsys, monkeypatch):
     # R_30026 would hold 15014 * 15012 int64 entries (1.8 GB)
-    def no_table(fn):
-        raise AssertionError("a table was built for a refused order")
-
-    monkeypatch.setattr(cli, "compute_autocorr", no_table)
+    monkeypatch.setattr(cli, "autocorr_tables", no_table)
     path = tmp_path / "fns.txt"
     path.write_text("4 1 0,1\n30026 1 0,1\n")
     for argv in (
@@ -339,6 +334,27 @@ def test_oversized_reduction_orders_refused(tmp_path, capsys, monkeypatch):
     assert time.monotonic() - start < 1.0
     err = capsys.readouterr().err
     assert "over the cap" in err and "Traceback" not in err
+
+
+def test_verify_refuses_n_over_the_cap_before_any_table(tmp_path, capsys, monkeypatch):
+    # n = 17 would take about 80 s: 4^17 cells at 2.1e8 a second
+    assert cli.MAX_VERIFY_N == 16
+    path = tmp_path / "big.txt"
+    path.write_text("4 1 0,1\n3 17 " + ",".join(["0"] * (1 << 17)) + "\n")
+    inline = ["3", "17", ",".join(["1"] * (1 << 17))]
+    # below the cap the table is built: a (4, 3) bent function passes
+    monkeypatch.setattr(cli, "MAX_VERIFY_N", 3)
+    assert main(["verify", "4", "3", "0,0,0,2,1,1,1,3"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "autocorr_tables", no_table)
+    assert main(["verify", "2", "4", "0,0,0,1,0,0,0,1,0,0,0,1,1,1,1,0"]) == 65
+    assert capsys.readouterr().err.endswith("over the cap of n <= 3\n")
+    monkeypatch.setattr(cli, "MAX_VERIFY_N", 16)
+    for argv in (["verify", "--file", str(path)], ["verify", *inline]):
+        assert main(argv) == 65
+        assert capsys.readouterr().err == (
+            "gbf verify: n = 17: 4^17 table cells, over the cap of n <= 16\n"
+        )
 
 
 # input line -> normalized (m, values), or None when already normalized
@@ -373,6 +389,55 @@ def test_verify_record_pinned(tmp_path, capsys):
         assert rep["invariants"] == expected_invariants(checked)
         seen_bent.add(rep["is_gbf"])
     assert seen_bent == {True, False}
+
+
+def pinned_verify_lines():
+    """96 rows, two at each m of 3, 4, 6, 12, 15 and 16 for n = 1..8,
+    shuffled: a Maiorana-McFarland bent function where one exists (and
+    0,1 at (4, 1)) and random values, each then shifted off f(0) = 0,
+    scaled by a factor shared with m, both or neither."""
+    rng = random.Random(35)
+    lines = []
+    for n in range(1, 9):
+        for m in (3, 4, 6, 12, 15, 16):
+            for bent in (True, False):
+                values = [rng.randrange(m) for _ in range(1 << n)]
+                if bent and m % 2 == 0 and (n % 2 == 0 or m % 4 == 0) and n > 1:
+                    half = n // 2
+                    perm = rng.sample(range(1 << half), 1 << half)
+                    g = [rng.randrange(m) for _ in range(1 << half)]
+                    values = list(mm_function(m, n, perm, g, z_bit=n % 2).values)
+                elif bent and m == 4 and n == 1:
+                    values = [0, 1]
+                shift, scale = rng.choice([(0, 1), (1, 1), (0, 2), (m - 1, 3)])
+                shift -= values[0]
+                row = ",".join(str((v + shift) % m * scale) for v in values)
+                lines.append(f"{m * scale} {n} {row}")
+    rng.shuffle(lines)
+    return lines
+
+
+# sha256 of the outcome of gbf verify --json on pinned_verify_lines, as the
+# per-function verify gave it before functions were checked by (n, m) stacks
+VERIFY_BATCH_SHA256 = "83a19130ec2b059fb179f0f158695b2f5d0feb79d9ba05f3624cf36e6a2ed3a9"
+
+
+@pytest.mark.parametrize("entries", [1, 200, 1 << 20])
+def test_verify_batch_outcome_pinned(tmp_path, capsys, monkeypatch, entries):
+    # chunks of one function, of a few at small n, and whole groups
+    monkeypatch.setattr(cli, "VERIFY_CHUNK_ENTRIES", entries)
+    path = tmp_path / "batch.txt"
+    path.write_text("".join(line + "\n" for line in pinned_verify_lines()))
+    assert main(["verify", "--file", str(path), "--json"]) == 1
+    outcome = json.loads(capsys.readouterr().out)["outcome"]
+    # the batch holds what the pin is for: every n, odd and even m, bent
+    # and not, rows that normalize and rows that do not
+    assert {rep["input"]["n"] for rep in outcome} == set(range(1, 9))
+    assert {rep["input"]["m"] % 2 for rep in outcome} == {0, 1}
+    assert {rep["is_gbf"] for rep in outcome} == {True, False}
+    assert {rep["normalized"] is None for rep in outcome} == {True, False}
+    digest = hashlib.sha256(json.dumps(outcome, sort_keys=True).encode()).hexdigest()
+    assert digest == VERIFY_BATCH_SHA256
 
 
 WRITER = """

@@ -1,6 +1,7 @@
 """Bent functions: autocorrelation, exact criterion, numeric cross-checks."""
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from gbfkit import gbf
 from gbfkit.gbf import (
     GbfFunction,
     autocorr_invariants,
+    autocorr_tables,
     compute_autocorr,
     is_gbf_exact,
     is_gbf_numeric,
@@ -204,6 +206,31 @@ def test_block_size_never_changes_table_or_support_data(monkeypatch, cells):
         assert autocorr_invariants(f, table) == expected_invariants(f)
 
 
+@st.composite
+def value_stacks(draw):
+    """k rows of values of one (n, m), k from 1 to 6."""
+    m, n, k = draw(st.integers(1, 40)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, m - 1), min_size=1 << n, max_size=1 << n)
+    return m, n, draw(st.lists(row, min_size=k, max_size=k))
+
+
+@pytest.mark.parametrize("cells", [1, 7, 100, 1 << 13, 1 << 14])
+@settings(max_examples=40, deadline=None)
+@given(value_stacks())
+def test_stacked_tables_match_reference(cells, stack):
+    # a block is a power of two of the rows (i, x) within the cells: one
+    # row at 1 and 7 cells; at 100, whole functions to n = 3 and a run of
+    # 4 or fewer rows inside one past it; at 2^13 and 2^14 whole
+    # functions, 2 and 4 at n = 6, so blocks both split and span them
+    m, n, rows = stack
+    fns = [fn(m, n, values) for values in rows]
+    with mock.patch.object(gbf, "_BLOCK_CELLS", cells):
+        tables = autocorr_tables(rows, m)
+    assert tables.shape == (len(rows), 1 << n, m) and not tables.flags.writeable
+    assert tables.tolist() == [reference_autocorr(f) for f in fns]
+    assert autocorr_invariants(np.array(rows), tables) == [expected_invariants(f) for f in fns]
+
+
 def test_autocorr_invariants_hold_for_arbitrary_f():
     rng = random.Random(4)
     for _ in range(40):
@@ -324,6 +351,24 @@ def test_autocorr_invariants_example():
         bad = table.copy()
         bad[x] = row
         assert autocorr_invariants(f, bad) == {**ok, broken: False}, broken
+    # in a stack of f, g = 2x and f again, the same fault in one f's
+    # table flips that function's invariant alone
+    g = fn(4, 1, [0, 2])
+    stack = np.array([f.values, g.values, f.values])
+    tables = autocorr_tables(stack, 4)
+    expected = [expected_invariants(f), expected_invariants(g), expected_invariants(f)]
+    assert autocorr_invariants(stack, tables) == expected
+    for x, row, broken in [
+        (0, [1, 0, 1, 0], "origin_mass"),
+        (1, [0, 2, 0, 0], "inversion_symmetric"),
+        (1, [1, 2, 1, 2], "even_identity_coeff"),
+        (1, [0, 0, 2, 0], "even_m_identity"),
+    ]:
+        for i in (0, 2):
+            bad = tables.copy()
+            bad[i, x] = row
+            want = [dict(e, **{broken: False}) if j == i else e for j, e in enumerate(expected)]
+            assert autocorr_invariants(stack, bad) == want, (broken, i)
 
 
 def test_autocorr_invariants_match_reference_for_all_f():
